@@ -15,6 +15,7 @@ from .embedding import (
 )
 from .errors import BoundViolation, HpmsimError, NumericalError, ValidationError
 from .marching import (
+    MarchingOperator,
     MarchingSolution,
     TaylorSystemParams,
     assemble_C,

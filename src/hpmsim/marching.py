@@ -2,9 +2,12 @@
 
 The marching matrix stacks m Taylor steps of order k plus p copy rows:
 unit diagonal, -A h/j couplings inside each step, -identity summation rows
-at step boundaries, -identity copy rows at the tail.  The system is unit
-lower triangular, so forward substitution solves it exactly; a residual
-checked iterative solver doubles as an independent path.
+at step boundaries, -identity copy rows at the tail.  C is an operator and
+is never stored: applying it costs one product of A with the m k coupling
+blocks.  The system is unit lower triangular, so forward substitution
+solves it exactly in m k products with A; a residual checked iterative
+solver on the operator doubles as an independent path.  Only the SVD
+condition-number oracle densifies C, under the dense entry cap.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .cascade import min_order_for_bound, truncation_bound
 from .embedding import EmbeddedSystem
 from .errors import NumericalError, ValidationError
 from .ode import SQRT_HALF, NonlinearityParams
-from .sparse import DENSE_ORACLE_CAP, SparseMatrix, dense_expm
+from .sparse import DENSE_ORACLE_CAP, SparseMatrix, _check_cap, dense_expm
 
 SOLVE_FLOOR = 1e-10
 
@@ -233,26 +236,84 @@ def select_parameters(nl: NonlinearityParams, sys: EmbeddedSystem, T: float,
     )
 
 
-def assemble_C(A: SparseMatrix, params: TaylorSystemParams) -> SparseMatrix:
+class MarchingOperator(spla.LinearOperator):
+    """The (d+1)N-square marching matrix C as an operator; never stored.
+
+    x is read as d+1 blocks of length N.  Step i owns blocks i(k+1)+j,
+    j = 0..k; the copy tail owns blocks m(k+1)..d.
+    """
+
+    def __init__(self, A: SparseMatrix, params: TaylorSystemParams):
+        N = A.rows
+        size = (params.d + 1) * N
+        super().__init__(np.float64, (size, size))
+        self.A = sp.csr_array((A.val, (A.row, A.col)), shape=(N, N))
+        self.params = params
+        self.N = N
+
+    @property
+    def nnz(self) -> int:
+        """Entry count of the matrix this operator stands for."""
+        m, k, p, d, N = (self.params.m, self.params.k, self.params.p,
+                         self.params.d, self.N)
+        return (d + 1) * N + m * k * self.A.nnz + m * (k + 1) * N + p * N
+
+    def march(self, y_in: np.ndarray) -> np.ndarray:
+        """Forward substitution: solves C x = e_0 kron y_in in m k products with A."""
+        m, k, h, N = self.params.m, self.params.k, self.params.h, self.N
+        X = np.empty((self.params.d + 1, N))
+        cur = y_in
+        for i in range(m):
+            base = i * (k + 1)
+            X[base] = cur
+            for j in range(1, k + 1):
+                X[base + j] = (h / j) * (self.A @ X[base + j - 1])
+            cur = X[base:base + k + 1].sum(axis=0)
+        X[m * (k + 1):] = cur
+        return X.ravel()
+
+    def _matmat(self, x: np.ndarray) -> np.ndarray:
+        m, k, d, N = self.params.m, self.params.k, self.params.d, self.N
+        r = x.shape[1]
+        # row i(k+1)+j couples to block i(k+1)+j-1 with -h/j, j = 1..k
+        coef = -self.params.h / np.arange(1, k + 1)
+        X = x.reshape(d + 1, N, r)
+        Y = X.copy()
+        steps = X[:m * (k + 1)].reshape(m, k + 1, N, r)
+        # all m k coupling blocks in one product: A @ (N, m k r)
+        src = np.moveaxis(steps[:, :k], 2, 0).reshape(N, m * k * r)
+        prod = np.moveaxis((self.A @ src).reshape(N, m, k, r), 0, 2)
+        Y_steps = Y[:m * (k + 1)].reshape(m, k + 1, N, r)
+        Y_steps[:, 1:] += coef[None, :, None, None] * prod
+        # summation rows (i+1)(k+1) and copy rows m(k+1)+1..d
+        Y[k + 1:m * (k + 1) + 1:k + 1] -= steps.sum(axis=1)
+        Y[m * (k + 1) + 1:] -= X[m * (k + 1):d]
+        return Y.reshape(-1, r)
+
+    def to_dense(self, cap: int = DENSE_ORACLE_CAP) -> np.ndarray:
+        """Dense C for the SVD oracle, filled in place under the entry cap."""
+        size = self.shape[0]
+        _check_cap(size, size, cap)
+        m, k, d, h, N = (self.params.m, self.params.k, self.params.d,
+                         self.params.h, self.N)
+        out = np.eye(size)
+        blocks = out.reshape(d + 1, N, d + 1, N)
+        A_dense = self.A.toarray()
+        idx = np.arange(N)
+        for i in range(m):
+            base = i * (k + 1)
+            for j in range(1, k + 1):
+                np.multiply(A_dense, -h / j, out=blocks[base + j, :, base + j - 1, :])
+            for j in range(k + 1):
+                blocks[base + k + 1, idx, base + j, idx] = -1.0
+        for l in range(m * (k + 1) + 1, d + 1):
+            blocks[l, idx, l - 1, idx] = -1.0
+        return out
+
+
+def assemble_C(A: SparseMatrix, params: TaylorSystemParams) -> MarchingOperator:
     """The (d+1)N-square marching matrix; unit lower triangular by blocks."""
-    N = A.rows
-    m, k, p, d, h = params.m, params.k, params.p, params.d, params.h
-    C = SparseMatrix((d + 1) * N, (d + 1) * N)
-    all_idx = np.arange((d + 1) * N)
-    C.add_batch(all_idx, all_idx, np.ones(all_idx.size))
-    idx = np.arange(N)
-    for i in range(m):
-        base = i * (k + 1)
-        for j in range(1, k + 1):
-            row_off = (base + j) * N
-            col_off = (base + j - 1) * N
-            C.add_batch(A.row + row_off, A.col + col_off, A.val * (-h / j))
-        sum_row = (base + k + 1) * N
-        for j in range(k + 1):
-            C.add_batch(idx + sum_row, idx + (base + j) * N, -np.ones(N))
-    for l in range(d - p + 1, d + 1):
-        C.add_batch(idx + l * N, idx + (l - 1) * N, -np.ones(N))
-    return C.finalize()
+    return MarchingOperator(A, params)
 
 
 @dataclass
@@ -274,11 +335,7 @@ class MarchingSolution:
         return self.extract_block(i, 0)
 
 
-def _to_scipy(C: SparseMatrix) -> sp.csr_matrix:
-    return sp.csr_matrix((C.val, (C.row, C.col)), shape=(C.rows, C.cols))
-
-
-def solve_marching(C: SparseMatrix, y_in: np.ndarray, delta: float,
+def solve_marching(C: MarchingOperator, y_in: np.ndarray, delta: float,
                    params: TaylorSystemParams,
                    solver: str = "forward") -> MarchingSolution:
     """Solve C x = e_0 kron y_in to relative residual min(delta, 1e-10)."""
@@ -287,19 +344,18 @@ def solve_marching(C: SparseMatrix, y_in: np.ndarray, delta: float,
         raise ValidationError(f"y_in must have length {N}")
     rhs = np.zeros((params.d + 1) * N)
     rhs[:N] = y_in
-    Cs = _to_scipy(C)
     target = min(delta, SOLVE_FLOOR) if delta > 0 else SOLVE_FLOOR
     if solver == "forward":
-        x = spla.spsolve_triangular(Cs, rhs, lower=True, unit_diagonal=False)
+        x = C.march(y_in)
     elif solver == "iterative":
-        x, info = spla.gmres(Cs, rhs, rtol=target / 10.0, atol=0.0,
+        x, info = spla.gmres(C, rhs, rtol=target / 10.0, atol=0.0,
                              restart=200, maxiter=5000)
         if info != 0:
             raise NumericalError(f"gmres did not converge (info={info})")
     else:
         raise ValidationError(f"unknown solver '{solver}'")
     rhs_norm = np.linalg.norm(rhs)
-    residual = float(np.linalg.norm(Cs @ x - rhs) / max(rhs_norm, np.finfo(float).tiny))
+    residual = float(np.linalg.norm(C @ x - rhs) / max(rhs_norm, np.finfo(float).tiny))
     if residual > max(target, 1e-12):
         raise NumericalError(
             f"solver '{solver}' residual {residual:.3e} misses target {target:.3e}"
@@ -319,15 +375,18 @@ def taylor_polynomial_apply(A: SparseMatrix, h: float, k: int, v: np.ndarray) ->
 
 def step_errors_vs_expm(sys: EmbeddedSystem, params: TaylorSystemParams,
                         sol: MarchingSolution,
-                        dense_cap: int = DENSE_ORACLE_CAP) -> list[dict]:
+                        dense_cap: int = DENSE_ORACLE_CAP,
+                        E: np.ndarray | None = None) -> list[dict]:
     """Per-step ||expm(A j h) y_in - x_{j,0}|| against the factorial bound.
 
-    Needs the dense exponential oracle, so only runs under the entry cap.
+    Needs the dense exponential oracle, so only runs under the entry cap;
+    E, if given, is the precomputed expm(A h) at h = params.h.
     """
     N = sys.index.N
     if N * N > dense_cap:
         raise ValidationError("embedded dimension exceeds the dense oracle cap")
-    E = dense_expm(sys.A.to_dense(dense_cap) * params.h, dense_cap)
+    if E is None:
+        E = dense_expm(sys.A.to_dense(dense_cap) * params.h, dense_cap)
     norm_yin = float(np.linalg.norm(sys.y_in))
     fact = float(math.factorial(params.k + 1))
     rows = []
@@ -341,7 +400,7 @@ def step_errors_vs_expm(sys: EmbeddedSystem, params: TaylorSystemParams,
     return rows
 
 
-def condition_report(C: SparseMatrix, params: TaylorSystemParams,
+def condition_report(C: MarchingOperator, params: TaylorSystemParams,
                      exp_norm_precondition_ok: bool,
                      dense_cap: int = DENSE_ORACLE_CAP) -> dict:
     """kappa(C) against 2e sqrt(k) (m(k+1)+p)(c+2); measured when dense-feasible."""
@@ -353,7 +412,7 @@ def condition_report(C: SparseMatrix, params: TaylorSystemParams,
         "factorial_margin": 2.0 * m * (c + 1) * (c + 2) <= math.factorial(k + 1),
         "exp_norm_bound": exp_norm_precondition_ok,
     }
-    size = C.rows
+    size = C.shape[0]
     measured = None
     if size * size <= dense_cap:
         sig = np.linalg.svd(C.to_dense(dense_cap), compute_uv=False)

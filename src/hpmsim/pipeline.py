@@ -271,10 +271,12 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
     with _Stage("decay", timings):
         m_eff = config.m if config.m is not None else mar.step_counts(config.T, sys.norm_A)[0]
         h_eff = config.h if config.h is not None else (config.T / m_eff if config.T > 0 else 0.0)
+        E_decay = None
         if config.g is not None:
             g = float(config.g)
         else:
-            g = _decay_ratio(sys, casc, m_eff, h_eff, config.dense_cap)
+            E_decay = _step_exponential(sys, h_eff, config.dense_cap)
+            g = _decay_ratio(sys, casc, m_eff, h_eff, E_decay)
 
     with _Stage("parameters", timings):
         params = mar.select_parameters(nl, sys, config.T, config.epsilon, g, eta,
@@ -304,7 +306,10 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
                                   params.epsilon1, nl.K)
 
     with _Stage("checks", timings):
-        checks = _bound_checks(solved, nl, sys, params, sol, C, cond, report_m,
+        # reuse the decay stage's expm(A h) only if it was taken at params.h
+        E = (E_decay if E_decay is not None and h_eff == params.h
+             else _step_exponential(sys, params.h, config.dense_cap))
+        checks = _bound_checks(solved, nl, sys, params, sol, E, cond, report_m,
                                struct, casc, utilde_T, zeta, u_exact, g,
                                exp_norm_pre, config)
 
@@ -375,17 +380,24 @@ def _emit_step_blocks(sol: mar.MarchingSolution, directory: Path) -> None:
         write_vector(sol.step_solution(i), directory / f"x_{i:04d}_0.txt")
 
 
+def _step_exponential(sys: emb.EmbeddedSystem, h: float,
+                      dense_cap: int) -> np.ndarray | None:
+    """expm(A h) under the dense oracle cap, None above it."""
+    if sys.index.N ** 2 > dense_cap:
+        return None
+    return dense_expm(sys.A.to_dense(dense_cap) * h, dense_cap)
+
+
 def _decay_ratio(sys: emb.EmbeddedSystem, casc: hpm.HpmCascade, m: int, h: float,
-                 dense_cap: int) -> float:
+                 E: np.ndarray | None) -> float:
     """g = max_t ||y(t)|| / ||y(T)|| on the step grid {0, h, .., mh}.
 
-    Dense-exponential path under the oracle cap, cascade norm profile above.
+    Dense-exponential path when E = expm(A h) is given (under the oracle
+    cap), cascade norm profile otherwise.
     """
-    N = sys.index.N
     if h == 0.0:
         return 1.0
-    if N * N <= dense_cap:
-        E = dense_expm(sys.A.to_dense(dense_cap) * h, dense_cap)
+    if E is not None:
         y = sys.y_in.copy()
         norms = [float(np.linalg.norm(y))]
         for _ in range(m):
@@ -405,7 +417,7 @@ def _decay_ratio(sys: emb.EmbeddedSystem, casc: hpm.HpmCascade, m: int, h: float
 
 def _bound_checks(solved: QuadraticODE, nl, sys: emb.EmbeddedSystem,
                   params: mar.TaylorSystemParams, sol: mar.MarchingSolution,
-                  C: SparseMatrix, cond: dict, report_m: meas.MeasurementReport,
+                  E: np.ndarray | None, cond: dict, report_m: meas.MeasurementReport,
                   struct: dict, casc: hpm.HpmCascade, utilde_T: np.ndarray,
                   zeta: float, u_exact: np.ndarray, g: float,
                   exp_norm_pre: bool, config: RunConfig) -> list[dict]:
@@ -432,9 +444,7 @@ def _bound_checks(solved: QuadraticODE, nl, sys: emb.EmbeddedSystem,
             None, 0.0, True, note="skipped: N over dense cap"))
 
     N = sys.index.N
-    if N * N <= config.dense_cap and params.h > 0:
-        A_dense = sys.A.to_dense(config.dense_cap)
-        E = dense_expm(A_dense * params.h, config.dense_cap)
+    if E is not None and params.h > 0:
         acc = np.eye(N)
         max_norm = 1.0
         for _ in range(params.m):
@@ -464,8 +474,8 @@ def _bound_checks(solved: QuadraticODE, nl, sys: emb.EmbeddedSystem,
         note="" if params.hpm_budget_certified else
         "bound exceeds the epsilon1 budget at the capped order"))
 
-    if N * N <= config.dense_cap:
-        rows = mar.step_errors_vs_expm(sys, params, sol, config.dense_cap)
+    if E is not None:
+        rows = mar.step_errors_vs_expm(sys, params, sol, config.dense_cap, E)
         fact_ok = 2.0 * params.m * (c + 1) * (c + 2) <= math.factorial(params.k + 1)
         # step 0 is trivially exact; report the tightest-margin real step,
         # pass only if every step sits under its own bound

@@ -258,13 +258,13 @@ def dense_eigs(arr: DenseMatrix, cap: int = DENSE_ORACLE_CAP,
     _check_cap(arr.shape[0], arr.shape[1], cap)
     gamma, vecs = np.linalg.eig(arr)
     scale = max(1.0, float(np.linalg.norm(arr, ord="fro")))
-    for idx in range(gamma.size):
-        v = vecs[:, idx]
-        res = np.linalg.norm(arr @ v - gamma[idx] * v)
-        if res > residual_tol * scale * np.linalg.norm(v):
-            raise NumericalError(
-                f"eigenpair {idx} failed residual check: {res:.3e}"
-            )
+    res = np.linalg.norm(arr @ vecs - vecs * gamma, axis=0)
+    bad = np.flatnonzero(res > residual_tol * scale * np.linalg.norm(vecs, axis=0))
+    if bad.size:
+        idx = int(bad[0])
+        raise NumericalError(
+            f"eigenpair {idx} failed residual check: {res[idx]:.3e}"
+        )
     return gamma
 
 

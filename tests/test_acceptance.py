@@ -6,6 +6,7 @@ and asserts its condition.  Shared pipeline runs are module-scoped.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +40,14 @@ from hpmsim.measurement import (
 )
 from hpmsim.ode import bernoulli_closed_form, compute_K
 from hpmsim.pipeline import RunConfig, generate_instance, instance_config, run, sweep
-from hpmsim.sparse import SparseMatrix, dense_condition_number, dense_expm, dense_norm, spectral_norm
+from hpmsim.sparse import (
+    SparseMatrix,
+    dense_condition_number,
+    dense_expm,
+    dense_norm,
+    read_vector,
+    spectral_norm,
+)
 
 ABS_TOL = 1e-9   # stated integrator-noise slack
 
@@ -57,9 +65,10 @@ def _line(num: int, name: str, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def std1_run():
+def std1_run(tmp_path_factory):
+    blocks = tmp_path_factory.mktemp("std1_blocks")
     t0 = time.perf_counter()
-    rep = run(RunConfig.from_dict(STD1))
+    rep = run(RunConfig.from_dict({**STD1, "emit_blocks": str(blocks)}))
     return rep, time.perf_counter() - t0
 
 
@@ -81,9 +90,18 @@ def test_criterion1_std1_end_to_end(std1_run):
     u_exact = bernoulli_closed_form(0.2, 0.5, 1.0)
     u_out = np.array(rep.measurement["u_out"])
     direct = float(np.linalg.norm(u_out - np.array([u_exact]) / abs(u_exact)))
-    ok = err <= 1e-2 and direct <= 1e-2 and elapsed < 10.0 and rep.status == "pass"
+    # for n = 1 u_out is [1.0] whatever the solver returns, so also compare
+    # the un-normalized level-0 entry of the final block with zeta u(T)
+    m, c, delta = (rep.parameters[key] for key in ("m", "c", "delta"))
+    K, zeta = rep.nonlinearity["K"], rep.nonlinearity["zeta"]
+    x_m0 = read_vector(Path(rep.config["emit_blocks"]) / f"x_{m:04d}_0.txt")
+    level0_err = abs(x_m0[0] - zeta * u_exact)
+    level0_bound = K ** (c + 2) / (1 - K) + delta
+    ok = (err <= 1e-2 and direct <= 1e-2 and level0_err <= level0_bound
+          and elapsed < 10.0 and rep.status == "pass")
     _line(1, "end-to-end STD1", ok,
           f"final_error={err:.3e} (oracle check {direct:.3e}) <= 1e-2, "
+          f"level-0 |x_m0 - zeta u(T)| = {level0_err:.3e} <= {level0_bound:.3e}, "
           f"runtime {elapsed:.2f}s < 10s")
     assert ok
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from hpmsim.cascade import truncation_bound
 from hpmsim.embedding import assemble_A
@@ -177,6 +179,86 @@ def test_step_errors_bounded_every_step():
     assert rows[0]["measured"] == 0.0
     for row in rows:
         assert row["measured"] <= row["bound"] + 1e-9
+
+
+# -- the operator against an explicitly built marching matrix ---------------
+
+def reference_C(A: SparseMatrix, params: TaylorSystemParams) -> sp.csr_array:
+    """The marching matrix as the module docstring describes it, one COO:
+    unit diagonal, -A h/j couplings inside each step, -identity summation
+    rows at step boundaries, -identity copy rows at the tail."""
+    N, m, k, d, h = A.rows, params.m, params.k, params.d, params.h
+    rows, cols, vals = [np.arange((d + 1) * N)], [np.arange((d + 1) * N)], [np.ones((d + 1) * N)]
+    idx = np.arange(N)
+    for i in range(m):
+        base = i * (k + 1)
+        for j in range(1, k + 1):
+            rows.append(A.row + (base + j) * N)
+            cols.append(A.col + (base + j - 1) * N)
+            vals.append(A.val * (-h / j))
+        for j in range(k + 1):
+            rows.append(idx + (base + k + 1) * N)
+            cols.append(idx + (base + j) * N)
+            vals.append(-np.ones(N))
+    for l in range(m * (k + 1) + 1, d + 1):
+        rows.append(idx + l * N)
+        cols.append(idx + (l - 1) * N)
+        vals.append(-np.ones(N))
+    size = (d + 1) * N
+    return sp.coo_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(size, size)).tocsr()
+
+
+def random_A(N: int, seed: int, normal: bool) -> SparseMatrix:
+    rng = np.random.default_rng(seed)
+    if normal:
+        q, _ = np.linalg.qr(rng.normal(size=(N, N)))
+        dense = q @ np.diag(-rng.uniform(0.5, 1.5, N)) @ q.T
+    else:
+        # strictly upper part makes it non-normal; sparsify the rest
+        dense = np.triu(rng.normal(size=(N, N)) * 2.0, 1) - np.diag(rng.uniform(0.5, 1.5, N))
+        dense[rng.random((N, N)) < 0.4] = 0.0
+    return SparseMatrix.from_dense(dense)
+
+
+OPERATOR_CASES = [
+    dict(N=1, m=1, k=1, p=1, seed=0, normal=True),
+    dict(N=3, m=2, k=5, p=2, seed=1, normal=False),
+    dict(N=4, m=3, k=6, p=1, seed=2, normal=True),
+    dict(N=5, m=2, k=7, p=4, seed=3, normal=False),
+]
+
+
+@pytest.mark.parametrize("case", OPERATOR_CASES)
+def test_operator_matches_reference_matrix(case):
+    A = random_A(case["N"], case["seed"], case["normal"])
+    h = 0.9 / max(np.linalg.norm(A.to_dense(), 2), 1e-12)
+    params = tiny_params(N=A.rows, m=case["m"], k=case["k"], p=case["p"], h=h)
+    C = assemble_C(A, params)
+    ref = reference_C(A, params)
+    assert C.shape == ref.shape
+    assert C.nnz == ref.nnz
+    assert np.array_equal(C.to_dense(), ref.toarray())
+    rng = np.random.default_rng(case["seed"] + 100)
+    v = rng.normal(size=C.shape[0])
+    assert np.allclose(C @ v, ref @ v, rtol=0.0, atol=1e-13 * np.linalg.norm(v))
+    V = rng.normal(size=(C.shape[0], 3))
+    assert np.allclose(C @ V, ref @ V, rtol=0.0, atol=1e-13 * np.linalg.norm(V))
+    y = rng.normal(size=A.rows)
+    rhs = np.zeros(C.shape[0])
+    rhs[:A.rows] = y
+    expected = spla.spsolve_triangular(ref, rhs, lower=True)
+    assert np.linalg.norm(C.march(y) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_operator_to_dense_refuses_over_cap():
+    A = random_A(3, 4, normal=True)
+    params = tiny_params(N=3, m=2, k=5, p=2, h=0.1)
+    C = assemble_C(A, params)
+    size = C.shape[0]
+    assert C.to_dense(cap=size * size).shape == (size, size)
+    with pytest.raises(ValidationError, match="dense oracle refused"):
+        C.to_dense(cap=size * size - 1)
 
 
 # -- parameter selection ----------------------------------------------------

@@ -162,6 +162,19 @@ def test_eigs_triangular():
     assert sorted(lam.real) == pytest.approx([-2.0, -1.0], abs=1e-8)
 
 
+def test_eigs_residual_check_names_first_failing_pair():
+    rng = np.random.default_rng(3)
+    arr = np.triu(rng.normal(size=(6, 6)), 1) - np.diag(rng.uniform(0.5, 2.0, 6))
+    lam = dense_eigs(arr)
+    assert sorted(lam.real) == pytest.approx(sorted(np.diag(arr)), abs=1e-8)
+    # the per-pair loop the vectorized check replaced, as the reference
+    gamma, vecs = np.linalg.eig(arr)
+    res = [np.linalg.norm(arr @ vecs[:, i] - gamma[i] * vecs[:, i]) for i in range(6)]
+    first = next(i for i, r in enumerate(res) if r > 0.0)
+    with pytest.raises(NumericalError, match=f"eigenpair {first} "):
+        dense_eigs(arr, residual_tol=0.0)
+
+
 def test_condition_number_identity_and_diag():
     assert dense_condition_number(np.eye(4)) == pytest.approx(1.0)
     assert dense_condition_number(np.diag([1.0, 4.0])) == pytest.approx(4.0)
