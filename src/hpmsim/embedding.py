@@ -106,12 +106,6 @@ class EmbeddingIndexMap:
     def level_slice(self, i: int) -> slice:
         return slice(self.offsets[i], self.offsets[i] + self.beta[i] * self.n ** (i + 1))
 
-    def level_of_position(self, pos: int) -> int:
-        for i in range(self.c + 1):
-            if pos < self.offsets[i] + self.beta[i] * self.n ** (i + 1):
-                return i
-        raise ValidationError(f"position {pos} outside vector of length {self.N}")
-
 
 def build_index_map(c: int, n: int, cap: int = N_CAP) -> EmbeddingIndexMap:
     if c < 0 or n < 1:

@@ -112,13 +112,6 @@ def rescale(ode: QuadraticODE, zeta: float) -> QuadraticODE:
 class Trajectory:
     ts: np.ndarray
     us: np.ndarray              # shape (len(ts), n)
-    richardson_error: float     # ||u_dt(T) - u_{dt/2}(T)|| / 15
-
-    def at_time(self, t: float) -> np.ndarray:
-        idx = int(np.argmin(np.abs(self.ts - t)))
-        if abs(self.ts[idx] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValidationError(f"t={t} is not on the trajectory grid")
-        return self.us[idx]
 
     def final(self) -> np.ndarray:
         return self.us[-1]
@@ -154,13 +147,11 @@ def _rk4(rhs, u0: np.ndarray, T: float, steps: int, diverge_norm: float):
 
 
 def reference_solution(ode: QuadraticODE, T: float, dt: float | None = None) -> Trajectory:
-    """Fixed-step RK4 ground truth with a step-halving error estimate."""
+    """Fixed-step RK4 ground truth on ceil(T/dt) equal steps of [0, T]."""
     if T < 0:
         raise ValidationError("T must be nonnegative")
     if T == 0:
-        return Trajectory(
-            ts=np.array([0.0]), us=ode.u_in[None, :].copy(), richardson_error=0.0
-        )
+        return Trajectory(ts=np.array([0.0]), us=ode.u_in[None, :].copy())
     if dt is None:
         dt = default_dt(ode, T)
     if dt <= 0:
@@ -168,10 +159,7 @@ def reference_solution(ode: QuadraticODE, T: float, dt: float | None = None) -> 
     steps = max(1, int(math.ceil(T / dt)))
     diverge = 1e3 * max(np.linalg.norm(ode.u_in), np.finfo(float).tiny)
     us = _rk4(ode.rhs, ode.u_in, T, steps, diverge)
-    us_half = _rk4(ode.rhs, ode.u_in, T, 2 * steps, diverge)
-    est = float(np.linalg.norm(us[-1] - us_half[-1])) / 15.0
-    ts = np.linspace(0.0, T, steps + 1)
-    return Trajectory(ts=ts, us=us, richardson_error=est)
+    return Trajectory(ts=np.linspace(0.0, T, steps + 1), us=us)
 
 
 def bernoulli_closed_form(a: float, u0: float, t: float) -> float:

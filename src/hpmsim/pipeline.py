@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -40,6 +41,11 @@ from .sparse import (
 
 _REL_SLACK = 1e-9   # slack on measured-vs-bound comparisons that can sit at equality
 _ABS_SLACK = 1e-9   # absolute integrator-noise slack on error comparisons
+
+
+def _finite_real(x) -> bool:
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and math.isfinite(x))
 
 
 @dataclass
@@ -80,6 +86,20 @@ class RunConfig:
         for req in ("n", "T", "epsilon", "u_in"):
             if req not in raw:
                 raise ValidationError(f"config missing required key '{req}'")
+        n = raw["n"]
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+            raise ValidationError(f"config key 'n' must be a positive integer, not {n!r}")
+        for key in ("T", "epsilon"):
+            if not _finite_real(raw[key]):
+                raise ValidationError(
+                    f"config key '{key}' must be a finite real number, not {raw[key]!r}")
+        u_in = raw["u_in"]
+        if not isinstance(u_in, (list, tuple, np.ndarray)):
+            raise ValidationError(f"config key 'u_in' must be a list, not {u_in!r}")
+        bad = [x for x in u_in if not _finite_real(x)]
+        if bad:
+            raise ValidationError(
+                f"config key 'u_in' holds {bad[0]!r}, not a finite real number")
         return cls(**raw)
 
     @classmethod

@@ -1,6 +1,9 @@
-"""Sparse matrix primitives plus dense verification oracles.
+"""Sparse matrix primitives, the spectral-norm estimator and dense oracles.
 
 The sparse type is a plain COO builder finalized to sorted CSR-like arrays.
+`spectral_norm` is the one 2-norm estimator for sparse and dense inputs:
+Lanczos (ARPACK `svds`) from a seeded random start, certified against the
+largest row and column 2-norms, which are lower bounds on the norm.
 Dense routines (expm, eigenvalues, condition number) are verification
 oracles only and refuse to run above an explicit entry cap so that large
 embeddings are never densified by accident.
@@ -8,8 +11,12 @@ embeddings are never densified by accident.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import expm as _scipy_expm
+from scipy.sparse import csr_array
+from scipy.sparse.linalg import ArpackError, svds
 
 from .errors import NumericalError, ValidationError
 
@@ -190,54 +197,56 @@ def spmv(matrix: SparseMatrix, v: np.ndarray) -> np.ndarray:
     return matrix.matvec(v)
 
 
-def spectral_norm(matrix: SparseMatrix, tol: float = 1e-8, max_iter: int = 10_000) -> float:
-    """2-norm via power iteration on M^T M with a fixed all-ones start vector."""
-    matrix._require_final()
-    if matrix.nnz == 0:
+def spectral_norm(matrix: SparseMatrix | DenseMatrix, tol: float = 1e-10,
+                  max_iter: int | None = None, cap: int = DENSE_ORACLE_CAP) -> float:
+    """Largest singular value by Lanczos (ARPACK `svds`) from a seeded start.
+
+    Sparse and dense inputs share this one estimator; a dense array must fit
+    under `cap`. The start vector comes from a fixed seed, so results are
+    bit-for-bit reproducible. The largest row and column 2-norms are both
+    lower bounds on ||M||_2, and an estimate below either one raises
+    NumericalError instead of being returned.
+    """
+    if isinstance(matrix, SparseMatrix):
+        matrix._require_final()
+        vals = matrix.val
+    else:
+        vals = np.asarray(matrix, dtype=np.float64)
+        _check_cap(vals.shape[0], vals.shape[1], cap)
+    top = float(np.abs(vals).max(initial=0.0))
+    if top == 0.0:
         return 0.0
-    v = np.ones(matrix.cols) / np.sqrt(matrix.cols)
-    prev = 0.0
-    for _ in range(max_iter):
-        w = matrix.rmatvec(matrix.matvec(v))
-        rayleigh = float(v @ w)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            # start vector lies in the null space of M^T M; perturb once
-            v = np.zeros(matrix.cols)
-            v[0] = 1.0
-            continue
-        est = float(np.sqrt(max(rayleigh, 0.0)))
-        v = w / nw
-        if abs(est - prev) <= tol * max(est, np.finfo(float).tiny):
-            return est
-        prev = est
-    raise NumericalError(
-        f"power iteration did not converge in {max_iter} iterations (tol={tol})"
-    )
+    # an exact power-of-two rescale keeps the squared entries clear of
+    # underflow and overflow
+    exp = math.frexp(top)[1]
+    vals = np.ldexp(vals, -exp)
+    if isinstance(matrix, SparseMatrix):
+        arr = csr_array((vals, (matrix.row, matrix.col)), shape=(matrix.rows, matrix.cols))
+    else:
+        arr = vals
+    sq = arr * arr                      # elementwise for csr_array and ndarray
+    lower = math.sqrt(max(sq.sum(axis=1).max(), sq.sum(axis=0).max()))
+    if min(arr.shape) == 1:
+        # ARPACK needs k < min(shape); a single row or column is exact
+        return math.ldexp(math.sqrt(sq.sum()), exp)
+    v0 = np.random.default_rng(0).standard_normal(min(arr.shape))
+    try:
+        est = float(svds(arr, k=1, v0=v0, tol=tol, maxiter=max_iter,
+                         return_singular_vectors=False)[0])
+    except ArpackError as exc:
+        raise NumericalError(f"Lanczos norm failed (tol={tol}, "
+                             f"max_iter={max_iter}): {exc}") from None
+    if est < lower * (1.0 - 1e-12):
+        raise NumericalError(
+            f"norm estimate {math.ldexp(est, exp):.17g} is below the row/column "
+            f"lower bound {math.ldexp(lower, exp):.17g}"
+        )
+    return math.ldexp(est, exp)
 
 
 def dense_norm(arr: DenseMatrix, tol: float = 1e-10, cap: int = DENSE_ORACLE_CAP) -> float:
-    """Power-iteration 2-norm for dense arrays (cheaper than SVD at size)."""
-    arr = np.asarray(arr, dtype=np.float64)
-    _check_cap(arr.shape[0], arr.shape[1], cap)
-    if not arr.any():
-        return 0.0
-    v = np.ones(arr.shape[1]) / np.sqrt(arr.shape[1])
-    prev = 0.0
-    for _ in range(10_000):
-        w = arr.T @ (arr @ v)
-        rayleigh = float(v @ w)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            v = np.zeros(arr.shape[1])
-            v[0] = 1.0
-            continue
-        est = float(np.sqrt(max(rayleigh, 0.0)))
-        v = w / nw
-        if abs(est - prev) <= tol * max(est, np.finfo(float).tiny):
-            return est
-        prev = est
-    raise NumericalError("dense power iteration did not converge")
+    """2-norm of a dense array under the entry cap; see spectral_norm."""
+    return spectral_norm(np.asarray(arr, dtype=np.float64), tol=tol, cap=cap)
 
 
 def dense_expm(arr: DenseMatrix, cap: int = DENSE_ORACLE_CAP) -> DenseMatrix:

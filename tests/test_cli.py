@@ -42,6 +42,13 @@ def test_run_exit_code_validation(tmp_path):
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"]) == 2
 
 
+@pytest.mark.parametrize("u_in", [[float("nan")], ["0.5"]])
+def test_run_rejects_bad_u_in_at_load(tmp_path, u_in):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**STD1, "u_in": u_in}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"]) == 2
+
+
 def test_run_missing_config_is_validation_error(tmp_path):
     assert main(["--out", str(tmp_path), "run"]) == 2
 

@@ -65,6 +65,36 @@ def test_config_requires_core_keys():
         RunConfig.from_dict({"n": 1, "T": 1.0, "epsilon": 1e-2})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n", True), ("n", 0), ("n", 2.0),
+    ("T", float("nan")), ("T", "1.0"), ("epsilon", float("inf")),
+    ("u_in", [float("nan")]), ("u_in", ["0.5"]), ("u_in", [True]), ("u_in", 0.5),
+])
+def test_config_rejects_bad_values(key, value):
+    with pytest.raises(ValidationError, match=f"'{key}'"):
+        RunConfig.from_dict({**STD1, key: value})
+
+
+def test_config_accepts_ints_as_reals():
+    cfg = RunConfig.from_dict({**STD1, "T": 1, "epsilon": 1, "u_in": [1]})
+    assert cfg.u_in == [1]
+
+
+def test_orthogonal_start_instance_passes():
+    # ||F1|| = 2 with top singular vector (1, -1): an estimator started from
+    # all-ones would return 1.0 and fail the embedding-norm bound
+    cfg = RunConfig.from_dict({
+        "n": 2, "T": 1.0, "epsilon": 1e-2, "u_in": [0.3, 0.2],
+        "F1_triplets": [[0, 0, -1.5], [0, 1, 0.5], [1, 0, 0.5], [1, 1, -1.5]],
+        "F2_triplets": [[0, 0, 0.2], [1, 3, 0.2]],
+    })
+    rep = run(cfg)
+    assert rep.status == "pass"
+    row = next(r for r in rep.bound_checks if r["check"] == "embedding_norm")
+    assert row["measured"] <= row["bound"]
+    assert rep.errors["final_error"] <= 1e-2
+
+
 def test_linear_fast_path():
     cfg = RunConfig.from_dict({
         "n": 1, "T": 1.0, "epsilon": 1e-2, "u_in": [0.5],

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import hpmsim.sparse
 from hpmsim.errors import NumericalError, ValidationError
 from hpmsim.sparse import (
     DENSE_ORACLE_CAP,
@@ -185,12 +187,60 @@ def test_condition_number_singular():
         dense_condition_number(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
-def test_power_iteration_cap_raises():
-    # two identical singular values converge instantly, so force failure with
-    # a tiny iteration budget on a slowly separating spectrum
-    m = SparseMatrix.from_triplets(2, 2, [(0, 0, 1.0), (1, 1, 0.999999)])
+def test_norm_iteration_cap_raises():
+    # Lanczos is exact on a 2x2 matrix in its first Krylov space, so exhaust
+    # the budget on a slowly separating spectrum of 50 singular values
+    m = np.diag(np.linspace(1.0, 0.999999, 50))
     with pytest.raises(NumericalError):
-        spectral_norm(m, tol=1e-15, max_iter=2)
+        spectral_norm(m, max_iter=2)
+
+
+# normal and dissipative; an all-ones start vector is orthogonal to the top
+# singular vector (1, -1), so power iteration from it returns 1.0, not 2.0
+F1_ORTHOGONAL_START = [[-1.5, 0.5], [0.5, -1.5]]
+
+
+def test_spectral_norm_not_fooled_by_orthogonal_start():
+    m = SparseMatrix.from_dense(F1_ORTHOGONAL_START)
+    assert spectral_norm(m) == pytest.approx(2.0, rel=1e-12)
+    assert spectral_norm(np.array(F1_ORTHOGONAL_START)) == pytest.approx(2.0, rel=1e-12)
+
+
+def test_spectral_norm_certificate_rejects_underestimate(monkeypatch):
+    # an estimator stuck on the smaller singular value returns 1.0, below
+    # the column-norm lower bound sqrt(2.5)
+    def smallest_singular_value(arr, **kwargs):
+        return np.linalg.svd(arr.toarray(), compute_uv=False)[-1:]
+
+    monkeypatch.setattr(hpmsim.sparse, "svds", smallest_singular_value)
+    with pytest.raises(NumericalError, match="lower bound"):
+        spectral_norm(SparseMatrix.from_dense(F1_ORTHOGONAL_START))
+
+
+@st.composite
+def _small_matrices(draw):
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["general", "symmetric", "masked", "rank_one"]))
+    entries = st.floats(-10, 10, allow_nan=False)
+    if kind == "rank_one":
+        u = draw(arrays(np.float64, rows, elements=entries))
+        v = draw(arrays(np.float64, cols, elements=entries))
+        return np.outer(u, v)
+    arr = draw(arrays(np.float64, (rows, cols), elements=entries))
+    if kind == "symmetric":
+        sq = arr[:min(rows, cols), :min(rows, cols)]
+        return sq + sq.T
+    if kind == "masked":
+        return arr * draw(arrays(np.bool_, (rows, cols)))
+    return arr
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_matrices(), st.booleans())
+def test_spectral_norm_matches_svd(arr, as_sparse):
+    expected = np.linalg.norm(arr, 2)
+    got = spectral_norm(SparseMatrix.from_dense(arr) if as_sparse else arr)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_triplet_roundtrip_empty(tmp_path):
