@@ -43,7 +43,6 @@ from .sparse import (
     dense_expm,
     read_triplets,
     spectral_norm,
-    spmv,
     write_triplets,
 )
 

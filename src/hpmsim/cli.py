@@ -19,13 +19,14 @@ from . import embedding as emb
 from . import measurement as meas
 from .errors import BoundViolation, NumericalError, ValidationError
 from .marching import choose_order
-from .ode import compute_K, reference_solution, rescale
+from .ode import compute_K, reference_solution
 from .pipeline import (
     RunConfig,
     SWEEP_COLUMNS,
     build_ode,
     generate_instance,
     json_default,
+    rescaled_problem,
     run,
     sweep,
 )
@@ -142,9 +143,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_embed(args) -> int:
     cfg = _load_config(args)
     ode = build_ode(cfg, args.config.parent)
-    nl = compute_K(ode, cfg.dense_cap)
-    zeta = cfg.zeta if cfg.zeta is not None else (nl.K / nl.norm_u_in if nl.K > 0 else 1.0)
-    solved = rescale(ode, zeta) if zeta != 1.0 else ode
+    solved, zeta, _ = rescaled_problem(ode, cfg.zeta, cfg.dense_cap)
     if args.order is not None:
         c = args.order
     elif cfg.c is not None:
@@ -172,9 +171,7 @@ def _cmd_embed(args) -> int:
 def _cmd_hpm(args) -> int:
     cfg = _load_config(args)
     ode = build_ode(cfg, args.config.parent)
-    nl = compute_K(ode, cfg.dense_cap)
-    zeta = cfg.zeta if cfg.zeta is not None else (nl.K / nl.norm_u_in if nl.K > 0 else 1.0)
-    solved = rescale(ode, zeta) if zeta != 1.0 else ode
+    solved, zeta, nl = rescaled_problem(ode, cfg.zeta, cfg.dense_cap)
     if cfg.c is not None:
         c = cfg.c
     elif nl.K > 0:

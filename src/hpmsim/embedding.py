@@ -5,7 +5,9 @@ component (i, j) is nu_{a_0} kron ... kron nu_{a_i} where the multi-index
 (a_0..a_i) runs over all tuples with a_k >= 0 and sum a_k <= c - i, ordered
 graded-lex with the all-zeros tuple first.  Level 0 is the single summed
 vector nu_0 + ... + nu_c.  The stacked dynamics are linear, dy/dt = A y,
-with A block upper bidiagonal over levels.
+with A block upper bidiagonal over levels.  A is built from
+`scipy.sparse` Kronecker products: Kronecker sums of F1 on the diagonal,
+copies of F2 placed by 0/1 split matrices above it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import BoundViolation, ValidationError
 from .ode import QuadraticODE
@@ -96,11 +99,8 @@ class EmbeddingIndexMap:
             raise ValidationError(f"rank {j} outside level {i} (beta={self.beta[i]})")
         return self.levels[i][j]
 
-    def block_start(self, i: int, j: int) -> int:
-        return self.offsets[i] + j * self.n ** (i + 1)
-
     def block_slice(self, i: int, j: int) -> slice:
-        start = self.block_start(i, j)
+        start = self.offsets[i] + j * self.n ** (i + 1)
         return slice(start, start + self.n ** (i + 1))
 
     def level_slice(self, i: int) -> slice:
@@ -137,65 +137,52 @@ class EmbeddedSystem:
     norm_A: float
 
 
-def _add_kron_factor(A: SparseMatrix, mat: SparseMatrix, n: int, slots_left: int,
-                     slots_right: int, col_digits: int, row_off: int, col_off: int) -> None:
-    """Add I_n^(kron slots_left) kron mat kron I_n^(kron slots_right).
+def _in_slot(mat: sp.csr_array, n: int, k: int, i: int) -> sp.csr_array:
+    """I_n^(kron k) kron mat kron I_n^(kron i-k)."""
+    return sp.kron(sp.kron(sp.eye_array(n ** k), mat, format="coo"),
+                   sp.eye_array(n ** (i - k)), format="csr")
 
-    mat occupies one digit on the row side and col_digits digits on the
-    column side (1 for F1-like, 2 for F2-like blocks).
-    """
-    if mat.nnz == 0:
-        return
-    n_hi = n ** slots_left
-    n_lo = n ** slots_right
-    row_hi_stride = n ** (slots_right + 1)
-    col_hi_stride = n ** (slots_right + col_digits)
-    base_r = (np.arange(n_hi)[:, None] * row_hi_stride + np.arange(n_lo)[None, :]).ravel()
-    base_c = (np.arange(n_hi)[:, None] * col_hi_stride + np.arange(n_lo)[None, :]).ravel()
-    rows = (base_r[:, None] + mat.row[None, :] * n_lo).ravel() + row_off
-    cols = (base_c[:, None] + mat.col[None, :] * n_lo).ravel() + col_off
-    vals = np.broadcast_to(mat.val, (base_r.size, mat.val.size)).ravel()
-    A.add_batch(rows, cols, vals)
+
+def _split_matrix(index: EmbeddingIndexMap, i: int, k: int) -> np.ndarray:
+    """P_{i,k}: 1 where splitting slot k of a level-i multi-index gives a level-(i+1) one."""
+    P = np.zeros((index.beta[i], index.beta[i + 1]))
+    for j, a in enumerate(index.levels[i]):
+        for split in range(a[k]):
+            refined = a[:k] + (split, a[k] - 1 - split) + a[k + 1:]
+            P[j, index.rank(i + 1, refined)] = 1.0
+    return P
 
 
 def assemble_A(ode: QuadraticODE, c: int, cap: int = N_CAP,
                norm_tol: float = 1e-10) -> EmbeddedSystem:
     """Assemble the block upper bidiagonal embedding matrix and y(0).
 
-    Diagonal blocks: identity-replicated Kronecker sums of F1.  Superdiagonal
-    blocks: level 0 couples to every level-1 component through a copy of F2;
-    for i >= 1, splitting slot k of a row multi-index into (l, a_k-1-l)
-    targets the level-(i+1) component with that refined multi-index through
-    I^k kron F2 kron I^(i-k).  Colliding (row, column-block) contributions sum.
+    Diagonal block i: I_{beta_i} kron sum_k I^k kron F1 kron I^(i-k).
+    Level 0 couples to every level-1 component through a copy of F2.  For
+    i >= 1, splitting slot k of a row multi-index into (l, a_k-1-l) targets
+    the level-(i+1) component with that refined multi-index through
+    I^k kron F2 kron I^(i-k), so block (i, i+1) is
+    sum_k P_{i,k} kron I^k kron F2 kron I^(i-k).  Sums run over k = 0..i in
+    order; an entry of a sum of two or more terms that comes to exactly
+    zero is not stored.
     """
     index = build_index_map(c, ode.n, cap)
-    n = ode.n
-    A = SparseMatrix(index.N, index.N)
-
+    n, F1, F2 = ode.n, ode.F1.csr, ode.F2.csr
+    sizes = [index.beta[i] * n ** (i + 1) for i in range(c + 1)]
+    # with every block csr, empty ones included, block_array joins the csr
+    # arrays directly instead of copying all entries through one COO
+    blocks = [[sp.csr_array((rows, cols)) for cols in sizes] for rows in sizes]
     for i in range(c + 1):
-        blk = n ** (i + 1)
-        for j in range(index.beta[i]):
-            off = index.block_start(i, j)
-            for k in range(i + 1):
-                _add_kron_factor(A, ode.F1, n, k, i - k, 1, off, off)
-
-    if ode.F2.nnz:
-        if c >= 1:
-            row_off = index.block_start(0, 0)
-            for jp in range(index.beta[1]):
-                col_off = index.block_start(1, jp)
-                A.add_batch(ode.F2.row + row_off, ode.F2.col + col_off, ode.F2.val)
+        blocks[i][i] = sp.kron(sp.eye_array(index.beta[i]),
+                               sum(_in_slot(F1, n, k, i) for k in range(i + 1)), format="csr")
+    if F2.nnz and c >= 1:
+        blocks[0][1] = sp.kron(np.ones((1, index.beta[1])), F2, format="csr")
         for i in range(1, c):
-            for j, a in enumerate(index.levels[i]):
-                row_off = index.block_start(i, j)
-                for k in range(i + 1):
-                    for split in range(a[k]):
-                        refined = a[:k] + (split, a[k] - 1 - split) + a[k + 1:]
-                        jp = index.rank(i + 1, refined)
-                        col_off = index.block_start(i + 1, jp)
-                        _add_kron_factor(A, ode.F2, n, k, i - k, 2, row_off, col_off)
+            blocks[i][i + 1] = sum(
+                sp.kron(_split_matrix(index, i, k), _in_slot(F2, n, k, i), format="csr")
+                for k in range(i + 1))
 
-    A.finalize()
+    A = SparseMatrix(sp.block_array(blocks, format="csr"))
     y_in = assemble_y_in(ode, index)
     norm_A = spectral_norm(A, tol=norm_tol) if A.nnz else 0.0
     return EmbeddedSystem(index=index, A=A, y_in=y_in, norm_A=norm_A)
@@ -262,11 +249,12 @@ def row_pattern_Bm(F1: SparseMatrix, m: int, row: tuple[int, ...]) -> list[tuple
     if any(d < 0 or d >= n for d in row):
         raise ValidationError(f"digits must lie in [0, {n})")
 
+    indptr, indices = F1.csr.indptr, F1.csr.indices
     cols_cache: dict[int, list[int]] = {}
 
     def cols_of(j: int) -> list[int]:
         if j not in cols_cache:
-            pattern = set(F1.col[F1.row == j].tolist())
+            pattern = set(indices[indptr[j]:indptr[j + 1]].tolist())
             pattern.add(j)  # structural diagonal
             cols_cache[j] = sorted(pattern)
         return cols_cache[j]
@@ -296,16 +284,16 @@ def structural_report(sys: EmbeddedSystem, ode: QuadraticODE, norm_F1: float,
     c, n, s = index.c, index.n, ode.s
     report: dict = {"N": index.N, "c": c, "n": n, "s": s}
 
-    lvl_bounds = np.array(
-        [index.offsets[i] + index.beta[i] * n ** (i + 1) for i in range(c + 1)]
-    )
-    row_lvl = np.searchsorted(lvl_bounds, A.row, side="right")
-    col_lvl = np.searchsorted(lvl_bounds, A.col, side="right")
-    if ((col_lvl != row_lvl) & (col_lvl != row_lvl + 1)).any():
-        raise BoundViolation("entries outside the block bidiagonal structure")
+    indptr, indices = A.csr.indptr, A.csr.indices
+    for i in range(c + 1):
+        # level-i rows may only reach columns of levels i and i+1
+        lvl, end = index.level_slice(i), index.level_slice(min(i + 1, c)).stop
+        cols = indices[indptr[lvl.start]:indptr[lvl.stop]]
+        if cols.size and (cols.min() < lvl.start or cols.max() >= end):
+            raise BoundViolation("entries outside the block bidiagonal structure")
 
-    max_row = int(A.row_nonzeros().max()) if A.nnz else 0
-    max_col = int(A.col_nonzeros().max()) if A.nnz else 0
+    max_row = int(np.diff(indptr).max())
+    max_col = int(np.bincount(indices, minlength=index.N).max())
     witness = s * c * c + c
     # proved per-level counts: level-0 rows see F1 plus beta_1 copies of F2;
     # any other row sees at most (i+1)s diagonal plus (c-i)s coupling entries

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cascade import min_order_for_bound, truncation_bound
@@ -247,7 +246,7 @@ class MarchingOperator(spla.LinearOperator):
         N = A.rows
         size = (params.d + 1) * N
         super().__init__(np.float64, (size, size))
-        self.A = sp.csr_array((A.val, (A.row, A.col)), shape=(N, N))
+        self.A = A.csr
         self.params = params
         self.N = N
 

@@ -17,7 +17,7 @@ from .embedding import EmbeddingIndexMap
 from .errors import ValidationError
 from .marching import MarchingSolution
 from .ode import SQRT_HALF, NonlinearityParams
-from .sparse import DENSE_ORACLE_CAP, DenseMatrix, dense_expm, dense_norm
+from .sparse import DENSE_ORACLE_CAP, dense_expm, dense_norm
 
 
 @dataclass
@@ -195,7 +195,7 @@ def scalar_decay_check(gamma: float, beta: float, m: int, t_grid) -> dict:
     }
 
 
-def taylor_power_error_check(M: DenseMatrix, Delta: float, k: int, steps: int,
+def taylor_power_error_check(M: np.ndarray, Delta: float, k: int, steps: int,
                              dense_cap: int = DENSE_ORACLE_CAP) -> dict:
     """||e^(M l) - T_k(M)^l|| against 2 l Delta (Delta+1)/(k+1)! for l = steps.
 

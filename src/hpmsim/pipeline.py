@@ -24,6 +24,7 @@ from . import marching as mar
 from . import measurement as meas
 from .errors import BoundViolation, NumericalError, ValidationError
 from .ode import (
+    NonlinearityParams,
     QuadraticODE,
     compute_K,
     make_ode,
@@ -46,6 +47,14 @@ _ABS_SLACK = 1e-9   # absolute integrator-noise slack on error comparisons
 def _finite_real(x) -> bool:
     return (isinstance(x, numbers.Real) and not isinstance(x, bool)
             and math.isfinite(x))
+
+
+def _triplet(t) -> bool:
+    """(i, j, value): two non-bool integers and a finite real."""
+    return (isinstance(t, (list, tuple)) and len(t) == 3
+            and all(isinstance(x, numbers.Integral) and not isinstance(x, bool)
+                    for x in t[:2])
+            and _finite_real(t[2]))
 
 
 @dataclass
@@ -100,6 +109,15 @@ class RunConfig:
         if bad:
             raise ValidationError(
                 f"config key 'u_in' holds {bad[0]!r}, not a finite real number")
+        for key in ("F1_triplets", "F2_triplets"):
+            trips = raw.get(key)
+            if trips is None:
+                continue
+            bad = ([t for t in trips if not _triplet(t)]
+                   if isinstance(trips, (list, tuple)) else [trips])
+            if bad:
+                raise ValidationError(f"config key '{key}' needs [int, int, finite real] "
+                                      f"triplets, not {bad[0]!r}")
         return cls(**raw)
 
     @classmethod
@@ -125,7 +143,7 @@ def build_ode(config: RunConfig, base_dir: Path | None = None) -> QuadraticODE:
 
     def load(trips, path, rows, cols, name):
         if trips is not None:
-            return SparseMatrix.from_triplets(rows, cols, [tuple(t) for t in trips])
+            return SparseMatrix.from_triplets(rows, cols, trips)
         if path is not None:
             p = Path(path)
             if base_dir is not None and not p.is_absolute():
@@ -194,9 +212,12 @@ class _Stage:
 
 
 def _check(name: str, description: str, measured, bound, precondition_ok: bool,
-           note: str = "") -> dict:
+           note: str = "", at_least: bool = False) -> dict:
+    """One bound row: measured <= bound, or measured >= bound when at_least."""
     if measured is None:
         ok = True
+    elif at_least:
+        ok = (not precondition_ok) or measured >= bound * (1 - _REL_SLACK) - 1e-300
     else:
         ok = (not precondition_ok) or measured <= bound * (1 + _REL_SLACK) + 1e-300
     return {
@@ -210,21 +231,18 @@ def _check(name: str, description: str, measured, bound, precondition_ok: bool,
     }
 
 
-def _check_lower(name: str, description: str, measured, bound,
-                 precondition_ok: bool, note: str = "") -> dict:
-    if measured is None:
-        ok = True
-    else:
-        ok = (not precondition_ok) or measured >= bound * (1 - _REL_SLACK) - 1e-300
-    return {
-        "check": name,
-        "description": description,
-        "precondition_ok": bool(precondition_ok),
-        "measured": measured,
-        "bound": bound,
-        "pass": bool(ok),
-        "note": note,
-    }
+def rescaled_problem(ode: QuadraticODE, zeta: float | None = None,
+                     dense_cap: int = DENSE_ORACLE_CAP
+                     ) -> tuple[QuadraticODE, float, NonlinearityParams]:
+    """The rescaled problem u -> zeta u, zeta, and the NonlinearityParams of ode.
+
+    zeta defaults to K/||u_in|| when K > 0 (so ||u_in|| = K after the
+    substitution), else 1; zeta = 1 returns ode itself.
+    """
+    nl = compute_K(ode, dense_cap)
+    if zeta is None:
+        zeta = nl.K / nl.norm_u_in if nl.K > 0 else 1.0
+    return (rescale(ode, zeta) if zeta != 1.0 else ode), zeta, nl
 
 
 def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
@@ -235,17 +253,12 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
         ode = build_ode(config, base_dir)
 
     with _Stage("nonlinearity", timings):
-        nl0 = compute_K(ode, config.dense_cap)
+        solved, zeta, nl0 = rescaled_problem(ode, config.zeta, config.dense_cap)
         if nl0.flag_K_large and not config.force:
             raise ValidationError(
                 f"K = {nl0.K:.4g} >= sqrt(2)/2: the level-0 post-selection "
                 "bound needs K < sqrt(2)/2"
             )
-        if nl0.K > 0:
-            zeta = config.zeta if config.zeta is not None else nl0.K / nl0.norm_u_in
-        else:
-            zeta = config.zeta if config.zeta is not None else 1.0
-        solved = rescale(ode, zeta) if zeta != 1.0 else ode
         nl = compute_K(solved, config.dense_cap) if zeta != 1.0 else nl0
         if abs(nl.K - nl0.K) > 1e-9 * max(nl0.K, 1.0):
             raise NumericalError("rescaling changed K, which must be invariant")
@@ -513,12 +526,14 @@ def _bound_checks(solved: QuadraticODE, nl, sys: emb.EmbeddedSystem,
             "step_error", "||expm(A j h) y_in - x_{j,0}|| <= 2 j (c+1)(c+2)||y_in||/(k+1)!",
             None, 0.0, True, note="skipped: N over dense cap"))
 
-    checks.append(_check_lower(
+    checks.append(_check(
         "step_acceptance", "||x_{m,0}||^2/||x||^2 >= 1/(p + 77 m g^2)",
-        report_m.p1_block_ratio, report_m.p1_bound, report_m.p1_precondition_ok))
-    checks.append(_check_lower(
+        report_m.p1_block_ratio, report_m.p1_bound, report_m.p1_precondition_ok,
+        at_least=True))
+    checks.append(_check(
         "level_acceptance", "chi_0^2 >= (1-2K^2)/(1-2K^2 + 2 eta'^2)",
-        report_m.chi0_sq, report_m.chi0_bound, report_m.chi0_precondition_ok))
+        report_m.chi0_sq, report_m.chi0_bound, report_m.chi0_precondition_ok,
+        at_least=True))
 
     if report_m.level_group_norms_sq:
         worst_ratio = max(
@@ -546,10 +561,7 @@ def sweep(config: RunConfig, param: str, values, base_dir: Path | None = None) -
     rows = []
     for value in values:
         cfg_dict = asdict(config)
-        if param in ("c", "k"):
-            cfg_dict[param] = int(value)
-        else:
-            cfg_dict[param if param != "epsilon" else "epsilon"] = float(value)
+        cfg_dict[param] = int(value) if param in ("c", "k") else float(value)
         cfg_dict["force"] = True
         cfg = RunConfig.from_dict(cfg_dict)
         row = {col: "" for col in SWEEP_COLUMNS}

@@ -49,6 +49,14 @@ def test_run_rejects_bad_u_in_at_load(tmp_path, u_in):
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"]) == 2
 
 
+@pytest.mark.parametrize("triplet", [[0, 0, "0.2"], [0, 0.0, 0.2], [0, 0, float("nan")]])
+def test_run_rejects_bad_triplet_at_load(tmp_path, triplet, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**STD1, "F2_triplets": [triplet]}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"]) == 2
+    assert "F2_triplets" in capsys.readouterr().err
+
+
 def test_run_missing_config_is_validation_error(tmp_path):
     assert main(["--out", str(tmp_path), "run"]) == 2
 

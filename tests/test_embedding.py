@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from hpmsim.embedding import (
     structural_report,
     total_dimension,
 )
-from hpmsim.errors import ValidationError
+from hpmsim.errors import BoundViolation, ValidationError
 from hpmsim.ode import make_ode
 from hpmsim.sparse import SparseMatrix, dense_expm, spectral_norm
 
@@ -173,6 +174,82 @@ def test_y_in_block_norms_multiplicative():
         assert np.linalg.norm(block) == pytest.approx(norm_u ** (i + 1), rel=1e-12)
 
 
+# -- assembly against an explicit COO reference ---------------------------
+
+def _kron_factor_coo(mat, n: int, slots_left: int, slots_right: int,
+                     col_digits: int, row_off: int, col_off: int):
+    """Triplets of I_n^(kron slots_left) kron mat kron I_n^(kron slots_right),
+    by index arithmetic; mat takes one row digit and col_digits column digits."""
+    coo = mat.csr.tocoo()
+    n_hi, n_lo = n ** slots_left, n ** slots_right
+    base_r = (np.arange(n_hi)[:, None] * n ** (slots_right + 1)
+              + np.arange(n_lo)[None, :]).ravel()
+    base_c = (np.arange(n_hi)[:, None] * n ** (slots_right + col_digits)
+              + np.arange(n_lo)[None, :]).ravel()
+    rows = (base_r[:, None] + coo.row[None, :] * n_lo).ravel() + row_off
+    cols = (base_c[:, None] + coo.col[None, :] * n_lo).ravel() + col_off
+    vals = np.broadcast_to(coo.data, (base_r.size, coo.data.size)).ravel()
+    return rows, cols, vals
+
+
+def reference_A(ode, c: int):
+    """(indptr, indices, data) of A from per-block triplets; colliding
+    entries sum in the order they were added."""
+    index = build_index_map(c, ode.n)
+    n, parts = ode.n, []
+    for i in range(c + 1):
+        for j in range(index.beta[i]):
+            off = index.block_slice(i, j).start
+            for k in range(i + 1):
+                parts.append(_kron_factor_coo(ode.F1, n, k, i - k, 1, off, off))
+    if ode.F2.nnz:
+        if c >= 1:
+            for jp in range(index.beta[1]):
+                col_off = index.block_slice(1, jp).start
+                parts.append(_kron_factor_coo(ode.F2, n, 0, 0, 2, 0, col_off))
+        for i in range(1, c):
+            for j, a in enumerate(index.levels[i]):
+                for k in range(i + 1):
+                    for split in range(a[k]):
+                        refined = a[:k] + (split, a[k] - 1 - split) + a[k + 1:]
+                        col_off = index.block_slice(i + 1, index.rank(i + 1, refined)).start
+                        parts.append(_kron_factor_coo(ode.F2, n, k, i - k, 2,
+                                                      index.block_slice(i, j).start, col_off))
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    uniq, inv = np.unique(rows * index.N + cols, return_inverse=True)
+    data = np.bincount(inv, weights=vals, minlength=uniq.size)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(uniq // index.N, minlength=index.N))])
+    return indptr, uniq % index.N, data
+
+
+def nonnormal_ode(n: int, seed: int):
+    """Upper-triangular F1 (not normal) and an F2 whose triplets collide:
+    each row repeats a coupling and holds both orders of a pair (a, b)."""
+    rng = np.random.default_rng(seed)
+    F1 = SparseMatrix.from_dense(np.triu(rng.normal(size=(n, n)), 1)
+                                 - np.diag(rng.uniform(0.5, 2.0, n)))
+    trips = []
+    for row in range(n):
+        a, b = rng.integers(0, n, size=2)
+        trips += [(row, a * n + b, rng.normal()), (row, b * n + a, rng.normal()),
+                  (row, a * n + b, rng.normal()), (row, int(rng.integers(n * n)), rng.normal())]
+    F2 = SparseMatrix.from_triplets(n, n * n, trips)
+    return make_ode(n, F1, F2, rng.normal(size=n) * 0.3, assume_valid=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("c", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["normal", "nonnormal"])
+def test_assemble_A_matches_reference_bit_for_bit(n, c, kind):
+    ode = random_ode(n, seed=n + 10 * c) if kind == "normal" else nonnormal_ode(n, seed=n + 10 * c)
+    A = assemble_A(ode, c).A.csr
+    indptr, indices, data = reference_A(ode, c)
+    assert A.has_canonical_format
+    assert np.array_equal(A.indptr, indptr)
+    assert np.array_equal(A.indices, indices)
+    assert A.data.tobytes() == data.tobytes()
+
+
 # -- diagnostics ----------------------------------------------------------
 
 def test_structural_report_n1_c1():
@@ -197,6 +274,18 @@ def test_structural_report_linear_eigs():
         assert abs(g.imag) < 1e-9
         assert any(abs(g.real - s) < 1e-9 for s in sums)
     assert rep["max_re_eigenvalue"] == pytest.approx(-1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("row_level, col_level", [(0, 2), (1, 0), (2, 1)])
+def test_structural_report_rejects_entries_off_the_bidiagonal(row_level, col_level):
+    ode = std1()
+    sys = assemble_A(ode, 2)
+    structural_report(sys, ode, 1.0, 0.2)
+    dense = sys.A.to_dense()
+    dense[sys.index.offsets[row_level], sys.index.offsets[col_level]] = 1e-3
+    bad = dataclasses.replace(sys, A=SparseMatrix.from_dense(dense))
+    with pytest.raises(BoundViolation, match="block bidiagonal"):
+        structural_report(bad, ode, 1.0, 0.2)
 
 
 def test_structural_report_random_instance():
@@ -269,7 +358,7 @@ def test_row_pattern_matches_brute_force():
 
 
 def test_row_pattern_rejects_bad_digits():
-    F1 = SparseMatrix.identity(2)
+    F1 = SparseMatrix.from_dense(np.eye(2))
     with pytest.raises(ValidationError):
         row_pattern_Bm(F1, 1, (0, 5))
     with pytest.raises(ValidationError):

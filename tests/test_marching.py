@@ -188,14 +188,15 @@ def reference_C(A: SparseMatrix, params: TaylorSystemParams) -> sp.csr_array:
     unit diagonal, -A h/j couplings inside each step, -identity summation
     rows at step boundaries, -identity copy rows at the tail."""
     N, m, k, d, h = A.rows, params.m, params.k, params.d, params.h
+    coo = A.csr.tocoo()
     rows, cols, vals = [np.arange((d + 1) * N)], [np.arange((d + 1) * N)], [np.ones((d + 1) * N)]
     idx = np.arange(N)
     for i in range(m):
         base = i * (k + 1)
         for j in range(1, k + 1):
-            rows.append(A.row + (base + j) * N)
-            cols.append(A.col + (base + j - 1) * N)
-            vals.append(A.val * (-h / j))
+            rows.append(coo.row + (base + j) * N)
+            cols.append(coo.col + (base + j - 1) * N)
+            vals.append(coo.data * (-h / j))
         for j in range(k + 1):
             rows.append(idx + (base + k + 1) * N)
             cols.append(idx + (base + j) * N)

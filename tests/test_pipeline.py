@@ -69,6 +69,11 @@ def test_config_requires_core_keys():
     ("n", True), ("n", 0), ("n", 2.0),
     ("T", float("nan")), ("T", "1.0"), ("epsilon", float("inf")),
     ("u_in", [float("nan")]), ("u_in", ["0.5"]), ("u_in", [True]), ("u_in", 0.5),
+    ("F2_triplets", [[0, 0, "0.2"]]), ("F2_triplets", [[0, 0.0, 0.2]]),
+    ("F2_triplets", [[0, 0, float("nan")]]), ("F1_triplets", [[0, 0, float("inf")]]),
+    ("F1_triplets", [[True, 0, -1.0]]), ("F1_triplets", [[0, 0]]),
+    ("F1_triplets", [[0, 0, -1.0, 1.0]]), ("F1_triplets", [0, 0, -1.0]),
+    ("F2_triplets", [[0, 0, True]]), ("F2_triplets", "[[0, 0, 0.2]]"),
 ])
 def test_config_rejects_bad_values(key, value):
     with pytest.raises(ValidationError, match=f"'{key}'"):
