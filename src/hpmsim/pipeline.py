@@ -194,7 +194,8 @@ def json_default(obj):
 
 
 class _Stage:
-    """Names the failing pipeline stage on any propagated error."""
+    """Names the failing pipeline stage on any propagated error: the innermost
+    stage sets `exc.stage` and prefixes its name to the first argument only."""
 
     def __init__(self, name: str, timings: dict):
         self.name = name
@@ -206,8 +207,10 @@ class _Stage:
 
     def __exit__(self, exc_type, exc, tb):
         self.timings[self.name] = time.perf_counter() - self._t0
-        if exc is not None and isinstance(exc, Exception):
-            exc.args = (f"[stage {self.name}] {exc.args[0] if exc.args else ''}",)
+        if isinstance(exc, Exception) and not hasattr(exc, "stage"):
+            exc.stage = self.name
+            exc.args = (f"[stage {self.name}] {exc.args[0] if exc.args else ''}",
+                        *exc.args[1:])
         return False
 
 

@@ -12,6 +12,7 @@ from hpmsim.cascade import (
 )
 from hpmsim.errors import NumericalError, ValidationError
 from hpmsim.ode import bernoulli_closed_form, make_ode
+from hpmsim.pipeline import generate_instance
 from hpmsim.sparse import SparseMatrix
 
 K_STD1 = 0.4
@@ -26,6 +27,75 @@ def std1():
 def nu1_closed_form(a: float, u0: float, t: float) -> float:
     # integrating-factor quadrature of d nu_1/dt = -nu_1 + a nu_0^2
     return a * u0 * u0 * math.exp(-t) * (1.0 - math.exp(-t))
+
+
+def reference_cascade(ode, c: int, T: float, dt: float) -> np.ndarray:
+    """nu of shape (c+1, steps+1, n): one np.kron per pair, its own RK4 loop."""
+    n = ode.n
+    steps = max(1, math.ceil(T / dt)) if T > 0 else 0
+    h = T / steps if steps else 0.0
+
+    def rhs(state):
+        out = np.empty_like(state)
+        for i in range(c + 1):
+            acc = ode.F1.matvec(state[i])
+            if i >= 1 and ode.F2.nnz:
+                force = np.zeros(n * n)
+                for j in range(i):
+                    force += np.kron(state[j], state[i - 1 - j])
+                acc += ode.F2.matvec(force)
+            out[i] = acc
+        return out
+
+    state = np.zeros((c + 1, n))
+    state[0] = ode.u_in
+    nu = np.empty((c + 1, steps + 1, n))
+    nu[:, 0] = state
+    for step in range(steps):
+        k1 = rhs(state)
+        k2 = rhs(state + 0.5 * h * k1)
+        k3 = rhs(state + 0.5 * h * k2)
+        k4 = rhs(state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        nu[:, step + 1] = state
+    return nu
+
+
+def coupled3():
+    # F2 repeats the (0, 1) coupling and holds pairs without their mirror
+    F1 = SparseMatrix.from_triplets(3, 3, [(0, 0, -1.0), (1, 1, -1.5), (2, 2, -2.0)])
+    F2 = SparseMatrix.from_triplets(3, 9, [
+        (0, 1, 0.1), (0, 1, 0.05), (0, 8, -0.03),
+        (1, 3, -0.2), (1, 2, 0.04), (2, 5, 0.07), (2, 0, 0.11),
+    ])
+    return make_ode(3, F1, F2, [0.3, -0.2, 0.25])
+
+
+def decoupled2():
+    F1 = SparseMatrix.from_triplets(2, 2, [(0, 0, -1.0), (1, 1, -2.0)])
+    return make_ode(2, F1, SparseMatrix.zeros(2, 4), [0.3, 0.4])
+
+
+CASCADE_CASES = [
+    *[(f"gen{n}", lambda n=n: generate_instance(n, min(2, n * n), 0.3, 7), 1.0)
+      for n in (1, 2, 3, 4, 8)],
+    ("coupled3", coupled3, 1.0),
+    ("F2_zero", decoupled2, 1.0),
+    ("T_zero", coupled3, 0.0),
+]
+
+
+@pytest.mark.parametrize("c", range(6))
+@pytest.mark.parametrize("name,make,T", CASCADE_CASES, ids=[case[0] for case in CASCADE_CASES])
+def test_solve_cascade_matches_per_pair_reference(name, make, T, c):
+    ode = make()
+    casc = solve_cascade(ode, c, T, dt=2e-2)
+    ref = reference_cascade(ode, c, T, 2e-2)
+    assert casc.nu.shape == ref.shape
+    assert casc.ts.shape == (ref.shape[1],)
+    for i in range(c + 1):
+        scale = np.abs(ref[i]).max()
+        assert np.abs(casc.nu[i] - ref[i]).max() <= 1e-12 * scale, (name, c, i)
 
 
 def test_linear_system_decouples():
@@ -141,6 +211,13 @@ def test_divergence_guard_trips_on_integration_failure():
     K = 4.0 * 0.5 * 0.1 / 3000.0
     with pytest.raises(NumericalError, match="decay bound"):
         solve_cascade(ode, 2, 1.0, dt=1e-2, K=K)
+
+
+def test_divergence_guard_names_first_overshooting_order():
+    # order 0 decays within its bound, but order 1 at once exceeds
+    # K ||u_in|| for a K far below the instance's own
+    with pytest.raises(NumericalError, match=r"order 1 overshot its decay bound"):
+        solve_cascade(std1(), 2, 1.0, K=1e-6)
 
 
 def test_catalan_first_values():

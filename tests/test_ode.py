@@ -5,6 +5,7 @@ import pytest
 
 from hpmsim.errors import NumericalError, ValidationError
 from hpmsim.ode import (
+    QuadraticODE,
     bernoulli_closed_form,
     compute_K,
     make_ode,
@@ -119,6 +120,19 @@ def test_reference_divergence_detected():
     ode = make_ode(1, F1, F2, [1.0])
     with pytest.raises(NumericalError, match="diverged"):
         reference_solution(ode, 5.0, dt=1e-3)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rhs_bit_equal_to_kron_form(n):
+    rng = np.random.default_rng(100 + n)
+    F1 = SparseMatrix.from_dense(rng.standard_normal((n, n)))
+    F2 = SparseMatrix.from_dense(rng.standard_normal((n, n * n))
+                                 * (rng.random((n, n * n)) < 0.3))
+    ode = QuadraticODE(n=n, F1=F1, F2=F2, u_in=np.zeros(n))
+    for _ in range(5):
+        u = rng.standard_normal(n)
+        expected = F1.matvec(u) + F2.matvec(np.kron(u, u))
+        assert np.array_equal(ode.rhs(u), expected)
 
 
 def test_rk4_order():

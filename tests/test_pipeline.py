@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from hpmsim.errors import ValidationError
+from hpmsim.errors import NumericalError, ValidationError
 from hpmsim.ode import compute_K
 from hpmsim.pipeline import (
     RunConfig,
+    _Stage,
     generate_instance,
     instance_config,
     run,
@@ -122,8 +123,19 @@ def test_strong_nonlinearity_rejected_with_stage():
         "F1_triplets": [[0, 0, -1.0]],
         "F2_triplets": [[0, 0, 0.5]],   # K = 2 >= sqrt(2)/2
     })
-    with pytest.raises(ValidationError, match=r"\[stage nonlinearity\].*sqrt"):
+    with pytest.raises(ValidationError, match=r"\[stage nonlinearity\].*sqrt") as info:
         run(cfg)
+    assert info.value.stage == "nonlinearity"
+
+
+def test_stage_names_innermost_stage_once_and_keeps_arguments():
+    timings = {}
+    with pytest.raises(NumericalError) as info:
+        with _Stage("outer", timings), _Stage("inner", timings):
+            raise NumericalError("bad value", 3, {"k": 1})
+    assert info.value.stage == "inner"
+    assert info.value.args == ("[stage inner] bad value", 3, {"k": 1})
+    assert set(timings) == {"outer", "inner"}
 
 
 def test_report_deterministic_modulo_timings(std1_report):
