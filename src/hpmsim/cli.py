@@ -1,7 +1,7 @@
 """Command line surface: run, sweep, embed, hpm, bounds, gen.
 
 Exit codes: 0 pass, 1 bound violation, 2 precondition/validation failure,
-3 numerical failure.
+3 numerical failure, running out of memory or any other unexpected error.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +301,12 @@ def main(argv=None) -> int:
         return EXIT_BOUND
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except Exception as exc:    # MemoryError or a defect: trace it, exit 3
+        traceback.print_exc(file=sys.stderr)
+        stage = getattr(exc, "stage", None)
+        where = f" in stage {stage}" if stage else ""
+        print(f"unexpected {type(exc).__name__}{where}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -6,8 +6,9 @@ at step boundaries, -identity copy rows at the tail.  C is an operator and
 is never stored: applying it costs one product of A with the m k coupling
 blocks.  The system is unit lower triangular, so forward substitution
 solves it exactly in m k products with A; a residual checked iterative
-solver on the operator doubles as an independent path.  Only the SVD
-condition-number oracle densifies C, under the dense entry cap.
+solver on the operator doubles as an independent path.  The operator also
+applies C^T, and `inverse()` applies C^{-1} and C^{-T} by substitution, so
+the condition number ||C|| ||C^{-1}|| comes from Lanczos without forming C.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .cascade import min_order_for_bound, truncation_bound
 from .embedding import EmbeddedSystem
 from .errors import NumericalError, ValidationError
 from .ode import SQRT_HALF, NonlinearityParams
-from .sparse import DENSE_ORACLE_CAP, SparseMatrix, _check_cap, dense_expm
+from .sparse import DENSE_ORACLE_CAP, SparseMatrix, dense_expm, spectral_norm
 
 SOLVE_FLOOR = 1e-10
 
@@ -247,6 +248,7 @@ class MarchingOperator(spla.LinearOperator):
         size = (params.d + 1) * N
         super().__init__(np.float64, (size, size))
         self.A = A.csr
+        self.AT = self.A.T
         self.params = params
         self.N = N
 
@@ -258,18 +260,46 @@ class MarchingOperator(spla.LinearOperator):
         return (d + 1) * N + m * k * self.A.nnz + m * (k + 1) * N + p * N
 
     def march(self, y_in: np.ndarray) -> np.ndarray:
-        """Forward substitution: solves C x = e_0 kron y_in in m k products with A."""
-        m, k, h, N = self.params.m, self.params.k, self.params.h, self.N
-        X = np.empty((self.params.d + 1, N))
-        cur = y_in
+        """Solves C x = e_0 kron y_in in m k products with A."""
+        rhs = np.zeros(self.shape[0])
+        rhs[:self.N] = y_in
+        return self._solve(rhs)
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        """C^{-1} b, b a vector or a (size, r) stack, by forward substitution:
+        m k products with A."""
+        m, k, h, d = self.params.m, self.params.k, self.params.h, self.params.d
+        X = np.array(b, dtype=np.float64).reshape(d + 1, self.N, *np.shape(b)[1:])
         for i in range(m):
             base = i * (k + 1)
-            X[base] = cur
+            if i:
+                X[base] += cur
             for j in range(1, k + 1):
-                X[base + j] = (h / j) * (self.A @ X[base + j - 1])
+                X[base + j] += (h / j) * (self.A @ X[base + j - 1])
             cur = X[base:base + k + 1].sum(axis=0)
-        X[m * (k + 1):] = cur
-        return X.ravel()
+        tail = X[m * (k + 1):]
+        tail[0] += cur
+        np.cumsum(tail, axis=0, out=tail)
+        return X.reshape(np.shape(b))
+
+    def _solve_T(self, b: np.ndarray) -> np.ndarray:
+        """C^{-T} b by backward substitution: m k products with A^T."""
+        m, k, h, d = self.params.m, self.params.k, self.params.h, self.params.d
+        Z = np.array(b, dtype=np.float64).reshape(d + 1, self.N, *np.shape(b)[1:])
+        tail = Z[m * (k + 1):][::-1]
+        np.cumsum(tail, axis=0, out=tail)
+        for i in reversed(range(m)):
+            base = i * (k + 1)
+            Z[base:base + k + 1] += Z[base + k + 1]
+            for j in range(k - 1, -1, -1):
+                Z[base + j] += (h / (j + 1)) * (self.AT @ Z[base + j + 1])
+        return Z.reshape(np.shape(b))
+
+    def inverse(self) -> spla.LinearOperator:
+        """C^{-1} as an operator: forward solves, transposed by backward ones."""
+        return spla.LinearOperator(self.shape, matvec=self._solve, rmatvec=self._solve_T,
+                                   matmat=self._solve, rmatmat=self._solve_T,
+                                   dtype=np.float64)
 
     def _matmat(self, x: np.ndarray) -> np.ndarray:
         m, k, d, N = self.params.m, self.params.k, self.params.d, self.N
@@ -289,25 +319,22 @@ class MarchingOperator(spla.LinearOperator):
         Y[m * (k + 1) + 1:] -= X[m * (k + 1):d]
         return Y.reshape(-1, r)
 
-    def to_dense(self, cap: int = DENSE_ORACLE_CAP) -> np.ndarray:
-        """Dense C for the SVD oracle, filled in place under the entry cap."""
-        size = self.shape[0]
-        _check_cap(size, size, cap)
-        m, k, d, h, N = (self.params.m, self.params.k, self.params.d,
-                         self.params.h, self.N)
-        out = np.eye(size)
-        blocks = out.reshape(d + 1, N, d + 1, N)
-        A_dense = self.A.toarray()
-        idx = np.arange(N)
-        for i in range(m):
-            base = i * (k + 1)
-            for j in range(1, k + 1):
-                np.multiply(A_dense, -h / j, out=blocks[base + j, :, base + j - 1, :])
-            for j in range(k + 1):
-                blocks[base + k + 1, idx, base + j, idx] = -1.0
-        for l in range(m * (k + 1) + 1, d + 1):
-            blocks[l, idx, l - 1, idx] = -1.0
-        return out
+    def _rmatmat(self, y: np.ndarray) -> np.ndarray:
+        m, k, d, N = self.params.m, self.params.k, self.params.d, self.N
+        r = y.shape[1]
+        coef = -self.params.h / np.arange(1, k + 1)
+        Y = y.reshape(d + 1, N, r)
+        X = Y.copy()
+        steps = Y[:m * (k + 1)].reshape(m, k + 1, N, r)
+        # block i(k+1)+j-1 takes -h/j A^T y_{i(k+1)+j}: A^T @ (N, m k r)
+        src = np.moveaxis(steps[:, 1:], 2, 0).reshape(N, m * k * r)
+        prod = np.moveaxis((self.AT @ src).reshape(N, m, k, r), 0, 2)
+        X_steps = X[:m * (k + 1)].reshape(m, k + 1, N, r)
+        X_steps[:, :k] += coef[None, :, None, None] * prod
+        # every block of step i takes -y of its summation row (i+1)(k+1)
+        X_steps -= Y[k + 1:m * (k + 1) + 1:k + 1][:, None]
+        X[m * (k + 1):d] -= Y[m * (k + 1) + 1:]
+        return X.reshape(-1, r)
 
 
 def assemble_C(A: SparseMatrix, params: TaylorSystemParams) -> MarchingOperator:
@@ -399,10 +426,27 @@ def step_errors_vs_expm(sys: EmbeddedSystem, params: TaylorSystemParams,
     return rows
 
 
+def _norm_floor(C: MarchingOperator) -> float:
+    """The largest row and column 2-norms of C, lower bounds on ||C||.
+
+    A summation row holds a unit diagonal and k+1 entries -1; for k >= 1 the
+    first column of a step holds 1, the column of -A h and a summation -1.
+    """
+    k, h = C.params.k, C.params.h
+    col_sq = float(C.A.multiply(C.A).sum(axis=0).max(initial=0.0))
+    return math.sqrt(max(k + 2.0, 2.0 + h * h * col_sq if k else 0.0))
+
+
 def condition_report(C: MarchingOperator, params: TaylorSystemParams,
                      exp_norm_precondition_ok: bool,
                      dense_cap: int = DENSE_ORACLE_CAP) -> dict:
-    """kappa(C) against 2e sqrt(k) (m(k+1)+p)(c+2); measured when dense-feasible."""
+    """kappa(C) against 2e sqrt(k) (m(k+1)+p)(c+2).
+
+    kappa = ||C|| ||C^{-1}|| by Lanczos on the operator and on its inverse
+    march, each certified from below: ||C|| by its row and column norms,
+    ||C^{-1}|| by ||C^{-1} b|| / ||b|| for the all-ones probe b.  Measured while
+    size^2 stays under the dense cap, which bounds the Lanczos cost.
+    """
     m, k, p, c = params.m, params.k, params.p, params.c
     bound = 2.0 * math.e * math.sqrt(k) * (m * (k + 1) + p) * (c + 2)
     preconditions = {
@@ -414,8 +458,11 @@ def condition_report(C: MarchingOperator, params: TaylorSystemParams,
     size = C.shape[0]
     measured = None
     if size * size <= dense_cap:
-        sig = np.linalg.svd(C.to_dense(dense_cap), compute_uv=False)
-        measured = float(sig[0] / sig[-1])
+        # all ones: each step sums what came before, so C^{-1} amplifies it
+        inv = C.inverse()
+        inv_floor = float(np.linalg.norm(inv @ np.ones(size))) / math.sqrt(size)
+        measured = (spectral_norm(C, lower=_norm_floor(C))
+                    * spectral_norm(inv, lower=inv_floor))
     return {
         "bound": bound,
         "measured": measured,

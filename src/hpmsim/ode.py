@@ -16,6 +16,9 @@ from .errors import NumericalError, ValidationError
 from .sparse import DENSE_ORACLE_CAP, SparseMatrix, dense_eigs, spectral_norm
 
 SQRT_HALF = math.sqrt(2.0) / 2.0
+# most RK4 steps one integration may take: more would run for minutes and
+# store a state per step
+MAX_RK4_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,11 @@ def default_dt(ode: QuadraticODE, T: float) -> float:
 
 def _rk4(rhs, y0: np.ndarray, T: float, steps: int, check):
     """RK4 on `steps` equal steps of [0, T] for a state of any shape; returns
-    the steps + 1 states stacked. `check(t, y)` runs after each step and may raise."""
+    the steps + 1 states stacked. `check(t, y)` runs after each step and may raise.
+    More than MAX_RK4_STEPS steps are refused before anything is allocated."""
+    if steps > MAX_RK4_STEPS:
+        raise ValidationError(f"{steps} RK4 steps exceed the cap of {MAX_RK4_STEPS}: "
+                              "T is too long for the step size")
     y = np.array(y0, dtype=np.float64)
     ys = np.empty((steps + 1, *y.shape))
     ys[0] = y

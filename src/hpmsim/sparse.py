@@ -3,9 +3,10 @@
 `SparseMatrix` is an immutable wrapper around one canonical
 `scipy.sparse.csr_array`, `.csr` (sorted indices, duplicates summed);
 consumers read `.csr` directly and never convert it again.
-`spectral_norm` is the one 2-norm estimator for sparse and dense inputs:
-Lanczos (ARPACK `svds`) from a seeded random start, certified against the
-largest row and column 2-norms, which are lower bounds on the norm.
+`spectral_norm` is the one 2-norm estimator for sparse, dense and operator
+inputs: Lanczos (ARPACK `svds`) from a seeded random start, certified
+against a lower bound on the norm (the largest row and column 2-norms of a
+matrix, a caller-supplied bound for an operator).
 Dense routines (expm, eigenvalues, condition number) are verification
 oracles only and refuse to run above an explicit entry cap so that large
 embeddings are never densified by accident.
@@ -19,7 +20,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm as _scipy_expm
-from scipy.sparse.linalg import ArpackError, svds
+from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
 from .errors import NumericalError, ValidationError
 
@@ -105,39 +106,47 @@ def _check_cap(rows: int, cols: int, cap: int = DENSE_ORACLE_CAP) -> None:
         )
 
 
-def spectral_norm(matrix: SparseMatrix | np.ndarray, tol: float = 1e-10,
-                  max_iter: int | None = None, cap: int = DENSE_ORACLE_CAP) -> float:
+def spectral_norm(matrix: SparseMatrix | np.ndarray | LinearOperator, tol: float = 1e-10,
+                  max_iter: int | None = None, cap: int = DENSE_ORACLE_CAP,
+                  lower: float | None = None) -> float:
     """Largest singular value by Lanczos (ARPACK `svds`) from a seeded start.
 
-    Sparse and dense inputs share this one estimator; a `SparseMatrix` is
-    read through its `.csr`, a dense array must fit under `cap`. The start
-    vector comes from a fixed seed, so results are bit-for-bit
-    reproducible. The largest row and column 2-norms are both lower bounds
-    on ||M||_2, and an estimate below either one raises NumericalError
-    instead of being returned.
+    Sparse, dense and operator inputs share this one estimator; a
+    `SparseMatrix` is read through its `.csr`, a dense array must fit under
+    `cap`. The start vector comes from a fixed seed, so results are
+    bit-for-bit reproducible. Every estimate is certified from below: for
+    a matrix the largest row and column 2-norms are lower bounds on
+    ||M||_2; an operator has no entries to read, so its caller must pass
+    `lower`, a lower bound it knows (read for operators only). An estimate
+    below the certificate raises NumericalError instead of being returned.
     """
-    if isinstance(matrix, SparseMatrix):
-        csr = matrix.csr
-        vals = csr.data
+    if isinstance(matrix, LinearOperator):
+        if lower is None:
+            raise ValidationError("an operator's norm needs a caller-supplied lower bound")
+        arr, exp, floor = matrix, 0, lower
     else:
-        vals = np.asarray(matrix, dtype=np.float64)
-        _check_cap(vals.shape[0], vals.shape[1], cap)
-    top = float(np.abs(vals).max(initial=0.0))
-    if top == 0.0:
-        return 0.0
-    # an exact power-of-two rescale keeps the squared entries clear of
-    # underflow and overflow
-    exp = math.frexp(top)[1]
-    vals = np.ldexp(vals, -exp)
-    if isinstance(matrix, SparseMatrix):
-        arr = sp.csr_array((vals, csr.indices, csr.indptr), shape=csr.shape)
-    else:
-        arr = vals
-    sq = arr * arr                      # elementwise for csr_array and ndarray
-    lower = math.sqrt(max(sq.sum(axis=1).max(), sq.sum(axis=0).max()))
-    if min(arr.shape) == 1:
-        # ARPACK needs k < min(shape); a single row or column is exact
-        return math.ldexp(math.sqrt(sq.sum()), exp)
+        if isinstance(matrix, SparseMatrix):
+            csr = matrix.csr
+            vals = csr.data
+        else:
+            vals = np.asarray(matrix, dtype=np.float64)
+            _check_cap(vals.shape[0], vals.shape[1], cap)
+        top = float(np.abs(vals).max(initial=0.0))
+        if top == 0.0:
+            return 0.0
+        # an exact power-of-two rescale keeps the squared entries clear of
+        # underflow and overflow
+        exp = math.frexp(top)[1]
+        vals = np.ldexp(vals, -exp)
+        if isinstance(matrix, SparseMatrix):
+            arr = sp.csr_array((vals, csr.indices, csr.indptr), shape=csr.shape)
+        else:
+            arr = vals
+        sq = arr * arr                      # elementwise for csr_array and ndarray
+        if min(arr.shape) == 1:
+            # ARPACK needs k < min(shape); a single row or column is exact
+            return math.ldexp(math.sqrt(sq.sum()), exp)
+        floor = math.sqrt(max(sq.sum(axis=1).max(), sq.sum(axis=0).max()))
     v0 = np.random.default_rng(0).standard_normal(min(arr.shape))
     try:
         est = float(svds(arr, k=1, v0=v0, tol=tol, maxiter=max_iter,
@@ -145,10 +154,10 @@ def spectral_norm(matrix: SparseMatrix | np.ndarray, tol: float = 1e-10,
     except ArpackError as exc:
         raise NumericalError(f"Lanczos norm failed (tol={tol}, "
                              f"max_iter={max_iter}): {exc}") from None
-    if est < lower * (1.0 - 1e-12):
+    if est < floor * (1.0 - 1e-12):
         raise NumericalError(
-            f"norm estimate {math.ldexp(est, exp):.17g} is below the row/column "
-            f"lower bound {math.ldexp(lower, exp):.17g}"
+            f"norm estimate {math.ldexp(est, exp):.17g} is below its certified "
+            f"lower bound {math.ldexp(floor, exp):.17g}"
         )
     return math.ldexp(est, exp)
 

@@ -39,7 +39,15 @@ from hpmsim.measurement import (
     taylor_power_error_check,
 )
 from hpmsim.ode import bernoulli_closed_form, compute_K
-from hpmsim.pipeline import RunConfig, generate_instance, instance_config, run, sweep
+from hpmsim.pipeline import (
+    RunConfig,
+    build_ode,
+    generate_instance,
+    instance_config,
+    rescaled_problem,
+    run,
+    sweep,
+)
 from hpmsim.sparse import (
     SparseMatrix,
     dense_condition_number,
@@ -48,6 +56,7 @@ from hpmsim.sparse import (
     read_vector,
     spectral_norm,
 )
+from test_marching import reference_C
 
 ABS_TOL = 1e-9   # stated integrator-noise slack
 
@@ -228,9 +237,8 @@ def _kappa_case(n, c, seed, m_target, k, u_norm=1.0):
         c=c, h=h, m=m, k=k, p=m, d=m * (k + 1) + m, delta=1e-10,
         epsilon1=0.0, Omega=0.0, g_est=1.0, eta_est=1.0, eta_prime=0.0,
         norm_A=sys.norm_A, N=sys.index.N)
-    C = assemble_C(sys.A, params)
     size = (params.d + 1) * sys.index.N
-    return C, params, size
+    return sys.A, params, size
 
 
 def test_criterion5_condition_number_bound():
@@ -240,22 +248,25 @@ def test_criterion5_condition_number_bound():
     params = TaylorSystemParams(c=0, h=1.0, m=1, k=1, p=1, d=3, delta=1e-10,
                                 epsilon1=0.0, Omega=0.0, g_est=1.0,
                                 eta_est=1.0, eta_prime=0.0, norm_A=0.5, N=1)
-    C = assemble_C(A, params)
-    kappa = dense_condition_number(C.to_dense())
+    kappa = dense_condition_number(reference_C(A, params).toarray())
+    measured = condition_report(assemble_C(A, params), params, True)["measured"]
     bound = 2 * math.e * math.sqrt(params.k) * (params.m * (params.k + 1) + params.p) * (params.c + 2)
     results.append(("4x4", kappa, bound, 4))
     assert kappa == pytest.approx(6.332670303617229, rel=1e-9)
+    assert measured == pytest.approx(kappa, rel=1e-10)
     assert kappa <= bound
 
     for case in [dict(n=2, c=1, seed=51, m_target=2, k=5),
                  dict(n=2, c=2, seed=52, m_target=3, k=6),
                  dict(n=1, c=3, seed=53, m_target=4, k=8),
                  dict(n=2, c=2, seed=54, m_target=5, k=13)]:
-        C, params, size = _kappa_case(**case)
+        A, params, size = _kappa_case(**case)
         assert size <= 2000, case
-        kappa = dense_condition_number(C.to_dense())
+        kappa = dense_condition_number(reference_C(A, params).toarray())
+        measured = condition_report(assemble_C(A, params), params, True)["measured"]
         bound = 2 * math.e * math.sqrt(params.k) * (params.m * (params.k + 1) + params.p) * (params.c + 2)
         results.append((f"n={case['n']},c={case['c']},k={case['k']}", kappa, bound, size))
+        assert measured == pytest.approx(kappa, rel=1e-10), case
         assert kappa <= bound, case
 
     _line(5, "kappa(C) under the explicit bound", True,
@@ -266,12 +277,23 @@ def test_criterion5_condition_number_bound():
 def test_criterion5_std1_pipeline_kappa(std1_run):
     rep, _ = std1_run
     row = [r for r in rep.bound_checks if r["check"] == "condition_number"][0]
-    size = (rep.parameters["d"] + 1) * rep.parameters["N"]
+    par = rep.parameters
+    size = (par["d"] + 1) * par["N"]
     assert size <= 2000
     assert row["measured"] is not None
     assert row["measured"] <= row["bound"]
+    # the operator route against a dense SVD of the same C
+    solved, _, _ = rescaled_problem(build_ode(RunConfig.from_dict(STD1)))
+    sys = assemble_A(solved, par["c"])
+    params = TaylorSystemParams(
+        c=par["c"], h=par["h"], m=par["m"], k=par["k"], p=par["p"], d=par["d"],
+        delta=par["delta"], epsilon1=0.0, Omega=0.0, g_est=1.0, eta_est=1.0,
+        eta_prime=0.0, norm_A=par["norm_A"], N=par["N"])
+    kappa = dense_condition_number(reference_C(sys.A, params).toarray())
+    assert row["measured"] == pytest.approx(kappa, rel=1e-10)
     _line(5, "kappa(C) on the STD1 run", True,
-          f"size {size}: measured {row['measured']:.1f} <= bound {row['bound']:.1f}")
+          f"size {size}: measured {row['measured']:.1f} <= bound {row['bound']:.1f}, "
+          f"dense SVD {kappa:.1f}")
 
 
 # -- criterion 6: acceptance probabilities ------------------------------------

@@ -1,9 +1,11 @@
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
 
+import hpmsim.marching
 from hpmsim.cli import main
 from hpmsim.sparse import read_triplets, read_vector
 
@@ -59,6 +61,29 @@ def test_run_rejects_bad_triplet_at_load(tmp_path, triplet, capsys):
 
 def test_run_missing_config_is_validation_error(tmp_path):
     assert main(["--out", str(tmp_path), "run"]) == 2
+
+
+def test_run_refuses_long_horizon_before_integrating(tmp_path, capsys):
+    # std1 at T = 1e6 needs 10^7 reference RK4 steps
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps({**STD1, "T": 1e6}))
+    t0 = time.perf_counter()
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "stage reference" in err and "RK4 steps exceed the cap" in err
+
+
+def test_run_maps_memory_error_to_exit_3(std1_config, tmp_path, monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(hpmsim.marching, "solve_marching", out_of_memory)
+    code = main(["--config", str(std1_config), "--out", str(tmp_path / "o"), "run"])
+    assert code == 3
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith("unexpected MemoryError in stage solve")
 
 
 def test_sweep_csv(std1_config, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,9 +8,11 @@ import scipy.sparse.linalg as spla
 
 from hpmsim.cascade import truncation_bound
 from hpmsim.embedding import assemble_A
-from hpmsim.errors import ValidationError
+import hpmsim.sparse as sparse_mod
+from hpmsim.errors import NumericalError, ValidationError
 from hpmsim.marching import (
     TaylorSystemParams,
+    _norm_floor,
     assemble_C,
     choose_order,
     condition_report,
@@ -21,7 +24,7 @@ from hpmsim.marching import (
     taylor_polynomial_apply,
 )
 from hpmsim.ode import compute_K, make_ode, reference_solution, rescale
-from hpmsim.sparse import SparseMatrix, dense_expm
+from hpmsim.sparse import SparseMatrix, dense_condition_number, dense_expm, spectral_norm
 
 
 def tiny_params(N: int, m: int, k: int, p: int, h: float, c: int = 0,
@@ -61,7 +64,8 @@ def test_assemble_C_4x4_exact():
         [-1.0, -1.0, 1.0, 0.0],
         [0.0, 0.0, -1.0, 1.0],
     ])
-    assert np.array_equal(C.to_dense(), expected)
+    assert np.array_equal(C @ np.eye(4), expected)
+    assert np.array_equal(reference_C(A, params).toarray(), expected)
 
 
 def test_solve_4x4_forward_substitution_by_hand():
@@ -227,19 +231,27 @@ OPERATOR_CASES = [
     dict(N=3, m=2, k=5, p=2, seed=1, normal=False),
     dict(N=4, m=3, k=6, p=1, seed=2, normal=True),
     dict(N=5, m=2, k=7, p=4, seed=3, normal=False),
+    dict(N=1, m=2, k=3, p=2, seed=5, normal=True),
+    dict(N=2, m=3, k=4, p=1, seed=6, normal=False),
+    dict(N=3, m=2, k=6, p=3, seed=7, normal=False),
+    dict(N=3, m=1, k=5, p=2, seed=8, normal=True),
 ]
+
+
+def operator_case(case) -> tuple[SparseMatrix, TaylorSystemParams]:
+    A = random_A(case["N"], case["seed"], case["normal"])
+    h = 0.9 / max(np.linalg.norm(A.to_dense(), 2), 1e-12)
+    return A, tiny_params(N=A.rows, m=case["m"], k=case["k"], p=case["p"], h=h)
 
 
 @pytest.mark.parametrize("case", OPERATOR_CASES)
 def test_operator_matches_reference_matrix(case):
-    A = random_A(case["N"], case["seed"], case["normal"])
-    h = 0.9 / max(np.linalg.norm(A.to_dense(), 2), 1e-12)
-    params = tiny_params(N=A.rows, m=case["m"], k=case["k"], p=case["p"], h=h)
+    A, params = operator_case(case)
     C = assemble_C(A, params)
     ref = reference_C(A, params)
     assert C.shape == ref.shape
     assert C.nnz == ref.nnz
-    assert np.array_equal(C.to_dense(), ref.toarray())
+    assert np.array_equal(C @ np.eye(C.shape[0]), ref.toarray())
     rng = np.random.default_rng(case["seed"] + 100)
     v = rng.normal(size=C.shape[0])
     assert np.allclose(C @ v, ref @ v, rtol=0.0, atol=1e-13 * np.linalg.norm(v))
@@ -250,16 +262,60 @@ def test_operator_matches_reference_matrix(case):
     rhs[:A.rows] = y
     expected = spla.spsolve_triangular(ref, rhs, lower=True)
     assert np.linalg.norm(C.march(y) - expected) <= 1e-12 * np.linalg.norm(expected)
+    # the march is the inverse operator applied to e_0 kron y_in
+    inv = C.inverse()
+    assert np.array_equal(C.march(y), inv @ rhs)
+    # C^T, C^{-1} and C^{-T} on a vector and on a block of three
+    dense, dense_inv = ref.toarray(), np.linalg.inv(ref.toarray())
+    for x in (v, V):
+        for got, want in ((C.T @ x, dense.T @ x), (inv @ x, dense_inv @ x),
+                          (inv.T @ x, dense_inv.T @ x)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.linalg.norm(x)
 
 
-def test_operator_to_dense_refuses_over_cap():
-    A = random_A(3, 4, normal=True)
-    params = tiny_params(N=3, m=2, k=5, p=2, h=0.1)
+@pytest.mark.parametrize("case", OPERATOR_CASES)
+def test_condition_report_matches_dense_svd(case):
+    A, params = operator_case(case)
+    rep = condition_report(assemble_C(A, params), params, exp_norm_precondition_ok=True)
+    dense = dense_condition_number(reference_C(A, params).toarray())
+    assert rep["measured"] == pytest.approx(dense, rel=1e-10)
+
+
+@pytest.mark.parametrize("which", ["C", "inverse"])
+def test_condition_report_refuses_estimate_below_certificate(monkeypatch, which):
+    A = random_A(3, 1, normal=False)
+    params = tiny_params(N=3, m=2, k=5, p=2, h=0.3)
     C = assemble_C(A, params)
-    size = C.shape[0]
-    assert C.to_dense(cap=size * size).shape == (size, size)
-    with pytest.raises(ValidationError, match="dense oracle refused"):
-        C.to_dense(cap=size * size - 1)
+    real_svds = sparse_mod.svds
+    calls = []
+
+    def short_svds(op, **kw):
+        calls.append(op)
+        sig = real_svds(op, **kw)
+        # ||C|| is estimated first, then ||C^{-1}||
+        return sig * 1e-6 if len(calls) == (1 if which == "C" else 2) else sig
+
+    monkeypatch.setattr(sparse_mod, "svds", short_svds)
+    with pytest.raises(NumericalError, match="below its certified lower bound"):
+        condition_report(C, params, exp_norm_precondition_ok=True)
+
+
+@pytest.mark.parametrize("case", OPERATOR_CASES)
+def test_norm_floor_is_largest_row_or_column_norm(case):
+    A, params = operator_case(case)
+    # ||A h|| = 2.7 lets a column outweigh the k + 2 of a summation row
+    for params in (params, dataclasses.replace(params, h=3.0 * params.h)):
+        ref = reference_C(A, params)
+        sq = ref.multiply(ref)
+        exact = math.sqrt(max(sq.sum(axis=0).max(), sq.sum(axis=1).max()))
+        assert _norm_floor(assemble_C(A, params)) == pytest.approx(exact, rel=1e-14)
+
+
+def test_spectral_norm_of_operator_needs_lower_bound():
+    C = assemble_C(random_A(2, 0, normal=True), tiny_params(N=2, m=1, k=2, p=1, h=0.5))
+    with pytest.raises(ValidationError, match="lower bound"):
+        spectral_norm(C)
 
 
 # -- parameter selection ----------------------------------------------------
