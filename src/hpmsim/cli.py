@@ -26,6 +26,7 @@ from .pipeline import (
     SWEEP_COLUMNS,
     build_ode,
     generate_instance,
+    in_stage,
     json_default,
     rescaled_problem,
     run,
@@ -294,19 +295,17 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except ValidationError as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
+        print(f"validation failure{in_stage(exc)}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except BoundViolation as exc:
-        print(f"bound violation: {exc}", file=sys.stderr)
+        print(f"bound violation{in_stage(exc)}: {exc}", file=sys.stderr)
         return EXIT_BOUND
     except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure{in_stage(exc)}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except Exception as exc:    # MemoryError or a defect: trace it, exit 3
         traceback.print_exc(file=sys.stderr)
-        stage = getattr(exc, "stage", None)
-        where = f" in stage {stage}" if stage else ""
-        print(f"unexpected {type(exc).__name__}{where}: {exc}", file=sys.stderr)
+        print(f"unexpected {type(exc).__name__}{in_stage(exc)}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -20,12 +20,7 @@ import scipy.sparse as sp
 
 from .errors import BoundViolation, ValidationError
 from .ode import QuadraticODE
-from .sparse import (
-    DENSE_ORACLE_CAP,
-    SparseMatrix,
-    dense_eigs,
-    spectral_norm,
-)
+from .sparse import SparseMatrix, spectral_norm
 
 # default limit on the embedded dimension N (keeps direct solves desk-scale)
 N_CAP = 200_000
@@ -273,10 +268,26 @@ def row_pattern_Bm(F1: SparseMatrix, m: int, row: tuple[int, ...]) -> list[tuple
     return rec(row)
 
 
-def structural_report(sys: EmbeddedSystem, ode: QuadraticODE, norm_F1: float,
-                      norm_F2: float, dense_cap: int = DENSE_ORACLE_CAP) -> dict:
-    """Sparsity, norm, and eigenvalue diagnostics of the assembled matrix.
+def _kron_sum_apply(F1: sp.csr_array, x: np.ndarray, beta: int, n: int, i: int) -> np.ndarray:
+    """(I_beta kron sum_k I^k kron F1 kron I^(i-k)) x, F1 applied along each tensor axis."""
+    X = x.reshape(beta, *(n,) * (i + 1))
+    out = np.zeros_like(X)
+    for axis in range(1, i + 2):
+        Y = np.moveaxis(X, axis, 0)
+        out += np.moveaxis((F1 @ Y.reshape(n, -1)).reshape(Y.shape), 0, axis)
+    return out.ravel()
 
+
+def structural_report(sys: EmbeddedSystem, ode: QuadraticODE, norm_F1: float,
+                      norm_F2: float, re_lambda1: float) -> dict:
+    """Sparsity, norm, and spectrum diagnostics of the assembled matrix.
+
+    A must be block upper bidiagonal over levels, and each level's diagonal
+    block must act as I_beta kron sum_k I^k kron F1 kron I^(i-k), which one
+    seeded probe per level checks against F1 applied along each tensor axis.
+    The spectrum of A is then the union of its diagonal blocks' spectra,
+    sums of i+1 eigenvalues of F1, so max Re(eigenvalue of A) is
+    re_lambda1 = max Re(eigenvalue of F1), reached at level 0.
     Violations of the proved bounds are assembly bugs and raise; the report
     also carries the softer O(s c^2) witness comparison for the caller.
     """
@@ -318,14 +329,19 @@ def structural_report(sys: EmbeddedSystem, ode: QuadraticODE, norm_F1: float,
             f"||A|| = {sys.norm_A:.6g} exceeds (c+1)(||F1||+||F2||) = {norm_bound:.6g}"
         )
 
-    if index.N * index.N <= dense_cap:
-        gamma = dense_eigs(A.to_dense(dense_cap), dense_cap)
-        max_re = float(gamma.real.max())
-        report["max_re_eigenvalue"] = max_re
-        report["eigenvalue_checked"] = True
-        if max_re >= 0:
-            raise BoundViolation(f"embedded matrix has Re(eigenvalue) = {max_re:.3e} >= 0")
-    else:
-        report["max_re_eigenvalue"] = None
-        report["eigenvalue_checked"] = False
+    rng = np.random.default_rng(0)
+    for i in range(c + 1):
+        lvl = index.level_slice(i)
+        x = np.zeros(index.N)
+        x[lvl] = rng.standard_normal(lvl.stop - lvl.start)
+        got = (A.csr @ x)[lvl]
+        want = _kron_sum_apply(ode.F1.csr, x[lvl], index.beta[i], n, i)
+        # rounding of the i+1 sums of F1 rows stays far below this
+        if np.abs(got - want).max() > 1e-10 * (i + 1) * norm_F1 * np.abs(x).max():
+            raise BoundViolation(f"diagonal block of level {i} is not I_beta kron "
+                                 "the Kronecker sum of F1")
+
+    report["max_re_eigenvalue"] = re_lambda1
+    if re_lambda1 >= 0:
+        raise BoundViolation(f"embedded matrix has Re(eigenvalue) = {re_lambda1:.3e} >= 0")
     return report

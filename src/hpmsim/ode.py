@@ -56,8 +56,11 @@ def make_ode(n: int, F1: SparseMatrix, F2: SparseMatrix, u_in,
                 "n exceeds the dense check cap; pass assume_valid to skip checks"
             )
         d1 = F1.to_dense(dense_cap)
-        comm = np.linalg.norm(d1 @ d1.T - d1.T @ d1)
-        norm1 = spectral_norm(F1) if F1.nnz else 0.0
+        # an exact power-of-two rescale keeps the squares clear of overflow
+        exp = math.frexp(float(np.abs(d1).max(initial=0.0)))[1]
+        d1s = np.ldexp(d1, -exp)
+        comm = np.linalg.norm(d1s @ d1s.T - d1s.T @ d1s)
+        norm1 = math.ldexp(spectral_norm(F1), -exp) if F1.nnz else 0.0
         if comm > 1e-10 * max(norm1**2, np.finfo(float).tiny):
             raise ValidationError("F1 is not normal")
         lam = dense_eigs(d1, dense_cap)

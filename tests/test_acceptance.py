@@ -182,7 +182,7 @@ def test_criterion3_step_error_decay():
             norm_A=sys.norm_A, N=sys.index.N)
         C = assemble_C(sys.A, params)
         sol = solve_marching(C, sys.y_in, 1e-10, params)
-        rows = step_errors_vs_expm(sys, params, sol)
+        rows = step_errors_vs_expm(sys, params, sol, dense_expm(sys.A.to_dense() * h))
         worst_by_k[k] = max(r["measured"] - r["bound"] for r in rows)
     ok = all(v <= ABS_TOL for v in worst_by_k.values())
     _line(3, "per-step factorial error bound, k=3..8", ok,
@@ -338,8 +338,11 @@ def test_criterion7_structural_identities():
                                 seed=seed, u_norm=1.0)
         sys = assemble_A(ode, c)
         rep = structural_report(sys, ode, spectral_norm(ode.F1),
-                                spectral_norm(ode.F2))
+                                spectral_norm(ode.F2), compute_K(ode).re_lambda1)
         assert rep["max_re_eigenvalue"] < 0, (n, c)
+        # the block structure alone fixes the spectrum: compare with all of A's
+        dense_max = float(np.linalg.eigvals(sys.A.to_dense()).real.max())
+        assert rep["max_re_eigenvalue"] == pytest.approx(dense_max, abs=1e-12), (n, c)
         assert rep["norm_A"] <= rep["norm_A_bound"] * (1 + 1e-9)
         assert rep["sparsity_within_witness"], (n, c)
         details.append(f"(n={n},c={c}): maxRe={rep['max_re_eigenvalue']:.2f}, "

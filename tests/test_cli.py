@@ -44,7 +44,7 @@ def test_run_exit_code_validation(tmp_path):
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"]) == 2
 
 
-@pytest.mark.parametrize("u_in", [[float("nan")], ["0.5"]])
+@pytest.mark.parametrize("u_in", [[float("nan")], ["0.5"], [0.0]])
 def test_run_rejects_bad_u_in_at_load(tmp_path, u_in):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({**STD1, "u_in": u_in}))
@@ -73,6 +73,22 @@ def test_run_refuses_long_horizon_before_integrating(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "stage reference" in err and "RK4 steps exceed the cap" in err
+
+
+def test_run_tiny_epsilon_does_not_overflow_the_factorial(tmp_path):
+    # epsilon = 1e-300 picks a Taylor order k >= 170, past float((k+1)!)
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps({**STD1, "epsilon": 1e-300}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"]) in (0, 1, 2)
+
+
+def test_run_huge_F1_refused_by_the_rk4_cap(tmp_path, capsys):
+    # squaring F1 = [[-1e300]] in the normality check must not overflow
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({**STD1, "F1_triplets": [[0, 0, -1e300]]}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"]) == 2
+    err = capsys.readouterr().err
+    assert "in stage reference" in err and "RK4 steps exceed the cap" in err
 
 
 def test_run_maps_memory_error_to_exit_3(std1_config, tmp_path, monkeypatch, capsys):

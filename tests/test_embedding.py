@@ -18,7 +18,7 @@ from hpmsim.embedding import (
     total_dimension,
 )
 from hpmsim.errors import BoundViolation, ValidationError
-from hpmsim.ode import make_ode
+from hpmsim.ode import compute_K, make_ode
 from hpmsim.sparse import SparseMatrix, dense_expm, spectral_norm
 
 
@@ -255,10 +255,9 @@ def test_assemble_A_matches_reference_bit_for_bit(n, c, kind):
 def test_structural_report_n1_c1():
     ode = std1()
     sys = assemble_A(ode, 1)
-    rep = structural_report(sys, ode, 1.0, 0.2)
+    rep = structural_report(sys, ode, 1.0, 0.2, -1.0)
     assert rep["norm_A"] <= 2.0 * (1.0 + 0.2)
-    assert rep["max_re_eigenvalue"] < 0
-    assert rep["eigenvalue_checked"]
+    assert rep["max_re_eigenvalue"] == -1.0
 
 
 def test_structural_report_linear_eigs():
@@ -266,7 +265,7 @@ def test_structural_report_linear_eigs():
     F2 = SparseMatrix.zeros(2, 4)
     ode = make_ode(2, F1, F2, [0.1, 0.2])
     sys = assemble_A(ode, 2)
-    rep = structural_report(sys, ode, 2.0, 0.0)
+    rep = structural_report(sys, ode, 2.0, 0.0, compute_K(ode).re_lambda1)
     # eigenvalues of the embedding are sums of i+1 eigenvalues of F1
     gamma = np.linalg.eigvals(sys.A.to_dense())
     sums = {-1.0, -2.0, -3.0, -4.0, -5.0, -6.0}
@@ -280,12 +279,63 @@ def test_structural_report_linear_eigs():
 def test_structural_report_rejects_entries_off_the_bidiagonal(row_level, col_level):
     ode = std1()
     sys = assemble_A(ode, 2)
-    structural_report(sys, ode, 1.0, 0.2)
+    structural_report(sys, ode, 1.0, 0.2, -1.0)
     dense = sys.A.to_dense()
     dense[sys.index.offsets[row_level], sys.index.offsets[col_level]] = 1e-3
     bad = dataclasses.replace(sys, A=SparseMatrix.from_dense(dense))
     with pytest.raises(BoundViolation, match="block bidiagonal"):
-        structural_report(bad, ode, 1.0, 0.2)
+        structural_report(bad, ode, 1.0, 0.2, -1.0)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_structural_report_rejects_perturbed_diagonal_block(level):
+    ode = random_ode(2, seed=5)
+    sys = assemble_A(ode, 2)
+    re1 = compute_K(ode).re_lambda1
+    structural_report(sys, ode, spectral_norm(ode.F1), spectral_norm(ode.F2), re1)
+    dense = sys.A.to_dense()
+    start = sys.index.offsets[level]
+    assert dense[start, start] != 0.0
+    dense[start, start] += 1e-6
+    bad = dataclasses.replace(sys, A=SparseMatrix.from_dense(dense))
+    with pytest.raises(BoundViolation, match=f"diagonal block of level {level}"):
+        structural_report(bad, ode, spectral_norm(ode.F1), spectral_norm(ode.F2), re1)
+
+
+def test_structural_report_rejects_swapped_kronecker_order():
+    # level 1 at n=2, c=2: (F1 kron I + I kron F1) kron I_beta in place of
+    # I_beta kron (F1 kron I + I kron F1)
+    ode = random_ode(2, seed=6)
+    sys = assemble_A(ode, 2)
+    F1, eye = ode.F1.to_dense(), np.eye(2)
+    ksum = np.kron(F1, eye) + np.kron(eye, F1)
+    beta, lvl = sys.index.beta[1], sys.index.level_slice(1)
+    dense = sys.A.to_dense()
+    assert np.array_equal(dense[lvl, lvl], np.kron(np.eye(beta), ksum))
+    swapped = np.kron(ksum, np.eye(beta))
+    assert not np.allclose(swapped, dense[lvl, lvl])
+    dense[lvl, lvl] = swapped
+    bad = dataclasses.replace(sys, A=SparseMatrix.from_dense(dense))
+    with pytest.raises(BoundViolation, match="diagonal block of level 1"):
+        structural_report(bad, ode, spectral_norm(ode.F1), spectral_norm(ode.F2),
+                          compute_K(ode).re_lambda1)
+
+
+def test_structural_report_probe_orients_nonnormal_blocks():
+    # an upper-triangular F1 tells F1 from F1^T: the assembled A passes, a
+    # level-2 block built from F1^T does not
+    ode = nonnormal_ode(3, seed=8)
+    sys = assemble_A(ode, 2)
+    args = (spectral_norm(ode.F1), spectral_norm(ode.F2), compute_K(ode).re_lambda1)
+    structural_report(sys, ode, *args)
+    F1t = ode.F1.to_dense().T
+    ksum = sum(np.kron(np.kron(np.eye(3 ** k), F1t), np.eye(3 ** (2 - k))) for k in range(3))
+    lvl = sys.index.level_slice(2)
+    dense = sys.A.to_dense()
+    dense[lvl, lvl] = np.kron(np.eye(sys.index.beta[2]), ksum)
+    bad = dataclasses.replace(sys, A=SparseMatrix.from_dense(dense))
+    with pytest.raises(BoundViolation, match="diagonal block of level 2"):
+        structural_report(bad, ode, *args)
 
 
 def test_structural_report_random_instance():
@@ -293,7 +343,7 @@ def test_structural_report_random_instance():
     norm_f1 = spectral_norm(ode.F1)
     norm_f2 = spectral_norm(ode.F2)
     sys = assemble_A(ode, 2)
-    rep = structural_report(sys, ode, norm_f1, norm_f2)
+    rep = structural_report(sys, ode, norm_f1, norm_f2, compute_K(ode).re_lambda1)
     assert rep["max_re_eigenvalue"] < 0
     assert rep["norm_A"] <= rep["norm_A_bound"] * (1 + 1e-9)
     assert rep["max_row_nnz"] <= rep["sparsity_witness"]

@@ -178,7 +178,7 @@ def test_step_errors_bounded_every_step():
     params = tiny_params(N=sys.index.N, m=m, k=5, p=m, h=h, c=1)
     C = assemble_C(sys.A, params)
     sol = solve_marching(C, sys.y_in, 1e-10, params)
-    rows = step_errors_vs_expm(sys, params, sol)
+    rows = step_errors_vs_expm(sys, params, sol, dense_expm(sys.A.to_dense() * h))
     assert len(rows) == m + 1
     assert rows[0]["measured"] == 0.0
     for row in rows:

@@ -3,16 +3,20 @@ import json
 import numpy as np
 import pytest
 
+from hpmsim.embedding import assemble_A
 from hpmsim.errors import NumericalError, ValidationError
 from hpmsim.ode import compute_K
 from hpmsim.pipeline import (
     RunConfig,
     _Stage,
+    build_ode,
     generate_instance,
     instance_config,
+    rescaled_problem,
     run,
     sweep,
 )
+from hpmsim.sparse import dense_expm
 
 STD1 = {
     "n": 1, "T": 1.0, "epsilon": 1e-2, "u_in": [0.5],
@@ -75,6 +79,7 @@ def test_config_requires_core_keys():
     ("F1_triplets", [[True, 0, -1.0]]), ("F1_triplets", [[0, 0]]),
     ("F1_triplets", [[0, 0, -1.0, 1.0]]), ("F1_triplets", [0, 0, -1.0]),
     ("F2_triplets", [[0, 0, True]]), ("F2_triplets", "[[0, 0, 0.2]]"),
+    ("u_in", [0.0]),
 ])
 def test_config_rejects_bad_values(key, value):
     with pytest.raises(ValidationError, match=f"'{key}'"):
@@ -123,7 +128,7 @@ def test_strong_nonlinearity_rejected_with_stage():
         "F1_triplets": [[0, 0, -1.0]],
         "F2_triplets": [[0, 0, 0.5]],   # K = 2 >= sqrt(2)/2
     })
-    with pytest.raises(ValidationError, match=r"\[stage nonlinearity\].*sqrt") as info:
+    with pytest.raises(ValidationError, match="sqrt") as info:
         run(cfg)
     assert info.value.stage == "nonlinearity"
 
@@ -134,7 +139,7 @@ def test_stage_names_innermost_stage_once_and_keeps_arguments():
         with _Stage("outer", timings), _Stage("inner", timings):
             raise NumericalError("bad value", 3, {"k": 1})
     assert info.value.stage == "inner"
-    assert info.value.args == ("[stage inner] bad value", 3, {"k": 1})
+    assert info.value.args == ("bad value", 3, {"k": 1})
     assert set(timings) == {"outer", "inner"}
 
 
@@ -206,22 +211,20 @@ def test_sweep_T_final_error_under_epsilon():
 def test_sweep_records_failures_and_continues():
     rows = sweep(std1_config(), "epsilon", [1e-2, -1.0])
     assert rows[0]["status"] == "pass"
-    assert str(rows[1]["status"]).startswith("error")
+    assert str(rows[1]["status"]).startswith("error in stage order: ")
 
 
 def test_over_cap_paths_still_pass():
-    # a tiny dense cap forces the cascade-profile estimate of g and marks
-    # every dense-gated check as skipped; the run still passes
+    # a tiny dense cap marks every dense-gated check as skipped; the
+    # spectrum row and g do not depend on the cap, and the run still passes
     rep = run(std1_config(dense_cap=100))
     assert rep.status == "pass"
     by_name = {r["check"]: r for r in rep.bound_checks}
     assert by_name["exp_norm"]["measured"] is None
     assert by_name["step_error"]["measured"] is None
-    assert by_name["embedding_spectrum"]["measured"] is None
+    assert by_name["embedding_spectrum"]["measured"] == -1.0
     assert by_name["condition_number"]["measured"] is None
-    # g from the cascade profile stays close to the dense-grid value
-    dense_g = run(std1_config()).parameters["g"]
-    assert rep.parameters["g"] == pytest.approx(dense_g, rel=0.05)
+    assert rep.parameters["g"] == run(std1_config()).parameters["g"]
 
 
 def test_override_beyond_order_cap_needs_force():
@@ -240,6 +243,22 @@ def test_override_small_k_needs_force():
     rep = run(std1_config(k=6, force=True))
     assert rep.parameters["k"] == 6
     assert any("k = 6" in w for w in rep.warnings)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_decay_ratio_matches_dense_step_grid(n):
+    # g from the cascade profile against ||expm(A j h) y_in|| on the step grid
+    cfg = (std1_config() if n == 1 else
+           instance_config(generate_instance(n, 2, 0.3, 7), T=1.0, epsilon=1e-2))
+    rep = run(cfg)
+    solved, _, _ = rescaled_problem(build_ode(cfg))
+    sys = assemble_A(solved, rep.parameters["c"])
+    E = dense_expm(sys.A.to_dense() * rep.parameters["h"])
+    y, norms = sys.y_in, [np.linalg.norm(sys.y_in)]
+    for _ in range(rep.parameters["m"]):
+        y = E @ y
+        norms.append(np.linalg.norm(y))
+    assert rep.parameters["g"] == pytest.approx(max(norms) / norms[-1], rel=1e-12)
 
 
 def test_decay_grid_refinement_stable(std1_report):
