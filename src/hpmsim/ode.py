@@ -1,8 +1,11 @@
 """Quadratic dissipative ODE model du/dt = F1 u + F2 (u kron u).
 
 Holds the nonlinearity parameter K = 4 ||u_in|| ||F2|| / |Re lambda_1|,
-rescaling, and the one fixed-step RK4 integrator, which marches both the
-perturbation cascade and the ground-truth reference used throughout.
+rescaling, and the one integrator: adaptive DOP853 (the 8(5,3)
+Dormand-Prince pair of scipy's `solve_ivp`) sampled on an equal grid, which
+marches both the perturbation cascade and the ground-truth reference used
+throughout. `scipy.integrate` is imported on the first integration, not
+with the package.
 """
 
 from __future__ import annotations
@@ -13,12 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .sparse import DENSE_ORACLE_CAP, SparseMatrix, dense_eigs, spectral_norm
+from .sparse import DENSE_ORACLE_CAP, SparseMatrix, dense_eigs, spectral_norm, vector_norm
 
 SQRT_HALF = math.sqrt(2.0) / 2.0
-# most RK4 steps one integration may take: more would run for minutes and
+# most grid steps one integration may sample: more would run for minutes and
 # store a state per step
-MAX_RK4_STEPS = 1_000_000
+MAX_GRID_STEPS = 1_000_000
+# DOP853 tolerances: the relative one, and the absolute one per unit of the
+# initial state's largest entry
+RTOL = 1e-13
+ATOL_PER_UNIT = 1e-16
+# the relative tolerance of the second, looser reference pass whose distance
+# from the first estimates the reference's own error
+RTOL_LOOSE = 1e-11
 
 
 @dataclass(frozen=True)
@@ -89,7 +99,7 @@ def compute_K(ode: QuadraticODE, dense_cap: int = DENSE_ORACLE_CAP) -> Nonlinear
     if re1 >= 0:
         raise ValidationError(f"not dissipative: max Re(lambda) = {re1:.3e}")
     norm_f2 = spectral_norm(ode.F2) if ode.F2.nnz else 0.0
-    norm_u = float(np.linalg.norm(ode.u_in))
+    norm_u = float(vector_norm(ode.u_in))
     K = 4.0 * norm_u * norm_f2 / abs(re1)
     return NonlinearityParams(
         K=K,
@@ -118,6 +128,7 @@ def rescale(ode: QuadraticODE, zeta: float) -> QuadraticODE:
 class Trajectory:
     ts: np.ndarray
     us: np.ndarray              # shape (len(ts), n)
+    error: float                # estimated relative error of us[-1]
 
     def final(self) -> np.ndarray:
         return self.us[-1]
@@ -131,48 +142,69 @@ def default_dt(ode: QuadraticODE, T: float) -> float:
     return min(candidates)
 
 
-def _rk4(rhs, y0: np.ndarray, T: float, steps: int, check):
-    """RK4 on `steps` equal steps of [0, T] for a state of any shape; returns
-    the steps + 1 states stacked. `check(t, y)` runs after each step and may raise.
-    More than MAX_RK4_STEPS steps are refused before anything is allocated."""
-    if steps > MAX_RK4_STEPS:
-        raise ValidationError(f"{steps} RK4 steps exceed the cap of {MAX_RK4_STEPS}: "
+def integrate(rhs, y0: np.ndarray, T: float, steps: int, diverge: float = math.inf,
+              rtol: float = RTOL) -> np.ndarray:
+    """States of dy/dt = rhs(y) at the steps + 1 equal grid points of [0, T],
+    stacked, for a state of any shape.
+
+    DOP853 picks its own steps to meet rtol and an atol of ATOL_PER_UNIT
+    times max|y0|; the grid is sampled from its dense output. A state norm
+    above `diverge` is a terminal event: it raises NumericalError at once.
+    More than MAX_GRID_STEPS grid steps are refused before anything is
+    allocated.
+    """
+    if steps > MAX_GRID_STEPS:
+        raise ValidationError(f"{steps} grid steps exceed the cap of {MAX_GRID_STEPS}: "
                               "T is too long for the step size")
-    y = np.array(y0, dtype=np.float64)
-    ys = np.empty((steps + 1, *y.shape))
-    ys[0] = y
-    dt = T / steps if steps else 0.0
-    for i in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        check(dt * (i + 1), y)
-        ys[i + 1] = y
-    return ys
+    y0 = np.array(y0, dtype=np.float64)
+    top = float(np.abs(y0).max(initial=0.0))
+    if steps == 0 or top == 0.0:
+        # rhs(0) = 0 for both systems integrated here, so a zero state stays zero
+        return np.repeat(y0[None], steps + 1, axis=0)
+    from scipy.integrate import solve_ivp
+
+    def diverged(_t, y):
+        return vector_norm(y) - diverge
+    diverged.terminal = True
+
+    shape = y0.shape
+    sol = solve_ivp(lambda _t, y: rhs(y.reshape(shape)).ravel(), (0.0, T), y0.ravel(),
+                    method="DOP853", t_eval=np.linspace(0.0, T, steps + 1),
+                    events=diverged,
+                    rtol=rtol,
+                    # a zero atol (max|y0| below ~5e-308) stalls the step control
+                    atol=max(ATOL_PER_UNIT * top, np.finfo(float).smallest_subnormal))
+    if sol.status == 1:
+        raise NumericalError(f"trajectory diverged at t={sol.t_events[0][0]:.4g}: "
+                             "the instance does not look dissipative")
+    if sol.status != 0:
+        raise NumericalError(f"DOP853 integration failed: {sol.message}")
+    return sol.y.T.reshape(steps + 1, *shape)
 
 
-def reference_solution(ode: QuadraticODE, T: float, dt: float | None = None) -> Trajectory:
-    """Fixed-step RK4 ground truth on ceil(T/dt) equal steps of [0, T]."""
-    if T < 0:
-        raise ValidationError("T must be nonnegative")
-    if T == 0:
-        return Trajectory(ts=np.array([0.0]), us=ode.u_in[None, :].copy())
+def grid_steps(ode: QuadraticODE, T: float, dt: float | None = None) -> int:
+    """ceil(T/dt) equal steps of [0, T], at least one; dt defaults to default_dt."""
     if dt is None:
         dt = default_dt(ode, T)
     if dt <= 0:
         raise ValidationError("dt must be positive")
-    steps = max(1, int(math.ceil(T / dt)))
-    diverge = 1e3 * max(np.linalg.norm(ode.u_in), np.finfo(float).tiny)
+    return max(1, int(math.ceil(T / dt)))
 
-    def check(t: float, u: np.ndarray) -> None:
-        if np.linalg.norm(u) > diverge:
-            raise NumericalError(f"trajectory diverged at t={t:.4g}: "
-                                 "the instance does not look dissipative")
 
-    us = _rk4(ode.rhs, ode.u_in, T, steps, check)
-    return Trajectory(ts=np.linspace(0.0, T, steps + 1), us=us)
+def reference_solution(ode: QuadraticODE, T: float, dt: float | None = None) -> Trajectory:
+    """Ground truth on the ceil(T/dt) equal steps of [0, T], with its error
+    estimate: the relative distance at T from a second pass at RTOL_LOOSE."""
+    if T < 0:
+        raise ValidationError("T must be nonnegative")
+    if T == 0:
+        return Trajectory(ts=np.array([0.0]), us=ode.u_in[None, :].copy(), error=0.0)
+    steps = grid_steps(ode, T, dt)
+    diverge = 1e3 * vector_norm(ode.u_in)
+    us = integrate(ode.rhs, ode.u_in, T, steps, diverge)
+    loose = integrate(ode.rhs, ode.u_in, T, 1, diverge, rtol=RTOL_LOOSE)[-1]
+    norm_T = vector_norm(us[-1])
+    error = vector_norm(us[-1] - loose) / norm_T if norm_T > 0 else math.inf
+    return Trajectory(ts=np.linspace(0.0, T, steps + 1), us=us, error=float(error))
 
 
 def bernoulli_closed_form(a: float, u0: float, t: float) -> float:

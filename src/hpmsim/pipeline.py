@@ -38,10 +38,13 @@ from .sparse import (
     dense_norm,
     read_triplets,
     spectral_norm,
+    vector_norm,
 )
 
 _REL_SLACK = 1e-9   # slack on measured-vs-bound comparisons that can sit at equality
 _ABS_SLACK = 1e-9   # absolute integrator-noise slack on error comparisons
+# smallest largest |entry| of u_in whose square is a normal float
+_TINY_STATE = math.sqrt(np.finfo(float).tiny)
 
 
 def _finite_real(x) -> bool:
@@ -111,6 +114,9 @@ class RunConfig:
         if len(u_in) and not any(u_in):
             raise ValidationError("config key 'u_in' is all zero: the solution is "
                                   "identically zero")
+        if len(u_in) and max(abs(x) for x in u_in) < _TINY_STATE:
+            raise ValidationError(f"config key 'u_in' has no entry of size {_TINY_STATE:.2e} "
+                                  "or more: its squared norm underflows")
         for key in ("F1_triplets", "F2_triplets"):
             trips = raw.get(key)
             if trips is None:
@@ -275,7 +281,7 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
     with _Stage("reference", timings):
         ref = reference_solution(ode, config.T)
         u_exact = ref.final()
-        norm_uT = float(np.linalg.norm(u_exact))
+        norm_uT = float(vector_norm(u_exact))
         if norm_uT == 0.0:
             raise NumericalError("reference solution vanished at T")
         eta = config.eta if config.eta is not None else nl0.norm_u_in / norm_uT
@@ -347,6 +353,9 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
         checks = _bound_checks(solved, nl, sys, params, sol, E, cond, report_m,
                                struct, casc, utilde_T, zeta, u_exact, g,
                                exp_norm_pre, config)
+        checks.append(_check(
+            "reference_error", "||u_a(T) - u_b(T)|| / ||u_a(T)|| <= epsilon/100, "
+            "u_a the reference and u_b a looser pass", ref.error, config.epsilon / 100.0, True))
 
     eps_row = _check("target", "final normalized error <= configured epsilon",
                      budget.final_error, config.epsilon, True)
@@ -396,6 +405,7 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
             "hpm_part": budget.hpm_part,
             "solve_part": budget.solve_part,
             "hpm_part_bound": budget.hpm_part_bound,
+            "reference_error": ref.error,
             "epsilon": config.epsilon,
             "pass": budget.final_error <= config.epsilon,
         },
@@ -416,7 +426,7 @@ def _emit_step_blocks(sol: mar.MarchingSolution, directory: Path) -> None:
 
 
 def _decay_ratio(sys: emb.EmbeddedSystem, casc: hpm.HpmCascade) -> float:
-    """g = max_t ||y(t)|| / ||y(T)|| over the cascade's RK4 grid.
+    """g = max_t ||y(t)|| / ||y(T)|| over the cascade's sampling grid.
 
     y(t) stacks Kronecker products of the cascade orders, so its norm
     profile follows from the per-order norms without forming y. The

@@ -162,6 +162,17 @@ def spectral_norm(matrix: SparseMatrix | np.ndarray | LinearOperator, tol: float
     return math.ldexp(est, exp)
 
 
+def vector_norm(v) -> float:
+    """2-norm of a vector, taken after an exact power-of-two rescale so that
+    the squares neither underflow nor overflow."""
+    v = np.asarray(v, dtype=np.float64)
+    top = float(np.abs(v).max(initial=0.0))
+    if top == 0.0 or not math.isfinite(top):
+        return float(np.linalg.norm(v))
+    exp = math.frexp(top)[1]
+    return float(np.ldexp(np.linalg.norm(np.ldexp(v, -exp)), exp))
+
+
 def dense_norm(arr: np.ndarray, tol: float = 1e-10, cap: int = DENSE_ORACLE_CAP) -> float:
     """2-norm of a dense array under the entry cap; see spectral_norm."""
     return spectral_norm(np.asarray(arr, dtype=np.float64), tol=tol, cap=cap)
@@ -184,13 +195,18 @@ def dense_eigs(arr: np.ndarray, cap: int = DENSE_ORACLE_CAP,
         raise ValidationError("eigenvalues need a square matrix")
     _check_cap(arr.shape[0], arr.shape[1], cap)
     gamma, vecs = np.linalg.eig(arr)
-    scale = max(1.0, float(np.linalg.norm(arr, ord="fro")))
-    res = np.linalg.norm(arr @ vecs - vecs * gamma, axis=0)
+    # the check runs on M and gamma scaled down by the same exact power of
+    # two, so neither the product nor the scale max(1, ||M||_F) overflows
+    exp = max(0, math.frexp(float(np.abs(arr).max(initial=0.0)))[1])
+    arr_s, gamma_s = np.ldexp(arr, -exp), np.ldexp(gamma, -exp)
+    scale = max(math.ldexp(1.0, -exp), float(np.linalg.norm(arr_s, ord="fro")))
+    res = np.linalg.norm(arr_s @ vecs - vecs * gamma_s, axis=0)
     bad = np.flatnonzero(res > residual_tol * scale * np.linalg.norm(vecs, axis=0))
     if bad.size:
         idx = int(bad[0])
         raise NumericalError(
-            f"eigenpair {idx} failed residual check: {res[idx]:.3e}"
+            f"eigenpair {idx} failed residual check: relative residual "
+            f"{res[idx] / (scale * np.linalg.norm(vecs[:, idx])):.3e}"
         )
     return gamma
 

@@ -120,7 +120,7 @@ def test_criterion1_seeded_n2_end_to_end(seeded_n2_run):
     err = rep.errors["final_error"]
     ok = err <= 1e-2 and elapsed < 10.0 and rep.status == "pass"
     _line(1, "end-to-end seeded n=2 K=0.3", ok,
-          f"final_error={err:.3e} <= 1e-2 vs RK4 reference, "
+          f"final_error={err:.3e} <= 1e-2 vs DOP853 reference, "
           f"runtime {elapsed:.2f}s < 10s")
     assert ok
     assert rep.nonlinearity["K"] == pytest.approx(0.3, abs=1e-9)

@@ -44,7 +44,7 @@ def test_run_exit_code_validation(tmp_path):
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"]) == 2
 
 
-@pytest.mark.parametrize("u_in", [[float("nan")], ["0.5"], [0.0]])
+@pytest.mark.parametrize("u_in", [[float("nan")], ["0.5"], [0.0], [1e-300]])
 def test_run_rejects_bad_u_in_at_load(tmp_path, u_in):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({**STD1, "u_in": u_in}))
@@ -64,7 +64,7 @@ def test_run_missing_config_is_validation_error(tmp_path):
 
 
 def test_run_refuses_long_horizon_before_integrating(tmp_path, capsys):
-    # std1 at T = 1e6 needs 10^7 reference RK4 steps
+    # std1 at T = 1e6 samples a grid of 10^7 reference steps
     cfg = tmp_path / "long.json"
     cfg.write_text(json.dumps({**STD1, "T": 1e6}))
     t0 = time.perf_counter()
@@ -72,7 +72,7 @@ def test_run_refuses_long_horizon_before_integrating(tmp_path, capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 2
     err = capsys.readouterr().err
-    assert "stage reference" in err and "RK4 steps exceed the cap" in err
+    assert "stage reference" in err and "grid steps exceed the cap" in err
 
 
 def test_run_tiny_epsilon_does_not_overflow_the_factorial(tmp_path):
@@ -88,7 +88,7 @@ def test_run_huge_F1_refused_by_the_rk4_cap(tmp_path, capsys):
     cfg.write_text(json.dumps({**STD1, "F1_triplets": [[0, 0, -1e300]]}))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"]) == 2
     err = capsys.readouterr().err
-    assert "in stage reference" in err and "RK4 steps exceed the cap" in err
+    assert "in stage reference" in err and "grid steps exceed the cap" in err
 
 
 def test_run_maps_memory_error_to_exit_3(std1_config, tmp_path, monkeypatch, capsys):

@@ -62,7 +62,7 @@ def test_from_dict_checks_each_key_alone(key, value):
 
 # the CLI runs the whole pipeline on accepted configs: each example starts
 # from a valid std1-like config with at most two keys replaced by junk, and
-# keeps accepted runs short (T at most 2, or far past the RK4 step cap)
+# keeps accepted runs short (T at most 2, or far past the grid step cap)
 cli_real = st.one_of(st.floats(-3.0, 3.0), st.integers(-2, 2), st.text(max_size=2),
                      st.none(), st.just(math.nan))
 cli_triplets = st.one_of(

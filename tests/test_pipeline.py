@@ -79,7 +79,7 @@ def test_config_requires_core_keys():
     ("F1_triplets", [[True, 0, -1.0]]), ("F1_triplets", [[0, 0]]),
     ("F1_triplets", [[0, 0, -1.0, 1.0]]), ("F1_triplets", [0, 0, -1.0]),
     ("F2_triplets", [[0, 0, True]]), ("F2_triplets", "[[0, 0, 0.2]]"),
-    ("u_in", [0.0]),
+    ("u_in", [0.0]), ("u_in", [1e-300, -1e-160]),
 ])
 def test_config_rejects_bad_values(key, value):
     with pytest.raises(ValidationError, match=f"'{key}'"):

@@ -1,3 +1,4 @@
+import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from hpmsim.sparse import (
     dense_expm,
     read_triplets,
     spectral_norm,
+    vector_norm,
     write_triplets,
 )
 
@@ -171,6 +173,32 @@ def test_eigs_residual_check_names_first_failing_pair():
     first = next(i for i, r in enumerate(res) if r > 0.0)
     with pytest.raises(NumericalError, match=f"eigenpair {first} "):
         dense_eigs(arr, residual_tol=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 1e160, 1e300])
+def test_vector_norm_survives_squares_that_underflow_or_overflow(scale):
+    # np.linalg.norm squares the entries: 0.0 at 1e-300, inf at 1e300
+    assert vector_norm(np.array([3.0, -4.0]) * scale) == pytest.approx(5.0 * scale, rel=1e-15)
+    assert vector_norm(np.zeros(2)) == 0.0
+
+
+def test_eigs_residual_check_fires_near_overflow(monkeypatch):
+    # ||M||_F of entries near 1e300 overflows; the check must still catch a
+    # wrong eigenpair, and raise no overflow warning on the way
+    arr = np.array([[-1e300, 3e299], [3e299, -1.5e300]])
+    true_eig = np.linalg.eig
+
+    def wrong_pair(m):
+        gamma, vecs = true_eig(m)
+        return gamma * np.array([1.0, 1.01]), vecs
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sorted(dense_eigs(arr).real) == pytest.approx(
+            sorted(np.linalg.eigvals(arr).real), rel=1e-12)
+        monkeypatch.setattr(np.linalg, "eig", wrong_pair)
+        with pytest.raises(NumericalError, match="eigenpair 1 "):
+            dense_eigs(arr)
 
 
 def test_condition_number_identity_and_diag():
