@@ -19,8 +19,6 @@ from . import cascade as hpm
 from . import embedding as emb
 from . import measurement as meas
 from .errors import BoundViolation, NumericalError, ValidationError
-from .marching import choose_order
-from .ode import compute_K, reference_solution
 from .pipeline import (
     RunConfig,
     SWEEP_COLUMNS,
@@ -28,6 +26,7 @@ from .pipeline import (
     generate_instance,
     in_stage,
     json_default,
+    prepare,
     rescaled_problem,
     run,
     sweep,
@@ -172,29 +171,18 @@ def _cmd_embed(args) -> int:
 
 def _cmd_hpm(args) -> int:
     cfg = _load_config(args)
-    ode = build_ode(cfg, args.config.parent)
-    solved, zeta, nl = rescaled_problem(ode, cfg.zeta, cfg.dense_cap)
-    if cfg.c is not None:
-        c = cfg.c
-    elif nl.K > 0:
-        nl_s = compute_K(solved, cfg.dense_cap) if zeta != 1.0 else nl
-        ref = reference_solution(ode, cfg.T)
-        eta = nl.norm_u_in / float(np.linalg.norm(ref.final()))
-        c = choose_order(nl_s.K, cfg.epsilon, eta, nl_s.norm_u_in, nl_s.norm_F2,
-                         nl_s.re_lambda1, force=True).c
-    else:
-        c = 0
-    casc = hpm.solve_cascade(solved, c, cfg.T, K=nl.K)
+    prep = prepare(cfg, args.config.parent)
+    K, norm_u = prep.nl.K, prep.nl.norm_u_in
+    casc = hpm.solve_cascade(prep.solved, prep.c, cfg.T, K=K)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "hpm.csv"
-    norm_u = float(np.linalg.norm(solved.u_in))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "i", "norm_nu_i", "bound_K_pow"])
         for ti, t in enumerate(casc.ts):
             norms = casc.norms_at(ti)
-            for i in range(c + 1):
-                bound = norm_u * nl.K ** i if nl.K > 0 else (norm_u if i == 0 else 0.0)
+            for i in range(prep.c + 1):
+                bound = norm_u * K ** i if K > 0 else (norm_u if i == 0 else 0.0)
                 writer.writerow([f"{t:.12g}", i, f"{norms[i]:.12g}", f"{bound:.12g}"])
     print(f"wrote {path}")
     return EXIT_PASS

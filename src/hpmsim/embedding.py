@@ -221,11 +221,11 @@ def embedded_norm_profile(index: EmbeddingIndexMap, order_norms: np.ndarray,
     ||sum_i nu_i(t)|| per grid point.  Kronecker norms multiply, blocks are
     orthogonal components of the stacked vector.
     """
-    total_sq = level0_norms ** 2
-    for i in range(1, index.c + 1):
-        for a in index.levels[i]:
-            total_sq = total_sq + np.prod(order_norms[list(a), :], axis=0) ** 2
-    return np.sqrt(total_sq)
+    blocks = [level0_norms, *(np.prod(order_norms[list(a), :], axis=0)
+                              for i in range(1, index.c + 1) for a in index.levels[i])]
+    # one exact power-of-two rescale keeps the squares clear of underflow
+    exp = math.frexp(max(float(b.max(initial=0.0)) for b in blocks))[1]
+    return np.ldexp(np.sqrt(sum(np.ldexp(b, -exp) ** 2 for b in blocks)), exp)
 
 
 def row_pattern_Bm(F1: SparseMatrix, m: int, row: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -155,13 +155,14 @@ def taylor_order_for(Omega: float) -> int:
     return k
 
 
-def select_parameters(nl: NonlinearityParams, sys: EmbeddedSystem, T: float,
-                      epsilon: float, g: float, eta: float,
+def select_parameters(nl: NonlinearityParams, sel: OrderSelection, sys: EmbeddedSystem,
+                      T: float, epsilon: float, g: float, eta: float,
                       overrides: dict | None = None,
                       force: bool = False) -> TaylorSystemParams:
-    """Fill in (c, h, m, k, p, delta) for a target accuracy epsilon.
+    """Fill in (h, m, k, p, delta) for a target accuracy epsilon.
 
-    The truncation order must match the assembled system; step count and
+    sel is the run's order selection; an assembled order other than sel.c
+    (an override) is certified on its own tail bound.  Step count and
     grid come from ||A||; delta follows the error budget split and Omega
     = 50 m (c+1)(c+2) g / delta drives the Taylor order.
     """
@@ -172,23 +173,11 @@ def select_parameters(nl: NonlinearityParams, sys: EmbeddedSystem, T: float,
         raise ValidationError("eta must be positive")
     c = sys.index.c
     warnings: list[str] = []
-    certified = True
-    epsilon1 = 0.0
-    eta_prime = 0.0
-    if nl.K > 0:
-        sel = choose_order(nl.K, epsilon, eta, nl.norm_u_in, nl.norm_F2,
-                           nl.re_lambda1, force=force)
-        warnings.extend(sel.warnings)
-        epsilon1, eta_prime = sel.epsilon1, sel.eta_prime
-        certified = sel.certified
-        if "c" in overrides or sel.c != c:
-            if sel.c != c:
-                warnings.append(
-                    f"order override: using c = {c}, budget selection was {sel.c}"
-                )
-            certified = nl.K < 1 and truncation_bound(nl.K, c) <= epsilon1
-    else:
-        warnings.append("linear fast path (F2 = 0)")
+    epsilon1, eta_prime, certified = sel.epsilon1, sel.eta_prime, sel.certified
+    if "c" in overrides or sel.c != c:
+        if sel.c != c:
+            warnings.append(f"order override: using c = {c}, budget selection was {sel.c}")
+        certified = nl.K < 1 and truncation_bound(nl.K, c) <= epsilon1
 
     m, h = step_counts(T, sys.norm_A)
     m = int(overrides.get("m", m))

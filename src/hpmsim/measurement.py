@@ -17,7 +17,7 @@ from .embedding import EmbeddingIndexMap
 from .errors import ValidationError
 from .marching import MarchingSolution
 from .ode import SQRT_HALF, NonlinearityParams
-from .sparse import DENSE_ORACLE_CAP, dense_expm, dense_norm
+from .sparse import DENSE_ORACLE_CAP, dense_expm, dense_norm, vector_norm
 
 
 @dataclass
@@ -43,8 +43,12 @@ def postselect(sol: MarchingSolution, index: EmbeddingIndexMap,
     eta' = K / ||u~(T)|| in the level-0 probability bound.
     """
     params = sol.params
-    x_norm_sq = float(sol.x @ sol.x)
-    final_block = sol.extract_block(params.m, 0)
+    # the squared norms are taken of x scaled by one exact power of two, clear
+    # of underflow; the ratios and u_out are the same as without the scale
+    top = float(np.abs(sol.x).max())
+    scaled = MarchingSolution(np.ldexp(sol.x, -math.frexp(top)[1]), params, sol.residual)
+    x_norm_sq = float(scaled.x @ scaled.x)
+    final_block = scaled.extract_block(params.m, 0)
     block_sq = float(final_block @ final_block)
     if x_norm_sq == 0.0:
         raise ValidationError("marching solution is identically zero")
@@ -54,7 +58,7 @@ def postselect(sol: MarchingSolution, index: EmbeddingIndexMap,
     p1_pre = math.factorial(params.k + 1) >= 50.0 * params.m * (params.c + 1) * (
         params.c + 2) * g
 
-    y_final = sol.extract_final()
+    y_final = scaled.extract_final()
     y_norm_sq = float(y_final @ y_final)
     level0 = y_final[index.level_slice(0)]
     level0_sq = float(level0 @ level0)
@@ -73,7 +77,7 @@ def postselect(sol: MarchingSolution, index: EmbeddingIndexMap,
         eta_prime = 0.0
         chi0_bound = 1.0
 
-    groups_sq, group_bounds = level_group_norms(y_final, index, K)
+    groups_sq, group_bounds = level_group_norms(sol.extract_final(), index, K)
 
     return MeasurementReport(
         p1_block_ratio=p1_block,
@@ -126,7 +130,7 @@ def final_error(report: MeasurementReport, u_exact: np.ndarray,
     if nrm == 0.0:
         raise ValidationError("exact solution has zero norm")
     u_hat = u_exact / nrm
-    ut_nrm = float(np.linalg.norm(utilde_T))
+    ut_nrm = vector_norm(utilde_T)
     ut_hat = utilde_T / ut_nrm if ut_nrm > 0 else u_hat
     err = float(np.linalg.norm(report.u_out - u_hat))
     hpm = float(np.linalg.norm(ut_hat - u_hat))

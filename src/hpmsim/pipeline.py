@@ -4,7 +4,10 @@ sweeps, and seeded random instance generation.
 A run chains: nonlinearity parameter -> rescaling -> reference oracle ->
 order selection -> cascade -> embedding -> step/Taylor parameters ->
 marching solve -> post-selection -> error budget, and records every proved
-bound next to its measured value.
+bound next to its measured value.  `prepare()` runs the first four stages
+(load, nonlinearity, reference, order) and returns what they found,
+including the one order selection of the run; `run` and the CLI's `hpm`
+both start from it.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .errors import BoundViolation, NumericalError, ValidationError
 from .ode import (
     NonlinearityParams,
     QuadraticODE,
+    Trajectory,
     compute_K,
     make_ode,
     reference_solution,
@@ -90,6 +94,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        if not isinstance(raw, dict):
+            raise ValidationError(f"config must be a JSON object, not {raw!r:.40}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(raw) - known
         if unknown:
@@ -130,8 +136,12 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:    # unreadable, not UTF-8 or not JSON
+            raise ValidationError(f"cannot read config {path}: {exc}") from exc
+        return cls.from_dict(raw)
 
     def overrides(self) -> dict:
         out = {}
@@ -260,10 +270,27 @@ def rescaled_problem(ode: QuadraticODE, zeta: float | None = None,
     return (rescale(ode, zeta) if zeta != 1.0 else ode), zeta, nl
 
 
-def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
-    timings: dict = {}
-    warnings: list[str] = []
+@dataclass
+class Prepared:
+    """What a run's first four stages found: `solved` is `ode` rescaled by
+    zeta, nl0 and nl their nonlinearity parameters, and c the order in use,
+    sel.c unless the config overrides it."""
+    ode: QuadraticODE
+    solved: QuadraticODE
+    zeta: float
+    nl0: NonlinearityParams
+    nl: NonlinearityParams
+    ref: Trajectory
+    eta: float
+    sel: mar.OrderSelection
+    c: int
+    warnings: list[str]
 
+
+def prepare(config: RunConfig, base_dir: Path | None = None,
+            timings: dict | None = None) -> Prepared:
+    """The stages load, nonlinearity, reference and order, timed into timings."""
+    timings = {} if timings is None else timings
     with _Stage("load", timings):
         ode = build_ode(config, base_dir)
 
@@ -280,36 +307,36 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
 
     with _Stage("reference", timings):
         ref = reference_solution(ode, config.T)
-        u_exact = ref.final()
-        norm_uT = float(vector_norm(u_exact))
+        norm_uT = float(vector_norm(ref.final()))
         if norm_uT == 0.0:
             raise NumericalError("reference solution vanished at T")
         eta = config.eta if config.eta is not None else nl0.norm_u_in / norm_uT
 
     with _Stage("order", timings):
-        if config.c is not None:
-            c_used = int(config.c)
-            sel = None
-            if nl.K > 0:
-                sel = mar.choose_order(nl.K, config.epsilon, eta, nl.norm_u_in,
-                                       nl.norm_F2, nl.re_lambda1, force=True)
-                if sel.c_cap is not None and c_used > sel.c_cap:
-                    msg = (f"override c = {c_used} violates the exponential-norm "
-                           f"precondition (largest admissible order is {sel.c_cap})")
-                    if not config.force:
-                        raise ValidationError(msg)
-                    warnings.append(msg)
-        else:
-            sel = mar.choose_order(nl.K, config.epsilon, eta, nl.norm_u_in,
-                                   nl.norm_F2, nl.re_lambda1, force=config.force)
-            c_used = sel.c
-        if sel is not None:
-            warnings.extend(sel.warnings)
+        sel = mar.choose_order(nl.K, config.epsilon, eta, nl.norm_u_in,
+                               nl.norm_F2, nl.re_lambda1, force=config.force)
+        c = sel.c if config.c is None else int(config.c)
+        warnings: list[str] = []
+        if sel.c_cap is not None and c > sel.c_cap:
+            msg = (f"override c = {c} violates the exponential-norm "
+                   f"precondition (largest admissible order is {sel.c_cap})")
+            if not config.force:
+                raise ValidationError(msg)
+            warnings.append(msg)
+        warnings.extend(sel.warnings)
+    return Prepared(ode, solved, zeta, nl0, nl, ref, eta, sel, c, warnings)
+
+
+def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
+    timings: dict = {}
+    prep = prepare(config, base_dir, timings)
+    ode, solved, nl, ref, sel = prep.ode, prep.solved, prep.nl, prep.ref, prep.sel
+    c_used, u_exact, warnings = prep.c, ref.final(), prep.warnings
 
     with _Stage("cascade", timings):
         casc = hpm.solve_cascade(solved, c_used, config.T, K=nl.K)
         utilde_T = casc.nu[:, -1, :].sum(axis=0)
-        utilde_norm = float(np.linalg.norm(utilde_T))
+        utilde_norm = vector_norm(utilde_T)
 
     with _Stage("embed", timings):
         sys = emb.assemble_A(solved, c_used, cap=config.dimension_cap)
@@ -320,7 +347,7 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
         g = float(config.g) if config.g is not None else _decay_ratio(sys, casc)
 
     with _Stage("parameters", timings):
-        params = mar.select_parameters(nl, sys, config.T, config.epsilon, g, eta,
+        params = mar.select_parameters(nl, sel, sys, config.T, config.epsilon, g, prep.eta,
                                        overrides=config.overrides(),
                                        force=config.force)
         warnings.extend(params.warnings)
@@ -350,9 +377,8 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
         # expm(A h), for the exp_norm and step_error rows, under the dense cap
         E = (dense_expm(sys.A.to_dense(config.dense_cap) * params.h, config.dense_cap)
              if sys.index.N ** 2 <= config.dense_cap else None)
-        checks = _bound_checks(solved, nl, sys, params, sol, E, cond, report_m,
-                               struct, casc, utilde_T, zeta, u_exact, g,
-                               exp_norm_pre, config)
+        checks = _bound_checks(nl, sys, params, sol, E, cond, report_m, struct,
+                               utilde_T, prep.zeta, u_exact, exp_norm_pre, config)
         checks.append(_check(
             "reference_error", "||u_a(T) - u_b(T)|| / ||u_a(T)|| <= epsilon/100, "
             "u_a the reference and u_b a looser pass", ref.error, config.epsilon / 100.0, True))
@@ -361,7 +387,6 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
                      budget.final_error, config.epsilon, True)
     checks.append(eps_row)
 
-    warnings = list(dict.fromkeys(warnings))
     failed = [row for row in checks
               if row["precondition_ok"] and not row["pass"]]
     status = "pass" if not failed else "bound_violation"
@@ -370,9 +395,9 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
         config={**asdict(config)},
         nonlinearity={
             "K": nl.K, "re_lambda1": nl.re_lambda1, "norm_F2": nl.norm_F2,
-            "norm_u_in_original": nl0.norm_u_in, "norm_u_in_solved": nl.norm_u_in,
-            "zeta": zeta, "flag_K_large": nl.flag_K_large,
-            "flag_K_below_u_original": nl0.flag_K_below_u,
+            "norm_u_in_original": prep.nl0.norm_u_in, "norm_u_in_solved": nl.norm_u_in,
+            "zeta": prep.zeta, "flag_K_large": nl.flag_K_large,
+            "flag_K_below_u_original": prep.nl0.flag_K_below_u,
             "linear_fast_path": nl.K == 0.0,
         },
         parameters={
@@ -383,10 +408,8 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
             "eta_prime": params.eta_prime, "norm_A": params.norm_A,
             "N": params.N,
             "hpm_budget_certified": params.hpm_budget_certified,
-            "c_formula": sel.c_formula if sel else 0,
-            "c_scan": sel.c_scan if sel else 0,
-            "c_required": sel.c_required if sel else 0,
-            "c_cap": sel.c_cap if sel else None,
+            "c_formula": sel.c_formula, "c_scan": sel.c_scan,
+            "c_required": sel.c_required, "c_cap": sel.c_cap,
         },
         structure=struct,
         bound_checks=checks,
@@ -433,20 +456,19 @@ def _decay_ratio(sys: emb.EmbeddedSystem, casc: hpm.HpmCascade) -> float:
     cascade grid has at least 1,000 steps, and it is used in place of the
     marching step grid {0, h, .., mh} at every size.
     """
-    order_norms = np.linalg.norm(casc.nu, axis=2)
-    level0 = np.linalg.norm(casc.nu.sum(axis=0), axis=1)
+    order_norms = vector_norm(casc.nu, axis=2)
+    level0 = vector_norm(casc.nu.sum(axis=0), axis=1)
     profile = emb.embedded_norm_profile(sys.index, order_norms, level0)
     if profile[-1] == 0.0:
         raise NumericalError("embedded trajectory vanished at T")
     return float(profile.max() / profile[-1])
 
 
-def _bound_checks(solved: QuadraticODE, nl, sys: emb.EmbeddedSystem,
-                  params: mar.TaylorSystemParams, sol: mar.MarchingSolution,
-                  E: np.ndarray | None, cond: dict, report_m: meas.MeasurementReport,
-                  struct: dict, casc: hpm.HpmCascade, utilde_T: np.ndarray,
-                  zeta: float, u_exact: np.ndarray, g: float,
-                  exp_norm_pre: bool, config: RunConfig) -> list[dict]:
+def _bound_checks(nl, sys: emb.EmbeddedSystem, params: mar.TaylorSystemParams,
+                  sol: mar.MarchingSolution, E: np.ndarray | None, cond: dict,
+                  report_m: meas.MeasurementReport, struct: dict, utilde_T: np.ndarray,
+                  zeta: float, u_exact: np.ndarray, exp_norm_pre: bool,
+                  config: RunConfig) -> list[dict]:
     checks = []
     c = params.c
     K = nl.K

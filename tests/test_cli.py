@@ -7,6 +7,7 @@ import pytest
 
 import hpmsim.marching
 from hpmsim.cli import main
+from hpmsim.pipeline import generate_instance
 from hpmsim.sparse import read_triplets, read_vector
 
 STD1 = {
@@ -61,6 +62,47 @@ def test_run_rejects_bad_triplet_at_load(tmp_path, triplet, capsys):
 
 def test_run_missing_config_is_validation_error(tmp_path):
     assert main(["--out", str(tmp_path), "run"]) == 2
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "truncated", "not_an_object"])
+def test_run_unreadable_config_is_validation_error(tmp_path, kind, capsys):
+    cfg = {"missing": tmp_path / "absent.json", "directory": tmp_path,
+           "truncated": tmp_path / "cut.json", "not_an_object": tmp_path / "five.json"}[kind]
+    if kind == "truncated":
+        cfg.write_text(json.dumps(STD1)[:20])
+    elif kind == "not_an_object":
+        cfg.write_text("5")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"]) == 2
+    assert capsys.readouterr().err.startswith("validation failure")
+
+
+def test_run_tiny_nonlinearity_passes(tmp_path):
+    # K = 2e-300: the rescaled state is ~1e-300, so every squared norm of the
+    # cascade, the embedding and the marching solution would underflow unscaled
+    cfg = tmp_path / "tiny_f2.json"
+    cfg.write_text(json.dumps({**STD1, "F2_triplets": [[0, 0, 1e-300]]}))
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "run"]) == 0
+    assert json.loads((out / "report.json").read_text())["status"] == "pass"
+
+
+@pytest.mark.parametrize("extra", [{"eta": 5.0}, {"epsilon": 0.5}])
+def test_hpm_selects_the_order_run_selects(tmp_path, extra):
+    # hpm shares run's first four stages: the same order, the same refusals
+    cfg = tmp_path / "gen2.json"
+    ode = generate_instance(2, 1, 0.1, 3)
+    cfg.write_text(json.dumps({
+        "n": 2, "T": 1.0, "epsilon": 1e-2, "u_in": ode.u_in.tolist(),
+        "F1_triplets": [list(t) for t in ode.F1.entries()],
+        "F2_triplets": [list(t) for t in ode.F2.entries()], **extra}))
+    code_hpm = main(["--config", str(cfg), "--out", str(tmp_path / "h"), "hpm"])
+    code_run = main(["--config", str(cfg), "--out", str(tmp_path / "r"), "run"])
+    assert code_hpm == code_run
+    if code_run in (0, 1):
+        with open(tmp_path / "h" / "hpm.csv") as fh:
+            c_hpm = max(int(row["i"]) for row in csv.DictReader(fh))
+        report = json.loads((tmp_path / "r" / "report.json").read_text())
+        assert c_hpm == report["parameters"]["c"]
 
 
 def test_run_refuses_long_horizon_before_integrating(tmp_path, capsys):

@@ -384,7 +384,8 @@ def test_select_parameters_postconditions():
     sys = assemble_A(ode, 3)
     ref = reference_solution(ode, 1.0)
     eta = nl.norm_u_in / np.linalg.norm(ref.final())
-    params = select_parameters(nl, sys, 1.0, 1e-2, g=2.75, eta=eta)
+    sel = choose_order(nl.K, 1e-2, eta, nl.norm_u_in, nl.norm_F2, nl.re_lambda1)
+    params = select_parameters(nl, sel, sys, 1.0, 1e-2, g=2.75, eta=eta)
     assert params.m == params.p == math.ceil(sys.norm_A)
     assert params.h == pytest.approx(1.0 / params.m)
     assert params.norm_A * params.h <= 1.0 + 1e-12
@@ -401,8 +402,9 @@ def test_select_parameters_rejects_g_below_one():
     ode = std1_scaled()
     nl = compute_K(ode)
     sys = assemble_A(ode, 3)
+    sel = choose_order(nl.K, 1e-2, 2.5, nl.norm_u_in, nl.norm_F2, nl.re_lambda1)
     with pytest.raises(ValidationError):
-        select_parameters(nl, sys, 1.0, 1e-2, g=0.5, eta=2.5)
+        select_parameters(nl, sel, sys, 1.0, 1e-2, g=0.5, eta=2.5)
 
 
 # -- condition number --------------------------------------------------------

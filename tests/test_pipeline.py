@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import hpmsim.marching
 from hpmsim.embedding import assemble_A
 from hpmsim.errors import NumericalError, ValidationError
+from hpmsim.marching import choose_order
 from hpmsim.ode import compute_K
 from hpmsim.pipeline import (
     RunConfig,
@@ -131,6 +133,20 @@ def test_strong_nonlinearity_rejected_with_stage():
     with pytest.raises(ValidationError, match="sqrt") as info:
         run(cfg)
     assert info.value.stage == "nonlinearity"
+
+
+def test_run_selects_the_order_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return choose_order(*args, **kwargs)
+
+    monkeypatch.setattr(hpmsim.marching, "choose_order", counted)
+    for extra in ({}, {"c": 2}):
+        calls.clear()
+        assert run(std1_config(**extra)).status == "pass"
+        assert len(calls) == 1
 
 
 def test_stage_names_innermost_stage_once_and_keeps_arguments():
