@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .ode import QuadraticODE, grid_steps, integrate
+from .sparse import vector_norm
 
 # tolerance multiplier on the per-order norm bound before declaring divergence
 _DIVERGENCE_SLACK = 1.1
@@ -44,10 +45,10 @@ class HpmCascade:
 
     def order_norms(self) -> np.ndarray:
         """max over the grid of ||nu_i(t)||, one value per order."""
-        return np.linalg.norm(self.nu, axis=2).max(axis=1)
+        return vector_norm(self.nu, axis=2).max(axis=1)
 
     def norms_at(self, idx: int) -> np.ndarray:
-        return np.linalg.norm(self.nu[:, idx, :], axis=1)
+        return vector_norm(self.nu[:, idx, :], axis=1)
 
 
 def solve_cascade(ode: QuadraticODE, c: int, T: float, dt: float | None = None,
@@ -69,7 +70,7 @@ def solve_cascade(ode: QuadraticODE, c: int, T: float, dt: float | None = None,
     if T < 0:
         raise ValidationError("T must be nonnegative")
     n, m = ode.n, c + 1
-    norm_u = float(np.linalg.norm(ode.u_in))
+    norm_u = float(vector_norm(ode.u_in))
     steps = grid_steps(ode, T, dt) if T > 0 else 0
     F1, F2 = ode.F1.csr, ode.F2.csr
     pair_sum = np.add.outer(np.arange(m), np.arange(m)).ravel()   # j + l at column j*m + l
@@ -89,7 +90,7 @@ def solve_cascade(ode: QuadraticODE, c: int, T: float, dt: float | None = None,
     # per-order divergence guards: ||nu_0|| <= ||u_in||, ||nu_i|| <= K^i ||u_in||
     if K is not None and K > 0:
         guards = norm_u * np.power(K, np.arange(m)) * _DIVERGENCE_SLACK
-        norms = np.linalg.norm(nu, axis=2)                      # (c+1, len(ts))
+        norms = vector_norm(nu, axis=2)                         # (c+1, len(ts))
         over = norms > guards[:, None]
         if over.any():
             step = int(np.argmax(over.any(axis=0)))

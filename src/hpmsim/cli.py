@@ -144,7 +144,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_embed(args) -> int:
     cfg = _load_config(args)
     ode = build_ode(cfg, args.config.parent)
-    solved, zeta, _ = rescaled_problem(ode, cfg.zeta, cfg.dense_cap)
+    solved, zeta, _ = rescaled_problem(ode, cfg.zeta)
     if args.order is not None:
         c = args.order
     elif cfg.c is not None:
@@ -163,6 +163,9 @@ def _cmd_embed(args) -> int:
         "offsets": sys_.index.offsets,
         "zeta": zeta,
         "norm_A": sys_.norm_A,
+        "norm_A_lower": sys_.norm_A_lower,
+        "norm_A_upper": sys_.norm_A_upper,
+        "norm_A_tol": sys_.norm_A_tol,
     }
     (args.out / "embed.json").write_text(json.dumps(sidecar, indent=2) + "\n")
     print(f"wrote A ({sys_.A.nnz} nonzeros, N={sys_.index.N}) and y_in to {args.out}")

@@ -7,11 +7,14 @@ graded-lex with the all-zeros tuple first.  Level 0 is the single summed
 vector nu_0 + ... + nu_c.  The stacked dynamics are linear, dy/dt = A y,
 with A block upper bidiagonal over levels.  A is built from
 `scipy.sparse` Kronecker products: Kronecker sums of F1 on the diagonal,
-copies of F2 placed by 0/1 split matrices above it.
+each level's from the one below by S_i = S_{i-1} kron I_n + I kron F1, and
+copies of F2 placed by 0/1 split matrices above it.  ||A|| comes with a
+closed-form bracket that certifies the step count m = ceil(T ||A||).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +27,13 @@ from .sparse import SparseMatrix, spectral_norm
 
 # default limit on the embedded dimension N (keeps direct solves desk-scale)
 N_CAP = 200_000
+# residual tolerances of the Lanczos ||A||: the loose one when it certifies
+# the step count, the tight one otherwise
+LOOSE_NORM_TOL = 1e-5
+NORM_TOL = 1e-10
+# relative widening of both ends of the ||A|| bracket, past the rounding of
+# the dense eigen- and singular-value solves and of the sums behind them
+BRACKET_SLACK = 1e-12
 
 
 def level_sizes(c: int) -> list[int]:
@@ -129,13 +139,20 @@ class EmbeddedSystem:
     index: EmbeddingIndexMap
     A: SparseMatrix
     y_in: np.ndarray
-    norm_A: float
+    norm_A: float               # Lanczos estimate, never above ||A||
+    norm_A_lower: float         # closed-form bracket lower <= ||A|| <= upper
+    norm_A_upper: float
+    norm_A_tol: float           # residual tolerance the estimate ran at
 
 
-def _in_slot(mat: sp.csr_array, n: int, k: int, i: int) -> sp.csr_array:
-    """I_n^(kron k) kron mat kron I_n^(kron i-k)."""
-    return sp.kron(sp.kron(sp.eye_array(n ** k), mat, format="coo"),
-                   sp.eye_array(n ** (i - k)), format="csr")
+def step_counts(T: float, norm_A: float) -> tuple[int, float]:
+    """m = ceil(T ||A||) steps of h = T/m, so ||A h|| <= 1."""
+    if T < 0:
+        raise ValidationError("T must be nonnegative")
+    if T == 0:
+        return 1, 0.0
+    m = max(1, math.ceil(T * norm_A - 1e-12))
+    return m, T / m
 
 
 def _split_matrix(index: EmbeddingIndexMap, i: int, k: int) -> np.ndarray:
@@ -148,11 +165,19 @@ def _split_matrix(index: EmbeddingIndexMap, i: int, k: int) -> np.ndarray:
     return P
 
 
-def assemble_A(ode: QuadraticODE, c: int, cap: int = N_CAP,
-               norm_tol: float = 1e-10) -> EmbeddedSystem:
-    """Assemble the block upper bidiagonal embedding matrix and y(0).
+def _schur_bound(block: sp.csr_array) -> float:
+    """sqrt(||B||_1 ||B||_inf), an upper bound on ||B||_2."""
+    mag = abs(block)
+    return math.sqrt(mag.sum(axis=0).max()) * math.sqrt(mag.sum(axis=1).max())
 
-    Diagonal block i: I_{beta_i} kron sum_k I^k kron F1 kron I^(i-k).
+
+def assemble_A(ode: QuadraticODE, c: int, cap: int = N_CAP,
+               T: float | None = None) -> EmbeddedSystem:
+    """Assemble the block upper bidiagonal embedding matrix, y(0) and ||A||.
+
+    Diagonal block i: I_{beta_i} kron S_i, S_i = sum_k I^k kron F1 kron I^(i-k)
+    the Kronecker sum of i+1 copies of F1, built by the recurrence
+    S_0 = F1, S_i = S_{i-1} kron I_n + I_{n^i} kron F1.
     Level 0 couples to every level-1 component through a copy of F2.  For
     i >= 1, splitting slot k of a row multi-index into (l, a_k-1-l) targets
     the level-(i+1) component with that refined multi-index through
@@ -160,6 +185,15 @@ def assemble_A(ode: QuadraticODE, c: int, cap: int = N_CAP,
     sum_k P_{i,k} kron I^k kron F2 kron I^(i-k).  Sums run over k = 0..i in
     order; an entry of a sum of two or more terms that comes to exactly
     zero is not stored.
+
+    ||A|| is bracketed in closed form.  A = D + U with D block diagonal and
+    U block superdiagonal: the spectral radius (c+1) rho(F1) of D's last
+    block is a lower end, (c+1) sigma_1(F1) + max_i sqrt(||U_i||_1 ||U_i||_inf)
+    an upper one.  Lanczos starts from sigma_1's singular vector w, as
+    w^(kron c+1) on level c, and is certified by the lower end.  Given a
+    horizon T it runs at LOOSE_NORM_TOL first and keeps that estimate when
+    its step count equals the upper end's (the estimate is never above
+    ||A||, so that count is m); else, or with no T, it runs at NORM_TOL.
     """
     index = build_index_map(c, ode.n, cap)
     n, F1, F2 = ode.n, ode.F1.csr, ode.F2.csr
@@ -167,20 +201,38 @@ def assemble_A(ode: QuadraticODE, c: int, cap: int = N_CAP,
     # with every block csr, empty ones included, block_array joins the csr
     # arrays directly instead of copying all entries through one COO
     blocks = [[sp.csr_array((rows, cols)) for cols in sizes] for rows in sizes]
+    S = F1
     for i in range(c + 1):
-        blocks[i][i] = sp.kron(sp.eye_array(index.beta[i]),
-                               sum(_in_slot(F1, n, k, i) for k in range(i + 1)), format="csr")
+        if i:
+            S = (sp.kron(S, sp.eye_array(n), format="csr")
+                 + sp.kron(sp.eye_array(n ** i), F1, format="csr"))
+        # beta_0 = beta_c = 1: the top level, the largest, is S_c itself
+        blocks[i][i] = (S if index.beta[i] == 1
+                        else sp.kron(sp.eye_array(index.beta[i]), S, format="csr"))
     if F2.nnz and c >= 1:
         blocks[0][1] = sp.kron(np.ones((1, index.beta[1])), F2, format="csr")
+        slots = [F2]        # I^k kron F2 kron I^(i-k), k = 0..i, at level i
         for i in range(1, c):
-            blocks[i][i + 1] = sum(
-                sp.kron(_split_matrix(index, i, k), _in_slot(F2, n, k, i), format="csr")
-                for k in range(i + 1))
+            slots = [*(sp.kron(t, sp.eye_array(n), format="csr") for t in slots),
+                     sp.kron(sp.eye_array(n ** i), F2, format="csr")]
+            blocks[i][i + 1] = sum(sp.kron(_split_matrix(index, i, k), t, format="csr")
+                                   for k, t in enumerate(slots))
+    coupling = max((_schur_bound(blocks[i][i + 1]) for i in range(c)), default=0.0)
+    lower = (c + 1) * float(np.abs(ode.eigs_F1).max(initial=0.0)) * (1 - BRACKET_SLACK)
+    upper = ((c + 1) * ode.norm_F1 + coupling) * (1 + BRACKET_SLACK)
 
     A = SparseMatrix(sp.block_array(blocks, format="csr"))
     y_in = assemble_y_in(ode, index)
-    norm_A = spectral_norm(A, tol=norm_tol) if A.nnz else 0.0
-    return EmbeddedSystem(index=index, A=A, y_in=y_in, norm_A=norm_A)
+    norm_A, tol = 0.0, NORM_TOL
+    if A.nnz:
+        guess = np.zeros(index.N)
+        guess[index.level_slice(c)] = functools.reduce(np.kron, [ode.top_F1] * (c + 1))
+        for tol in (NORM_TOL,) if T is None else (LOOSE_NORM_TOL, NORM_TOL):
+            norm_A = spectral_norm(A, tol=tol, lower=lower, start=guess)
+            if T is None or step_counts(T, norm_A)[0] == step_counts(T, upper)[0]:
+                break
+    return EmbeddedSystem(index=index, A=A, y_in=y_in, norm_A=norm_A, norm_A_lower=lower,
+                          norm_A_upper=upper, norm_A_tol=tol)
 
 
 def assemble_y_in(ode: QuadraticODE, index: EmbeddingIndexMap) -> np.ndarray:
@@ -323,6 +375,9 @@ def structural_report(sys: EmbeddedSystem, ode: QuadraticODE, norm_F1: float,
 
     norm_bound = (c + 1) * (norm_F1 + norm_F2)
     report["norm_A"] = sys.norm_A
+    report["norm_A_lower"] = sys.norm_A_lower
+    report["norm_A_upper"] = sys.norm_A_upper
+    report["norm_A_tol"] = sys.norm_A_tol
     report["norm_A_bound"] = norm_bound
     if sys.norm_A > norm_bound * (1 + 1e-9):
         raise BoundViolation(

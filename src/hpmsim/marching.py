@@ -20,10 +20,10 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .cascade import min_order_for_bound, truncation_bound
-from .embedding import EmbeddedSystem
+from .embedding import EmbeddedSystem, step_counts
 from .errors import NumericalError, ValidationError
 from .ode import SQRT_HALF, NonlinearityParams
-from .sparse import DENSE_ORACLE_CAP, SparseMatrix, spectral_norm
+from .sparse import DENSE_ORACLE_CAP, SparseMatrix, spectral_norm, vector_norm
 
 SOLVE_FLOOR = 1e-10
 
@@ -131,16 +131,6 @@ class TaylorSystemParams:
         if j < 0 or j > self.p:
             raise ValidationError(f"copy index {j} outside 0..{self.p}")
         return self.m * (self.k + 1) + j
-
-
-def step_counts(T: float, norm_A: float) -> tuple[int, float]:
-    """m = ceil(T ||A||) steps of h = T/m, so ||A h|| <= 1."""
-    if T < 0:
-        raise ValidationError("T must be nonnegative")
-    if T == 0:
-        return 1, 0.0
-    m = max(1, math.ceil(T * norm_A - 1e-12))
-    return m, T / m
 
 
 def taylor_order_for(Omega: float) -> int:
@@ -394,13 +384,13 @@ def step_errors_vs_expm(sys: EmbeddedSystem, params: TaylorSystemParams,
 
     E is the dense oracle expm(A h) at h = params.h.
     """
-    norm_yin = float(np.linalg.norm(sys.y_in))
+    norm_yin = float(vector_norm(sys.y_in))
     # an int / int quotient underflows to 0 where float((k+1)!) would overflow
     inv_fact = 1 / math.factorial(params.k + 1)
     rows = []
     exact = sys.y_in.copy()
     for j in range(params.m + 1):
-        measured = float(np.linalg.norm(exact - sol.step_solution(j)))
+        measured = float(vector_norm(exact - sol.step_solution(j)))
         bound = 2.0 * j * (params.c + 1) * (params.c + 2) * norm_yin * inv_fact
         rows.append({"step": j, "measured": measured, "bound": bound})
         if j < params.m:

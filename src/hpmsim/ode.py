@@ -11,7 +11,7 @@ with the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,10 +37,30 @@ class QuadraticODE:
     F1: SparseMatrix
     F2: SparseMatrix
     u_in: np.ndarray
-    s: int = 0  # max row/col nonzeros over F1 and F2, filled by validate()
+    s: int = 0  # max row/col nonzeros over F1 and F2, filled by make_ode
+    # F1's spectrum, filled by make_ode once per instance (see f1_spectrum)
+    eigs_F1: np.ndarray | None = None
+    norm_F1: float = 0.0
+    top_F1: np.ndarray | None = None
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
         return self.F1.matvec(u) + self.F2.matvec(np.outer(u, u).ravel())
+
+
+def f1_spectrum(F1: SparseMatrix,
+                dense_cap: int = DENSE_ORACLE_CAP) -> tuple[np.ndarray, float, np.ndarray]:
+    """F1's eigenvalues (residual-verified), its largest singular value
+    sigma_1 = ||F1|| and a unit right singular vector for it, from one dense
+    eigensolve and one dense SVD under the cap.
+
+    The SVD runs on F1 scaled by an exact power of two, so entries such as
+    1e300 cannot overflow it; sigma_1 is exact to rounding, an upper end as
+    good as a lower one.
+    """
+    d1 = F1.to_dense(dense_cap)
+    exp = math.frexp(float(np.abs(d1).max(initial=0.0)))[1]
+    _, sig, vt = np.linalg.svd(np.ldexp(d1, -exp))
+    return dense_eigs(d1, dense_cap), math.ldexp(float(sig[0]), exp), vt[0]
 
 
 def make_ode(n: int, F1: SparseMatrix, F2: SparseMatrix, u_in,
@@ -48,9 +68,10 @@ def make_ode(n: int, F1: SparseMatrix, F2: SparseMatrix, u_in,
              dense_cap: int = DENSE_ORACLE_CAP) -> QuadraticODE:
     """Build and validate a problem instance.
 
-    Normality of F1 and dissipativity (all Re lambda < 0) are verified with
-    the dense oracle when n is under the cap; above the cap the caller must
-    pass assume_valid=True.
+    F1's spectrum is taken once here (`f1_spectrum`, so n^2 must fit under
+    the dense cap) and travels with the instance. Normality of F1 and
+    dissipativity (all Re lambda < 0) are then verified unless the caller
+    passes assume_valid=True.
     """
     u_in = np.asarray(u_in, dtype=np.float64)
     if F1.rows != n or F1.cols != n:
@@ -60,25 +81,21 @@ def make_ode(n: int, F1: SparseMatrix, F2: SparseMatrix, u_in,
     if u_in.shape != (n,):
         raise ValidationError(f"u_in must have length {n}")
     s = max(F1.sparsity(), F2.sparsity())
+    lam, norm1, top = f1_spectrum(F1, dense_cap)
     if not assume_valid:
-        if n * n > dense_cap:
-            raise ValidationError(
-                "n exceeds the dense check cap; pass assume_valid to skip checks"
-            )
         d1 = F1.to_dense(dense_cap)
         # an exact power-of-two rescale keeps the squares clear of overflow
         exp = math.frexp(float(np.abs(d1).max(initial=0.0)))[1]
         d1s = np.ldexp(d1, -exp)
         comm = np.linalg.norm(d1s @ d1s.T - d1s.T @ d1s)
-        norm1 = math.ldexp(spectral_norm(F1), -exp) if F1.nnz else 0.0
-        if comm > 1e-10 * max(norm1**2, np.finfo(float).tiny):
+        if comm > 1e-10 * max(math.ldexp(norm1, -exp) ** 2, np.finfo(float).tiny):
             raise ValidationError("F1 is not normal")
-        lam = dense_eigs(d1, dense_cap)
         if lam.size and lam.real.max() >= 0:
             raise ValidationError(
                 f"F1 is not dissipative: max Re(lambda) = {lam.real.max():.3e}"
             )
-    return QuadraticODE(n=n, F1=F1, F2=F2, u_in=u_in, s=s)
+    return QuadraticODE(n=n, F1=F1, F2=F2, u_in=u_in, s=s,
+                        eigs_F1=lam, norm_F1=norm1, top_F1=top)
 
 
 @dataclass(frozen=True)
@@ -91,11 +108,9 @@ class NonlinearityParams:
     flag_K_below_u: bool   # K < ||u_in||: rescaling assumption not yet met
 
 
-def compute_K(ode: QuadraticODE, dense_cap: int = DENSE_ORACLE_CAP) -> NonlinearityParams:
+def compute_K(ode: QuadraticODE) -> NonlinearityParams:
     """Nonlinearity parameter K and its ingredients; soft flags, hard dissipativity."""
-    d1 = ode.F1.to_dense(dense_cap)
-    lam = dense_eigs(d1, dense_cap)
-    re1 = float(lam.real.max())
+    re1 = float(ode.eigs_F1.real.max())
     if re1 >= 0:
         raise ValidationError(f"not dissipative: max Re(lambda) = {re1:.3e}")
     norm_f2 = spectral_norm(ode.F2) if ode.F2.nnz else 0.0
@@ -115,13 +130,7 @@ def rescale(ode: QuadraticODE, zeta: float) -> QuadraticODE:
     """Substitute u -> zeta*u: u_in' = zeta u_in, F2' = F2/zeta. K is invariant."""
     if zeta <= 0:
         raise ValidationError("zeta must be positive")
-    return QuadraticODE(
-        n=ode.n,
-        F1=ode.F1,
-        F2=ode.F2.scaled(1.0 / zeta),
-        u_in=ode.u_in * zeta,
-        s=ode.s,
-    )
+    return replace(ode, F2=ode.F2.scaled(1.0 / zeta), u_in=ode.u_in * zeta)
 
 
 @dataclass
@@ -135,10 +144,9 @@ class Trajectory:
 
 
 def default_dt(ode: QuadraticODE, T: float) -> float:
-    norm_f1 = spectral_norm(ode.F1) if ode.F1.nnz else 0.0
     candidates = [T / 1000.0 if T > 0 else 1.0]
-    if norm_f1 > 0:
-        candidates.append(1.0 / (10.0 * norm_f1))
+    if ode.norm_F1 > 0:
+        candidates.append(1.0 / (10.0 * ode.norm_F1))
     return min(candidates)
 
 

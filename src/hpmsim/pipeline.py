@@ -256,15 +256,14 @@ def _check(name: str, description: str, measured, bound, precondition_ok: bool,
     }
 
 
-def rescaled_problem(ode: QuadraticODE, zeta: float | None = None,
-                     dense_cap: int = DENSE_ORACLE_CAP
+def rescaled_problem(ode: QuadraticODE, zeta: float | None = None
                      ) -> tuple[QuadraticODE, float, NonlinearityParams]:
     """The rescaled problem u -> zeta u, zeta, and the NonlinearityParams of ode.
 
     zeta defaults to K/||u_in|| when K > 0 (so ||u_in|| = K after the
     substitution), else 1; zeta = 1 returns ode itself.
     """
-    nl = compute_K(ode, dense_cap)
+    nl = compute_K(ode)
     if zeta is None:
         zeta = nl.K / nl.norm_u_in if nl.K > 0 else 1.0
     return (rescale(ode, zeta) if zeta != 1.0 else ode), zeta, nl
@@ -295,13 +294,13 @@ def prepare(config: RunConfig, base_dir: Path | None = None,
         ode = build_ode(config, base_dir)
 
     with _Stage("nonlinearity", timings):
-        solved, zeta, nl0 = rescaled_problem(ode, config.zeta, config.dense_cap)
+        solved, zeta, nl0 = rescaled_problem(ode, config.zeta)
         if nl0.flag_K_large and not config.force:
             raise ValidationError(
                 f"K = {nl0.K:.4g} >= sqrt(2)/2: the level-0 post-selection "
                 "bound needs K < sqrt(2)/2"
             )
-        nl = compute_K(solved, config.dense_cap) if zeta != 1.0 else nl0
+        nl = compute_K(solved) if zeta != 1.0 else nl0
         if abs(nl.K - nl0.K) > 1e-9 * max(nl0.K, 1.0):
             raise NumericalError("rescaling changed K, which must be invariant")
 
@@ -330,7 +329,7 @@ def prepare(config: RunConfig, base_dir: Path | None = None,
 def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
     timings: dict = {}
     prep = prepare(config, base_dir, timings)
-    ode, solved, nl, ref, sel = prep.ode, prep.solved, prep.nl, prep.ref, prep.sel
+    solved, nl, ref, sel = prep.solved, prep.nl, prep.ref, prep.sel
     c_used, u_exact, warnings = prep.c, ref.final(), prep.warnings
 
     with _Stage("cascade", timings):
@@ -339,9 +338,10 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
         utilde_norm = vector_norm(utilde_T)
 
     with _Stage("embed", timings):
-        sys = emb.assemble_A(solved, c_used, cap=config.dimension_cap)
-        struct = emb.structural_report(sys, solved, spectral_norm(ode.F1) if ode.F1.nnz else 0.0,
-                                       nl.norm_F2, nl.re_lambda1)
+        # an m or h override leaves no step count for the bracket to certify
+        T_steps = None if config.m is not None or config.h is not None else config.T
+        sys = emb.assemble_A(solved, c_used, cap=config.dimension_cap, T=T_steps)
+        struct = emb.structural_report(sys, solved, solved.norm_F1, nl.norm_F2, nl.re_lambda1)
 
     with _Stage("decay", timings):
         g = float(config.g) if config.g is not None else _decay_ratio(sys, casc)
@@ -506,7 +506,7 @@ def _bound_checks(nl, sys: emb.EmbeddedSystem, params: mar.TaylorSystemParams,
         cond["measured"], cond["bound"], cond["precondition_ok"],
         note="" if cond["measured"] is not None else "skipped: size over dense cap"))
 
-    trunc_measured = float(np.linalg.norm(zeta * u_exact - utilde_T))
+    trunc_measured = float(vector_norm(zeta * u_exact - utilde_T))
     trunc_bound = hpm.truncation_bound(K, c) if 0 < K < 1 else 0.0
     # the geometric tail needs ||u_in|| <= K, which the default rescaling
     # guarantees; a zeta override may leave this regime

@@ -4,9 +4,10 @@
 `scipy.sparse.csr_array`, `.csr` (sorted indices, duplicates summed);
 consumers read `.csr` directly and never convert it again.
 `spectral_norm` is the one 2-norm estimator for sparse, dense and operator
-inputs: Lanczos (ARPACK `svds`) from a seeded random start, certified
+inputs: Lanczos (ARPACK `svds`) from a seeded random start, optionally
+steered toward a caller's guess of the top singular vector, certified
 against a lower bound on the norm (the largest row and column 2-norms of a
-matrix, a caller-supplied bound for an operator).
+matrix, or a caller-supplied bound, whichever is larger).
 Dense routines (expm, eigenvalues, condition number) are verification
 oracles only and refuse to run above an explicit entry cap so that large
 embeddings are never densified by accident.
@@ -102,17 +103,20 @@ def _check_cap(rows: int, cols: int, cap: int = DENSE_ORACLE_CAP) -> None:
 
 def spectral_norm(matrix: SparseMatrix | np.ndarray | LinearOperator, tol: float = 1e-10,
                   max_iter: int | None = None, cap: int = DENSE_ORACLE_CAP,
-                  lower: float | None = None) -> float:
+                  lower: float | None = None, start: np.ndarray | None = None) -> float:
     """Largest singular value by Lanczos (ARPACK `svds`) from a seeded start.
 
     Sparse, dense and operator inputs share this one estimator; a
     `SparseMatrix` is read through its `.csr`, a dense array must fit under
     `cap`. The start vector comes from a fixed seed, so results are
-    bit-for-bit reproducible. Every estimate is certified from below: for
-    a matrix the largest row and column 2-norms are lower bounds on
-    ||M||_2; an operator has no entries to read, so its caller must pass
-    `lower`, a lower bound it knows (read for operators only). An estimate
-    below the certificate raises NumericalError instead of being returned.
+    bit-for-bit reproducible; `start`, a guess of the top right singular
+    vector, is added to 1e-3 times it, so that Lanczos begins near the
+    answer without missing any direction. Every estimate is certified from
+    below: for a matrix the largest row and column 2-norms are lower bounds
+    on ||M||_2, and `lower`, a lower bound the caller knows, replaces them
+    when larger; an operator has no entries to read, so its caller must
+    pass `lower`. An estimate below the certificate raises NumericalError
+    instead of being returned.
     """
     if isinstance(matrix, LinearOperator):
         if lower is None:
@@ -141,7 +145,11 @@ def spectral_norm(matrix: SparseMatrix | np.ndarray | LinearOperator, tol: float
             # ARPACK needs k < min(shape); a single row or column is exact
             return math.ldexp(math.sqrt(sq.sum()), exp)
         floor = math.sqrt(max(sq.sum(axis=1).max(), sq.sum(axis=0).max()))
+        if lower is not None:
+            floor = max(floor, math.ldexp(lower, -exp))
     v0 = np.random.default_rng(0).standard_normal(min(arr.shape))
+    if start is not None:
+        v0 = start + 1e-3 * v0
     try:
         est = float(svds(arr, k=1, v0=v0, tol=tol, maxiter=max_iter,
                          return_singular_vectors=False)[0])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import hpmsim.cascade
 from hpmsim.cascade import (
     catalan,
     min_order_for_bound,
@@ -220,6 +221,23 @@ def test_divergence_guard_names_first_overshooting_order():
     # from the first grid point on, for a K far below the instance's own
     with pytest.raises(NumericalError, match=r"order 1 overshot its decay bound at t=0\.001 "):
         solve_cascade(std1(), 2, 1.0, K=1e-6)
+
+
+def test_divergence_guard_trips_at_tiny_state_size(monkeypatch):
+    # std1 with F2 = 1e-300 rescaled onto ||u_in|| = K = 2e-300: squaring the
+    # order norms unscaled gives 0 <= 0 and the guard never trips
+    ode = make_ode(1, SparseMatrix.from_triplets(1, 1, [(0, 0, -1.0)]),
+                   SparseMatrix.from_triplets(1, 1, [(0, 0, 0.25)]), [2e-300])
+    integrate = hpmsim.cascade.integrate
+
+    def order0_doubled(*args, **kwargs):
+        states = integrate(*args, **kwargs)
+        states[:, 0] *= 2.0
+        return states
+
+    monkeypatch.setattr(hpmsim.cascade, "integrate", order0_doubled)
+    with pytest.raises(NumericalError, match="order 0 overshot its decay bound at t=0 "):
+        solve_cascade(ode, 1, 1.0, K=2e-300)
 
 
 def test_catalan_first_values():

@@ -194,6 +194,15 @@ def test_embed_reads_triplet_files(tmp_path):
     assert sidecar["N"] == 22
 
 
+def test_embed_sidecar_reports_the_norm_bracket(std1_config, tmp_path):
+    # embed has no horizon to certify a step count for: the tight estimate runs
+    out = tmp_path / "out"
+    assert main(["--config", str(std1_config), "--out", str(out), "embed", "--order", "3"]) == 0
+    sidecar = json.loads((out / "embed.json").read_text())
+    assert sidecar["norm_A_lower"] <= sidecar["norm_A"] <= sidecar["norm_A_upper"]
+    assert sidecar["norm_A_tol"] == 1e-10
+
+
 def test_hpm_csv(std1_config, tmp_path):
     cfg = json.loads(std1_config.read_text())
     cfg["c"] = 2

@@ -3,9 +3,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
+import hpmsim.sparse
 from hpmsim.cascade import solve_cascade, truncated_solution
 from hpmsim.embedding import (
+    LOOSE_NORM_TOL,
+    NORM_TOL,
+    _split_matrix,
     assemble_A,
     assemble_y_in,
     build_embedded_vector,
@@ -14,11 +22,13 @@ from hpmsim.embedding import (
     enumerate_level,
     level_sizes,
     row_pattern_Bm,
+    step_counts,
     structural_report,
     total_dimension,
 )
 from hpmsim.errors import BoundViolation, ValidationError
 from hpmsim.ode import compute_K, make_ode
+from hpmsim.pipeline import RunConfig, generate_instance, run
 from hpmsim.sparse import SparseMatrix, dense_expm, spectral_norm
 
 
@@ -248,6 +258,124 @@ def test_assemble_A_matches_reference_bit_for_bit(n, c, kind):
     assert np.array_equal(A.indptr, indptr)
     assert np.array_equal(A.indices, indices)
     assert A.data.tobytes() == data.tobytes()
+
+
+def _in_slot(mat, n: int, k: int, i: int):
+    """I_n^(kron k) kron mat kron I_n^(kron i-k)."""
+    return sp.kron(sp.kron(sp.eye_array(n ** k), mat, format="coo"),
+                   sp.eye_array(n ** (i - k)), format="csr")
+
+
+def per_slot_A(ode, c: int) -> sp.csr_array:
+    """A from one Kronecker product per slot and level, summed over the
+    slots: the construction the recurrences in assemble_A replace."""
+    index = build_index_map(c, ode.n)
+    n, F1, F2 = ode.n, ode.F1.csr, ode.F2.csr
+    sizes = [index.beta[i] * n ** (i + 1) for i in range(c + 1)]
+    blocks = [[sp.csr_array((rows, cols)) for cols in sizes] for rows in sizes]
+    for i in range(c + 1):
+        blocks[i][i] = sp.kron(sp.eye_array(index.beta[i]),
+                               sum(_in_slot(F1, n, k, i) for k in range(i + 1)), format="csr")
+    if F2.nnz and c >= 1:
+        blocks[0][1] = sp.kron(np.ones((1, index.beta[1])), F2, format="csr")
+        for i in range(1, c):
+            blocks[i][i + 1] = sum(
+                sp.kron(_split_matrix(index, i, k), _in_slot(F2, n, k, i), format="csr")
+                for k in range(i + 1))
+    return SparseMatrix(sp.block_array(blocks, format="csr")).csr
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("c", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["normal", "nonnormal"])
+def test_assemble_A_matches_per_slot_construction(n, c, kind):
+    ode = random_ode(n, seed=7 * n + c) if kind == "normal" else nonnormal_ode(n, seed=7 * n + c)
+    A, want = assemble_A(ode, c).A.csr, per_slot_A(ode, c)
+    assert np.array_equal(A.indptr, want.indptr)
+    assert np.array_equal(A.indices, want.indices)
+    assert A.data.tobytes() == want.data.tobytes()
+
+
+# -- the ||A|| bracket and the step count it certifies ----------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 10_000),
+       st.floats(0.05, 3.0))
+def test_norm_bracket_holds_and_certifies_m(n, c, seed, T):
+    ode = random_ode(n, seed=seed)
+    sys = assemble_A(ode, c, T=T)
+    norm = np.linalg.norm(sys.A.to_dense(), 2)
+    assert sys.norm_A_lower <= norm <= sys.norm_A_upper
+    assert sys.norm_A_lower <= sys.norm_A <= sys.norm_A_upper
+    sigma = spectral_norm(sys.A, tol=1e-10)
+    assert step_counts(T, sys.norm_A)[0] == math.ceil(T * sigma - 1e-12)
+
+
+def _uncertified_T(norm: float, upper: float) -> tuple[float, int]:
+    """A horizon T and an integer j with T norm < j < T upper, so that the
+    step count of an estimate near norm is j and that of upper is j + 1."""
+    j = math.floor(0.25 / (1.0 - norm / upper)) + 1
+    return (j - 0.25) / norm, j
+
+
+def test_uncertified_step_count_falls_back_to_the_tight_estimate():
+    ode, c = std1(), 3
+    tight = assemble_A(ode, c)
+    assert tight.norm_A_tol == NORM_TOL
+    T, j = _uncertified_T(tight.norm_A, tight.norm_A_upper)
+    sys = assemble_A(ode, c, T=T)
+    assert sys.norm_A_tol == NORM_TOL
+    assert step_counts(T, sys.norm_A)[0] == j
+    # where both ends give one step, the loose estimate stands
+    assert assemble_A(ode, c, T=0.5 / tight.norm_A_upper).norm_A_tol == LOOSE_NORM_TOL
+
+
+def test_run_reports_the_tolerance_its_step_count_needed():
+    std1 = {"n": 1, "epsilon": 1e-2, "u_in": [0.5], "F1_triplets": [[0, 0, -1.0]],
+            "F2_triplets": [[0, 0, 0.2]]}
+    rep = run(RunConfig.from_dict({**std1, "T": 1.0}))
+    assert rep.structure["norm_A_tol"] == LOOSE_NORM_TOL
+    T, j = _uncertified_T(rep.structure["norm_A"], rep.structure["norm_A_upper"])
+    rep = run(RunConfig.from_dict({**std1, "T": T}))
+    assert rep.structure["norm_A_tol"] == NORM_TOL
+    assert rep.parameters["m"] == j
+    # an m override leaves no step count to certify
+    rep = run(RunConfig.from_dict({**std1, "T": 1.0, "m": 6}))
+    assert rep.structure["norm_A_tol"] == NORM_TOL
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("c", [0, 1, 2, 3])
+def test_norm_bracket_holds_for_nonnormal_F1(n, c):
+    sys = assemble_A(nonnormal_ode(n, seed=3 * n + c), c, T=1.0)
+    norm = np.linalg.norm(sys.A.to_dense(), 2)
+    assert sys.norm_A_lower <= norm <= sys.norm_A_upper
+
+
+def test_norm_estimate_cost_guard_gen8(monkeypatch):
+    # products with A or A^T that the ||A|| estimate makes at n = 8, c = 3
+    # (the order a run at epsilon = 1e-2 selects): 383 from a random start
+    # at tolerance 1e-10
+    products = [0]
+    svds = hpmsim.sparse.svds
+
+    def counting_svds(arr, **kwargs):
+        op = aslinearoperator(arr)
+
+        def count(apply, x):
+            products[0] += 1 if x.ndim == 1 else x.shape[1]
+            return apply(x)
+        return svds(LinearOperator(op.shape, dtype=op.dtype,
+                                   matvec=lambda x: count(op.matvec, x),
+                                   rmatvec=lambda x: count(op.rmatvec, x),
+                                   matmat=lambda x: count(op.matmat, x),
+                                   rmatmat=lambda x: count(op.rmatmat, x)), **kwargs)
+
+    ode = generate_instance(8, 2, 0.3, 7)
+    monkeypatch.setattr(hpmsim.sparse, "svds", counting_svds)
+    sys = assemble_A(ode, 3, T=1.0)
+    assert sys.norm_A_tol == LOOSE_NORM_TOL
+    assert 0 < products[0] <= 160
 
 
 # -- diagnostics ----------------------------------------------------------

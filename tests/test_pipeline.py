@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import hpmsim.embedding
 import hpmsim.marching
+import hpmsim.ode
+import hpmsim.pipeline
 from hpmsim.embedding import assemble_A
 from hpmsim.errors import NumericalError, ValidationError
 from hpmsim.marching import choose_order
@@ -18,7 +21,7 @@ from hpmsim.pipeline import (
     run,
     sweep,
 )
-from hpmsim.sparse import dense_expm
+from hpmsim.sparse import SparseMatrix, dense_expm, spectral_norm
 
 STD1 = {
     "n": 1, "T": 1.0, "epsilon": 1e-2, "u_in": [0.5],
@@ -147,6 +150,41 @@ def test_run_selects_the_order_once(monkeypatch):
         calls.clear()
         assert run(std1_config(**extra)).status == "pass"
         assert len(calls) == 1
+
+
+def test_run_takes_the_norm_of_F1_once(monkeypatch):
+    # ||F1|| comes from one dense SVD when the instance is built, and the
+    # rescaled instance keeps it: no stage estimates it again
+    cfg = instance_config(generate_instance(2, 1, 0.1, 3), 1.0, 1e-2)
+    spectra, shapes = [], []
+    f1_spectrum = hpmsim.ode.f1_spectrum
+
+    def counted(*args, **kwargs):
+        spectra.append(args)
+        return f1_spectrum(*args, **kwargs)
+
+    def recorded(matrix, *args, **kwargs):
+        shapes.append((matrix.rows, matrix.cols) if isinstance(matrix, SparseMatrix)
+                      else matrix.shape)
+        return spectral_norm(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(hpmsim.ode, "f1_spectrum", counted)
+    for module in (hpmsim.ode, hpmsim.embedding, hpmsim.marching, hpmsim.pipeline):
+        monkeypatch.setattr(module, "spectral_norm", recorded)
+    assert run(cfg).status == "pass"
+    assert len(spectra) == 1
+    assert shapes and (2, 2) not in shapes
+
+
+def test_tiny_nonlinearity_step_error_bound_is_positive():
+    # K = 2e-300 makes ||y_in|| ~ 2e-300, whose unscaled square is 0: the
+    # step-error bound read 0 and the row passed as 0 <= 0
+    rep = run(std1_config(F2_triplets=[[0, 0, 1e-300]]))
+    assert rep.status == "pass"
+    row = next(r for r in rep.bound_checks if r["check"] == "step_error")
+    assert row["precondition_ok"]
+    assert 0.0 < row["bound"]
+    assert row["measured"] <= row["bound"]
 
 
 def test_stage_names_innermost_stage_once_and_keeps_arguments():

@@ -241,6 +241,24 @@ def test_spectral_norm_certificate_rejects_underestimate(monkeypatch):
         spectral_norm(SparseMatrix.from_dense(F1_ORTHOGONAL_START))
 
 
+def test_spectral_norm_caller_lower_bound_certifies_a_matrix():
+    # sqrt(2.5), the largest column norm, passes; a caller's bound above
+    # ||M|| = 2 makes the estimate fail its certificate
+    m = SparseMatrix.from_dense(F1_ORTHOGONAL_START)
+    assert spectral_norm(m, lower=1.9) == pytest.approx(2.0, rel=1e-12)
+    with pytest.raises(NumericalError, match="lower bound 2.1"):
+        spectral_norm(m, lower=2.1)
+
+
+def test_spectral_norm_start_guess_orthogonal_to_the_answer():
+    # a guess along the smallest singular direction still finds the largest:
+    # the seeded part of the start reaches every direction
+    m = SparseMatrix.from_dense(np.diag(np.linspace(1.0, 2.0, 50)))
+    guess = np.zeros(50)
+    guess[0] = 1.0
+    assert spectral_norm(m, start=guess) == pytest.approx(2.0, rel=1e-12)
+
+
 @st.composite
 def _small_matrices(draw):
     rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
