@@ -27,8 +27,8 @@ from .sparse import SparseMatrix, spectral_norm
 
 # default limit on the embedded dimension N (keeps direct solves desk-scale)
 N_CAP = 200_000
-# residual tolerances of the Lanczos ||A||: the loose one when it certifies
-# the step count, the tight one otherwise
+# residual tolerances of the Lanczos ||A||: the loose one when its step count
+# is settled, the tight one otherwise
 LOOSE_NORM_TOL = 1e-5
 NORM_TOL = 1e-10
 # relative widening of both ends of the ||A|| bracket, past the rounding of
@@ -189,11 +189,13 @@ def assemble_A(ode: QuadraticODE, c: int, cap: int = N_CAP,
     ||A|| is bracketed in closed form.  A = D + U with D block diagonal and
     U block superdiagonal: the spectral radius (c+1) rho(F1) of D's last
     block is a lower end, (c+1) sigma_1(F1) + max_i sqrt(||U_i||_1 ||U_i||_inf)
-    an upper one.  Lanczos starts from sigma_1's singular vector w, as
-    w^(kron c+1) on level c, and is certified by the lower end.  Given a
-    horizon T it runs at LOOSE_NORM_TOL first and keeps that estimate when
-    its step count equals the upper end's (the estimate is never above
-    ||A||, so that count is m); else, or with no T, it runs at NORM_TOL.
+    an upper one.  Given a horizon T, Lanczos runs at LOOSE_NORM_TOL from
+    sigma_1's right singular vector w, as w^(kron c+1) on level c.  Its
+    estimate est is never above ||A||, and its residual puts the singular
+    value it found within est (1 + tol^2); the estimate stands when the step
+    counts of both ends of [max(est, lower), min(upper, est (1 + tol^2))]
+    agree.  Otherwise, or with no T, the estimate is a NORM_TOL run from the
+    seeded start, certified by the lower end.
     """
     index = build_index_map(c, ode.n, cap)
     n, F1, F2 = ode.n, ode.F1.csr, ode.F2.csr
@@ -223,14 +225,18 @@ def assemble_A(ode: QuadraticODE, c: int, cap: int = N_CAP,
 
     A = SparseMatrix(sp.block_array(blocks, format="csr"))
     y_in = assemble_y_in(ode, index)
-    norm_A, tol = 0.0, NORM_TOL
-    if A.nnz:
+    norm_A, tol = None, NORM_TOL
+    if T is not None:
         guess = np.zeros(index.N)
         guess[index.level_slice(c)] = functools.reduce(np.kron, [ode.top_F1] * (c + 1))
-        for tol in (NORM_TOL,) if T is None else (LOOSE_NORM_TOL, NORM_TOL):
-            norm_A = spectral_norm(A, tol=tol, lower=lower, start=guess)
-            if T is None or step_counts(T, norm_A)[0] == step_counts(T, upper)[0]:
-                break
+        est = spectral_norm(A, tol=LOOSE_NORM_TOL, start=guess)
+        # svds stops at a residual of tol^2 relative on A^T A, which puts the
+        # singular value it found within est (1 + tol^2)
+        low, high = max(est, lower), min(upper, est * (1 + LOOSE_NORM_TOL ** 2))
+        if low <= high and step_counts(T, low)[0] == step_counts(T, high)[0]:
+            norm_A, tol = low, LOOSE_NORM_TOL
+    if norm_A is None:
+        norm_A = spectral_norm(A, tol=NORM_TOL, lower=lower)
     return EmbeddedSystem(index=index, A=A, y_in=y_in, norm_A=norm_A, norm_A_lower=lower,
                           norm_A_upper=upper, norm_A_tol=tol)
 
@@ -330,8 +336,8 @@ def _kron_sum_apply(F1: sp.csr_array, x: np.ndarray, beta: int, n: int, i: int) 
     return out.ravel()
 
 
-def structural_report(sys: EmbeddedSystem, ode: QuadraticODE, norm_F1: float,
-                      norm_F2: float, re_lambda1: float) -> dict:
+def structural_report(sys: EmbeddedSystem, ode: QuadraticODE, norm_F2: float,
+                      re_lambda1: float) -> dict:
     """Sparsity, norm, and spectrum diagnostics of the assembled matrix.
 
     A must be block upper bidiagonal over levels, and each level's diagonal
@@ -373,7 +379,7 @@ def structural_report(sys: EmbeddedSystem, ode: QuadraticODE, norm_F1: float,
             f"(rows<={tight_row}, cols<={tight_col})"
         )
 
-    norm_bound = (c + 1) * (norm_F1 + norm_F2)
+    norm_bound = (c + 1) * (ode.norm_F1 + norm_F2)
     report["norm_A"] = sys.norm_A
     report["norm_A_lower"] = sys.norm_A_lower
     report["norm_A_upper"] = sys.norm_A_upper
@@ -392,7 +398,7 @@ def structural_report(sys: EmbeddedSystem, ode: QuadraticODE, norm_F1: float,
         got = (A.csr @ x)[lvl]
         want = _kron_sum_apply(ode.F1.csr, x[lvl], index.beta[i], n, i)
         # rounding of the i+1 sums of F1 rows stays far below this
-        if np.abs(got - want).max() > 1e-10 * (i + 1) * norm_F1 * np.abs(x).max():
+        if np.abs(got - want).max() > 1e-10 * (i + 1) * ode.norm_F1 * np.abs(x).max():
             raise BoundViolation(f"diagonal block of level {i} is not I_beta kron "
                                  "the Kronecker sum of F1")
 

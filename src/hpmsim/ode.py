@@ -38,29 +38,39 @@ class QuadraticODE:
     F2: SparseMatrix
     u_in: np.ndarray
     s: int = 0  # max row/col nonzeros over F1 and F2, filled by make_ode
-    # F1's spectrum, filled by make_ode once per instance (see f1_spectrum)
+    # F1's spectrum (see f1_spectrum), given together or taken here
     eigs_F1: np.ndarray | None = None
-    norm_F1: float = 0.0
+    norm_F1: float | None = None
     top_F1: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.eigs_F1 is None:
+            spectrum = f1_spectrum(self.F1)[:3]
+            for name, value in zip(("eigs_F1", "norm_F1", "top_F1"), spectrum):
+                object.__setattr__(self, name, value)
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
         return self.F1.matvec(u) + self.F2.matvec(np.outer(u, u).ravel())
 
 
-def f1_spectrum(F1: SparseMatrix,
-                dense_cap: int = DENSE_ORACLE_CAP) -> tuple[np.ndarray, float, np.ndarray]:
+def f1_spectrum(F1: SparseMatrix, dense_cap: int = DENSE_ORACLE_CAP
+                ) -> tuple[np.ndarray, float, np.ndarray, float]:
     """F1's eigenvalues (residual-verified), its largest singular value
-    sigma_1 = ||F1|| and a unit right singular vector for it, from one dense
-    eigensolve and one dense SVD under the cap.
+    sigma_1 = ||F1||, a unit right singular vector for it and its departure
+    from normality ||F1 F1^T - F1^T F1||_F / sigma_1^2, from one dense F1
+    under the cap.
 
-    The SVD runs on F1 scaled by an exact power of two, so entries such as
-    1e300 cannot overflow it; sigma_1 is exact to rounding, an upper end as
-    good as a lower one.
+    The SVD and the commutator run on F1 scaled by an exact power of two,
+    so entries such as 1e300 cannot overflow them; sigma_1 is exact to
+    rounding, an upper end as good as a lower one.
     """
     d1 = F1.to_dense(dense_cap)
     exp = math.frexp(float(np.abs(d1).max(initial=0.0)))[1]
-    _, sig, vt = np.linalg.svd(np.ldexp(d1, -exp))
-    return dense_eigs(d1, dense_cap), math.ldexp(float(sig[0]), exp), vt[0]
+    d1s = np.ldexp(d1, -exp)
+    _, sig, vt = np.linalg.svd(d1s)
+    comm = np.linalg.norm(d1s @ d1s.T - d1s.T @ d1s)
+    departure = float(comm / max(sig[0] ** 2, np.finfo(float).tiny))
+    return dense_eigs(d1, dense_cap), math.ldexp(float(sig[0]), exp), vt[0], departure
 
 
 def make_ode(n: int, F1: SparseMatrix, F2: SparseMatrix, u_in,
@@ -81,14 +91,9 @@ def make_ode(n: int, F1: SparseMatrix, F2: SparseMatrix, u_in,
     if u_in.shape != (n,):
         raise ValidationError(f"u_in must have length {n}")
     s = max(F1.sparsity(), F2.sparsity())
-    lam, norm1, top = f1_spectrum(F1, dense_cap)
+    lam, norm1, top, departure = f1_spectrum(F1, dense_cap)
     if not assume_valid:
-        d1 = F1.to_dense(dense_cap)
-        # an exact power-of-two rescale keeps the squares clear of overflow
-        exp = math.frexp(float(np.abs(d1).max(initial=0.0)))[1]
-        d1s = np.ldexp(d1, -exp)
-        comm = np.linalg.norm(d1s @ d1s.T - d1s.T @ d1s)
-        if comm > 1e-10 * max(math.ldexp(norm1, -exp) ** 2, np.finfo(float).tiny):
+        if departure > 1e-10:
             raise ValidationError("F1 is not normal")
         if lam.size and lam.real.max() >= 0:
             raise ValidationError(

@@ -341,7 +341,7 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
         # an m or h override leaves no step count for the bracket to certify
         T_steps = None if config.m is not None or config.h is not None else config.T
         sys = emb.assemble_A(solved, c_used, cap=config.dimension_cap, T=T_steps)
-        struct = emb.structural_report(sys, solved, solved.norm_F1, nl.norm_F2, nl.re_lambda1)
+        struct = emb.structural_report(sys, solved, nl.norm_F2, nl.re_lambda1)
 
     with _Stage("decay", timings):
         g = float(config.g) if config.g is not None else _decay_ratio(sys, casc)

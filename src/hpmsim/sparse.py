@@ -201,7 +201,8 @@ def dense_eigs(arr: np.ndarray, cap: int = DENSE_ORACLE_CAP,
     # the check runs on M and gamma scaled down by the same exact power of
     # two, so neither the product nor the scale max(1, ||M||_F) overflows
     exp = max(0, math.frexp(float(np.abs(arr).max(initial=0.0)))[1])
-    arr_s, gamma_s = np.ldexp(arr, -exp), np.ldexp(gamma, -exp)
+    # (ldexp takes no complex gamma; a product with a power of two is as exact)
+    arr_s, gamma_s = np.ldexp(arr, -exp), gamma * math.ldexp(1.0, -exp)
     scale = max(math.ldexp(1.0, -exp), float(np.linalg.norm(arr_s, ord="fro")))
     res = np.linalg.norm(arr_s @ vecs - vecs * gamma_s, axis=0)
     bad = np.flatnonzero(res > residual_tol * scale * np.linalg.norm(vecs, axis=0))

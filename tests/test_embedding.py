@@ -311,23 +311,32 @@ def test_norm_bracket_holds_and_certifies_m(n, c, seed, T):
     assert step_counts(T, sys.norm_A)[0] == math.ceil(T * sigma - 1e-12)
 
 
-def _uncertified_T(norm: float, upper: float) -> tuple[float, int]:
-    """A horizon T and an integer j with T norm < j < T upper, so that the
-    step count of an estimate near norm is j and that of upper is j + 1."""
-    j = math.floor(0.25 / (1.0 - norm / upper)) + 1
-    return (j - 0.25) / norm, j
+def _unsettled_T(est: float, j: int) -> float:
+    """A horizon T whose step count a loose estimate est leaves open: T est
+    lies just below the integer j and T est (1 + tol^2) just above it."""
+    return j / (est * (1 + LOOSE_NORM_TOL ** 2 / 2))
 
 
 def test_uncertified_step_count_falls_back_to_the_tight_estimate():
     ode, c = std1(), 3
-    tight = assemble_A(ode, c)
-    assert tight.norm_A_tol == NORM_TOL
-    T, j = _uncertified_T(tight.norm_A, tight.norm_A_upper)
-    sys = assemble_A(ode, c, T=T)
+    loose, tight = assemble_A(ode, c, T=1.0), assemble_A(ode, c)
+    assert (loose.norm_A_tol, tight.norm_A_tol) == (LOOSE_NORM_TOL, NORM_TOL)
+    sys = assemble_A(ode, c, T=_unsettled_T(loose.norm_A, 4))
     assert sys.norm_A_tol == NORM_TOL
+    assert sys.norm_A == tight.norm_A
+
+
+def test_loose_estimate_settles_what_the_bracket_leaves_open():
+    # T norm < j < T upper: the closed-form bracket alone cannot fix m, the
+    # residual of the loose estimate can
+    ode, c = std1(), 3
+    tight = assemble_A(ode, c)
+    j = math.floor(0.25 / (1.0 - tight.norm_A / tight.norm_A_upper)) + 1
+    T = (j - 0.25) / tight.norm_A
+    assert step_counts(T, tight.norm_A_upper)[0] == j + 1
+    sys = assemble_A(ode, c, T=T)
+    assert sys.norm_A_tol == LOOSE_NORM_TOL
     assert step_counts(T, sys.norm_A)[0] == j
-    # where both ends give one step, the loose estimate stands
-    assert assemble_A(ode, c, T=0.5 / tight.norm_A_upper).norm_A_tol == LOOSE_NORM_TOL
 
 
 def test_run_reports_the_tolerance_its_step_count_needed():
@@ -335,13 +344,26 @@ def test_run_reports_the_tolerance_its_step_count_needed():
             "F2_triplets": [[0, 0, 0.2]]}
     rep = run(RunConfig.from_dict({**std1, "T": 1.0}))
     assert rep.structure["norm_A_tol"] == LOOSE_NORM_TOL
-    T, j = _uncertified_T(rep.structure["norm_A"], rep.structure["norm_A_upper"])
+    T = _unsettled_T(rep.structure["norm_A"], 4)
     rep = run(RunConfig.from_dict({**std1, "T": T}))
     assert rep.structure["norm_A_tol"] == NORM_TOL
-    assert rep.parameters["m"] == j
+    assert rep.parameters["m"] == step_counts(T, rep.structure["norm_A"])[0]
     # an m override leaves no step count to certify
     rep = run(RunConfig.from_dict({**std1, "T": 1.0, "m": 6}))
     assert rep.structure["norm_A_tol"] == NORM_TOL
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+@pytest.mark.parametrize("T", [0.3, 1.0, None])
+def test_norm_of_block_diagonal_A_sits_at_the_lower_end(c, T):
+    # F2 = 0 leaves A block diagonal with ||A|| = (c+1) rho(F1), the lower
+    # end of the bracket up to its widening: no pass may fail its certificate
+    ode = random_ode(3, seed=11, f2_scale=0.0)
+    sys = assemble_A(ode, c, T=T)
+    exact = (c + 1) * float(np.abs(ode.eigs_F1).max())
+    assert sys.norm_A_lower <= exact <= sys.norm_A_upper
+    assert sys.norm_A_lower <= sys.norm_A <= sys.norm_A_upper
+    assert sys.norm_A == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -352,10 +374,12 @@ def test_norm_bracket_holds_for_nonnormal_F1(n, c):
     assert sys.norm_A_lower <= norm <= sys.norm_A_upper
 
 
-def test_norm_estimate_cost_guard_gen8(monkeypatch):
+@pytest.mark.parametrize("T", [1.0, 3.0])
+def test_norm_estimate_cost_guard_gen8(monkeypatch, T):
     # products with A or A^T that the ||A|| estimate makes at n = 8, c = 3
     # (the order a run at epsilon = 1e-2 selects): 383 from a random start
-    # at tolerance 1e-10
+    # at tolerance 1e-10.  At T = 3 an integer lies between T ||A|| and
+    # T upper, so the closed-form bracket alone would not settle m
     products = [0]
     svds = hpmsim.sparse.svds
 
@@ -373,7 +397,7 @@ def test_norm_estimate_cost_guard_gen8(monkeypatch):
 
     ode = generate_instance(8, 2, 0.3, 7)
     monkeypatch.setattr(hpmsim.sparse, "svds", counting_svds)
-    sys = assemble_A(ode, 3, T=1.0)
+    sys = assemble_A(ode, 3, T=T)
     assert sys.norm_A_tol == LOOSE_NORM_TOL
     assert 0 < products[0] <= 160
 
@@ -383,7 +407,7 @@ def test_norm_estimate_cost_guard_gen8(monkeypatch):
 def test_structural_report_n1_c1():
     ode = std1()
     sys = assemble_A(ode, 1)
-    rep = structural_report(sys, ode, 1.0, 0.2, -1.0)
+    rep = structural_report(sys, ode, 0.2, -1.0)
     assert rep["norm_A"] <= 2.0 * (1.0 + 0.2)
     assert rep["max_re_eigenvalue"] == -1.0
 
@@ -393,7 +417,7 @@ def test_structural_report_linear_eigs():
     F2 = SparseMatrix.zeros(2, 4)
     ode = make_ode(2, F1, F2, [0.1, 0.2])
     sys = assemble_A(ode, 2)
-    rep = structural_report(sys, ode, 2.0, 0.0, compute_K(ode).re_lambda1)
+    rep = structural_report(sys, ode, 0.0, compute_K(ode).re_lambda1)
     # eigenvalues of the embedding are sums of i+1 eigenvalues of F1
     gamma = np.linalg.eigvals(sys.A.to_dense())
     sums = {-1.0, -2.0, -3.0, -4.0, -5.0, -6.0}
@@ -407,12 +431,12 @@ def test_structural_report_linear_eigs():
 def test_structural_report_rejects_entries_off_the_bidiagonal(row_level, col_level):
     ode = std1()
     sys = assemble_A(ode, 2)
-    structural_report(sys, ode, 1.0, 0.2, -1.0)
+    structural_report(sys, ode, 0.2, -1.0)
     dense = sys.A.to_dense()
     dense[sys.index.offsets[row_level], sys.index.offsets[col_level]] = 1e-3
     bad = dataclasses.replace(sys, A=SparseMatrix.from_dense(dense))
     with pytest.raises(BoundViolation, match="block bidiagonal"):
-        structural_report(bad, ode, 1.0, 0.2, -1.0)
+        structural_report(bad, ode, 0.2, -1.0)
 
 
 @pytest.mark.parametrize("level", [0, 1, 2])
@@ -420,14 +444,14 @@ def test_structural_report_rejects_perturbed_diagonal_block(level):
     ode = random_ode(2, seed=5)
     sys = assemble_A(ode, 2)
     re1 = compute_K(ode).re_lambda1
-    structural_report(sys, ode, spectral_norm(ode.F1), spectral_norm(ode.F2), re1)
+    structural_report(sys, ode, spectral_norm(ode.F2), re1)
     dense = sys.A.to_dense()
     start = sys.index.offsets[level]
     assert dense[start, start] != 0.0
     dense[start, start] += 1e-6
     bad = dataclasses.replace(sys, A=SparseMatrix.from_dense(dense))
     with pytest.raises(BoundViolation, match=f"diagonal block of level {level}"):
-        structural_report(bad, ode, spectral_norm(ode.F1), spectral_norm(ode.F2), re1)
+        structural_report(bad, ode, spectral_norm(ode.F2), re1)
 
 
 def test_structural_report_rejects_swapped_kronecker_order():
@@ -445,8 +469,7 @@ def test_structural_report_rejects_swapped_kronecker_order():
     dense[lvl, lvl] = swapped
     bad = dataclasses.replace(sys, A=SparseMatrix.from_dense(dense))
     with pytest.raises(BoundViolation, match="diagonal block of level 1"):
-        structural_report(bad, ode, spectral_norm(ode.F1), spectral_norm(ode.F2),
-                          compute_K(ode).re_lambda1)
+        structural_report(bad, ode, spectral_norm(ode.F2), compute_K(ode).re_lambda1)
 
 
 def test_structural_report_probe_orients_nonnormal_blocks():
@@ -454,7 +477,7 @@ def test_structural_report_probe_orients_nonnormal_blocks():
     # level-2 block built from F1^T does not
     ode = nonnormal_ode(3, seed=8)
     sys = assemble_A(ode, 2)
-    args = (spectral_norm(ode.F1), spectral_norm(ode.F2), compute_K(ode).re_lambda1)
+    args = (spectral_norm(ode.F2), compute_K(ode).re_lambda1)
     structural_report(sys, ode, *args)
     F1t = ode.F1.to_dense().T
     ksum = sum(np.kron(np.kron(np.eye(3 ** k), F1t), np.eye(3 ** (2 - k))) for k in range(3))
@@ -468,10 +491,9 @@ def test_structural_report_probe_orients_nonnormal_blocks():
 
 def test_structural_report_random_instance():
     ode = random_ode(2, seed=3)
-    norm_f1 = spectral_norm(ode.F1)
     norm_f2 = spectral_norm(ode.F2)
     sys = assemble_A(ode, 2)
-    rep = structural_report(sys, ode, norm_f1, norm_f2, compute_K(ode).re_lambda1)
+    rep = structural_report(sys, ode, norm_f2, compute_K(ode).re_lambda1)
     assert rep["max_re_eigenvalue"] < 0
     assert rep["norm_A"] <= rep["norm_A_bound"] * (1 + 1e-9)
     assert rep["max_row_nnz"] <= rep["sparsity_witness"]

@@ -12,6 +12,7 @@ from hpmsim.ode import (
     QuadraticODE,
     bernoulli_closed_form,
     compute_K,
+    default_dt,
     make_ode,
     reference_solution,
     rescale,
@@ -63,6 +64,29 @@ def test_non_normal_rejected():
     F2 = SparseMatrix.zeros(2, 4)
     with pytest.raises(ValidationError, match="normal"):
         make_ode(2, F1, F2, [1.0, 0.0])
+
+
+def test_normal_F1_with_complex_eigenvalues_is_accepted():
+    # [[-1, 2], [-2, -1]] is normal with eigenvalues -1 +- 2i
+    F1 = SparseMatrix.from_triplets(2, 2, [(0, 0, -1.0), (0, 1, 2.0), (1, 0, -2.0),
+                                           (1, 1, -1.0)])
+    ode = make_ode(2, F1, SparseMatrix.zeros(2, 4), [0.3, 0.1])
+    assert sorted(ode.eigs_F1.imag) == pytest.approx([-2.0, 2.0])
+    assert ode.norm_F1 == pytest.approx(math.sqrt(5.0), rel=1e-15)
+    assert compute_K(ode).re_lambda1 == pytest.approx(-1.0)
+
+
+def test_directly_built_instance_carries_the_spectrum_of_F1(monkeypatch):
+    F1 = SparseMatrix.from_triplets(2, 2, [(0, 0, -1.0), (1, 1, -4.0)])
+    F2 = SparseMatrix.from_triplets(2, 4, [(0, 1, 0.3)])
+    ode = QuadraticODE(n=2, F1=F1, F2=F2, u_in=np.array([0.3, 0.1]))
+    assert ode.norm_F1 == 4.0
+    assert sorted(ode.eigs_F1.real) == [-4.0, -1.0]
+    assert abs(ode.top_F1[1]) == 1.0
+    assert default_dt(ode, 100.0) == 1.0 / 40.0
+    # rescaling keeps F1, and with it the spectrum: nothing is taken again
+    monkeypatch.setattr(hpmsim.ode, "f1_spectrum", None)
+    assert rescale(ode, 2.0).norm_F1 == 4.0
 
 
 def test_rescale_identity():

@@ -162,6 +162,12 @@ def test_eigs_triangular():
     assert sorted(lam.real) == pytest.approx([-2.0, -1.0], abs=1e-8)
 
 
+def test_eigs_complex_pair():
+    lam = dense_eigs(np.array([[-1.0, 2.0], [-2.0, -1.0]]))
+    assert sorted(lam.imag) == pytest.approx([-2.0, 2.0])
+    assert lam.real == pytest.approx([-1.0, -1.0])
+
+
 def test_eigs_residual_check_names_first_failing_pair():
     rng = np.random.default_rng(3)
     arr = np.triu(rng.normal(size=(6, 6)), 1) - np.diag(rng.uniform(0.5, 2.0, 6))
