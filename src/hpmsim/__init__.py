@@ -2,7 +2,7 @@
 ODEs du/dt = F1 u + F2 (u kron u) via homotopy-perturbation linear embedding
 and Taylor time marching."""
 
-from .cascade import HpmCascade, catalan, solve_cascade, truncated_solution, truncation_bound
+from .cascade import HpmCascade, solve_cascade, truncation_bound
 from .embedding import (
     EmbeddedSystem,
     EmbeddingIndexMap,
@@ -10,7 +10,6 @@ from .embedding import (
     assemble_y_in,
     build_index_map,
     enumerate_level,
-    row_pattern_Bm,
     structural_report,
 )
 from .errors import BoundViolation, HpmsimError, NumericalError, ValidationError
@@ -23,13 +22,11 @@ from .marching import (
     condition_report,
     select_parameters,
     solve_marching,
-    taylor_polynomial_apply,
 )
-from .measurement import MeasurementReport, final_error, normalized_perturbation_bounds, postselect
+from .measurement import MeasurementReport, final_error, postselect
 from .ode import (
     NonlinearityParams,
     QuadraticODE,
-    bernoulli_closed_form,
     compute_K,
     make_ode,
     reference_solution,
@@ -38,7 +35,6 @@ from .ode import (
 from .pipeline import RunConfig, RunReport, generate_instance, instance_config, run, sweep
 from .sparse import (
     SparseMatrix,
-    dense_condition_number,
     dense_eigs,
     dense_expm,
     read_triplets,

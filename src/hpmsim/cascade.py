@@ -4,7 +4,7 @@
     d nu_i/dt = F1 nu_i + F2 sum_j nu_j kron nu_{i-1-j},   nu_i(0) = 0
 
 whose truncated sum approximates the quadratic ODE solution, plus the
-Catalan-number machinery behind the geometric truncation bound.
+geometric truncation bound K^(c+2)/(1-K) and the least order that meets it.
 
 All orders are stacked as one state X of shape (c+1, n) and marched by the
 shared DOP853 integrator `ode.integrate`, sampled on an equal grid of at
@@ -16,7 +16,6 @@ S[i, j(c+1)+l] = 1 when j + l = i - 1, folds them into each order's forcing.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,18 +33,6 @@ class HpmCascade:
     c: int
     ts: np.ndarray
     nu: np.ndarray          # shape (c+1, len(ts), n)
-    K: float
-    norm_u_in: float
-
-    def grid_index(self, t: float) -> int:
-        idx = int(np.argmin(np.abs(self.ts - t)))
-        if abs(self.ts[idx] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValidationError(f"t={t} is not on the cascade grid")
-        return idx
-
-    def order_norms(self) -> np.ndarray:
-        """max over the grid of ||nu_i(t)||, one value per order."""
-        return vector_norm(self.nu, axis=2).max(axis=1)
 
     def norms_at(self, idx: int) -> np.ndarray:
         return vector_norm(self.nu[:, idx, :], axis=1)
@@ -100,52 +87,7 @@ def solve_cascade(ode: QuadraticODE, c: int, T: float, dt: float | None = None,
                 f"({norms[bad, step]:.3e} > {guards[bad]:.3e}): "
                 "K >= 1 or integration failure"
             )
-    return HpmCascade(c=c, ts=ts, nu=nu, K=K if K is not None else 0.0, norm_u_in=norm_u)
-
-
-def truncated_solution(cascade: HpmCascade, t: float) -> np.ndarray:
-    """Sum of all orders at time t.
-
-    Off-grid times fall back to cubic interpolation and emit a warning so
-    callers can tell sampled values from interpolated ones.
-    """
-    ts = cascade.ts
-    if t < ts[0] - 1e-12 or t > ts[-1] + 1e-12:
-        raise ValidationError(f"t={t} outside [{ts[0]}, {ts[-1]}]")
-    total = cascade.nu.sum(axis=0)   # (len(ts), n)
-    idx = int(np.argmin(np.abs(ts - t)))
-    if abs(ts[idx] - t) <= 1e-9 * max(1.0, abs(t)):
-        return total[idx].copy()
-    warnings.warn(f"t={t} is off the cascade grid; using cubic interpolation",
-                  stacklevel=2)
-    return _cubic_interp(ts, total, t)
-
-
-def _cubic_interp(ts: np.ndarray, ys: np.ndarray, t: float) -> np.ndarray:
-    # Catmull-Rom on the four surrounding grid points; callers treat the
-    # result as interpolated, tests stick to grid points.
-    k = int(np.searchsorted(ts, t)) - 1
-    k = min(max(k, 1), len(ts) - 3)
-    t0, t1 = ts[k], ts[k + 1]
-    hgrid = t1 - t0
-    s = (t - t0) / hgrid
-    m0 = (ys[k + 1] - ys[k - 1]) / 2.0
-    m1 = (ys[k + 2] - ys[k]) / 2.0
-    h00 = 2 * s**3 - 3 * s**2 + 1
-    h10 = s**3 - 2 * s**2 + s
-    h01 = -2 * s**3 + 3 * s**2
-    h11 = s**3 - s**2
-    return h00 * ys[k] + h10 * m0 + h01 * ys[k + 1] + h11 * m1
-
-
-def catalan(c: int) -> list[int]:
-    """alpha_0..alpha_c by the convolution recurrence, exact integers."""
-    if c < 0:
-        raise ValidationError("order must be nonnegative")
-    alpha = [1]
-    for i in range(c):
-        alpha.append(sum(alpha[j] * alpha[i - j] for j in range(i + 1)))
-    return alpha
+    return HpmCascade(c=c, ts=ts, nu=nu)
 
 
 def truncation_bound(K: float, c: int) -> float:

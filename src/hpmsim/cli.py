@@ -123,10 +123,14 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
+    kind, what = (int, "an integer") if args.param in ("c", "k") else (float, "a number")
     values: list = []
     if args.values.strip():
         for tok in args.values.split(","):
-            values.append(int(tok) if args.param in ("c", "k") else float(tok))
+            try:
+                values.append(kind(tok))
+            except ValueError:
+                raise ValidationError(f"--values token {tok!r} is not {what}") from None
     rows = sweep(cfg, args.param, values, base_dir=args.config.parent)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"sweep_{args.param}.csv"
@@ -257,8 +261,8 @@ def _cmd_gen(args) -> int:
     seed = args.seed if args.seed is not None else 0
     ode = generate_instance(args.n, args.s, args.K, seed, u_norm=args.u_norm)
     args.out.mkdir(parents=True, exist_ok=True)
-    write_triplets(ode.F1, args.out / "F1.txt")
-    write_triplets(ode.F2, args.out / "F2.txt")
+    write_triplets(ode.F1.csr, args.out / "F1.txt")
+    write_triplets(ode.F2.csr, args.out / "F2.txt")
     cfg = {
         "n": args.n,
         "T": args.T,

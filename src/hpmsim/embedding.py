@@ -5,10 +5,10 @@ component (i, j) is nu_{a_0} kron ... kron nu_{a_i} where the multi-index
 (a_0..a_i) runs over all tuples with a_k >= 0 and sum a_k <= c - i, ordered
 graded-lex with the all-zeros tuple first.  Level 0 is the single summed
 vector nu_0 + ... + nu_c.  The stacked dynamics are linear, dy/dt = A y,
-with A block upper bidiagonal over levels.  A is built from
-`scipy.sparse` Kronecker products: Kronecker sums of F1 on the diagonal,
-each level's from the one below by S_i = S_{i-1} kron I_n + I kron F1, and
-copies of F2 placed by 0/1 split matrices above it.  ||A|| comes with a
+with A block upper bidiagonal over levels.  A is a `scipy.sparse`
+`csr_array` built from Kronecker products: Kronecker sums of F1 on the
+diagonal, each level's from the one below by S_i = S_{i-1} kron I_n +
+I kron F1, and copies of F2 placed by 0/1 split matrices above it.  ||A|| comes with a
 closed-form bracket that certifies the step count m = ceil(T ||A||).
 """
 
@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from .errors import BoundViolation, ValidationError
 from .ode import QuadraticODE
-from .sparse import SparseMatrix, spectral_norm
+from .sparse import spectral_norm
 
 # default limit on the embedded dimension N (keeps direct solves desk-scale)
 N_CAP = 200_000
@@ -97,13 +97,6 @@ class EmbeddingIndexMap:
         except KeyError:
             raise ValidationError(f"multi-index {a} not admissible at level {i}") from None
 
-    def unrank(self, i: int, j: int) -> tuple[int, ...]:
-        if i < 0 or i > self.c:
-            raise ValidationError(f"level {i} outside 0..{self.c}")
-        if j < 0 or j >= self.beta[i]:
-            raise ValidationError(f"rank {j} outside level {i} (beta={self.beta[i]})")
-        return self.levels[i][j]
-
     def block_slice(self, i: int, j: int) -> slice:
         start = self.offsets[i] + j * self.n ** (i + 1)
         return slice(start, start + self.n ** (i + 1))
@@ -137,7 +130,7 @@ def build_index_map(c: int, n: int, cap: int = N_CAP) -> EmbeddingIndexMap:
 @dataclass
 class EmbeddedSystem:
     index: EmbeddingIndexMap
-    A: SparseMatrix
+    A: sp.csr_array
     y_in: np.ndarray
     norm_A: float               # Lanczos estimate, never above ||A||
     norm_A_lower: float         # closed-form bracket lower <= ||A|| <= upper
@@ -223,7 +216,7 @@ def assemble_A(ode: QuadraticODE, c: int, cap: int = N_CAP,
     lower = (c + 1) * float(np.abs(ode.eigs_F1).max(initial=0.0)) * (1 - BRACKET_SLACK)
     upper = ((c + 1) * ode.norm_F1 + coupling) * (1 + BRACKET_SLACK)
 
-    A = SparseMatrix(sp.block_array(blocks, format="csr"))
+    A = sp.block_array(blocks, format="csr")
     y_in = assemble_y_in(ode, index)
     norm_A, tol = None, NORM_TOL
     if T is not None:
@@ -252,25 +245,6 @@ def assemble_y_in(ode: QuadraticODE, index: EmbeddingIndexMap) -> np.ndarray:
     return y
 
 
-def build_embedded_vector(index: EmbeddingIndexMap, nus: np.ndarray) -> np.ndarray:
-    """Stack one time slice of the cascade into the embedded layout.
-
-    nus has shape (c+1, n).  Level 0 gets the order sum; component (i, j)
-    gets the Kronecker chain over its multi-index.
-    """
-    if nus.shape != (index.c + 1, index.n):
-        raise ValidationError(f"need cascade slice of shape ({index.c + 1}, {index.n})")
-    y = np.zeros(index.N)
-    y[index.block_slice(0, 0)] = nus.sum(axis=0)
-    for i in range(1, index.c + 1):
-        for j, a in enumerate(index.levels[i]):
-            block = nus[a[0]]
-            for digit in a[1:]:
-                block = np.kron(block, nus[digit])
-            y[index.block_slice(i, j)] = block
-    return y
-
-
 def embedded_norm_profile(index: EmbeddingIndexMap, order_norms: np.ndarray,
                           level0_norms: np.ndarray) -> np.ndarray:
     """||y(t)|| over a grid from per-order norms, no Kronecker materialization.
@@ -284,46 +258,6 @@ def embedded_norm_profile(index: EmbeddingIndexMap, order_norms: np.ndarray,
     # one exact power-of-two rescale keeps the squares clear of underflow
     exp = math.frexp(max(float(b.max(initial=0.0)) for b in blocks))[1]
     return np.ldexp(np.sqrt(sum(np.ldexp(b, -exp) ** 2 for b in blocks)), exp)
-
-
-def row_pattern_Bm(F1: SparseMatrix, m: int, row: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Nonzero-column pattern of one row of B(m) = sum_j I^j kron F1 kron I^(m-j).
-
-    row is the digit string (j_m, ..., j_0), most significant first.  The
-    diagonal of F1 counts as structurally nonzero.  Recursion: columns that
-    replace the leading digit with a pre-diagonal neighbour, then the B(m-1)
-    pattern of the remaining digits under an unchanged leading digit, then
-    the post-diagonal leading replacements.
-    """
-    n = F1.rows
-    row = tuple(int(d) for d in row)
-    if len(row) != m + 1:
-        raise ValidationError(f"row needs {m + 1} digits, got {len(row)}")
-    if any(d < 0 or d >= n for d in row):
-        raise ValidationError(f"digits must lie in [0, {n})")
-
-    indptr, indices = F1.csr.indptr, F1.csr.indices
-    cols_cache: dict[int, list[int]] = {}
-
-    def cols_of(j: int) -> list[int]:
-        if j not in cols_cache:
-            pattern = set(indices[indptr[j]:indptr[j + 1]].tolist())
-            pattern.add(j)  # structural diagonal
-            cols_cache[j] = sorted(pattern)
-        return cols_cache[j]
-
-    def rec(digits: tuple[int, ...]) -> list[tuple[int, ...]]:
-        lead = digits[0]
-        cols = cols_of(lead)
-        gpos = cols.index(lead)
-        if len(digits) == 1:
-            return [(k,) for k in cols]
-        out = [(k,) + digits[1:] for k in cols[:gpos]]
-        out.extend((lead,) + sub for sub in rec(digits[1:]))
-        out.extend((k,) + digits[1:] for k in cols[gpos + 1:])
-        return out
-
-    return rec(row)
 
 
 def _kron_sum_apply(F1: sp.csr_array, x: np.ndarray, beta: int, n: int, i: int) -> np.ndarray:
@@ -353,7 +287,7 @@ def structural_report(sys: EmbeddedSystem, ode: QuadraticODE, norm_F2: float,
     c, n, s = index.c, index.n, ode.s
     report: dict = {"N": index.N, "c": c, "n": n, "s": s}
 
-    indptr, indices = A.csr.indptr, A.csr.indices
+    indptr, indices = A.indptr, A.indices
     for i in range(c + 1):
         # level-i rows may only reach columns of levels i and i+1
         lvl, end = index.level_slice(i), index.level_slice(min(i + 1, c)).stop
@@ -395,7 +329,7 @@ def structural_report(sys: EmbeddedSystem, ode: QuadraticODE, norm_F2: float,
         lvl = index.level_slice(i)
         x = np.zeros(index.N)
         x[lvl] = rng.standard_normal(lvl.stop - lvl.start)
-        got = (A.csr @ x)[lvl]
+        got = (A @ x)[lvl]
         want = _kron_sum_apply(ode.F1.csr, x[lvl], index.beta[i], n, i)
         # rounding of the i+1 sums of F1 rows stays far below this
         if np.abs(got - want).max() > 1e-10 * (i + 1) * ode.norm_F1 * np.abs(x).max():

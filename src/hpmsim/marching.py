@@ -17,13 +17,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cascade import min_order_for_bound, truncation_bound
 from .embedding import EmbeddedSystem, step_counts
 from .errors import NumericalError, ValidationError
 from .ode import SQRT_HALF, NonlinearityParams
-from .sparse import DENSE_ORACLE_CAP, SparseMatrix, spectral_norm, vector_norm
+from .sparse import DENSE_ORACLE_CAP, spectral_norm, vector_norm
 
 SOLVE_FLOOR = 1e-10
 
@@ -222,11 +223,11 @@ class MarchingOperator(spla.LinearOperator):
     j = 0..k; the copy tail owns blocks m(k+1)..d.
     """
 
-    def __init__(self, A: SparseMatrix, params: TaylorSystemParams):
-        N = A.rows
+    def __init__(self, A: sp.csr_array, params: TaylorSystemParams):
+        N = A.shape[0]
         size = (params.d + 1) * N
         super().__init__(np.float64, (size, size))
-        self.A = A.csr
+        self.A = A
         self.AT = self.A.T
         self.params = params
         self.N = N
@@ -316,7 +317,7 @@ class MarchingOperator(spla.LinearOperator):
         return X.reshape(-1, r)
 
 
-def assemble_C(A: SparseMatrix, params: TaylorSystemParams) -> MarchingOperator:
+def assemble_C(A: sp.csr_array, params: TaylorSystemParams) -> MarchingOperator:
     """The (d+1)N-square marching matrix; unit lower triangular by blocks."""
     return MarchingOperator(A, params)
 
@@ -366,16 +367,6 @@ def solve_marching(C: MarchingOperator, y_in: np.ndarray, delta: float,
             f"solver '{solver}' residual {residual:.3e} misses target {target:.3e}"
         )
     return MarchingSolution(x=x, params=params, residual=residual)
-
-
-def taylor_polynomial_apply(A: SparseMatrix, h: float, k: int, v: np.ndarray) -> np.ndarray:
-    """T_k(A h) v = sum_{j=0}^{k} (A h)^j / j! v by repeated products."""
-    acc = v.astype(np.float64).copy()
-    term = v.astype(np.float64).copy()
-    for j in range(1, k + 1):
-        term = A.matvec(term) * (h / j)
-        acc += term
-    return acc
 
 
 def step_errors_vs_expm(sys: EmbeddedSystem, params: TaylorSystemParams,

@@ -3,7 +3,9 @@
 The two-stage measurement becomes exact norm ratios: keep the final-step
 copy blocks (probability per block ||x_{m,0}||^2/||x||^2), then keep the
 level-0 block of the embedded state (probability chi_0^2).  Also houses
-the scalar/vector utility bounds used by the error-budget bookkeeping.
+the appendix checks that `hpmsim bounds` adds to a run's rows: the
+normalized-difference bound, the scalar decay sum and the Taylor-power
+error.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .embedding import EmbeddingIndexMap
 from .errors import ValidationError
 from .marching import MarchingSolution
 from .ode import SQRT_HALF, NonlinearityParams
-from .sparse import DENSE_ORACLE_CAP, dense_expm, dense_norm, vector_norm
+from .sparse import DENSE_ORACLE_CAP, dense_expm, spectral_norm, vector_norm
 
 
 @dataclass
@@ -141,7 +143,7 @@ def final_error(report: MeasurementReport, u_exact: np.ndarray,
                        hpm_part_bound=hpm_bound)
 
 
-# -- normalized-vector perturbation utilities --------------------------
+# -- appendix checks ---------------------------------------------------
 
 def normalized_difference_bound(alpha: float, beta: float) -> float:
     """||psi/||psi|| - phi/||phi|||| <= 2 beta/alpha when ||psi|| >= alpha,
@@ -150,30 +152,6 @@ def normalized_difference_bound(alpha: float, beta: float) -> float:
         raise ValidationError("alpha must be positive")
     return 2.0 * beta / alpha
 
-
-def component_difference_bound(alpha: float, delta: float) -> float:
-    """Bound 2 delta/(alpha - delta) on the labelled-component difference."""
-    if delta >= alpha:
-        raise ValidationError(f"need delta < alpha, got delta={delta}, alpha={alpha}")
-    return 2.0 * delta / (alpha - delta)
-
-
-def amplitude_lower_bound(alpha: float, delta: float) -> float:
-    """The perturbed amplitude stays >= alpha - delta."""
-    if delta >= alpha:
-        raise ValidationError(f"need delta < alpha, got delta={delta}, alpha={alpha}")
-    return alpha - delta
-
-
-def normalized_perturbation_bounds(alpha: float, beta: float, delta: float) -> dict:
-    return {
-        "normalized_difference": normalized_difference_bound(alpha, beta),
-        "component_difference": component_difference_bound(alpha, delta),
-        "amplitude_lower": amplitude_lower_bound(alpha, delta),
-    }
-
-
-# -- scalar and matrix appendix checks ---------------------------------
 
 def poisson_tail_sum(beta: float, gamma: float, m: int, t: float) -> float:
     """sum_{j=0}^{m-1} (beta t)^j / j! * e^(-gamma t)."""
@@ -207,7 +185,7 @@ def taylor_power_error_check(M: np.ndarray, Delta: float, k: int, steps: int,
     2 steps Delta (Delta+1)/(k+1)! <= 1.
     """
     M = np.asarray(M, dtype=np.float64)
-    norm_M = dense_norm(M, cap=dense_cap)
+    norm_M = spectral_norm(M, cap=dense_cap)
     fact = math.factorial(k + 1)
     pre = norm_M <= 1.0 + 1e-9 and 2.0 * steps * Delta * (Delta + 1.0) / fact <= 1.0
     E = dense_expm(M, dense_cap)
@@ -218,7 +196,7 @@ def taylor_power_error_check(M: np.ndarray, Delta: float, k: int, steps: int,
         Tk = Tk + term
     expl = np.linalg.matrix_power(E, steps)
     tkl = np.linalg.matrix_power(Tk, steps)
-    measured = dense_norm(expl - tkl, cap=dense_cap)
+    measured = spectral_norm(expl - tkl, cap=dense_cap)
     bound = 2.0 * steps * Delta * (Delta + 1.0) / fact
     return {
         "precondition_ok": bool(pre),

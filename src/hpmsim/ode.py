@@ -118,7 +118,7 @@ def compute_K(ode: QuadraticODE) -> NonlinearityParams:
     re1 = float(ode.eigs_F1.real.max())
     if re1 >= 0:
         raise ValidationError(f"not dissipative: max Re(lambda) = {re1:.3e}")
-    norm_f2 = spectral_norm(ode.F2) if ode.F2.nnz else 0.0
+    norm_f2 = spectral_norm(ode.F2.csr) if ode.F2.nnz else 0.0
     norm_u = float(vector_norm(ode.u_in))
     K = 4.0 * norm_u * norm_f2 / abs(re1)
     return NonlinearityParams(
@@ -219,16 +219,3 @@ def reference_solution(ode: QuadraticODE, T: float, dt: float | None = None) -> 
     error = vector_norm(us[-1] - loose) / norm_T if norm_T > 0 else math.inf
     return Trajectory(ts=np.linspace(0.0, T, steps + 1), us=us, error=float(error))
 
-
-def bernoulli_closed_form(a: float, u0: float, t: float) -> float:
-    """Exact solution of du/dt = -u + a u^2 with u(0) = u0.
-
-    u(t) = 1 / (a + (1/u0 - a) e^t); the independent 1-d oracle.
-    """
-    if u0 == 0.0:
-        return 0.0
-    denom = a + (1.0 / u0 - a) * math.exp(t)
-    denom0 = 1.0 / u0
-    if denom == 0.0 or (denom > 0) != (denom0 > 0):
-        raise NumericalError(f"Bernoulli solution crosses a pole before t={t}")
-    return 1.0 / denom

@@ -1,16 +1,17 @@
 """Sparse matrix primitives, the spectral-norm estimator and dense oracles.
 
-`SparseMatrix` is an immutable wrapper around one canonical
-`scipy.sparse.csr_array`, `.csr` (sorted indices, duplicates summed);
-consumers read `.csr` directly and never convert it again.
+`SparseMatrix` holds a problem instance's validated F1 and F2 as one
+canonical `scipy.sparse.csr_array`, `.csr` (sorted indices, duplicates
+summed); the embedding matrix A and everything built from it are plain
+`csr_array`s.
 `spectral_norm` is the one 2-norm estimator for sparse, dense and operator
 inputs: Lanczos (ARPACK `svds`) from a seeded random start, optionally
 steered toward a caller's guess of the top singular vector, certified
 against a lower bound on the norm (the largest row and column 2-norms of a
 matrix, or a caller-supplied bound, whichever is larger).
-Dense routines (expm, eigenvalues, condition number) are verification
-oracles only and refuse to run above an explicit entry cap so that large
-embeddings are never densified by accident.
+Dense routines (expm, eigenvalues) are verification oracles only and refuse
+to run above an explicit entry cap so that large embeddings are never
+densified by accident.
 """
 
 from __future__ import annotations
@@ -101,14 +102,14 @@ def _check_cap(rows: int, cols: int, cap: int = DENSE_ORACLE_CAP) -> None:
         )
 
 
-def spectral_norm(matrix: SparseMatrix | np.ndarray | LinearOperator, tol: float = 1e-10,
+def spectral_norm(matrix: sp.sparray | np.ndarray | LinearOperator, tol: float = 1e-10,
                   max_iter: int | None = None, cap: int = DENSE_ORACLE_CAP,
                   lower: float | None = None, start: np.ndarray | None = None) -> float:
     """Largest singular value by Lanczos (ARPACK `svds`) from a seeded start.
 
-    Sparse, dense and operator inputs share this one estimator; a
-    `SparseMatrix` is read through its `.csr`, a dense array must fit under
-    `cap`. The start vector comes from a fixed seed, so results are
+    Sparse, dense and operator inputs share this one estimator; a sparse
+    array must be canonical (no duplicate entries), a dense array must fit
+    under `cap`. The start vector comes from a fixed seed, so results are
     bit-for-bit reproducible; `start`, a guess of the top right singular
     vector, is added to 1e-3 times it, so that Lanczos begins near the
     answer without missing any direction. Every estimate is certified from
@@ -123,8 +124,8 @@ def spectral_norm(matrix: SparseMatrix | np.ndarray | LinearOperator, tol: float
             raise ValidationError("an operator's norm needs a caller-supplied lower bound")
         arr, exp, floor = matrix, 0, lower
     else:
-        if isinstance(matrix, SparseMatrix):
-            csr = matrix.csr
+        if sp.issparse(matrix):
+            csr = matrix.tocsr()
             vals = csr.data
         else:
             vals = np.asarray(matrix, dtype=np.float64)
@@ -136,7 +137,7 @@ def spectral_norm(matrix: SparseMatrix | np.ndarray | LinearOperator, tol: float
         # underflow and overflow
         exp = math.frexp(top)[1]
         vals = np.ldexp(vals, -exp)
-        if isinstance(matrix, SparseMatrix):
+        if sp.issparse(matrix):
             arr = sp.csr_array((vals, csr.indices, csr.indptr), shape=csr.shape)
         else:
             arr = vals
@@ -176,11 +177,6 @@ def vector_norm(v, axis: int | None = None):
     return np.ldexp(np.linalg.norm(np.ldexp(v, -exp), axis=axis), exp)
 
 
-def dense_norm(arr: np.ndarray, tol: float = 1e-10, cap: int = DENSE_ORACLE_CAP) -> float:
-    """2-norm of a dense array under the entry cap; see spectral_norm."""
-    return spectral_norm(np.asarray(arr, dtype=np.float64), tol=tol, cap=cap)
-
-
 def dense_expm(arr: np.ndarray, cap: int = DENSE_ORACLE_CAP) -> np.ndarray:
     """Scaling-and-squaring matrix exponential, gated by the entry cap."""
     arr = np.asarray(arr, dtype=np.float64)
@@ -215,27 +211,17 @@ def dense_eigs(arr: np.ndarray, cap: int = DENSE_ORACLE_CAP,
     return gamma
 
 
-def dense_condition_number(arr: np.ndarray, cap: int = DENSE_ORACLE_CAP) -> float:
-    """sigma_max / sigma_min of a square nonsingular matrix."""
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError("condition number needs a square matrix")
-    _check_cap(arr.shape[0], arr.shape[1], cap)
-    sig = np.linalg.svd(arr, compute_uv=False)
-    if sig[-1] <= sig[0] * np.finfo(float).eps * max(arr.shape):
-        raise ValidationError("matrix is numerically singular")
-    return float(sig[0] / sig[-1])
-
-
 # -- triplet text format ----------------------------------------------
 #
 # First line: "rows cols nnz"; then nnz lines "i j value" with 0-based
 # indices and decimal floats.
 
-def write_triplets(matrix: SparseMatrix, path) -> None:
+def write_triplets(matrix: sp.sparray, path) -> None:
+    """A canonical sparse array in row-major order."""
+    coo = matrix.tocoo()
     with open(path, "w") as fh:
-        fh.write(f"{matrix.rows} {matrix.cols} {matrix.nnz}\n")
-        for i, j, v in matrix.entries():
+        fh.write(f"{matrix.shape[0]} {matrix.shape[1]} {matrix.nnz}\n")
+        for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
             fh.write(f"{i} {j} {v:.17g}\n")
 
 
@@ -258,8 +244,3 @@ def write_vector(v: np.ndarray, path) -> None:
     with open(path, "w") as fh:
         for x in np.asarray(v, dtype=np.float64):
             fh.write(f"{x:.17g}\n")
-
-
-def read_vector(path) -> np.ndarray:
-    with open(path) as fh:
-        return np.array([float(line) for line in fh if line.strip()])

@@ -8,7 +8,8 @@ import pytest
 import hpmsim.marching
 from hpmsim.cli import main
 from hpmsim.pipeline import generate_instance
-from hpmsim.sparse import read_triplets, read_vector
+from hpmsim.sparse import read_triplets
+from oracles import read_vector
 
 STD1 = {
     "n": 1, "T": 1.0, "epsilon": 1e-2, "u_in": [0.5],
@@ -164,6 +165,18 @@ def test_sweep_empty_values_header_only(std1_config, tmp_path):
     lines = (out / "sweep_epsilon.csv").read_text().strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("value,measured_error,bound")
+
+
+@pytest.mark.parametrize("param, values, token", [
+    ("c", "1,a", "'a'"), ("c", "1.5", "'1.5'"), ("epsilon", "0.01,,0.02", "''")])
+def test_sweep_unparsable_value_is_validation_error(std1_config, tmp_path, capsys,
+                                                    param, values, token):
+    code = main(["--config", str(std1_config), "--out", str(tmp_path / "out"),
+                 "sweep", "--param", param, "--values", values])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure") and token in err
+    assert "Traceback" not in err
 
 
 def test_embed_outputs(std1_config, tmp_path):

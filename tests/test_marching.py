@@ -21,10 +21,10 @@ from hpmsim.marching import (
     step_counts,
     step_errors_vs_expm,
     taylor_order_for,
-    taylor_polynomial_apply,
 )
 from hpmsim.ode import compute_K, make_ode, reference_solution, rescale
-from hpmsim.sparse import SparseMatrix, dense_condition_number, dense_expm, spectral_norm
+from hpmsim.sparse import SparseMatrix, dense_expm, spectral_norm
+from oracles import dense_condition_number, reference_C, taylor_polynomial_apply
 
 
 def tiny_params(N: int, m: int, k: int, p: int, h: float, c: int = 0,
@@ -55,7 +55,7 @@ def stable_system(n: int, c: int, seed: int, f2_scale: float = 0.05):
 
 def test_assemble_C_4x4_exact():
     a = 0.5
-    A = SparseMatrix.from_triplets(1, 1, [(0, 0, a)])
+    A = SparseMatrix.from_triplets(1, 1, [(0, 0, a)]).csr
     params = tiny_params(N=1, m=1, k=1, p=1, h=1.0)
     C = assemble_C(A, params)
     expected = np.array([
@@ -70,7 +70,7 @@ def test_assemble_C_4x4_exact():
 
 def test_solve_4x4_forward_substitution_by_hand():
     a, y0 = 0.5, 2.0
-    A = SparseMatrix.from_triplets(1, 1, [(0, 0, a)])
+    A = SparseMatrix.from_triplets(1, 1, [(0, 0, a)]).csr
     params = tiny_params(N=1, m=1, k=1, p=1, h=1.0)
     C = assemble_C(A, params)
     sol = solve_marching(C, np.array([y0]), 1e-10, params)
@@ -80,7 +80,7 @@ def test_solve_4x4_forward_substitution_by_hand():
 
 
 def test_zero_matrix_pure_copying():
-    A = SparseMatrix.zeros(3, 3)
+    A = SparseMatrix.zeros(3, 3).csr
     params = tiny_params(N=3, m=2, k=2, p=2, h=0.5)
     C = assemble_C(A, params)
     y = np.array([1.0, -2.0, 3.0])
@@ -122,7 +122,7 @@ def test_step_equivalence_recurrences():
             blk = sol.extract_block(i, j)
             acc += blk
             if j >= 1:
-                pred = sys.A.matvec(sol.extract_block(i, j - 1)) * (h / j)
+                pred = (sys.A @ sol.extract_block(i, j - 1)) * (h / j)
                 assert np.allclose(blk, pred, atol=1e-13)
         nxt = sol.extract_block(i + 1, 0)
         assert np.allclose(nxt, acc, atol=1e-13)
@@ -152,7 +152,7 @@ def test_forward_and_iterative_agree():
 
 
 def test_unknown_solver_rejected():
-    A = SparseMatrix.zeros(1, 1)
+    A = SparseMatrix.zeros(1, 1).csr
     params = tiny_params(N=1, m=1, k=1, p=1, h=0.0)
     C = assemble_C(A, params)
     with pytest.raises(ValidationError):
@@ -166,7 +166,7 @@ def test_final_block_near_matrix_exponential():
     params = tiny_params(N=sys.index.N, m=m, k=8, p=m, h=h, c=2)
     C = assemble_C(sys.A, params)
     sol = solve_marching(C, sys.y_in, 1e-10, params)
-    exact = dense_expm(sys.A.to_dense() * (m * h)) @ sys.y_in
+    exact = dense_expm(sys.A.toarray() * (m * h)) @ sys.y_in
     err = np.linalg.norm(exact - sol.extract_final())
     bound = 2 * m * 3 * 4 * np.linalg.norm(sys.y_in) / math.factorial(9)
     assert err <= bound
@@ -178,7 +178,7 @@ def test_step_errors_bounded_every_step():
     params = tiny_params(N=sys.index.N, m=m, k=5, p=m, h=h, c=1)
     C = assemble_C(sys.A, params)
     sol = solve_marching(C, sys.y_in, 1e-10, params)
-    rows = step_errors_vs_expm(sys, params, sol, dense_expm(sys.A.to_dense() * h))
+    rows = step_errors_vs_expm(sys, params, sol, dense_expm(sys.A.toarray() * h))
     assert len(rows) == m + 1
     assert rows[0]["measured"] == 0.0
     for row in rows:
@@ -187,34 +187,7 @@ def test_step_errors_bounded_every_step():
 
 # -- the operator against an explicitly built marching matrix ---------------
 
-def reference_C(A: SparseMatrix, params: TaylorSystemParams) -> sp.csr_array:
-    """The marching matrix as the module docstring describes it, one COO:
-    unit diagonal, -A h/j couplings inside each step, -identity summation
-    rows at step boundaries, -identity copy rows at the tail."""
-    N, m, k, d, h = A.rows, params.m, params.k, params.d, params.h
-    coo = A.csr.tocoo()
-    rows, cols, vals = [np.arange((d + 1) * N)], [np.arange((d + 1) * N)], [np.ones((d + 1) * N)]
-    idx = np.arange(N)
-    for i in range(m):
-        base = i * (k + 1)
-        for j in range(1, k + 1):
-            rows.append(coo.row + (base + j) * N)
-            cols.append(coo.col + (base + j - 1) * N)
-            vals.append(coo.data * (-h / j))
-        for j in range(k + 1):
-            rows.append(idx + (base + k + 1) * N)
-            cols.append(idx + (base + j) * N)
-            vals.append(-np.ones(N))
-    for l in range(m * (k + 1) + 1, d + 1):
-        rows.append(idx + l * N)
-        cols.append(idx + (l - 1) * N)
-        vals.append(-np.ones(N))
-    size = (d + 1) * N
-    return sp.coo_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(size, size)).tocsr()
-
-
-def random_A(N: int, seed: int, normal: bool) -> SparseMatrix:
+def random_A(N: int, seed: int, normal: bool) -> sp.csr_array:
     rng = np.random.default_rng(seed)
     if normal:
         q, _ = np.linalg.qr(rng.normal(size=(N, N)))
@@ -223,7 +196,7 @@ def random_A(N: int, seed: int, normal: bool) -> SparseMatrix:
         # strictly upper part makes it non-normal; sparsify the rest
         dense = np.triu(rng.normal(size=(N, N)) * 2.0, 1) - np.diag(rng.uniform(0.5, 1.5, N))
         dense[rng.random((N, N)) < 0.4] = 0.0
-    return SparseMatrix.from_dense(dense)
+    return SparseMatrix.from_dense(dense).csr
 
 
 OPERATOR_CASES = [
@@ -238,10 +211,10 @@ OPERATOR_CASES = [
 ]
 
 
-def operator_case(case) -> tuple[SparseMatrix, TaylorSystemParams]:
+def operator_case(case) -> tuple[sp.csr_array, TaylorSystemParams]:
     A = random_A(case["N"], case["seed"], case["normal"])
-    h = 0.9 / max(np.linalg.norm(A.to_dense(), 2), 1e-12)
-    return A, tiny_params(N=A.rows, m=case["m"], k=case["k"], p=case["p"], h=h)
+    h = 0.9 / max(np.linalg.norm(A.toarray(), 2), 1e-12)
+    return A, tiny_params(N=A.shape[0], m=case["m"], k=case["k"], p=case["p"], h=h)
 
 
 @pytest.mark.parametrize("case", OPERATOR_CASES)
@@ -257,9 +230,9 @@ def test_operator_matches_reference_matrix(case):
     assert np.allclose(C @ v, ref @ v, rtol=0.0, atol=1e-13 * np.linalg.norm(v))
     V = rng.normal(size=(C.shape[0], 3))
     assert np.allclose(C @ V, ref @ V, rtol=0.0, atol=1e-13 * np.linalg.norm(V))
-    y = rng.normal(size=A.rows)
+    y = rng.normal(size=A.shape[0])
     rhs = np.zeros(C.shape[0])
-    rhs[:A.rows] = y
+    rhs[:A.shape[0]] = y
     expected = spla.spsolve_triangular(ref, rhs, lower=True)
     assert np.linalg.norm(C.march(y) - expected) <= 1e-12 * np.linalg.norm(expected)
     # the march is the inverse operator applied to e_0 kron y_in
@@ -412,7 +385,7 @@ def test_select_parameters_rejects_g_below_one():
 def test_condition_bound_formula_value():
     # m=3, k=5, p=3, c=2: 2 e sqrt(5) (3*6+3) (2+2)
     params = tiny_params(N=1, m=3, k=5, p=3, h=0.1, c=2)
-    A = SparseMatrix.zeros(1, 1)
+    A = SparseMatrix.zeros(1, 1).csr
     C = assemble_C(A, params)
     rep = condition_report(C, params, exp_norm_precondition_ok=True)
     assert rep["bound"] == pytest.approx(1021.1481756733905, rel=1e-12)
@@ -420,7 +393,7 @@ def test_condition_bound_formula_value():
 
 def test_condition_4x4_measured_under_bound():
     a = 0.5
-    A = SparseMatrix.from_triplets(1, 1, [(0, 0, a)])
+    A = SparseMatrix.from_triplets(1, 1, [(0, 0, a)]).csr
     params = tiny_params(N=1, m=1, k=1, p=1, h=1.0)
     C = assemble_C(A, params)
     rep = condition_report(C, params, exp_norm_precondition_ok=True)
@@ -431,7 +404,7 @@ def test_condition_4x4_measured_under_bound():
 
 def test_condition_identity_like():
     # A = 0 reduces all couplings to copies; kappa stays small
-    A = SparseMatrix.zeros(2, 2)
+    A = SparseMatrix.zeros(2, 2).csr
     params = tiny_params(N=2, m=1, k=1, p=1, h=1.0)
     C = assemble_C(A, params)
     rep = condition_report(C, params, exp_norm_precondition_ok=True)

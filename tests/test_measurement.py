@@ -7,11 +7,8 @@ from hpmsim.embedding import assemble_A, build_index_map
 from hpmsim.errors import ValidationError
 from hpmsim.marching import assemble_C, solve_marching, step_counts
 from hpmsim.measurement import (
-    amplitude_lower_bound,
-    component_difference_bound,
     level_group_norms,
     normalized_difference_bound,
-    normalized_perturbation_bounds,
     poisson_tail_sum,
     postselect,
     scalar_decay_check,
@@ -20,6 +17,11 @@ from hpmsim.measurement import (
 from hpmsim.marching import TaylorSystemParams
 from hpmsim.ode import compute_K, make_ode
 from hpmsim.sparse import SparseMatrix
+from oracles import (
+    amplitude_lower_bound,
+    component_difference_bound,
+    normalized_perturbation_bounds,
+)
 
 
 def tiny_params(N, m, k, p, h, c=0, g=1.0):

@@ -21,7 +21,7 @@ from hpmsim.pipeline import (
     run,
     sweep,
 )
-from hpmsim.sparse import SparseMatrix, dense_expm, spectral_norm
+from hpmsim.sparse import dense_expm, spectral_norm
 
 STD1 = {
     "n": 1, "T": 1.0, "epsilon": 1e-2, "u_in": [0.5],
@@ -164,8 +164,7 @@ def test_run_takes_the_norm_of_F1_once(monkeypatch):
         return f1_spectrum(*args, **kwargs)
 
     def recorded(matrix, *args, **kwargs):
-        shapes.append((matrix.rows, matrix.cols) if isinstance(matrix, SparseMatrix)
-                      else matrix.shape)
+        shapes.append(matrix.shape)
         return spectral_norm(matrix, *args, **kwargs)
 
     monkeypatch.setattr(hpmsim.ode, "f1_spectrum", counted)
@@ -174,6 +173,20 @@ def test_run_takes_the_norm_of_F1_once(monkeypatch):
     assert run(cfg).status == "pass"
     assert len(spectra) == 1
     assert shapes and (2, 2) not in shapes
+
+
+def test_level_acceptance_needs_the_rescaled_regime_above_order_zero():
+    # F2 = 0 gives K = 0 and the bound 1, which only the c = 0 state meets:
+    # with c = 1 the higher levels still hold u_in kron u_in, and the row's
+    # bound does not apply outside ||u_in|| <= K
+    linear = {"n": 2, "T": 1.0, "epsilon": 1e-2, "u_in": [0.3, 0.2],
+              "F1_triplets": [[0, 0, -1.0], [1, 1, -2.0]], "F2_triplets": []}
+    for c, applies in ((None, True), (1, False)):
+        rep = run(RunConfig.from_dict({**linear, "c": c}))
+        assert rep.status == "pass", c
+        row = next(r for r in rep.bound_checks if r["check"] == "level_acceptance")
+        assert row["precondition_ok"] is applies and row["pass"], c
+    assert row["measured"] < row["bound"]
 
 
 def test_tiny_nonlinearity_step_error_bound_is_positive():
@@ -307,7 +320,7 @@ def test_decay_ratio_matches_dense_step_grid(n):
     rep = run(cfg)
     solved, _, _ = rescaled_problem(build_ode(cfg))
     sys = assemble_A(solved, rep.parameters["c"])
-    E = dense_expm(sys.A.to_dense() * rep.parameters["h"])
+    E = dense_expm(sys.A.toarray() * rep.parameters["h"])
     y, norms = sys.y_in, [np.linalg.norm(sys.y_in)]
     for _ in range(rep.parameters["m"]):
         y = E @ y

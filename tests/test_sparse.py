@@ -10,7 +10,6 @@ from hpmsim.errors import NumericalError, ValidationError
 from hpmsim.sparse import (
     DENSE_ORACLE_CAP,
     SparseMatrix,
-    dense_condition_number,
     dense_eigs,
     dense_expm,
     read_triplets,
@@ -18,6 +17,7 @@ from hpmsim.sparse import (
     vector_norm,
     write_triplets,
 )
+from oracles import dense_condition_number
 
 
 def test_spmv_identity():
@@ -80,18 +80,18 @@ def test_out_of_bounds_rejected():
 
 def test_spectral_norm_diagonal():
     m = SparseMatrix.from_triplets(2, 2, [(0, 0, -1.0), (1, 1, -2.0)])
-    assert spectral_norm(m) == pytest.approx(2.0, rel=1e-8)
+    assert spectral_norm(m.csr) == pytest.approx(2.0, rel=1e-8)
 
 
 def test_spectral_norm_nilpotent():
     m = SparseMatrix.from_triplets(2, 2, [(0, 1, 1.0)])
-    assert spectral_norm(m) == pytest.approx(1.0, rel=1e-8)
+    assert spectral_norm(m.csr) == pytest.approx(1.0, rel=1e-8)
 
 
 def test_spectral_norm_vs_svd_hand_case():
     m = SparseMatrix.from_triplets(2, 2, [(0, 0, -1.0), (0, 1, 0.2), (1, 1, -2.0)])
     sig = np.linalg.svd(m.to_dense(), compute_uv=False)[0]
-    assert spectral_norm(m, tol=1e-12) == pytest.approx(sig, abs=1e-8)
+    assert spectral_norm(m.csr, tol=1e-12) == pytest.approx(sig, abs=1e-8)
 
 
 def test_spectral_norm_vs_svd_random():
@@ -102,13 +102,13 @@ def test_spectral_norm_vs_svd_random():
         dense = rng.normal(size=(n, cols))
         m = SparseMatrix.from_dense(dense)
         sig = np.linalg.svd(dense, compute_uv=False)[0]
-        assert spectral_norm(m, tol=1e-12) == pytest.approx(sig, rel=1e-6), trial
+        assert spectral_norm(m.csr, tol=1e-12) == pytest.approx(sig, rel=1e-6), trial
 
 
 def test_spectral_norm_scaling_exact():
     m = SparseMatrix.from_triplets(2, 2, [(0, 0, 0.3), (1, 0, -0.4), (0, 1, 1.1)])
-    base = spectral_norm(m, tol=1e-12)
-    assert spectral_norm(m.scaled(2.0), tol=1e-12) == pytest.approx(2.0 * base, rel=1e-13)
+    base = spectral_norm(m.csr, tol=1e-12)
+    assert spectral_norm(m.scaled(2.0).csr, tol=1e-12) == pytest.approx(2.0 * base, rel=1e-13)
 
 
 def _series_expm(a: np.ndarray, terms: int = 60) -> np.ndarray:
@@ -232,7 +232,7 @@ F1_ORTHOGONAL_START = [[-1.5, 0.5], [0.5, -1.5]]
 
 def test_spectral_norm_not_fooled_by_orthogonal_start():
     m = SparseMatrix.from_dense(F1_ORTHOGONAL_START)
-    assert spectral_norm(m) == pytest.approx(2.0, rel=1e-12)
+    assert spectral_norm(m.csr) == pytest.approx(2.0, rel=1e-12)
     assert spectral_norm(np.array(F1_ORTHOGONAL_START)) == pytest.approx(2.0, rel=1e-12)
 
 
@@ -244,16 +244,16 @@ def test_spectral_norm_certificate_rejects_underestimate(monkeypatch):
 
     monkeypatch.setattr(hpmsim.sparse, "svds", smallest_singular_value)
     with pytest.raises(NumericalError, match="lower bound"):
-        spectral_norm(SparseMatrix.from_dense(F1_ORTHOGONAL_START))
+        spectral_norm(SparseMatrix.from_dense(F1_ORTHOGONAL_START).csr)
 
 
 def test_spectral_norm_caller_lower_bound_certifies_a_matrix():
     # sqrt(2.5), the largest column norm, passes; a caller's bound above
     # ||M|| = 2 makes the estimate fail its certificate
     m = SparseMatrix.from_dense(F1_ORTHOGONAL_START)
-    assert spectral_norm(m, lower=1.9) == pytest.approx(2.0, rel=1e-12)
+    assert spectral_norm(m.csr, lower=1.9) == pytest.approx(2.0, rel=1e-12)
     with pytest.raises(NumericalError, match="lower bound 2.1"):
-        spectral_norm(m, lower=2.1)
+        spectral_norm(m.csr, lower=2.1)
 
 
 def test_spectral_norm_start_guess_orthogonal_to_the_answer():
@@ -262,7 +262,7 @@ def test_spectral_norm_start_guess_orthogonal_to_the_answer():
     m = SparseMatrix.from_dense(np.diag(np.linspace(1.0, 2.0, 50)))
     guess = np.zeros(50)
     guess[0] = 1.0
-    assert spectral_norm(m, start=guess) == pytest.approx(2.0, rel=1e-12)
+    assert spectral_norm(m.csr, start=guess) == pytest.approx(2.0, rel=1e-12)
 
 
 @st.composite
@@ -287,14 +287,14 @@ def _small_matrices(draw):
 @given(_small_matrices(), st.booleans())
 def test_spectral_norm_matches_svd(arr, as_sparse):
     expected = np.linalg.norm(arr, 2)
-    got = spectral_norm(SparseMatrix.from_dense(arr) if as_sparse else arr)
+    got = spectral_norm(SparseMatrix.from_dense(arr).csr if as_sparse else arr)
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_triplet_roundtrip_empty(tmp_path):
     m = SparseMatrix.zeros(2, 3)
     path = tmp_path / "empty.txt"
-    write_triplets(m, path)
+    write_triplets(m.csr, path)
     back = read_triplets(path)
     assert back.rows == 2 and back.cols == 3 and back.nnz == 0
     assert not back.to_dense().any()
@@ -303,7 +303,7 @@ def test_triplet_roundtrip_empty(tmp_path):
 def test_triplet_roundtrip(tmp_path):
     m = SparseMatrix.from_triplets(3, 4, [(0, 0, 1.25), (2, 3, -7.5e-3), (1, 2, 4.0)])
     path = tmp_path / "m.txt"
-    write_triplets(m, path)
+    write_triplets(m.csr, path)
     back = read_triplets(path)
     assert back.rows == 3 and back.cols == 4
     assert np.array_equal(back.to_dense(), m.to_dense())
