@@ -9,7 +9,9 @@ with A block upper bidiagonal over levels.  A is a `scipy.sparse`
 `csr_array` built from Kronecker products: Kronecker sums of F1 on the
 diagonal, each level's from the one below by S_i = S_{i-1} kron I_n +
 I kron F1, and copies of F2 placed by 0/1 split matrices above it.  ||A|| comes with a
-closed-form bracket that certifies the step count m = ceil(T ||A||).
+closed-form bracket that certifies the step count m = ceil(T ||A||), and
+A's logarithmic norm with a closed-form upper end that certifies
+||e^(At)|| <= 1.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ N_CAP = 200_000
 # is settled, the tight one otherwise
 LOOSE_NORM_TOL = 1e-5
 NORM_TOL = 1e-10
-# relative widening of both ends of the ||A|| bracket, past the rounding of
-# the dense eigen- and singular-value solves and of the sums behind them
+# relative widening of both ends of the ||A|| bracket, and of the upper end
+# of mu(A) by this share of the upper end of ||A||, past the rounding of the
+# dense eigen- and singular-value solves and of the sums behind them
 BRACKET_SLACK = 1e-12
 
 
@@ -136,6 +139,7 @@ class EmbeddedSystem:
     norm_A_lower: float         # closed-form bracket lower <= ||A|| <= upper
     norm_A_upper: float
     norm_A_tol: float           # residual tolerance the estimate ran at
+    log_norm_A_upper: float     # closed-form upper end of mu(A)
 
 
 def step_counts(T: float, norm_A: float) -> tuple[int, float]:
@@ -189,6 +193,14 @@ def assemble_A(ode: QuadraticODE, c: int, cap: int = N_CAP,
     counts of both ends of [max(est, lower), min(upper, est (1 + tol^2))]
     agree.  Otherwise, or with no T, the estimate is a NORM_TOL run from the
     seeded start, certified by the lower end.
+
+    The logarithmic norm mu(A) = lambda_max((A + A^T)/2) has a closed-form
+    upper end from the same pieces: D's block i has log norm (i+1) mu(F1),
+    and the U_i occupy disjoint row and column blocks, so ||U|| = max_i ||U_i||
+    and mu(A) <= mu(D) + ||U|| <= max(mu(F1), (c+1) mu(F1)) + coupling, the
+    coupling term of the upper end above.  It is raised by BRACKET_SLACK
+    times that upper end.  When it is at most 0, ||e^(At)|| <= e^(mu(A) t)
+    <= 1 for every t >= 0.
     """
     index = build_index_map(c, ode.n, cap)
     n, F1, F2 = ode.n, ode.F1.csr, ode.F2.csr
@@ -214,7 +226,10 @@ def assemble_A(ode: QuadraticODE, c: int, cap: int = N_CAP,
                                    for k, t in enumerate(slots))
     coupling = max((_schur_bound(blocks[i][i + 1]) for i in range(c)), default=0.0)
     lower = (c + 1) * float(np.abs(ode.eigs_F1).max(initial=0.0)) * (1 - BRACKET_SLACK)
-    upper = ((c + 1) * ode.norm_F1 + coupling) * (1 + BRACKET_SLACK)
+    upper = (c + 1) * ode.norm_F1 + coupling
+    mu = ode.log_norm_F1
+    log_norm_upper = max(mu, (c + 1) * mu) + coupling + BRACKET_SLACK * upper
+    upper *= 1 + BRACKET_SLACK
 
     A = sp.block_array(blocks, format="csr")
     y_in = assemble_y_in(ode, index)
@@ -231,7 +246,8 @@ def assemble_A(ode: QuadraticODE, c: int, cap: int = N_CAP,
     if norm_A is None:
         norm_A = spectral_norm(A, tol=NORM_TOL, lower=lower)
     return EmbeddedSystem(index=index, A=A, y_in=y_in, norm_A=norm_A, norm_A_lower=lower,
-                          norm_A_upper=upper, norm_A_tol=tol)
+                          norm_A_upper=upper, norm_A_tol=tol,
+                          log_norm_A_upper=log_norm_upper)
 
 
 def assemble_y_in(ode: QuadraticODE, index: EmbeddingIndexMap) -> np.ndarray:
@@ -318,6 +334,7 @@ def structural_report(sys: EmbeddedSystem, ode: QuadraticODE, norm_F2: float,
     report["norm_A_lower"] = sys.norm_A_lower
     report["norm_A_upper"] = sys.norm_A_upper
     report["norm_A_tol"] = sys.norm_A_tol
+    report["log_norm_A_upper"] = sys.log_norm_A_upper
     report["norm_A_bound"] = norm_bound
     if sys.norm_A > norm_bound * (1 + 1e-9):
         raise BoundViolation(

@@ -42,11 +42,13 @@ class QuadraticODE:
     eigs_F1: np.ndarray | None = None
     norm_F1: float | None = None
     top_F1: np.ndarray | None = None
+    log_norm_F1: float | None = None
 
     def __post_init__(self):
         if self.eigs_F1 is None:
-            spectrum = f1_spectrum(self.F1)[:3]
-            for name, value in zip(("eigs_F1", "norm_F1", "top_F1"), spectrum):
+            spectrum = f1_spectrum(self.F1)[:4]
+            names = ("eigs_F1", "norm_F1", "top_F1", "log_norm_F1")
+            for name, value in zip(names, spectrum):
                 object.__setattr__(self, name, value)
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
@@ -54,15 +56,15 @@ class QuadraticODE:
 
 
 def f1_spectrum(F1: SparseMatrix, dense_cap: int = DENSE_ORACLE_CAP
-                ) -> tuple[np.ndarray, float, np.ndarray, float]:
+                ) -> tuple[np.ndarray, float, np.ndarray, float, float]:
     """F1's eigenvalues (residual-verified), its largest singular value
-    sigma_1 = ||F1||, a unit right singular vector for it and its departure
-    from normality ||F1 F1^T - F1^T F1||_F / sigma_1^2, from one dense F1
-    under the cap.
+    sigma_1 = ||F1||, a unit right singular vector for it, its logarithmic
+    norm mu(F1) = lambda_max((F1 + F1^T)/2) and its departure from normality
+    ||F1 F1^T - F1^T F1||_F / sigma_1^2, from one dense F1 under the cap.
 
-    The SVD and the commutator run on F1 scaled by an exact power of two,
-    so entries such as 1e300 cannot overflow them; sigma_1 is exact to
-    rounding, an upper end as good as a lower one.
+    The SVD, the symmetric eigensolve and the commutator run on F1 scaled
+    by an exact power of two, so entries such as 1e300 cannot overflow
+    them; sigma_1 and mu(F1) are exact to rounding of order eps sigma_1.
     """
     d1 = F1.to_dense(dense_cap)
     exp = math.frexp(float(np.abs(d1).max(initial=0.0)))[1]
@@ -70,7 +72,9 @@ def f1_spectrum(F1: SparseMatrix, dense_cap: int = DENSE_ORACLE_CAP
     _, sig, vt = np.linalg.svd(d1s)
     comm = np.linalg.norm(d1s @ d1s.T - d1s.T @ d1s)
     departure = float(comm / max(sig[0] ** 2, np.finfo(float).tiny))
-    return dense_eigs(d1, dense_cap), math.ldexp(float(sig[0]), exp), vt[0], departure
+    mu = float(np.linalg.eigvalsh((d1s + d1s.T) / 2.0)[-1])
+    return (dense_eigs(d1, dense_cap), math.ldexp(float(sig[0]), exp), vt[0],
+            math.ldexp(mu, exp), departure)
 
 
 def make_ode(n: int, F1: SparseMatrix, F2: SparseMatrix, u_in,
@@ -91,7 +95,7 @@ def make_ode(n: int, F1: SparseMatrix, F2: SparseMatrix, u_in,
     if u_in.shape != (n,):
         raise ValidationError(f"u_in must have length {n}")
     s = max(F1.sparsity(), F2.sparsity())
-    lam, norm1, top, departure = f1_spectrum(F1, dense_cap)
+    lam, norm1, top, mu, departure = f1_spectrum(F1, dense_cap)
     if not assume_valid:
         if departure > 1e-10:
             raise ValidationError("F1 is not normal")
@@ -100,7 +104,7 @@ def make_ode(n: int, F1: SparseMatrix, F2: SparseMatrix, u_in,
                 f"F1 is not dissipative: max Re(lambda) = {lam.real.max():.3e}"
             )
     return QuadraticODE(n=n, F1=F1, F2=F2, u_in=u_in, s=s,
-                        eigs_F1=lam, norm_F1=norm1, top_F1=top)
+                        eigs_F1=lam, norm_F1=norm1, top_F1=top, log_norm_F1=mu)
 
 
 @dataclass(frozen=True)

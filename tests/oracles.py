@@ -18,7 +18,7 @@ from hpmsim.embedding import EmbeddingIndexMap
 from hpmsim.errors import NumericalError, ValidationError
 from hpmsim.marching import TaylorSystemParams
 from hpmsim.measurement import normalized_difference_bound
-from hpmsim.sparse import DENSE_ORACLE_CAP, SparseMatrix, _check_cap, vector_norm
+from hpmsim.sparse import DENSE_ORACLE_CAP, SparseMatrix, _check_cap, dense_expm, vector_norm
 
 
 # -- the scalar Bernoulli instance -------------------------------------------
@@ -193,6 +193,16 @@ def reference_C(A: sp.csr_array, params: TaylorSystemParams) -> sp.csr_array:
     size = (d + 1) * N
     return sp.coo_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                         shape=(size, size)).tocsr()
+
+
+def dense_trajectory(A: sp.csr_array, y_in: np.ndarray, h: float, m: int) -> np.ndarray:
+    """expm(A j h) y_in for j = 0..m, stacked: powers of the dense expm(A h)
+    applied one step at a time."""
+    E = dense_expm(A.toarray() * h)
+    out = [np.array(y_in, dtype=np.float64)]
+    for _ in range(m):
+        out.append(E @ out[-1])
+    return np.array(out)
 
 
 def taylor_polynomial_apply(A: sp.csr_array, h: float, k: int, v: np.ndarray) -> np.ndarray:

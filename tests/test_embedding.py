@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import LinearOperator, aslinearoperator
+from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh
 
 import hpmsim.sparse
 from hpmsim.cascade import solve_cascade
@@ -371,6 +371,25 @@ def test_norm_bracket_holds_for_nonnormal_F1(n, c):
     sys = assemble_A(nonnormal_ode(n, seed=3 * n + c), c, T=1.0)
     norm = np.linalg.norm(sys.A.toarray(), 2)
     assert sys.norm_A_lower <= norm <= sys.norm_A_upper
+
+
+# -- the closed-form log-norm bound behind the exp_norm certificate ----------
+
+@pytest.mark.parametrize("kind", ["normal", "nonnormal"])
+@pytest.mark.parametrize("c", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_log_norm_bound_holds(n, c, kind):
+    # mu(A) = lambda_max((A + A^T)/2) never exceeds the closed-form upper end,
+    # also where a non-normal F1 makes mu(F1) positive; dense up to N = 1,500,
+    # above that from Lanczos, whose Ritz value is never above lambda_max
+    ode = random_ode(n, seed=5 * n + c) if kind == "normal" else nonnormal_ode(n, 5 * n + c)
+    sys = assemble_A(ode, c, T=1.0)
+    sym = (sys.A + sys.A.T) / 2.0
+    if sys.index.N <= 1500:
+        mu = np.linalg.eigvalsh(sym.toarray())[-1]
+    else:
+        mu = eigsh(sym, k=1, which="LA", tol=1e-12, return_eigenvectors=False)[0]
+    assert mu <= sys.log_norm_A_upper
 
 
 @pytest.mark.parametrize("T", [1.0, 3.0])

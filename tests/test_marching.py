@@ -16,6 +16,7 @@ from hpmsim.marching import (
     assemble_C,
     choose_order,
     condition_report,
+    expm_trajectory,
     select_parameters,
     solve_marching,
     step_counts,
@@ -24,7 +25,12 @@ from hpmsim.marching import (
 )
 from hpmsim.ode import compute_K, make_ode, reference_solution, rescale
 from hpmsim.sparse import SparseMatrix, dense_expm, spectral_norm
-from oracles import dense_condition_number, reference_C, taylor_polynomial_apply
+from oracles import (
+    dense_condition_number,
+    dense_trajectory,
+    reference_C,
+    taylor_polynomial_apply,
+)
 
 
 def tiny_params(N: int, m: int, k: int, p: int, h: float, c: int = 0,
@@ -178,11 +184,34 @@ def test_step_errors_bounded_every_step():
     params = tiny_params(N=sys.index.N, m=m, k=5, p=m, h=h, c=1)
     C = assemble_C(sys.A, params)
     sol = solve_marching(C, sys.y_in, 1e-10, params)
-    rows = step_errors_vs_expm(sys, params, sol, dense_expm(sys.A.toarray() * h))
+    rows = step_errors_vs_expm(sys, params, sol, dense_trajectory(sys.A, sys.y_in, h, m))
     assert len(rows) == m + 1
     assert rows[0]["measured"] == 0.0
     for row in rows:
         assert row["measured"] <= row["bound"] + 1e-9
+
+
+def test_expm_trajectory_ignores_the_global_generator():
+    # expm_multiply's onenormest draws from numpy's global generator; for this
+    # matrix and horizon the draws change its step choice, and with it the
+    # last bits of the result, unless the sweep seeds the generator itself
+    rng = np.random.default_rng(20)
+    A = sp.random_array((60, 60), density=0.2, rng=rng, format="csr")
+    A.data = rng.normal(size=A.data.size)
+    A = A.tocsr() - 2.0 * sp.eye_array(60, format="csr")
+    y = np.ones(60)
+    raw, ours = set(), set()
+    for seed in range(5):
+        np.random.seed(seed)
+        raw.add(spla.expm_multiply(A, y, start=0.0, stop=20.0, num=11, endpoint=True).tobytes())
+        np.random.seed(seed)
+        ours.add(expm_trajectory(A, y, 2.0, 10).tobytes())
+        # the caller's generator state is put back
+        after = np.random.get_state()[1]
+        np.random.seed(seed)
+        assert np.array_equal(after, np.random.get_state()[1])
+    assert len(raw) > 1
+    assert len(ours) == 1
 
 
 # -- the operator against an explicitly built marching matrix ---------------
@@ -245,6 +274,18 @@ def test_operator_matches_reference_matrix(case):
                           (inv.T @ x, dense_inv.T @ x)):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.linalg.norm(x)
+
+
+def test_transpose_of_A_is_a_csr_copy_built_on_first_use():
+    A, params = operator_case(OPERATOR_CASES[0])
+    C = assemble_C(A, params)
+    C.march(np.ones(A.shape[0]))
+    C @ np.ones(C.shape[0])
+    # the forward march and products with C never apply A^T
+    assert "AT" not in vars(C)
+    AT = C.AT
+    assert AT.format == "csr" and AT is C.AT
+    assert np.array_equal(AT.toarray(), A.toarray().T)
 
 
 @pytest.mark.parametrize("case", OPERATOR_CASES)

@@ -89,6 +89,18 @@ def test_directly_built_instance_carries_the_spectrum_of_F1(monkeypatch):
     assert rescale(ode, 2.0).norm_F1 == 4.0
 
 
+def test_log_norm_of_F1():
+    # mu(F1) = lambda_max((F1 + F1^T)/2): the spectral abscissa of a normal
+    # F1, and above it for a non-normal one, here 0.5 against -1
+    normal = QuadraticODE(n=2, F1=SparseMatrix.from_triplets(2, 2, [(0, 0, -1.0), (1, 1, -4.0)]),
+                          F2=SparseMatrix.zeros(2, 4), u_in=np.array([0.3, 0.1]))
+    assert normal.log_norm_F1 == pytest.approx(-1.0, rel=1e-15)
+    F1 = SparseMatrix.from_triplets(2, 2, [(0, 0, -1.0), (0, 1, 3.0), (1, 1, -1.0)])
+    ode = make_ode(2, F1, SparseMatrix.zeros(2, 4), [0.3, 0.2], assume_valid=True)
+    assert ode.log_norm_F1 == pytest.approx(0.5, rel=1e-15)
+    assert rescale(ode, 2.0).log_norm_F1 == ode.log_norm_F1
+
+
 def test_rescale_identity():
     ode = std1()
     same = rescale(ode, 1.0)

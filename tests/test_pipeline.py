@@ -7,9 +7,9 @@ import hpmsim.embedding
 import hpmsim.marching
 import hpmsim.ode
 import hpmsim.pipeline
-from hpmsim.embedding import assemble_A
+from hpmsim.embedding import assemble_A, step_counts
 from hpmsim.errors import NumericalError, ValidationError
-from hpmsim.marching import choose_order
+from hpmsim.marching import choose_order, expm_trajectory
 from hpmsim.ode import compute_K
 from hpmsim.pipeline import (
     RunConfig,
@@ -21,7 +21,8 @@ from hpmsim.pipeline import (
     run,
     sweep,
 )
-from hpmsim.sparse import dense_expm, spectral_norm
+from hpmsim.sparse import DENSE_ORACLE_CAP, dense_expm, spectral_norm
+from oracles import dense_trajectory
 
 STD1 = {
     "n": 1, "T": 1.0, "epsilon": 1e-2, "u_in": [0.5],
@@ -283,15 +284,81 @@ def test_sweep_records_failures_and_continues():
 
 def test_over_cap_paths_still_pass():
     # a tiny dense cap marks every dense-gated check as skipped; the
-    # spectrum row and g do not depend on the cap, and the run still passes
+    # spectrum row, the log-norm certificate of exp_norm and g do not depend
+    # on the cap, and the run still passes
     rep = run(std1_config(dense_cap=100))
     assert rep.status == "pass"
     by_name = {r["check"]: r for r in rep.bound_checks}
-    assert by_name["exp_norm"]["measured"] is None
+    assert by_name["exp_norm"]["measured"] == 1.0
     assert by_name["step_error"]["measured"] is None
     assert by_name["embedding_spectrum"]["measured"] == -1.0
     assert by_name["condition_number"]["measured"] is None
     assert rep.parameters["g"] == run(std1_config()).parameters["g"]
+
+
+# F1 = [[-1, 3], [0, -1]] is not normal: mu(F1) = 0.5 > 0, so the log-norm
+# bound cannot certify ||e^(At)|| <= 1, and ||e^(At)|| does rise above 1
+NONNORMAL = {
+    "n": 2, "T": 1.0, "epsilon": 1e-2, "u_in": [0.3, 0.2],
+    "F1_triplets": [[0, 0, -1.0], [0, 1, 3.0], [1, 1, -1.0]],
+    "F2_triplets": [[0, 1, 0.1]], "assume_valid": True,
+}
+
+
+def _exp_norm_row(rep):
+    return next(r for r in rep.bound_checks if r["check"] == "exp_norm")
+
+
+def test_exp_norm_certified_by_the_log_norm_bound(std1_report):
+    row = _exp_norm_row(std1_report)
+    mu = std1_report.structure["log_norm_A_upper"]
+    assert mu < 0.0
+    assert row["measured"] == 1.0
+    assert row["note"] == f"certified: log-norm bound {mu:.3g} <= 0"
+
+
+def test_exp_norm_at_T_zero_is_one():
+    # T = 0 makes h = 0 and the step grid {0}, where e^(A 0) = I: both the
+    # certificate and the dense fallback give 1 at any dense cap
+    row = _exp_norm_row(run(std1_config(T=0.0)))
+    assert row["measured"] == 1.0
+    assert row["note"].startswith("certified: ")
+    for cap in (DENSE_ORACLE_CAP, 100):
+        rep = run(RunConfig.from_dict({**NONNORMAL, "T": 0.0, "dense_cap": cap}))
+        assert rep.structure["log_norm_A_upper"] > 0.0
+        assert _exp_norm_row(rep)["measured"] == 1.0
+        assert "dense cap" not in _exp_norm_row(rep)["note"]
+
+
+def test_exp_norm_falls_back_to_dense_products_where_the_bound_fails():
+    rep = run(RunConfig.from_dict(NONNORMAL))
+    row = _exp_norm_row(rep)
+    assert rep.structure["log_norm_A_upper"] > 0.0
+    assert row["note"] == "dense E^j products"
+    assert row["measured"] == pytest.approx(2.402308284797181, rel=1e-12)
+    assert row["pass"] and row["precondition_ok"]
+    # over the dense cap the row is skipped and names the failed certificate
+    rep = run(RunConfig.from_dict({**NONNORMAL, "dense_cap": 100}))
+    row = _exp_norm_row(rep)
+    mu = rep.structure["log_norm_A_upper"]
+    assert row["measured"] is None
+    assert row["note"] == f"skipped: log-norm bound {mu:.3g} > 0 and N over dense cap"
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_expm_sweep_matches_dense_powers(n):
+    # one expm_multiply sweep against powers of the dense expm(A h) applied
+    # to y_in, on std1 and gen4 at the order and step grid a run selects
+    cfg = (std1_config() if n == 1 else
+           instance_config(generate_instance(n, 2, 0.3, 7), T=1.0, epsilon=1e-2))
+    solved, _, _ = rescaled_problem(build_ode(cfg))
+    sys = assemble_A(solved, 3, T=cfg.T)
+    m, h = step_counts(cfg.T, sys.norm_A)
+    sweep_traj = expm_trajectory(sys.A, sys.y_in, h, m)
+    dense = dense_trajectory(sys.A, sys.y_in, h, m)
+    assert sweep_traj.shape == (m + 1, sys.index.N)
+    assert np.abs(sweep_traj - dense).max() <= 1e-14 * np.linalg.norm(sys.y_in)
+    assert np.array_equal(expm_trajectory(sys.A, sys.y_in, 0.0, m)[m], sys.y_in)
 
 
 def test_override_beyond_order_cap_needs_force():
