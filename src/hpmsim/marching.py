@@ -5,8 +5,9 @@ unit diagonal, -A h/j couplings inside each step, -identity summation rows
 at step boundaries, -identity copy rows at the tail.  C is an operator and
 is never stored: applying it costs one product of A with the m k coupling
 blocks.  The system is unit lower triangular, so forward substitution
-solves it exactly in m k products with A; a residual checked iterative
-solver on the operator doubles as an independent path.  The operator also
+solves it exactly in m k products with A; a residual checked GMRES on the
+operator, preconditioned by the inverse of C's block diagonal over the
+steps, doubles as an independent path.  The operator also
 applies C^T, and `inverse()` applies C^{-1} and C^{-T} by substitution, so
 the condition number ||C|| ||C^{-1}|| comes from Lanczos without forming C.
 """
@@ -28,6 +29,7 @@ from .ode import SQRT_HALF, NonlinearityParams
 from .sparse import DENSE_ORACLE_CAP, spectral_norm, vector_norm
 
 SOLVE_FLOOR = 1e-10
+SOLVERS = ("forward", "iterative")
 
 
 @dataclass
@@ -287,6 +289,24 @@ class MarchingOperator(spla.LinearOperator):
                                    matmat=self._solve, rmatmat=self._solve_T,
                                    dtype=np.float64)
 
+    def step_inverse(self) -> spla.LinearOperator:
+        """D^{-1} as an operator, D the block diagonal of C over the m steps
+        and the copy tail: C without its summation rows.  All steps are
+        solved at once, in k products of A with an (N, m) stack."""
+        m, k, h, d, N = self.params.m, self.params.k, self.params.h, self.params.d, self.N
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            X = np.array(b, dtype=np.float64).reshape(d + 1, N, -1)
+            steps = X[:m * (k + 1)].reshape(m, k + 1, N, -1)
+            for j in range(1, k + 1):
+                src = np.moveaxis(steps[:, j - 1], 1, 0).reshape(N, -1)
+                steps[:, j] += (h / j) * np.moveaxis((self.A @ src).reshape(N, m, -1), 0, 1)
+            tail = X[m * (k + 1):]
+            np.cumsum(tail, axis=0, out=tail)
+            return X.reshape(np.shape(b))
+
+        return spla.LinearOperator(self.shape, matvec=solve, matmat=solve, dtype=np.float64)
+
     def _matmat(self, x: np.ndarray) -> np.ndarray:
         m, k, d, N = self.params.m, self.params.k, self.params.d, self.N
         r = x.shape[1]
@@ -333,6 +353,7 @@ class MarchingSolution:
     x: np.ndarray
     params: TaylorSystemParams
     residual: float
+    iterations: int | None = None      # GMRES inner iterations; None for forward
 
     def extract_block(self, i: int, j: int) -> np.ndarray:
         N = self.params.N
@@ -357,13 +378,20 @@ def solve_marching(C: MarchingOperator, y_in: np.ndarray, delta: float,
     rhs = np.zeros((params.d + 1) * N)
     rhs[:N] = y_in
     target = min(delta, SOLVE_FLOOR) if delta > 0 else SOLVE_FLOOR
+    iterations = None
     if solver == "forward":
         x = C.march(y_in)
     elif solver == "iterative":
-        x, info = spla.gmres(C, rhs, rtol=target / 10.0, atol=0.0,
-                             restart=200, maxiter=5000)
+        # D^{-1} C = I - D^{-1} L, with D^{-1} L strictly lower triangular over
+        # the m steps and the tail: GMRES ends within m+1 iterations, and the
+        # basis holds m+3 vectors; restarts continue should rounding need more
+        presids = []
+        x, info = spla.gmres(C, rhs, rtol=target / 10.0, atol=0.0, M=C.step_inverse(),
+                             restart=params.m + 2, maxiter=5000,
+                             callback=presids.append, callback_type="pr_norm")
         if info != 0:
             raise NumericalError(f"gmres did not converge (info={info})")
+        iterations = len(presids)
     else:
         raise ValidationError(f"unknown solver '{solver}'")
     rhs_norm = np.linalg.norm(rhs)
@@ -372,7 +400,7 @@ def solve_marching(C: MarchingOperator, y_in: np.ndarray, delta: float,
         raise NumericalError(
             f"solver '{solver}' residual {residual:.3e} misses target {target:.3e}"
         )
-    return MarchingSolution(x=x, params=params, residual=residual)
+    return MarchingSolution(x=x, params=params, residual=residual, iterations=iterations)
 
 
 def expm_trajectory(A: sp.csr_array, y_in: np.ndarray, h: float, m: int) -> np.ndarray:

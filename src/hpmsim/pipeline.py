@@ -131,6 +131,10 @@ class RunConfig:
             if bad:
                 raise ValidationError(f"config key '{key}' needs [int, int, finite real] "
                                       f"triplets, not {bad[0]!r}")
+        solver = raw.get("solver", "forward")
+        if not (isinstance(solver, str) and solver in mar.SOLVERS):
+            raise ValidationError(f"config key 'solver' must be one of {list(mar.SOLVERS)}, "
+                                  f"not {solver!r}")
         return cls(**raw)
 
     @classmethod
@@ -428,7 +432,8 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
             "epsilon": config.epsilon,
             "pass": budget.final_error <= config.epsilon,
         },
-        solver={"name": config.solver, "residual": sol.residual},
+        solver={"name": config.solver, "residual": sol.residual,
+                "iterations": sol.iterations},
         warnings=warnings,
         timings=timings,
         status=status,

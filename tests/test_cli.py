@@ -61,6 +61,15 @@ def test_run_rejects_bad_triplet_at_load(tmp_path, triplet, capsys):
     assert "F2_triplets" in capsys.readouterr().err
 
 
+def test_run_rejects_unknown_solver_at_load(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**STD1, "solver": "magic"}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"]) == 2
+    err = capsys.readouterr().err
+    # refused when the config is read, before any stage runs
+    assert "'solver'" in err and "in stage" not in err
+
+
 def test_run_missing_config_is_validation_error(tmp_path):
     assert main(["--out", str(tmp_path), "run"]) == 2
 

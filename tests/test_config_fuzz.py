@@ -47,8 +47,9 @@ def test_from_dict_accepts_or_raises_validation_error(n, T, epsilon, u_in, F1, F
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(["n", "T", "epsilon", "u_in", "F1_triplets", "F2_triplets"]),
-       junk)
+@given(st.sampled_from(["n", "T", "epsilon", "u_in", "F1_triplets", "F2_triplets",
+                        "solver"]),
+       st.one_of(junk, st.sampled_from(["forward", "iterative", "Forward", "gmres"])))
 def test_from_dict_checks_each_key_alone(key, value):
     """One bad value among valid ones is refused whenever its key's rule says so."""
     accepted = _is_config({**STD1, key: value})
@@ -58,6 +59,8 @@ def test_from_dict_checks_each_key_alone(key, value):
     elif key in ("T", "epsilon"):
         assert accepted == (isinstance(value, (int, float)) and not isinstance(value, bool)
                             and math.isfinite(value))
+    elif key == "solver":
+        assert accepted == (value in ("forward", "iterative"))
 
 
 # the CLI runs the whole pipeline on accepted configs: each example starts

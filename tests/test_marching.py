@@ -154,7 +154,7 @@ def test_forward_and_iterative_agree():
     C = assemble_C(sys.A, params)
     a = solve_marching(C, sys.y_in, 1e-10, params, solver="forward")
     b = solve_marching(C, sys.y_in, 1e-10, params, solver="iterative")
-    assert np.linalg.norm(a.x - b.x) <= 1e-9 * max(1.0, np.linalg.norm(a.x))
+    assert np.linalg.norm(a.x - b.x) <= 1e-12 * max(1.0, np.linalg.norm(a.x))
 
 
 def test_unknown_solver_rejected():
@@ -274,6 +274,60 @@ def test_operator_matches_reference_matrix(case):
                           (inv.T @ x, dense_inv.T @ x)):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("case", OPERATOR_CASES)
+def test_step_inverse_matches_dense_block_diagonal_inverse(case):
+    A, params = operator_case(case)
+    C = assemble_C(A, params)
+    N, m, k = A.shape[0], params.m, params.k
+    # group of each row and column: step i for blocks i(k+1)..i(k+1)+k, m for the tail
+    group = np.minimum(np.arange(C.shape[0]) // N // (k + 1), m)
+    dense = reference_C(A, params).toarray()
+    D = np.where(group[:, None] == group[None, :], dense, 0.0)
+    # C differs from D only in the summation rows
+    assert np.count_nonzero(dense - D) == m * (k + 1) * N
+    want = np.linalg.inv(D)
+    Dinv = C.step_inverse()
+    assert np.abs(Dinv @ np.eye(C.shape[0]) - want).max() <= 1e-13
+    v = np.random.default_rng(case["seed"]).normal(size=C.shape[0])
+    assert np.abs(Dinv @ v - want @ v).max() <= 1e-13 * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("T", [0.0, 0.5, 1.5])
+@pytest.mark.parametrize("c", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_preconditioned_gmres_ends_within_m_plus_1_iterations(n, c, T):
+    # D^{-1} C = I - D^{-1} L with (D^{-1} L)^{m+1} = 0, L the summation rows
+    ode, sys = stable_system(n, c, seed=10 * n + c)
+    m, h = step_counts(T, sys.norm_A)
+    for k in (1, 5, 9):
+        params = tiny_params(N=sys.index.N, m=m, k=k, p=m + 1, h=h, c=c)
+        C = assemble_C(sys.A, params)
+        sol = solve_marching(C, sys.y_in, 1e-10, params, solver="iterative")
+        assert 1 <= sol.iterations <= m + 1
+        x = C.march(sys.y_in)
+        assert np.linalg.norm(sol.x - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_gmres_takes_the_step_inverse_and_an_m_plus_2_basis(monkeypatch):
+    ode, sys = stable_system(2, 1, seed=6)
+    m, h = step_counts(1.0, sys.norm_A)
+    params = tiny_params(N=sys.index.N, m=m, k=6, p=m, h=h, c=1)
+    C = assemble_C(sys.A, params)
+    calls = []
+    gmres = spla.gmres
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return gmres(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "gmres", spy)
+    solve_marching(C, sys.y_in, 1e-10, params, solver="iterative")
+    [kwargs] = calls
+    assert kwargs["restart"] == params.m + 2
+    v = np.random.default_rng(0).normal(size=C.shape[0])
+    assert np.array_equal(kwargs["M"] @ v, C.step_inverse() @ v)
 
 
 def test_transpose_of_A_is_a_csr_copy_built_on_first_use():

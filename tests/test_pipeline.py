@@ -228,8 +228,14 @@ def test_solver_override_iterative():
 def test_forward_and_iterative_reports_agree():
     a = run(std1_config())
     b = run(std1_config(solver="iterative"))
-    assert a.errors["final_error"] == pytest.approx(b.errors["final_error"], abs=1e-9)
-    assert a.measurement["chi0_sq"] == pytest.approx(b.measurement["chi0_sq"], abs=1e-9)
+    assert a.errors["final_error"] == pytest.approx(b.errors["final_error"], abs=1e-12)
+    assert a.measurement["chi0_sq"] == pytest.approx(b.measurement["chi0_sq"], abs=1e-12)
+
+
+def test_report_counts_solver_iterations(std1_report):
+    assert std1_report.solver["iterations"] is None
+    rep = run(std1_config(solver="iterative"))
+    assert 1 <= rep.solver["iterations"] <= rep.parameters["m"] + 1
 
 
 def test_T_zero_degenerate():
