@@ -168,8 +168,6 @@ def _cmd_embed(args) -> int:
         "zeta": zeta,
         "norm_A": sys_.norm_A,
         "norm_A_lower": sys_.norm_A_lower,
-        "norm_A_upper": sys_.norm_A_upper,
-        "norm_A_tol": sys_.norm_A_tol,
     }
     (args.out / "embed.json").write_text(json.dumps(sidecar, indent=2) + "\n")
     print(f"wrote A ({sys_.A.nnz} nonzeros, N={sys_.index.N}) and y_in to {args.out}")

@@ -176,9 +176,9 @@ def select_parameters(nl: NonlinearityParams, sel: OrderSelection, sys: Embedded
     m, h = step_counts(T, sys.norm_A)
     m = int(overrides.get("m", m))
     p = int(overrides.get("p", m))
-    h = float(overrides.get("h", T / m if T > 0 else 0.0))
     if m < 1 or p < 1:
         raise ValidationError("m and p must be positive")
+    h = float(overrides.get("h", T / m if T > 0 else 0.0))
     if sys.norm_A * h > 1.0 + 1e-9:
         msg = f"||A h|| = {sys.norm_A * h:.4g} > 1 breaks the per-step contract"
         if not force:

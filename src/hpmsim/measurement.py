@@ -37,6 +37,12 @@ class MeasurementReport:
     level_group_bounds: list[float] = field(default_factory=list)
 
 
+def _sum_sq(x: np.ndarray) -> float:
+    """sum x_i^2 by numpy's pairwise sum: unlike a BLAS dot product, its
+    order of additions, and so its bits, do not depend on the thread count."""
+    return float(np.sum(x * x))
+
+
 def postselect(sol: MarchingSolution, index: EmbeddingIndexMap,
                nl: NonlinearityParams, utilde_T_norm: float) -> MeasurementReport:
     """Exact acceptance probabilities and the normalized output state.
@@ -49,9 +55,8 @@ def postselect(sol: MarchingSolution, index: EmbeddingIndexMap,
     # of underflow; the ratios and u_out are the same as without the scale
     top = float(np.abs(sol.x).max())
     scaled = MarchingSolution(np.ldexp(sol.x, -math.frexp(top)[1]), params, sol.residual)
-    x_norm_sq = float(scaled.x @ scaled.x)
-    final_block = scaled.extract_block(params.m, 0)
-    block_sq = float(final_block @ final_block)
+    x_norm_sq = _sum_sq(scaled.x)
+    block_sq = _sum_sq(scaled.extract_block(params.m, 0))
     if x_norm_sq == 0.0:
         raise ValidationError("marching solution is identically zero")
     p1_block = block_sq / x_norm_sq
@@ -61,9 +66,9 @@ def postselect(sol: MarchingSolution, index: EmbeddingIndexMap,
         params.c + 2) * g
 
     y_final = scaled.extract_final()
-    y_norm_sq = float(y_final @ y_final)
+    y_norm_sq = _sum_sq(y_final)
     level0 = y_final[index.level_slice(0)]
-    level0_sq = float(level0 @ level0)
+    level0_sq = _sum_sq(level0)
     if level0_sq == 0.0:
         raise ValidationError("level-0 block of the final state is zero")
     chi0_sq = level0_sq / y_norm_sq
@@ -109,7 +114,7 @@ def level_group_norms(y: np.ndarray, index: EmbeddingIndexMap,
         for j, a in enumerate(index.levels[lvl]):
             block = y[index.block_slice(lvl, j)]
             degree = sum(a) + len(a)          # sum (a_k + 1)
-            groups[degree - 1] = groups.get(degree - 1, 0.0) + float(block @ block)
+            groups[degree - 1] = groups.get(degree - 1, 0.0) + _sum_sq(block)
     out_sq, out_bound = [], []
     for i in sorted(groups):
         out_sq.append(groups[i])

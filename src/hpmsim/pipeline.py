@@ -55,12 +55,30 @@ def _finite_real(x) -> bool:
             and math.isfinite(x))
 
 
+def _integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _triplet(t) -> bool:
     """(i, j, value): two non-bool integers and a finite real."""
     return (isinstance(t, (list, tuple)) and len(t) == 3
-            and all(isinstance(x, numbers.Integral) and not isinstance(x, bool)
-                    for x in t[:2])
-            and _finite_real(t[2]))
+            and all(_integer(x) for x in t[:2]) and _finite_real(t[2]))
+
+
+# key -> (rule its value must meet, what the rule asks for); a key whose
+# default is None also takes None, which leaves the choice to the run
+_KEY_RULES = {
+    **dict.fromkeys(("c", "k", "seed"),
+                    (lambda x: _integer(x) and x >= 0, "a nonnegative integer")),
+    **dict.fromkeys(("m", "p", "dense_cap", "dimension_cap"),
+                    (lambda x: _integer(x) and x >= 1, "a positive integer")),
+    **dict.fromkeys(("h", "g", "eta", "zeta", "tol"),
+                    (lambda x: _finite_real(x) and x > 0, "a finite positive real number")),
+    **dict.fromkeys(("force", "assume_valid"),
+                    (lambda x: isinstance(x, bool), "true or false")),
+    **dict.fromkeys(("F1_path", "F2_path", "emit_blocks"),
+                    (lambda x: isinstance(x, str), "a string")),
+}
 
 
 @dataclass
@@ -103,7 +121,7 @@ class RunConfig:
             if req not in raw:
                 raise ValidationError(f"config missing required key '{req}'")
         n = raw["n"]
-        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+        if not _integer(n) or n < 1:
             raise ValidationError(f"config key 'n' must be a positive integer, not {n!r}")
         for key in ("T", "epsilon"):
             if not _finite_real(raw[key]):
@@ -135,6 +153,11 @@ class RunConfig:
         if not (isinstance(solver, str) and solver in mar.SOLVERS):
             raise ValidationError(f"config key 'solver' must be one of {list(mar.SOLVERS)}, "
                                   f"not {solver!r}")
+        for key, (rule, what) in _KEY_RULES.items():
+            value = raw.get(key)
+            if key in raw and not (rule(value) or value is None
+                                   and cls.__dataclass_fields__[key].default is None):
+                raise ValidationError(f"config key '{key}' must be {what}, not {value!r}")
         return cls(**raw)
 
     @classmethod
@@ -341,9 +364,7 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
         utilde_norm = vector_norm(utilde_T)
 
     with _Stage("embed", timings):
-        # an m or h override leaves no step count for the bracket to certify
-        T_steps = None if config.m is not None or config.h is not None else config.T
-        sys = emb.assemble_A(solved, c_used, cap=config.dimension_cap, T=T_steps)
+        sys = emb.assemble_A(solved, c_used, cap=config.dimension_cap)
         struct = emb.structural_report(sys, solved, nl.norm_F2, nl.re_lambda1)
 
     with _Stage("decay", timings):
@@ -364,7 +385,8 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
         if config.emit_blocks:
             _emit_step_blocks(sol, Path(config.emit_blocks))
 
-    exp_norm_pre = nl.norm_F2 * (c_used + 1) <= abs(nl.re_lambda1) * (1 + 1e-12)
+    # (c+1)||F2|| <= |Re lambda_1|, the inequality choose_order turned into c_cap
+    exp_norm_pre = sel.c_cap is None or c_used <= sel.c_cap
 
     with _Stage("condition", timings):
         cond = mar.condition_report(C, params, exp_norm_pre, config.dense_cap)
@@ -513,9 +535,12 @@ def _bound_checks(nl, sys: emb.EmbeddedSystem, params: mar.TaylorSystemParams,
         float(max(struct["max_row_nnz"], struct["max_col_nnz"])),
         float(struct["sparsity_witness"]), c >= 1,
         note="witness only meaningful for c >= 1"))
+    est = struct["norm_A_estimate"]
     checks.append(_check(
         "embedding_norm", "||A|| <= (c+1)(||F1|| + ||F2||)",
-        struct["norm_A"], struct["norm_A_bound"], True))
+        struct["norm_A"] if est is None else est, struct["norm_A_bound"], True,
+        note="closed-form upper end of ||A||" if est is None else
+        "Lanczos estimate: the closed-form upper end exceeds the bound"))
     checks.append(_check(
         "embedding_spectrum", "max Re(eigenvalue of A) < 0",
         struct["max_re_eigenvalue"], 0.0, True,
@@ -594,11 +619,10 @@ def sweep(config: RunConfig, param: str, values, base_dir: Path | None = None) -
         cfg_dict = asdict(config)
         cfg_dict[param] = int(value) if param in ("c", "k") else float(value)
         cfg_dict["force"] = True
-        cfg = RunConfig.from_dict(cfg_dict)
         row = {col: "" for col in SWEEP_COLUMNS}
         row["value"] = value
         try:
-            rep = run(cfg, base_dir)
+            rep = run(RunConfig.from_dict(cfg_dict), base_dir)
             row.update(_sweep_row(rep, param))
             row["status"] = rep.status
         except (ValidationError, NumericalError, BoundViolation) as exc:

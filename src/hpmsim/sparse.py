@@ -5,10 +5,11 @@ canonical `scipy.sparse.csr_array`, `.csr` (sorted indices, duplicates
 summed); the embedding matrix A and everything built from it are plain
 `csr_array`s.
 `spectral_norm` is the one 2-norm estimator for sparse, dense and operator
-inputs: Lanczos (ARPACK `svds`) from a seeded random start, optionally
-steered toward a caller's guess of the top singular vector, certified
+inputs: Lanczos (ARPACK `svds`) from a seeded random start, certified
 against a lower bound on the norm (the largest row and column 2-norms of a
-matrix, or a caller-supplied bound, whichever is larger).
+matrix, or a caller-supplied bound, whichever is larger).  A run takes
+||A|| of the embedding matrix with it only where the closed-form upper end
+of ||A||, which sets the step count, exceeds A's proved norm bound.
 Dense routines (expm, eigenvalues) are verification oracles only and refuse
 to run above an explicit entry cap so that large embeddings are never
 densified by accident.
@@ -104,15 +105,13 @@ def _check_cap(rows: int, cols: int, cap: int = DENSE_ORACLE_CAP) -> None:
 
 def spectral_norm(matrix: sp.sparray | np.ndarray | LinearOperator, tol: float = 1e-10,
                   max_iter: int | None = None, cap: int = DENSE_ORACLE_CAP,
-                  lower: float | None = None, start: np.ndarray | None = None) -> float:
+                  lower: float | None = None) -> float:
     """Largest singular value by Lanczos (ARPACK `svds`) from a seeded start.
 
     Sparse, dense and operator inputs share this one estimator; a sparse
     array must be canonical (no duplicate entries), a dense array must fit
     under `cap`. The start vector comes from a fixed seed, so results are
-    bit-for-bit reproducible; `start`, a guess of the top right singular
-    vector, is added to 1e-3 times it, so that Lanczos begins near the
-    answer without missing any direction. Every estimate is certified from
+    bit-for-bit reproducible. Every estimate is certified from
     below: for a matrix the largest row and column 2-norms are lower bounds
     on ||M||_2, and `lower`, a lower bound the caller knows, replaces them
     when larger; an operator has no entries to read, so its caller must
@@ -149,8 +148,6 @@ def spectral_norm(matrix: sp.sparray | np.ndarray | LinearOperator, tol: float =
         if lower is not None:
             floor = max(floor, math.ldexp(lower, -exp))
     v0 = np.random.default_rng(0).standard_normal(min(arr.shape))
-    if start is not None:
-        v0 = start + 1e-3 * v0
     try:
         est = float(svds(arr, k=1, v0=v0, tol=tol, maxiter=max_iter,
                          return_singular_vectors=False)[0])

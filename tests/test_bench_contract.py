@@ -40,3 +40,25 @@ def test_generated_workload_configs_load():
         cfg = workloads.build_config(name, 1)
         n = workloads.WORKLOADS[name][0]
         assert cfg.n == n and len(cfg.F1_triplets) == n * n
+
+
+def test_traced_gen8_assembly_takes_no_norm_estimate():
+    # m comes from the closed-form upper end of ||A||: no Lanczos pass runs
+    # inside the assembly, where it used to cost about a quarter of the run
+    tracing = _load("tracing")
+    workloads = _load("workloads")
+    tracer = tracing.Tracer()
+    report, root = tracer.traced_call(pipeline.run, workloads.build_config("gen8", 1))
+    assert report.status == "pass"
+    spans = {s["id"]: s for s in tracer.dump() if s["call"] == root["call"]}
+
+    def under_assembly(span) -> bool:
+        while span["parent"] is not None:
+            span = spans[span["parent"]]
+            if span["name"] == "embedding.assemble_A":
+                return True
+        return False
+
+    assert any(s["name"] == "embedding.assemble_A" for s in spans.values())
+    assert not [s for s in spans.values()
+                if s["name"] == "sparse.spectral_norm" and under_assembly(s)]

@@ -70,6 +70,14 @@ def test_run_rejects_unknown_solver_at_load(tmp_path, capsys):
     assert "'solver'" in err and "in stage" not in err
 
 
+def test_run_rejects_zero_step_count_at_load(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**STD1, "m": 0}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"]) == 2
+    err = capsys.readouterr().err
+    assert "'m'" in err and "in stage" not in err
+
+
 def test_run_missing_config_is_validation_error(tmp_path):
     assert main(["--out", str(tmp_path), "run"]) == 2
 
@@ -217,12 +225,13 @@ def test_embed_reads_triplet_files(tmp_path):
 
 
 def test_embed_sidecar_reports_the_norm_bracket(std1_config, tmp_path):
-    # embed has no horizon to certify a step count for: the tight estimate runs
+    # norm_A is the bracket's upper end, the value a run takes m from
     out = tmp_path / "out"
     assert main(["--config", str(std1_config), "--out", str(out), "embed", "--order", "3"]) == 0
     sidecar = json.loads((out / "embed.json").read_text())
-    assert sidecar["norm_A_lower"] <= sidecar["norm_A"] <= sidecar["norm_A_upper"]
-    assert sidecar["norm_A_tol"] == 1e-10
+    A = read_triplets(out / "A.txt").to_dense()
+    assert sidecar["norm_A_lower"] <= np.linalg.norm(A, 2) <= sidecar["norm_A"]
+    assert not {"norm_A_upper", "norm_A_tol"} & set(sidecar)
 
 
 def test_hpm_csv(std1_config, tmp_path):

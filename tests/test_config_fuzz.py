@@ -46,21 +46,41 @@ def test_from_dict_accepts_or_raises_validation_error(n, T, epsilon, u_in, F1, F
     _is_config(raw)
 
 
-@settings(max_examples=300, deadline=None)
+def _integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+# the override and setting keys: the rule each value must meet
+RULES = {
+    **dict.fromkeys(("c", "k", "seed"), lambda x: _integer(x) and x >= 0),
+    **dict.fromkeys(("m", "p", "dense_cap", "dimension_cap"), lambda x: _integer(x) and x >= 1),
+    **dict.fromkeys(("h", "g", "eta", "zeta", "tol"), lambda x: _real(x) and x > 0),
+    **dict.fromkeys(("force", "assume_valid"), lambda x: isinstance(x, bool)),
+    **dict.fromkeys(("F1_path", "F2_path", "emit_blocks"), lambda x: isinstance(x, str)),
+}
+
+
+@settings(max_examples=600, deadline=None)
 @given(st.sampled_from(["n", "T", "epsilon", "u_in", "F1_triplets", "F2_triplets",
-                        "solver"]),
+                        "solver", *RULES]),
        st.one_of(junk, st.sampled_from(["forward", "iterative", "Forward", "gmres"])))
 def test_from_dict_checks_each_key_alone(key, value):
     """One bad value among valid ones is refused whenever its key's rule says so."""
     accepted = _is_config({**STD1, key: value})
     if key == "n":
-        assert accepted == (isinstance(value, int) and not isinstance(value, bool)
-                            and value >= 1)
+        assert accepted == (_integer(value) and value >= 1)
     elif key in ("T", "epsilon"):
-        assert accepted == (isinstance(value, (int, float)) and not isinstance(value, bool)
-                            and math.isfinite(value))
+        assert accepted == _real(value)
     elif key == "solver":
         assert accepted == (value in ("forward", "iterative"))
+    elif key in RULES:
+        # None leaves a key whose default is None to the run
+        optional = RunConfig.__dataclass_fields__[key].default is None
+        assert accepted == (RULES[key](value) or (value is None and optional))
 
 
 # the CLI runs the whole pipeline on accepted configs: each example starts

@@ -6,13 +6,11 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh
+from scipy.sparse.linalg import eigsh
 
 import hpmsim.sparse
 from hpmsim.cascade import solve_cascade
 from hpmsim.embedding import (
-    LOOSE_NORM_TOL,
-    NORM_TOL,
     _split_matrix,
     assemble_A,
     assemble_y_in,
@@ -26,7 +24,7 @@ from hpmsim.embedding import (
 )
 from hpmsim.errors import BoundViolation, ValidationError
 from hpmsim.ode import compute_K, make_ode
-from hpmsim.pipeline import RunConfig, generate_instance, run
+from hpmsim.pipeline import generate_instance
 from hpmsim.sparse import SparseMatrix, dense_expm, spectral_norm
 from oracles import build_embedded_vector, row_pattern_Bm, truncated_solution, unrank
 
@@ -302,75 +300,40 @@ def test_assemble_A_matches_per_slot_construction(n, c, kind):
        st.floats(0.05, 3.0))
 def test_norm_bracket_holds_and_certifies_m(n, c, seed, T):
     ode = random_ode(n, seed=seed)
-    sys = assemble_A(ode, c, T=T)
+    sys = assemble_A(ode, c)
     norm = np.linalg.norm(sys.A.toarray(), 2)
-    assert sys.norm_A_lower <= norm <= sys.norm_A_upper
-    assert sys.norm_A_lower <= sys.norm_A <= sys.norm_A_upper
-    sigma = spectral_norm(sys.A, tol=1e-10)
-    assert step_counts(T, sys.norm_A)[0] == math.ceil(T * sigma - 1e-12)
-
-
-def _unsettled_T(est: float, j: int) -> float:
-    """A horizon T whose step count a loose estimate est leaves open: T est
-    lies just below the integer j and T est (1 + tol^2) just above it."""
-    return j / (est * (1 + LOOSE_NORM_TOL ** 2 / 2))
-
-
-def test_uncertified_step_count_falls_back_to_the_tight_estimate():
-    ode, c = std1(), 3
-    loose, tight = assemble_A(ode, c, T=1.0), assemble_A(ode, c)
-    assert (loose.norm_A_tol, tight.norm_A_tol) == (LOOSE_NORM_TOL, NORM_TOL)
-    sys = assemble_A(ode, c, T=_unsettled_T(loose.norm_A, 4))
-    assert sys.norm_A_tol == NORM_TOL
-    assert sys.norm_A == tight.norm_A
-
-
-def test_loose_estimate_settles_what_the_bracket_leaves_open():
-    # T norm < j < T upper: the closed-form bracket alone cannot fix m, the
-    # residual of the loose estimate can
-    ode, c = std1(), 3
-    tight = assemble_A(ode, c)
-    j = math.floor(0.25 / (1.0 - tight.norm_A / tight.norm_A_upper)) + 1
-    T = (j - 0.25) / tight.norm_A
-    assert step_counts(T, tight.norm_A_upper)[0] == j + 1
-    sys = assemble_A(ode, c, T=T)
-    assert sys.norm_A_tol == LOOSE_NORM_TOL
-    assert step_counts(T, sys.norm_A)[0] == j
-
-
-def test_run_reports_the_tolerance_its_step_count_needed():
-    std1 = {"n": 1, "epsilon": 1e-2, "u_in": [0.5], "F1_triplets": [[0, 0, -1.0]],
-            "F2_triplets": [[0, 0, 0.2]]}
-    rep = run(RunConfig.from_dict({**std1, "T": 1.0}))
-    assert rep.structure["norm_A_tol"] == LOOSE_NORM_TOL
-    T = _unsettled_T(rep.structure["norm_A"], 4)
-    rep = run(RunConfig.from_dict({**std1, "T": T}))
-    assert rep.structure["norm_A_tol"] == NORM_TOL
-    assert rep.parameters["m"] == step_counts(T, rep.structure["norm_A"])[0]
-    # an m override leaves no step count to certify
-    rep = run(RunConfig.from_dict({**std1, "T": 1.0, "m": 6}))
-    assert rep.structure["norm_A_tol"] == NORM_TOL
+    assert sys.norm_A_lower <= norm <= sys.norm_A
+    # m comes from the upper end: the per-step contract holds for the true
+    # norm, and m is the least one wherever both ends give the same count
+    m, h = step_counts(T, sys.norm_A)
+    assert norm * h <= 1.0 + 1e-9
+    if step_counts(T, sys.norm_A_lower)[0] == m:
+        sigma = spectral_norm(sys.A, tol=1e-10)
+        assert m == math.ceil(T * sigma - 1e-12)
 
 
 @pytest.mark.parametrize("c", [1, 2, 3])
 @pytest.mark.parametrize("T", [0.3, 1.0, None])
 def test_norm_of_block_diagonal_A_sits_at_the_lower_end(c, T):
     # F2 = 0 leaves A block diagonal with ||A|| = (c+1) rho(F1), the lower
-    # end of the bracket up to its widening: no pass may fail its certificate
+    # end of the bracket up to its widening: the Lanczos estimate that the
+    # embedding_norm row falls back to may not fail its certificate there
     ode = random_ode(3, seed=11, f2_scale=0.0)
-    sys = assemble_A(ode, c, T=T)
+    sys = assemble_A(ode, c)
     exact = (c + 1) * float(np.abs(ode.eigs_F1).max())
-    assert sys.norm_A_lower <= exact <= sys.norm_A_upper
-    assert sys.norm_A_lower <= sys.norm_A <= sys.norm_A_upper
-    assert sys.norm_A == pytest.approx(exact, rel=1e-12)
+    assert sys.norm_A_lower <= exact <= sys.norm_A
+    assert spectral_norm(sys.A, lower=sys.norm_A_lower) == pytest.approx(exact, rel=1e-12)
+    # for a normal F1 both ends meet, so the step count is the least one
+    if T is not None:
+        assert step_counts(T, sys.norm_A)[0] == math.ceil(T * exact)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("c", [0, 1, 2, 3])
 def test_norm_bracket_holds_for_nonnormal_F1(n, c):
-    sys = assemble_A(nonnormal_ode(n, seed=3 * n + c), c, T=1.0)
+    sys = assemble_A(nonnormal_ode(n, seed=3 * n + c), c)
     norm = np.linalg.norm(sys.A.toarray(), 2)
-    assert sys.norm_A_lower <= norm <= sys.norm_A_upper
+    assert sys.norm_A_lower <= norm <= sys.norm_A
 
 
 # -- the closed-form log-norm bound behind the exp_norm certificate ----------
@@ -383,7 +346,7 @@ def test_log_norm_bound_holds(n, c, kind):
     # also where a non-normal F1 makes mu(F1) positive; dense up to N = 1,500,
     # above that from Lanczos, whose Ritz value is never above lambda_max
     ode = random_ode(n, seed=5 * n + c) if kind == "normal" else nonnormal_ode(n, 5 * n + c)
-    sys = assemble_A(ode, c, T=1.0)
+    sys = assemble_A(ode, c)
     sym = (sys.A + sys.A.T) / 2.0
     if sys.index.N <= 1500:
         mu = np.linalg.eigvalsh(sym.toarray())[-1]
@@ -394,30 +357,16 @@ def test_log_norm_bound_holds(n, c, kind):
 
 @pytest.mark.parametrize("T", [1.0, 3.0])
 def test_norm_estimate_cost_guard_gen8(monkeypatch, T):
-    # products with A or A^T that the ||A|| estimate makes at n = 8, c = 3
-    # (the order a run at epsilon = 1e-2 selects): 383 from a random start
-    # at tolerance 1e-10.  At T = 3 an integer lies between T ||A|| and
-    # T upper, so the closed-form bracket alone would not settle m
-    products = [0]
-    svds = hpmsim.sparse.svds
-
-    def counting_svds(arr, **kwargs):
-        op = aslinearoperator(arr)
-
-        def count(apply, x):
-            products[0] += 1 if x.ndim == 1 else x.shape[1]
-            return apply(x)
-        return svds(LinearOperator(op.shape, dtype=op.dtype,
-                                   matvec=lambda x: count(op.matvec, x),
-                                   rmatvec=lambda x: count(op.rmatvec, x),
-                                   matmat=lambda x: count(op.matmat, x),
-                                   rmatmat=lambda x: count(op.rmatmat, x)), **kwargs)
-
+    # at n = 8, c = 3 (the order a run at epsilon = 1e-2 selects) neither the
+    # assembly nor the step count makes a product with A for ||A||, also at
+    # T = 3, where an integer lies between T ||A|| and T upper
     ode = generate_instance(8, 2, 0.3, 7)
-    monkeypatch.setattr(hpmsim.sparse, "svds", counting_svds)
-    sys = assemble_A(ode, 3, T=T)
-    assert sys.norm_A_tol == LOOSE_NORM_TOL
-    assert 0 < products[0] <= 160
+    calls = []
+    monkeypatch.setattr(hpmsim.sparse, "svds", lambda *a, **kw: calls.append(a))
+    sys = assemble_A(ode, 3)
+    m, h = step_counts(T, sys.norm_A)
+    assert calls == []
+    assert sys.norm_A * h <= 1.0
 
 
 # -- diagnostics ----------------------------------------------------------
@@ -428,6 +377,20 @@ def test_structural_report_n1_c1():
     rep = structural_report(sys, ode, 0.2, -1.0)
     assert rep["norm_A"] <= 2.0 * (1.0 + 0.2)
     assert rep["max_re_eigenvalue"] == -1.0
+
+
+def test_structural_report_raises_only_on_the_estimate():
+    # an upper end over (c+1)(||F1|| + ||F2||) alone proves nothing either way;
+    # the Lanczos estimate then decides, here for A and for 2A
+    ode, c = random_ode(2, seed=4), 2
+    sys = assemble_A(ode, c)
+    norm_f2, re1 = spectral_norm(ode.F2.csr), compute_K(ode).re_lambda1
+    bound = (c + 1) * (ode.norm_F1 + norm_f2)
+    rep = structural_report(dataclasses.replace(sys, norm_A=2 * bound), ode, norm_f2, re1)
+    assert rep["norm_A_estimate"] == spectral_norm(sys.A, lower=sys.norm_A_lower)
+    doubled = dataclasses.replace(sys, A=2 * sys.A, norm_A=2 * bound)
+    with pytest.raises(BoundViolation, match="exceeds"):
+        structural_report(doubled, ode, norm_f2, re1)
 
 
 def test_structural_report_linear_eigs():

@@ -1,8 +1,14 @@
 import json
+import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import hpmsim
 import hpmsim.embedding
 import hpmsim.marching
 import hpmsim.ode
@@ -341,7 +347,12 @@ def test_exp_norm_falls_back_to_dense_products_where_the_bound_fails():
     row = _exp_norm_row(rep)
     assert rep.structure["log_norm_A_upper"] > 0.0
     assert row["note"] == "dense E^j products"
-    assert row["measured"] == pytest.approx(2.402308284797181, rel=1e-12)
+    # the oracle: dense scipy expm of A t at the run's own step grid
+    solved, _, _ = rescaled_problem(build_ode(RunConfig.from_dict(NONNORMAL)))
+    A = assemble_A(solved, rep.parameters["c"]).A.toarray()
+    m, h = rep.parameters["m"], rep.parameters["h"]
+    want = max(np.linalg.norm(scipy.linalg.expm(A * j * h), 2) for j in range(m + 1))
+    assert row["measured"] == pytest.approx(want, rel=1e-12)
     assert row["pass"] and row["precondition_ok"]
     # over the dense cap the row is skipped and names the failed certificate
     rep = run(RunConfig.from_dict({**NONNORMAL, "dense_cap": 100}))
@@ -358,7 +369,7 @@ def test_expm_sweep_matches_dense_powers(n):
     cfg = (std1_config() if n == 1 else
            instance_config(generate_instance(n, 2, 0.3, 7), T=1.0, epsilon=1e-2))
     solved, _, _ = rescaled_problem(build_ode(cfg))
-    sys = assemble_A(solved, 3, T=cfg.T)
+    sys = assemble_A(solved, 3)
     m, h = step_counts(cfg.T, sys.norm_A)
     sweep_traj = expm_trajectory(sys.A, sys.y_in, h, m)
     dense = dense_trajectory(sys.A, sys.y_in, h, m)
@@ -459,3 +470,60 @@ def test_instance_config_roundtrip():
     rep = run(cfg)
     assert rep.status == "pass"
     assert rep.errors["final_error"] <= 1e-2
+
+
+# the closed-form upper end of ||A|| (7.625) lies above (c+1)(||F1|| + ||F2||)
+# = 7.4 here, while ||A|| = 6.407 lies below it: F1 = -diag(1, 1.2, 1.4, 1.6),
+# F2 = 0.05 times the first four rows of the 16 x 16 Sylvester Hadamard matrix
+HADAMARD = {
+    "n": 4, "T": 1.0, "epsilon": 1e-2, "u_in": [0.1, 0.05, -0.05, 0.02], "c": 3,
+    "F1_triplets": [[i, i, -v] for i, v in enumerate([1.0, 1.2, 1.4, 1.6])],
+    "F2_triplets": [[i, j, 0.05 * float(scipy.linalg.hadamard(16)[i, j])]
+                    for i in range(4) for j in range(16)],
+}
+
+
+def test_embedding_norm_row_falls_back_to_lanczos_above_the_bound():
+    rep = run(RunConfig.from_dict(HADAMARD))
+    assert rep.status == "pass"
+    struct = rep.structure
+    assert struct["norm_A"] > struct["norm_A_bound"]
+    solved, _, _ = rescaled_problem(build_ode(RunConfig.from_dict(HADAMARD)))
+    sys = assemble_A(solved, 3)
+    est = spectral_norm(sys.A, lower=sys.norm_A_lower)
+    assert struct["norm_A_estimate"] == est < struct["norm_A_bound"]
+    row = next(r for r in rep.bound_checks if r["check"] == "embedding_norm")
+    assert row["measured"] == est and row["pass"]
+    assert row["note"].startswith("Lanczos estimate")
+    # m = ceil(T upper) = 8, one more than ceil(T ||A||)
+    assert rep.parameters["m"] == 8 == math.ceil(struct["norm_A"]) > math.ceil(est)
+
+
+def test_embedding_norm_row_measures_the_upper_end_below_the_bound(std1_report):
+    row = next(r for r in std1_report.bound_checks if r["check"] == "embedding_norm")
+    assert std1_report.structure["norm_A_estimate"] is None
+    assert row["measured"] == std1_report.structure["norm_A"]
+    assert row["note"] == "closed-form upper end of ||A||"
+
+
+def test_step_override_between_norm_and_upper_end_needs_force():
+    # T ||A|| <= 7 < T upper: ||A h|| <= 1 holds, but only the upper end is proved
+    with pytest.raises(ValidationError, match="per-step contract"):
+        run(RunConfig.from_dict({**HADAMARD, "m": 7}))
+    rep = run(RunConfig.from_dict({**HADAMARD, "m": 7, "force": True}))
+    assert rep.parameters["m"] == 7
+    assert any("per-step contract" in w for w in rep.warnings)
+
+
+def test_forward_report_does_not_depend_on_the_blas_thread_count():
+    # a BLAS dot product splits its sum by thread; the squared norms of the
+    # post-selection are pairwise sums, so the report is the same bit for bit
+    src = str(Path(hpmsim.__file__).resolve().parents[1])
+    code = ("import json; from hpmsim.pipeline import generate_instance, instance_config, run; "
+            "rep = json.loads(run(instance_config(generate_instance(4, 2, 0.3, 7), 1.0, 1e-2))"
+            ".to_json()); rep.pop('timings'); print(json.dumps(rep, sort_keys=True))")
+    reports = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+                              check=True, timeout=120).stdout
+               for threads in ("1", "2")}
+    assert len(reports) == 1
