@@ -56,7 +56,7 @@ def _parser() -> argparse.ArgumentParser:
     rn.add_argument("--solver", choices=["forward", "iterative"], default=None)
     rn.add_argument("--tol", type=float, default=None,
                     help="override the solver residual target")
-    rn.add_argument("--emit-blocks", type=Path, default=None,
+    rn.add_argument("--emit-blocks", default=None,
                     help="write each per-step solution block to this directory")
 
     sw = sub.add_parser("sweep", help="one run per parameter value, CSV table")
@@ -81,25 +81,19 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_config(args) -> RunConfig:
+def _load_config(args, **overrides) -> RunConfig:
+    """The config file with the command line's overrides merged in, checked
+    once by `RunConfig.from_dict`; an override left at None is not merged."""
     if args.config is None:
         raise ValidationError("this subcommand needs --config")
-    cfg = RunConfig.from_json(args.config)
-    if args.force:
-        cfg.force = True
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
+    overrides.update(force=args.force or None, seed=args.seed)
+    return RunConfig.from_json(args.config, {key: value for key, value in overrides.items()
+                                             if value is not None})
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args)
-    if args.solver is not None:
-        cfg.solver = args.solver
-    if args.tol is not None:
-        cfg.tol = args.tol
-    if args.emit_blocks is not None:
-        cfg.emit_blocks = str(args.emit_blocks)
+    cfg = _load_config(args, solver=args.solver, tol=args.tol,
+                       emit_blocks=args.emit_blocks)
     report = run(cfg, base_dir=args.config.parent)
     args.out.mkdir(parents=True, exist_ok=True)
     report.to_json(args.out / "report.json")

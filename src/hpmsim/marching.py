@@ -3,11 +3,15 @@
 The marching matrix stacks m Taylor steps of order k plus p copy rows:
 unit diagonal, -A h/j couplings inside each step, -identity summation rows
 at step boundaries, -identity copy rows at the tail.  C is an operator and
-is never stored: applying it costs one product of A with the m k coupling
-blocks.  The system is unit lower triangular, so forward substitution
-solves it exactly in m k products with A; a residual checked GMRES on the
-operator, preconditioned by the inverse of C's block diagonal over the
-steps, doubles as an independent path.  The operator also
+is never stored: it is applied a chunk of whole steps at a time, as many
+steps as keep the chunk's k N r floats within CHUNK_FLOATS (at least one),
+each chunk one product of A with its coupling blocks.  The system is unit
+lower triangular, so forward substitution solves it exactly in m k
+products with A, in place in the one array x; a residual checked GMRES on
+the operator, preconditioned by the inverse of C's block diagonal over the
+steps, doubles as an independent path.  The residual ||C x - e_0 kron
+y_in|| is summed chunk by chunk through the same row blocks as C x, so
+the forward path holds x plus the temporaries of one chunk.  The operator also
 applies C^T, and `inverse()` applies C^{-1} and C^{-T} by substitution, so
 the condition number ||C|| ||C^{-1}|| comes from Lanczos without forming C.
 """
@@ -30,6 +34,9 @@ from .sparse import DENSE_ORACLE_CAP, spectral_norm, vector_norm
 
 SOLVE_FLOOR = 1e-10
 SOLVERS = ("forward", "iterative")
+# floats per chunk of a product with C (512 KiB): small against x on large
+# instances, while small instances stay in one chunk, one scipy call a product
+CHUNK_FLOATS = 2 ** 16
 
 
 @dataclass
@@ -248,16 +255,20 @@ class MarchingOperator(spla.LinearOperator):
         return (d + 1) * N + m * k * self.A.nnz + m * (k + 1) * N + p * N
 
     def march(self, y_in: np.ndarray) -> np.ndarray:
-        """Solves C x = e_0 kron y_in in m k products with A."""
-        rhs = np.zeros(self.shape[0])
-        rhs[:self.N] = y_in
-        return self._solve(rhs)
+        """Solves C x = e_0 kron y_in in m k products with A, in place in x."""
+        X = np.zeros((self.params.d + 1, self.N))
+        X[0] = y_in
+        return self._substitute(X).reshape(-1)
 
     def _solve(self, b: np.ndarray) -> np.ndarray:
-        """C^{-1} b, b a vector or a (size, r) stack, by forward substitution:
-        m k products with A."""
-        m, k, h, d = self.params.m, self.params.k, self.params.h, self.params.d
-        X = np.array(b, dtype=np.float64).reshape(d + 1, self.N, *np.shape(b)[1:])
+        """C^{-1} b, b a vector or a (size, r) stack."""
+        X = np.array(b, dtype=np.float64).reshape(self.params.d + 1, self.N, *np.shape(b)[1:])
+        return self._substitute(X).reshape(np.shape(b))
+
+    def _substitute(self, X: np.ndarray) -> np.ndarray:
+        """Overwrites the (d+1, N, ...) blocks X of b with C^{-1} b by forward
+        substitution: m k products with A."""
+        m, k, h = self.params.m, self.params.k, self.params.h
         for i in range(m):
             base = i * (k + 1)
             if i:
@@ -268,7 +279,7 @@ class MarchingOperator(spla.LinearOperator):
         tail = X[m * (k + 1):]
         tail[0] += cur
         np.cumsum(tail, axis=0, out=tail)
-        return X.reshape(np.shape(b))
+        return X
 
     def _solve_T(self, b: np.ndarray) -> np.ndarray:
         """C^{-T} b by backward substitution: m k products with A^T."""
@@ -299,46 +310,93 @@ class MarchingOperator(spla.LinearOperator):
             X = np.array(b, dtype=np.float64).reshape(d + 1, N, -1)
             steps = X[:m * (k + 1)].reshape(m, k + 1, N, -1)
             for j in range(1, k + 1):
-                src = np.moveaxis(steps[:, j - 1], 1, 0).reshape(N, -1)
-                steps[:, j] += (h / j) * np.moveaxis((self.A @ src).reshape(N, m, -1), 0, 1)
+                steps[:, j] += (h / j) * self._coupled(self.A, steps[:, j - 1:j])[:, 0]
             tail = X[m * (k + 1):]
             np.cumsum(tail, axis=0, out=tail)
             return X.reshape(np.shape(b))
 
         return spla.LinearOperator(self.shape, matvec=solve, matmat=solve, dtype=np.float64)
 
-    def _matmat(self, x: np.ndarray) -> np.ndarray:
+    def _chunks(self, r: int) -> range:
+        """First steps of C's chunks for an r-column product: each chunk holds
+        as many whole steps as keep its k N r floats within CHUNK_FLOATS."""
+        per = max(1, CHUNK_FLOATS // (max(self.params.k, 1) * self.N * r))
+        return range(0, self.params.m, per)
+
+    def _coupled(self, M: sp.csr_array, blocks: np.ndarray) -> np.ndarray:
+        """M applied to each block of an (s, k, N, r) stack, in one product
+        M @ (N, s k r)."""
+        s, k, N, r = blocks.shape
+        src = np.moveaxis(blocks, 2, 0).reshape(N, s * k * r)
+        return np.moveaxis((M @ src).reshape(N, s, k, r), 0, 2)
+
+    def _row_blocks(self, x: np.ndarray, out: np.ndarray | None = None):
+        """C x, x a (size, r) stack, as (first block, rows) pairs in row order:
+        block 0, each chunk of steps, then the copy tail in chunks of as many
+        blocks.  The rows are written into out, (d+1, N, r), where it is
+        given, else into one chunk buffer that the next pair overwrites."""
         m, k, d, N = self.params.m, self.params.k, self.params.d, self.N
         r = x.shape[1]
         # row i(k+1)+j couples to block i(k+1)+j-1 with -h/j, j = 1..k
-        coef = -self.params.h / np.arange(1, k + 1)
+        coef = (-self.params.h / np.arange(1, k + 1))[None, :, None, None]
         X = x.reshape(d + 1, N, r)
-        Y = X.copy()
-        steps = X[:m * (k + 1)].reshape(m, k + 1, N, r)
-        # all m k coupling blocks in one product: A @ (N, m k r)
-        src = np.moveaxis(steps[:, :k], 2, 0).reshape(N, m * k * r)
-        prod = np.moveaxis((self.A @ src).reshape(N, m, k, r), 0, 2)
-        Y_steps = Y[:m * (k + 1)].reshape(m, k + 1, N, r)
-        Y_steps[:, 1:] += coef[None, :, None, None] * prod
-        # summation rows (i+1)(k+1) and copy rows m(k+1)+1..d
-        Y[k + 1:m * (k + 1) + 1:k + 1] -= steps.sum(axis=1)
-        Y[m * (k + 1) + 1:] -= X[m * (k + 1):d]
-        return Y.reshape(-1, r)
+        chunks = self._chunks(r)
+        width = min(chunks.step, m) * (k + 1)
+        buf = np.empty((width, N, r)) if out is None else None
+
+        def rows_at(lo: int, hi: int) -> np.ndarray:
+            return out[lo:hi] if buf is None else buf[:hi - lo]
+
+        first = rows_at(0, 1)
+        first[...] = X[:1]
+        yield 0, first
+        for i0 in chunks:
+            i1 = min(i0 + chunks.step, m)
+            lo, hi = i0 * (k + 1) + 1, i1 * (k + 1) + 1
+            steps = X[lo - 1:hi - 1].reshape(i1 - i0, k + 1, N, r)
+            # block i(k+1)+1+j is the coupling row j+1 of step i for j < k,
+            # and its summation row (i+1)(k+1) for j = k
+            Y = rows_at(lo, hi).reshape(i1 - i0, k + 1, N, r)
+            Y[...] = X[lo:hi].reshape(i1 - i0, k + 1, N, r)
+            Y[:, :k] += coef * self._coupled(self.A, steps[:, :k])
+            Y[:, k] -= steps.sum(axis=1)
+            yield lo, Y.reshape(-1, N, r)
+        # copy rows m(k+1)+1..d
+        for lo in range(m * (k + 1) + 1, d + 1, width):
+            hi = min(lo + width, d + 1)
+            yield lo, np.subtract(X[lo:hi], X[lo - 1:hi - 1], out=rows_at(lo, hi))
+
+    def _matmat(self, x: np.ndarray) -> np.ndarray:
+        out = np.empty((self.params.d + 1, self.N, x.shape[1]))
+        for _ in self._row_blocks(x, out):
+            pass
+        return out.reshape(x.shape)
+
+    def residual(self, x: np.ndarray, y_in: np.ndarray) -> float:
+        """||C x - e_0 kron y_in||, squares summed a row block at a time by
+        numpy's pairwise sums."""
+        total = 0.0
+        for lo, rows in self._row_blocks(x.reshape(-1, 1)):
+            if lo == 0:
+                rows -= y_in.reshape(1, -1, 1)
+            total += float(np.sum(rows * rows))
+        return math.sqrt(total)
 
     def _rmatmat(self, y: np.ndarray) -> np.ndarray:
         m, k, d, N = self.params.m, self.params.k, self.params.d, self.N
         r = y.shape[1]
-        coef = -self.params.h / np.arange(1, k + 1)
+        coef = (-self.params.h / np.arange(1, k + 1))[None, :, None, None]
         Y = y.reshape(d + 1, N, r)
         X = Y.copy()
-        steps = Y[:m * (k + 1)].reshape(m, k + 1, N, r)
-        # block i(k+1)+j-1 takes -h/j A^T y_{i(k+1)+j}: A^T @ (N, m k r)
-        src = np.moveaxis(steps[:, 1:], 2, 0).reshape(N, m * k * r)
-        prod = np.moveaxis((self.AT @ src).reshape(N, m, k, r), 0, 2)
-        X_steps = X[:m * (k + 1)].reshape(m, k + 1, N, r)
-        X_steps[:, :k] += coef[None, :, None, None] * prod
-        # every block of step i takes -y of its summation row (i+1)(k+1)
-        X_steps -= Y[k + 1:m * (k + 1) + 1:k + 1][:, None]
+        chunks = self._chunks(r)
+        for i0 in chunks:
+            i1 = min(i0 + chunks.step, m)
+            steps = Y[i0 * (k + 1):i1 * (k + 1)].reshape(i1 - i0, k + 1, N, r)
+            X_steps = X[i0 * (k + 1):i1 * (k + 1)].reshape(i1 - i0, k + 1, N, r)
+            # block i(k+1)+j-1 takes -h/j A^T y_{i(k+1)+j}
+            X_steps[:, :k] += coef * self._coupled(self.AT, steps[:, 1:])
+            # every block of step i takes -y of its summation row (i+1)(k+1)
+            X_steps -= Y[(i0 + 1) * (k + 1):i1 * (k + 1) + 1:k + 1][:, None]
         X[m * (k + 1):d] -= Y[m * (k + 1) + 1:]
         return X.reshape(-1, r)
 
@@ -375,13 +433,13 @@ def solve_marching(C: MarchingOperator, y_in: np.ndarray, delta: float,
     N = params.N
     if y_in.shape != (N,):
         raise ValidationError(f"y_in must have length {N}")
-    rhs = np.zeros((params.d + 1) * N)
-    rhs[:N] = y_in
     target = min(delta, SOLVE_FLOOR) if delta > 0 else SOLVE_FLOOR
     iterations = None
     if solver == "forward":
         x = C.march(y_in)
     elif solver == "iterative":
+        rhs = np.zeros((params.d + 1) * N)
+        rhs[:N] = y_in
         # D^{-1} C = I - D^{-1} L, with D^{-1} L strictly lower triangular over
         # the m steps and the tail: GMRES ends within m+1 iterations, and the
         # basis holds m+3 vectors; restarts continue should rounding need more
@@ -394,8 +452,7 @@ def solve_marching(C: MarchingOperator, y_in: np.ndarray, delta: float,
         iterations = len(presids)
     else:
         raise ValidationError(f"unknown solver '{solver}'")
-    rhs_norm = np.linalg.norm(rhs)
-    residual = float(np.linalg.norm(C @ x - rhs) / max(rhs_norm, np.finfo(float).tiny))
+    residual = C.residual(x, y_in) / max(float(np.linalg.norm(y_in)), np.finfo(float).tiny)
     if residual > max(target, 1e-12):
         raise NumericalError(
             f"solver '{solver}' residual {residual:.3e} misses target {target:.3e}"

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import marching as mar
 from .embedding import EmbeddingIndexMap
 from .errors import ValidationError
 from .marching import MarchingSolution
@@ -52,11 +53,13 @@ def postselect(sol: MarchingSolution, index: EmbeddingIndexMap,
     """
     params = sol.params
     # the squared norms are taken of x scaled by one exact power of two, clear
-    # of underflow; the ratios and u_out are the same as without the scale
-    top = float(np.abs(sol.x).max())
-    scaled = MarchingSolution(np.ldexp(sol.x, -math.frexp(top)[1]), params, sol.residual)
-    x_norm_sq = _sum_sq(scaled.x)
-    block_sq = _sum_sq(scaled.extract_block(params.m, 0))
+    # of underflow; the ratios and u_out are the same as without the scale.
+    # ||x||^2 is summed by chunks of x, so no copy of x is made
+    e = -math.frexp(max(float(sol.x.max()), -float(sol.x.min())))[1]
+    step = mar.CHUNK_FLOATS
+    x_norm_sq = math.fsum(_sum_sq(np.ldexp(sol.x[i:i + step], e))
+                          for i in range(0, sol.x.size, step))
+    block_sq = _sum_sq(np.ldexp(sol.extract_block(params.m, 0), e))
     if x_norm_sq == 0.0:
         raise ValidationError("marching solution is identically zero")
     p1_block = block_sq / x_norm_sq
@@ -65,7 +68,7 @@ def postselect(sol: MarchingSolution, index: EmbeddingIndexMap,
     p1_pre = math.factorial(params.k + 1) >= 50.0 * params.m * (params.c + 1) * (
         params.c + 2) * g
 
-    y_final = scaled.extract_final()
+    y_final = np.ldexp(sol.extract_final(), e)
     y_norm_sq = _sum_sq(y_final)
     level0 = y_final[index.level_slice(0)]
     level0_sq = _sum_sq(level0)

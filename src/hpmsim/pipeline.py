@@ -161,12 +161,16 @@ class RunConfig:
         return cls(**raw)
 
     @classmethod
-    def from_json(cls, path) -> "RunConfig":
+    def from_json(cls, path, overrides: dict | None = None) -> "RunConfig":
+        """The config in the JSON file at path, with the keys of overrides
+        replacing the file's before the one check of `from_dict`."""
         try:
             with open(path) as fh:
                 raw = json.load(fh)
         except (OSError, ValueError) as exc:    # unreadable, not UTF-8 or not JSON
             raise ValidationError(f"cannot read config {path}: {exc}") from exc
+        if overrides and isinstance(raw, dict):
+            raw = {**raw, **overrides}
         return cls.from_dict(raw)
 
     def overrides(self) -> dict:
@@ -665,6 +669,8 @@ def generate_instance(n: int, s: int, K_target: float, seed: int,
     """
     if n < 1:
         raise ValidationError("n must be positive")
+    if seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, not {seed}")
     if K_target < 0 or K_target >= 1:
         raise ValidationError("K_target must lie in [0, 1)")
     if s < 0 or s > n * n:

@@ -78,6 +78,36 @@ def test_run_rejects_zero_step_count_at_load(tmp_path, capsys):
     assert "'m'" in err and "in stage" not in err
 
 
+@pytest.mark.parametrize("argv, key", [(["--seed", "-1", "bounds"], "'seed'"),
+                                       (["run", "--tol", "nan"], "'tol'")])
+def test_command_line_overrides_are_checked_at_load(std1_config, tmp_path, capsys, argv, key):
+    # the overrides join the file's keys before from_dict checks them all
+    out = tmp_path / "o"
+    assert main(["--config", str(std1_config), "--out", str(out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "in stage" not in err
+    assert not out.exists()
+
+
+def test_gen_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "inst"
+    assert main(["--out", str(out), "--seed", "-3", "gen",
+                 "--n", "2", "--s", "2", "--K", "0.3"]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_command_line_overrides_reach_the_report(std1_config, tmp_path):
+    out = tmp_path / "o"
+    assert main(["--config", str(std1_config), "--out", str(out), "--seed", "5", "--force",
+                 "run", "--solver", "iterative", "--tol", "1e-11",
+                 "--emit-blocks", str(tmp_path / "blocks")]) == 0
+    config = json.loads((out / "report.json").read_text())["config"]
+    assert config["seed"] == 5 and config["force"] is True
+    assert config["solver"] == "iterative" and config["tol"] == 1e-11
+    assert config["emit_blocks"] == str(tmp_path / "blocks")
+
+
 def test_run_missing_config_is_validation_error(tmp_path):
     assert main(["--out", str(tmp_path), "run"]) == 2
 

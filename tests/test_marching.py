@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 
 from hpmsim.cascade import truncation_bound
 from hpmsim.embedding import assemble_A
+import hpmsim.marching as marching
 import hpmsim.sparse as sparse_mod
 from hpmsim.errors import NumericalError, ValidationError
 from hpmsim.marching import (
@@ -274,6 +275,32 @@ def test_operator_matches_reference_matrix(case):
                           (inv.T @ x, dense_inv.T @ x)):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("r", [1, 3])
+@pytest.mark.parametrize("steps_per_chunk", [1, 2])
+def test_chunked_products_match_reference_matrix(monkeypatch, steps_per_chunk, r):
+    # m = 5 steps in chunks of one step, or of two with one step left over;
+    # the copy tail of p = 9 blocks then splits into chunks of 4 or 8 blocks
+    A = random_A(4, seed=9, normal=False)
+    params = tiny_params(N=4, m=5, k=3, p=9, h=0.2)
+    C = assemble_C(A, params)
+    monkeypatch.setattr(marching, "CHUNK_FLOATS", steps_per_chunk * params.k * 4 * r)
+    assert C._chunks(r) == range(0, params.m, steps_per_chunk)
+    ref = reference_C(A, params)
+    rng = np.random.default_rng(steps_per_chunk + 10 * r)
+    x = rng.normal(size=(C.shape[0], r)).squeeze()
+    for got, want in ((C @ x, ref @ x), (C.T @ x, ref.T @ x)):
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    # the residual of a solution, and of the columns of x, against e_0 kron y
+    y = rng.normal(size=4)
+    rhs = np.zeros(C.shape[0])
+    rhs[:4] = y
+    assert C.residual(C.march(y), y) <= 1e-13 * np.linalg.norm(y)
+    for col in x.reshape(C.shape[0], -1).T:
+        want = np.linalg.norm(ref @ col - rhs)
+        assert abs(C.residual(col, y) - want) <= 1e-13 * want
 
 
 @pytest.mark.parametrize("case", OPERATOR_CASES)

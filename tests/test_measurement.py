@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import hpmsim.marching as marching
 from hpmsim.embedding import assemble_A, build_index_map
 from hpmsim.errors import ValidationError
 from hpmsim.marching import assemble_C, solve_marching, step_counts
@@ -16,6 +18,7 @@ from hpmsim.measurement import (
 )
 from hpmsim.marching import TaylorSystemParams
 from hpmsim.ode import compute_K, make_ode
+from hpmsim.pipeline import generate_instance
 from hpmsim.sparse import SparseMatrix
 from oracles import (
     amplitude_lower_bound,
@@ -47,6 +50,45 @@ def test_postselect_linear_c0_full_level0_mass():
     assert rep.p1_bound == pytest.approx(1.0 / (params.p + 77.0 * params.m))
     assert 0 < rep.p1_block_ratio <= 1.0
     assert np.linalg.norm(rep.u_out) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("chunk", [7, 2 ** 16])
+def test_postselect_norms_take_every_chunk_of_x(monkeypatch, chunk):
+    # chunks of 7 entries split x unevenly; the ratios are those of the whole x
+    ode = generate_instance(2, 2, 0.3, 7)
+    sys = assemble_A(ode, 2)
+    m, h = step_counts(1.0, sys.norm_A)
+    params = tiny_params(N=sys.index.N, m=m, k=6, p=m, h=h, c=2)
+    sol = solve_marching(assemble_C(sys.A, params), sys.y_in, 1e-10, params)
+    assert sol.x.size % 7 and sol.x.size > 7 * 7
+    monkeypatch.setattr(marching, "CHUNK_FLOATS", chunk)
+    rep = postselect(sol, sys.index, compute_K(ode), utilde_T_norm=1.0)
+    block = sol.extract_block(m, 0)
+    want = np.linalg.norm(block) ** 2 / np.linalg.norm(sol.x) ** 2
+    assert rep.p1_block_ratio == pytest.approx(want, rel=1e-14)
+
+
+def test_forward_solve_and_postselect_hold_x_and_a_few_chunks():
+    # x is 13 chunks here, and a product with C takes one step (k N = 0.7
+    # chunk) at a time: the allowance of 4 chunks covers the reused row
+    # buffer, the product's source and result and one more temporary.  A
+    # product over all steps at once held about 5.6 times x.nbytes
+    ode = generate_instance(4, 2, 0.3, 7)
+    sys = assemble_A(ode, 4)
+    params = tiny_params(N=sys.index.N, m=16, k=15, p=16, h=1.0 / sys.norm_A, c=4)
+    C = assemble_C(sys.A, params)
+    chunk_bytes = 8 * marching.CHUNK_FLOATS
+    assert C.shape[0] * 8 > 12 * chunk_bytes
+    nl = compute_K(ode)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sol = solve_marching(C, sys.y_in, 1e-10, params)
+        postselect(sol, sys.index, nl, utilde_T_norm=1.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= sol.x.nbytes + 4 * chunk_bytes
 
 
 def test_level_group_component_counts():
