@@ -2,8 +2,8 @@
 
 The marching matrix stacks m Taylor steps of order k plus p copy rows:
 unit diagonal, -A h/j couplings inside each step, -identity summation rows
-at step boundaries, -identity copy rows at the tail.  C is an operator and
-is never stored: it is applied a chunk of whole steps at a time, as many
+at step boundaries, -identity copy rows at the tail.  C is an operator, and
+no solve stores it: it is applied a chunk of whole steps at a time, as many
 steps as keep the chunk's k N r floats within CHUNK_FLOATS (at least one),
 each chunk one product of A with its coupling blocks.  The system is unit
 lower triangular, so forward substitution solves it exactly in m k
@@ -11,16 +11,17 @@ products with A, in place in the one array x; a residual checked GMRES on
 the operator, preconditioned by the inverse of C's block diagonal over the
 steps, doubles as an independent path.  The residual ||C x - e_0 kron
 y_in|| is summed chunk by chunk through the same row blocks as C x, so
-the forward path holds x plus the temporaries of one chunk.  The operator also
-applies C^T, and `inverse()` applies C^{-1} and C^{-T} by substitution, so
-the condition number ||C|| ||C^{-1}|| comes from Lanczos without forming C.
+the forward path holds x plus the temporaries of one chunk.  The operator
+applies neither C^T nor C^{-1}: the condition number ||C|| ||C^{-1}||, an
+oracle run only under the dense cap, takes C assembled as a sparse matrix by
+`tocsr()` and its SuperLU factor, which for unit lower triangular C is C
+itself, with no fill.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -227,7 +228,8 @@ def select_parameters(nl: NonlinearityParams, sel: OrderSelection, sys: Embedded
 
 
 class MarchingOperator(spla.LinearOperator):
-    """The (d+1)N-square marching matrix C as an operator; never stored.
+    """The (d+1)N-square marching matrix C as an operator; `tocsr()`
+    assembles it for the condition oracle alone.
 
     x is read as d+1 blocks of length N.  Step i owns blocks i(k+1)+j,
     j = 0..k; the copy tail owns blocks m(k+1)..d.
@@ -241,12 +243,6 @@ class MarchingOperator(spla.LinearOperator):
         self.params = params
         self.N = N
 
-    @cached_property
-    def AT(self) -> sp.csr_array:
-        """A^T as its own csr_array, built on first use: its products gather
-        rows, where those of the CSC view A.T scatter columns."""
-        return self.A.T.tocsr()
-
     @property
     def nnz(self) -> int:
         """Entry count of the matrix this operator stands for."""
@@ -254,16 +250,32 @@ class MarchingOperator(spla.LinearOperator):
                          self.params.d, self.N)
         return (d + 1) * N + m * k * self.A.nnz + m * (k + 1) * N + p * N
 
+    def tocsr(self) -> sp.csr_array:
+        """C assembled as kron(I - S, I_N) + kron(E, A): S the 0/1 pattern of
+        the summation and copy rows, E holding -h/j at (i(k+1)+j, i(k+1)+j-1).
+        The two terms share no entry, so their entries are joined, not added:
+        a coupling -A h/j that is zero stays stored, and nnz matches `nnz`."""
+        m, k, d, h = self.params.m, self.params.k, self.params.d, self.params.h
+        n, tail = d + 1, m * (k + 1)
+        # summation row (i+1)(k+1) takes every block of step i; copy row l, block l-1
+        rows = np.concatenate([np.repeat(np.arange(1, m + 1) * (k + 1), k + 1),
+                               np.arange(tail + 1, n)])
+        cols = np.concatenate([np.arange(tail), np.arange(tail, d)])
+        S = sp.coo_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
+        coupled = np.flatnonzero(np.arange(tail) % (k + 1))
+        E = sp.coo_array((-h / (coupled % (k + 1)), (coupled, coupled - 1)), shape=(n, n))
+        terms = (sp.kron(sp.eye_array(n) - S, sp.eye_array(self.N), format="coo"),
+                 sp.kron(E, self.A, format="coo"))
+        return sp.coo_array((np.concatenate([t.data for t in terms]),
+                             (np.concatenate([t.row for t in terms]),
+                              np.concatenate([t.col for t in terms]))),
+                            shape=self.shape).tocsr()
+
     def march(self, y_in: np.ndarray) -> np.ndarray:
         """Solves C x = e_0 kron y_in in m k products with A, in place in x."""
         X = np.zeros((self.params.d + 1, self.N))
         X[0] = y_in
         return self._substitute(X).reshape(-1)
-
-    def _solve(self, b: np.ndarray) -> np.ndarray:
-        """C^{-1} b, b a vector or a (size, r) stack."""
-        X = np.array(b, dtype=np.float64).reshape(self.params.d + 1, self.N, *np.shape(b)[1:])
-        return self._substitute(X).reshape(np.shape(b))
 
     def _substitute(self, X: np.ndarray) -> np.ndarray:
         """Overwrites the (d+1, N, ...) blocks X of b with C^{-1} b by forward
@@ -280,25 +292,6 @@ class MarchingOperator(spla.LinearOperator):
         tail[0] += cur
         np.cumsum(tail, axis=0, out=tail)
         return X
-
-    def _solve_T(self, b: np.ndarray) -> np.ndarray:
-        """C^{-T} b by backward substitution: m k products with A^T."""
-        m, k, h, d = self.params.m, self.params.k, self.params.h, self.params.d
-        Z = np.array(b, dtype=np.float64).reshape(d + 1, self.N, *np.shape(b)[1:])
-        tail = Z[m * (k + 1):][::-1]
-        np.cumsum(tail, axis=0, out=tail)
-        for i in reversed(range(m)):
-            base = i * (k + 1)
-            Z[base:base + k + 1] += Z[base + k + 1]
-            for j in range(k - 1, -1, -1):
-                Z[base + j] += (h / (j + 1)) * (self.AT @ Z[base + j + 1])
-        return Z.reshape(np.shape(b))
-
-    def inverse(self) -> spla.LinearOperator:
-        """C^{-1} as an operator: forward solves, transposed by backward ones."""
-        return spla.LinearOperator(self.shape, matvec=self._solve, rmatvec=self._solve_T,
-                                   matmat=self._solve, rmatmat=self._solve_T,
-                                   dtype=np.float64)
 
     def step_inverse(self) -> spla.LinearOperator:
         """D^{-1} as an operator, D the block diagonal of C over the m steps
@@ -381,24 +374,6 @@ class MarchingOperator(spla.LinearOperator):
                 rows -= y_in.reshape(1, -1, 1)
             total += float(np.sum(rows * rows))
         return math.sqrt(total)
-
-    def _rmatmat(self, y: np.ndarray) -> np.ndarray:
-        m, k, d, N = self.params.m, self.params.k, self.params.d, self.N
-        r = y.shape[1]
-        coef = (-self.params.h / np.arange(1, k + 1))[None, :, None, None]
-        Y = y.reshape(d + 1, N, r)
-        X = Y.copy()
-        chunks = self._chunks(r)
-        for i0 in chunks:
-            i1 = min(i0 + chunks.step, m)
-            steps = Y[i0 * (k + 1):i1 * (k + 1)].reshape(i1 - i0, k + 1, N, r)
-            X_steps = X[i0 * (k + 1):i1 * (k + 1)].reshape(i1 - i0, k + 1, N, r)
-            # block i(k+1)+j-1 takes -h/j A^T y_{i(k+1)+j}
-            X_steps[:, :k] += coef * self._coupled(self.AT, steps[:, 1:])
-            # every block of step i takes -y of its summation row (i+1)(k+1)
-            X_steps -= Y[(i0 + 1) * (k + 1):i1 * (k + 1) + 1:k + 1][:, None]
-        X[m * (k + 1):d] -= Y[m * (k + 1) + 1:]
-        return X.reshape(-1, r)
 
 
 def assemble_C(A: sp.csr_array, params: TaylorSystemParams) -> MarchingOperator:
@@ -496,15 +471,11 @@ def step_errors_vs_expm(sys: EmbeddedSystem, params: TaylorSystemParams,
     return rows
 
 
-def _norm_floor(C: MarchingOperator) -> float:
-    """The largest row and column 2-norms of C, lower bounds on ||C||.
-
-    A summation row holds a unit diagonal and k+1 entries -1; for k >= 1 the
-    first column of a step holds 1, the column of -A h and a summation -1.
-    """
-    k, h = C.params.k, C.params.h
-    col_sq = float(C.A.multiply(C.A).sum(axis=0).max(initial=0.0))
-    return math.sqrt(max(k + 2.0, 2.0 + h * h * col_sq if k else 0.0))
+def _factor(Cs: sp.csr_array) -> spla.SuperLU:
+    """SuperLU factor of the unit lower triangular C in its own order: the
+    permutations are the identity, L = C and U = I, so there is no fill and
+    each solve is one triangular substitution."""
+    return spla.splu(Cs.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
 
 
 def condition_report(C: MarchingOperator, params: TaylorSystemParams,
@@ -512,10 +483,11 @@ def condition_report(C: MarchingOperator, params: TaylorSystemParams,
                      dense_cap: int = DENSE_ORACLE_CAP) -> dict:
     """kappa(C) against 2e sqrt(k) (m(k+1)+p)(c+2).
 
-    kappa = ||C|| ||C^{-1}|| by Lanczos on the operator and on its inverse
-    march, each certified from below: ||C|| by its row and column norms,
-    ||C^{-1}|| by ||C^{-1} b|| / ||b|| for the all-ones probe b.  Measured while
-    size^2 stays under the dense cap, which bounds the Lanczos cost.
+    kappa = ||C|| ||C^{-1}|| by Lanczos on C assembled by `tocsr()` and on
+    the inverse that its SuperLU factor applies, each certified from below:
+    ||C|| by its row and column norms, ||C^{-1}|| by ||C^{-1} b|| / ||b|| for
+    the all-ones probe b.  Measured while size^2 stays under the dense cap,
+    which bounds the cost of both; above it C is never assembled.
     """
     m, k, p, c = params.m, params.k, params.p, params.c
     bound = 2.0 * math.e * math.sqrt(k) * (m * (k + 1) + p) * (c + 2)
@@ -528,11 +500,13 @@ def condition_report(C: MarchingOperator, params: TaylorSystemParams,
     size = C.shape[0]
     measured = None
     if size * size <= dense_cap:
+        Cs = C.tocsr()
+        lu = _factor(Cs)
+        inv = spla.LinearOperator(C.shape, matvec=lu.solve, dtype=np.float64,
+                                  rmatvec=lambda b: lu.solve(b, trans="T"))
         # all ones: each step sums what came before, so C^{-1} amplifies it
-        inv = C.inverse()
-        inv_floor = float(np.linalg.norm(inv @ np.ones(size))) / math.sqrt(size)
-        measured = (spectral_norm(C, lower=_norm_floor(C))
-                    * spectral_norm(inv, lower=inv_floor))
+        inv_floor = float(np.linalg.norm(lu.solve(np.ones(size)))) / math.sqrt(size)
+        measured = spectral_norm(Cs) * spectral_norm(inv, lower=inv_floor)
     return {
         "bound": bound,
         "measured": measured,

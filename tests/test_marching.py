@@ -12,8 +12,9 @@ import hpmsim.marching as marching
 import hpmsim.sparse as sparse_mod
 from hpmsim.errors import NumericalError, ValidationError
 from hpmsim.marching import (
+    MarchingOperator,
     TaylorSystemParams,
-    _norm_floor,
+    _factor,
     assemble_C,
     choose_order,
     condition_report,
@@ -265,14 +266,50 @@ def test_operator_matches_reference_matrix(case):
     rhs[:A.shape[0]] = y
     expected = spla.spsolve_triangular(ref, rhs, lower=True)
     assert np.linalg.norm(C.march(y) - expected) <= 1e-12 * np.linalg.norm(expected)
-    # the march is the inverse operator applied to e_0 kron y_in
-    inv = C.inverse()
-    assert np.array_equal(C.march(y), inv @ rhs)
-    # C^T, C^{-1} and C^{-T} on a vector and on a block of three
-    dense, dense_inv = ref.toarray(), np.linalg.inv(ref.toarray())
-    for x in (v, V):
-        for got, want in ((C.T @ x, dense.T @ x), (inv @ x, dense_inv @ x),
-                          (inv.T @ x, dense_inv.T @ x)):
+
+
+def assert_same_csr(got: sp.csr_array, want: sp.csr_array) -> None:
+    assert got.format == "csr" and got.shape == want.shape and got.nnz == want.nnz
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
+
+@pytest.mark.parametrize("case", OPERATOR_CASES)
+def test_tocsr_is_the_reference_matrix_entry_for_entry(case):
+    A, params = operator_case(case)
+    C = assemble_C(A, params)
+    Cs = C.tocsr()
+    assert_same_csr(Cs, reference_C(A, params))
+    assert Cs.nnz == C.nnz
+    assert np.array_equal(Cs.toarray(), C @ np.eye(C.shape[0]))
+
+
+def test_tocsr_keeps_zero_couplings_and_a_zero_A():
+    A, params = operator_case(OPERATOR_CASES[1])
+    # h = 0 makes every coupling -A h/j zero; they stay stored, as in the oracle
+    for A, params in ((A, dataclasses.replace(params, h=0.0)),
+                      (SparseMatrix.zeros(3, 3).csr, params)):
+        C = assemble_C(A, params)
+        assert_same_csr(C.tocsr(), reference_C(A, params))
+        assert C.tocsr().nnz == C.nnz
+
+
+@pytest.mark.parametrize("case", OPERATOR_CASES)
+def test_factor_of_C_has_no_fill_and_applies_its_inverse(case):
+    A, params = operator_case(case)
+    Cs = assemble_C(A, params).tocsr()
+    size = Cs.shape[0]
+    lu = _factor(Cs)
+    # unit lower triangular C factors in its own order as L = C, U = I
+    assert np.array_equal(lu.perm_r, np.arange(size))
+    assert np.array_equal(lu.perm_c, np.arange(size))
+    assert lu.L.nnz == Cs.nnz and lu.U.nnz == size
+    # C^{-1} and C^{-T} on a vector and on a block of three
+    dense_inv = np.linalg.inv(reference_C(A, params).toarray())
+    rng = np.random.default_rng(case["seed"] + 200)
+    for x in (rng.normal(size=size), rng.normal(size=(size, 3))):
+        for got, want in ((lu.solve(x), dense_inv @ x),
+                          (lu.solve(x, trans="T"), dense_inv.T @ x)):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.linalg.norm(x)
 
@@ -290,9 +327,9 @@ def test_chunked_products_match_reference_matrix(monkeypatch, steps_per_chunk, r
     ref = reference_C(A, params)
     rng = np.random.default_rng(steps_per_chunk + 10 * r)
     x = rng.normal(size=(C.shape[0], r)).squeeze()
-    for got, want in ((C @ x, ref @ x), (C.T @ x, ref.T @ x)):
-        assert got.shape == want.shape
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    got, want = C @ x, ref @ x
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
     # the residual of a solution, and of the columns of x, against e_0 kron y
     y = rng.normal(size=4)
     rhs = np.zeros(C.shape[0])
@@ -357,18 +394,6 @@ def test_gmres_takes_the_step_inverse_and_an_m_plus_2_basis(monkeypatch):
     assert np.array_equal(kwargs["M"] @ v, C.step_inverse() @ v)
 
 
-def test_transpose_of_A_is_a_csr_copy_built_on_first_use():
-    A, params = operator_case(OPERATOR_CASES[0])
-    C = assemble_C(A, params)
-    C.march(np.ones(A.shape[0]))
-    C @ np.ones(C.shape[0])
-    # the forward march and products with C never apply A^T
-    assert "AT" not in vars(C)
-    AT = C.AT
-    assert AT.format == "csr" and AT is C.AT
-    assert np.array_equal(AT.toarray(), A.toarray().T)
-
-
 @pytest.mark.parametrize("case", OPERATOR_CASES)
 def test_condition_report_matches_dense_svd(case):
     A, params = operator_case(case)
@@ -397,14 +422,49 @@ def test_condition_report_refuses_estimate_below_certificate(monkeypatch, which)
 
 
 @pytest.mark.parametrize("case", OPERATOR_CASES)
-def test_norm_floor_is_largest_row_or_column_norm(case):
+def test_norm_floor_is_largest_row_or_column_norm(monkeypatch, case):
+    # ||C|| is certified by the sparse branch of spectral_norm on C.tocsr():
+    # an estimate a hair below the largest row or column norm is refused
     A, params = operator_case(case)
+    real_svds = sparse_mod.svds
     # ||A h|| = 2.7 lets a column outweigh the k + 2 of a summation row
     for params in (params, dataclasses.replace(params, h=3.0 * params.h)):
         ref = reference_C(A, params)
         sq = ref.multiply(ref)
         exact = math.sqrt(max(sq.sum(axis=0).max(), sq.sum(axis=1).max()))
-        assert _norm_floor(assemble_C(A, params)) == pytest.approx(exact, rel=1e-14)
+        Cs = assemble_C(A, params).tocsr()
+        norm = spectral_norm(Cs)
+        for factor in (1.0 - 1e-9, 1.0 + 1e-9):
+            # svds sees C scaled by a power of two; the ratio is scale-free
+            monkeypatch.setattr(sparse_mod, "svds", lambda op, f=factor, **kw:
+                                real_svds(op, **kw) * (exact / norm) * f)
+            if factor < 1.0:
+                with pytest.raises(NumericalError, match="below its certified"):
+                    spectral_norm(Cs)
+            else:
+                assert spectral_norm(Cs) == pytest.approx(exact * factor, rel=1e-14)
+        monkeypatch.setattr(sparse_mod, "svds", real_svds)
+
+
+def test_condition_report_takes_no_product_through_the_operator(monkeypatch):
+    A, params = operator_case(OPERATOR_CASES[3])
+    C = assemble_C(A, params)
+    want = condition_report(C, params, exp_norm_precondition_ok=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product through the marching operator")
+
+    monkeypatch.setattr(MarchingOperator, "_matmat", refuse)
+    monkeypatch.setattr(MarchingOperator, "_substitute", refuse)
+    got = condition_report(C, params, exp_norm_precondition_ok=True)
+    assert got == want and got["measured"] is not None
+    # over the cap C is never assembled, and the row is skipped
+    monkeypatch.setattr(MarchingOperator, "tocsr", refuse)
+    size = C.shape[0]
+    skipped = condition_report(C, params, exp_norm_precondition_ok=True,
+                               dense_cap=size * size - 1)
+    assert skipped["measured"] is None and skipped["pass"]
+    assert skipped["bound"] == want["bound"]
 
 
 def test_spectral_norm_of_operator_needs_lower_bound():

@@ -308,6 +308,19 @@ def test_over_cap_paths_still_pass():
     assert rep.parameters["g"] == run(std1_config()).parameters["g"]
 
 
+def test_condition_row_over_the_cap_never_assembles_C(monkeypatch):
+    def refuse(self):
+        raise AssertionError("C assembled over the dense cap")
+
+    monkeypatch.setattr(hpmsim.marching.MarchingOperator, "tocsr", refuse)
+    # size^2 = 972^2 is over the cap, N^2 = 144 under it
+    rep = run(std1_config(dense_cap=10_000))
+    row = next(r for r in rep.bound_checks if r["check"] == "condition_number")
+    assert row["measured"] is None and row["pass"]
+    assert row["note"] == "skipped: size over dense cap"
+    assert rep.status == "pass"
+
+
 # F1 = [[-1, 3], [0, -1]] is not normal: mu(F1) = 0.5 > 0, so the log-norm
 # bound cannot certify ||e^(At)|| <= 1, and ||e^(At)|| does rise above 1
 NONNORMAL = {
@@ -515,15 +528,61 @@ def test_step_override_between_norm_and_upper_end_needs_force():
     assert any("per-step contract" in w for w in rep.warnings)
 
 
+def report_at_threads(config: str, threads: str) -> dict:
+    """The report of `run(config)`, timings dropped, from a fresh interpreter
+    with OPENBLAS_NUM_THREADS = threads; config is a Python expression."""
+    src = str(Path(hpmsim.__file__).resolve().parents[1])
+    code = ("import json; from hpmsim.pipeline import RunConfig, generate_instance, "
+            f"instance_config, run; rep = json.loads(run({config}).to_json()); "
+            "rep.pop('timings'); print(json.dumps(rep, sort_keys=True))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+                         check=True, timeout=120).stdout
+    return json.loads(out)
+
+
+GEN4 = "instance_config(generate_instance(4, 2, 0.3, 7), 1.0, 1e-2{})"
+
+
 def test_forward_report_does_not_depend_on_the_blas_thread_count():
     # a BLAS dot product splits its sum by thread; the squared norms of the
-    # post-selection are pairwise sums, so the report is the same bit for bit
-    src = str(Path(hpmsim.__file__).resolve().parents[1])
-    code = ("import json; from hpmsim.pipeline import generate_instance, instance_config, run; "
-            "rep = json.loads(run(instance_config(generate_instance(4, 2, 0.3, 7), 1.0, 1e-2))"
-            ".to_json()); rep.pop('timings'); print(json.dumps(rep, sort_keys=True))")
-    reports = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
-                              check=True, timeout=120).stdout
-               for threads in ("1", "2")}
-    assert len(reports) == 1
+    # post-selection are pairwise sums, so the report is the same bit for bit;
+    # on std1 kappa(C) runs too, through ARPACK and SuperLU
+    for config in (GEN4.format(""), f"RunConfig.from_dict({STD1!r})"):
+        reports = [json.dumps(report_at_threads(config, threads), sort_keys=True)
+                   for threads in ("1", "2")]
+        assert reports[0] == reports[1], config
+
+
+def assert_close_tree(a, b, rel: float, atol: float, path: str = "report") -> None:
+    """a and b hold the same keys, lengths, strings and flags, and floats
+    within rel of each other or within atol."""
+    assert type(a) is type(b), path
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for key in a:
+            assert_close_tree(a[key], b[key], rel, atol, f"{path}.{key}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_close_tree(x, y, rel, atol, f"{path}[{i}]")
+    elif isinstance(a, float):
+        assert abs(a - b) <= rel * max(abs(a), abs(b)) + atol, (path, a, b)
+    else:
+        assert a == b, path
+
+
+def test_iterative_report_moves_only_in_its_last_bits_with_the_blas_thread_count():
+    # scipy's GMRES takes BLAS dot products, so the README allows the
+    # iterative path's values to differ in their last bits between thread
+    # counts; every decision in the report must still agree: the status,
+    # iteration count and each row's pass, precondition, note and skip (a
+    # None measured) compare equal in the tree.  Errors and residuals are
+    # differences of states of norm at most 1, so a change in the last bits
+    # of the solution moves them by about 1e-16 absolute (6e-10 relative in
+    # final_error, 20% in the residual): atol bounds those
+    one, two = (report_at_threads(GEN4.format(", solver='iterative'"), threads)
+                for threads in ("1", "2"))
+    assert one["status"] == "pass"
+    assert one["parameters"] == two["parameters"]
+    assert_close_tree(one, two, rel=1e-12, atol=1e-14)
