@@ -172,7 +172,7 @@ def _cmd_hpm(args) -> int:
     cfg = _load_config(args)
     prep = prepare(cfg, args.config.parent)
     K, norm_u = prep.nl.K, prep.nl.norm_u_in
-    casc = hpm.solve_cascade(prep.solved, prep.c, cfg.T, K=K)
+    casc = hpm.solve_cascade(prep.solved, prep.sel.c, cfg.T, K=K)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "hpm.csv"
     with open(path, "w", newline="") as fh:
@@ -180,7 +180,7 @@ def _cmd_hpm(args) -> int:
         writer.writerow(["t", "i", "norm_nu_i", "bound_K_pow"])
         for ti, t in enumerate(casc.ts):
             norms = casc.norms_at(ti)
-            for i in range(prep.c + 1):
+            for i in range(prep.sel.c + 1):
                 bound = norm_u * K ** i if K > 0 else (norm_u if i == 0 else 0.0)
                 writer.writerow([f"{t:.12g}", i, f"{norms[i]:.12g}", f"{bound:.12g}"])
     print(f"wrote {path}")
@@ -252,9 +252,6 @@ def _appendix_rows(seed: int) -> list[dict]:
 def _cmd_gen(args) -> int:
     seed = args.seed if args.seed is not None else 0
     ode = generate_instance(args.n, args.s, args.K, seed, u_norm=args.u_norm)
-    args.out.mkdir(parents=True, exist_ok=True)
-    write_triplets(ode.F1.csr, args.out / "F1.txt")
-    write_triplets(ode.F2.csr, args.out / "F2.txt")
     cfg = {
         "n": args.n,
         "T": args.T,
@@ -264,6 +261,10 @@ def _cmd_gen(args) -> int:
         "F2_path": "F2.txt",
         "seed": seed,
     }
+    RunConfig.from_dict(cfg)    # refuse what `run` would refuse, before writing
+    args.out.mkdir(parents=True, exist_ok=True)
+    write_triplets(ode.F1.csr, args.out / "F1.txt")
+    write_triplets(ode.F2.csr, args.out / "F2.txt")
     (args.out / "instance.json").write_text(json.dumps(cfg, indent=2) + "\n")
     print(f"wrote instance (n={args.n}, s={args.s}, K={args.K}) to {args.out}")
     return EXIT_PASS

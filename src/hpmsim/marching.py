@@ -21,7 +21,7 @@ itself, with no fill.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,7 +42,8 @@ CHUNK_FLOATS = 2 ** 16
 
 @dataclass
 class OrderSelection:
-    """Truncation order bookkeeping: budget-driven choice vs the hard cap."""
+    """The order in use, c, beside the budget's own choice c_required and
+    the hard cap c_cap."""
     c: int
     c_formula: int
     c_scan: int
@@ -50,27 +51,50 @@ class OrderSelection:
     c_cap: int | None          # largest order with (c+1)||F2|| <= |Re lambda_1|
     epsilon1: float
     eta_prime: float
-    certified: bool            # tail bound at the chosen c meets epsilon1
+    certified: bool            # tail bound at c meets epsilon1
     warnings: list[str] = field(default_factory=list)
 
 
 def choose_order(K: float, epsilon: float, eta: float, norm_u_in: float,
-                 norm_F2: float, re_lambda1: float, force: bool = False) -> OrderSelection:
-    """Pick the truncation order for a target accuracy.
+                 norm_F2: float, re_lambda1: float, c: int | None = None,
+                 force: bool = False) -> OrderSelection:
+    """Pick the truncation order for a target accuracy, or rule on an
+    override c.
 
     The order satisfying the error budget is the max of the closed-form
     choice ceil(log_{1/K}(4||u_in|| / ((1-K) eps eta))) and a direct scan of
     the geometric tail against epsilon1 = eps K / (4 eta').  Both are then
     capped so (c+1)||F2|| <= |Re lambda_1| keeps ||e^{At}|| <= c+1 provable;
-    a capped order is flagged as not bound-certified.
+    a capped order is flagged as not bound-certified.  An override c above
+    the cap is refused unless forced, and then warned of first; an override
+    other than the budget's choice is warned of; and an override is
+    certified on its own tail bound.
     """
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
-    warnings: list[str] = []
     if K == 0.0:
-        return OrderSelection(c=0, c_formula=0, c_scan=0, c_required=0,
-                              c_cap=None, epsilon1=0.0, eta_prime=0.0,
-                              certified=True, warnings=["linear fast path (F2 = 0)"])
+        sel = OrderSelection(c=0, c_formula=0, c_scan=0, c_required=0,
+                             c_cap=None, epsilon1=0.0, eta_prime=0.0,
+                             certified=True, warnings=["linear fast path (F2 = 0)"])
+    else:
+        sel = _budget_order(K, epsilon, eta, norm_u_in, norm_F2, re_lambda1, force)
+    if c is None:
+        return sel
+    if sel.c_cap is not None and c > sel.c_cap:
+        msg = (f"override c = {c} violates the exponential-norm precondition "
+               f"(largest admissible order is {sel.c_cap})")
+        if not force:
+            raise ValidationError(msg)
+        sel.warnings.insert(0, msg)
+    if c != sel.c:
+        sel.warnings.append(f"order override: using c = {c}, budget selection was {sel.c}")
+    return replace(sel, c=c, certified=truncation_bound(K, c) <= sel.epsilon1)
+
+
+def _budget_order(K: float, epsilon: float, eta: float, norm_u_in: float,
+                  norm_F2: float, re_lambda1: float, force: bool) -> OrderSelection:
+    """The budget's order for 0 < K, capped by the exponential-norm precondition."""
+    warnings: list[str] = []
     if K >= SQRT_HALF:
         raise ValidationError(
             f"nonlinearity too strong: K = {K:.4g} >= sqrt(2)/2; "
@@ -158,52 +182,49 @@ def taylor_order_for(Omega: float) -> int:
 
 
 def select_parameters(nl: NonlinearityParams, sel: OrderSelection, sys: EmbeddedSystem,
-                      T: float, epsilon: float, g: float, eta: float,
-                      overrides: dict | None = None,
+                      T: float, epsilon: float, g: float, eta: float, *,
+                      m: int | None = None, p: int | None = None, k: int | None = None,
+                      delta: float | None = None,
                       force: bool = False) -> TaylorSystemParams:
     """Fill in (h, m, k, p, delta) for a target accuracy epsilon.
 
-    sel is the run's order selection; an assembled order other than sel.c
-    (an override) is certified on its own tail bound.  Step count and
-    grid come from ||A||; delta follows the error budget split and Omega
-    = 50 m (c+1)(c+2) g / delta drives the Taylor order.
+    sel is the run's order selection, and sys must be assembled at its
+    order sel.c.  Step count m comes from ||A||, and h = T/m; delta follows
+    the error budget split and Omega = 50 m (c+1)(c+2) g / delta drives the
+    Taylor order.  m, p, k and delta, where given, override the selection
+    and are checked against its rules unless forced.
     """
-    overrides = dict(overrides or {})
     if g < 1.0 - 1e-9:
         raise ValidationError(f"g = {g} cannot be below 1")
     if eta <= 0:
         raise ValidationError("eta must be positive")
-    c = sys.index.c
+    c = sel.c
+    if sys.index.c != c:
+        raise ValidationError(f"embedding assembled at order {sys.index.c}, "
+                              f"not at the selected order {c}")
     warnings: list[str] = []
-    epsilon1, eta_prime, certified = sel.epsilon1, sel.eta_prime, sel.certified
-    if "c" in overrides or sel.c != c:
-        if sel.c != c:
-            warnings.append(f"order override: using c = {c}, budget selection was {sel.c}")
-        certified = nl.K < 1 and truncation_bound(nl.K, c) <= epsilon1
-
-    m, h = step_counts(T, sys.norm_A)
-    m = int(overrides.get("m", m))
-    p = int(overrides.get("p", m))
+    m = step_counts(T, sys.norm_A)[0] if m is None else m
+    p = m if p is None else p
     if m < 1 or p < 1:
         raise ValidationError("m and p must be positive")
-    h = float(overrides.get("h", T / m if T > 0 else 0.0))
+    h = T / m if T > 0 else 0.0
     if sys.norm_A * h > 1.0 + 1e-9:
         msg = f"||A h|| = {sys.norm_A * h:.4g} > 1 breaks the per-step contract"
         if not force:
             raise ValidationError(msg)
         warnings.append(msg)
 
-    scale = eta_prime if eta_prime > 0 else 1.0
-    delta = epsilon * math.sqrt(max(1.0 - 2.0 * nl.K ** 2, 0.0)) / (
-        30.0 * math.sqrt(78.0 * m) * g * scale)
-    delta = float(overrides.get("delta", delta))
+    scale = sel.eta_prime if sel.eta_prime > 0 else 1.0
+    if delta is None:
+        delta = epsilon * math.sqrt(max(1.0 - 2.0 * nl.K ** 2, 0.0)) / (
+            30.0 * math.sqrt(78.0 * m) * g * scale)
+    delta = float(delta)
     if delta <= 0.0:
         raise ValidationError(
             f"solver budget degenerated to delta = {delta} (K = {nl.K:.4g})"
         )
     Omega = 50.0 * m * (c + 1) * (c + 2) * g / delta
-    if "k" in overrides:
-        k = int(overrides["k"])
+    if k is not None:
         if math.factorial(k + 1) < Omega:
             msg = f"override k = {k} violates (k+1)! >= Omega = {Omega:.4g}"
             if not force:
@@ -220,10 +241,10 @@ def select_parameters(nl: NonlinearityParams, sel: OrderSelection, sys: Embedded
         warnings.append(msg)
     d = m * (k + 1) + p
     return TaylorSystemParams(
-        c=c, h=h, m=m, k=k, p=p, d=d, delta=delta, epsilon1=epsilon1,
-        Omega=Omega, g_est=g, eta_est=eta, eta_prime=eta_prime,
+        c=c, h=h, m=m, k=k, p=p, d=d, delta=delta, epsilon1=sel.epsilon1,
+        Omega=Omega, g_est=g, eta_est=eta, eta_prime=sel.eta_prime,
         norm_A=sys.norm_A, N=sys.index.N,
-        hpm_budget_certified=certified, warnings=warnings,
+        hpm_budget_certified=sel.certified, warnings=warnings,
     )
 
 
@@ -404,17 +425,22 @@ class MarchingSolution:
 def solve_marching(C: MarchingOperator, y_in: np.ndarray, delta: float,
                    params: TaylorSystemParams,
                    solver: str = "forward") -> MarchingSolution:
-    """Solve C x = e_0 kron y_in to relative residual min(delta, 1e-10)."""
+    """Solve C x = e_0 kron y_in to relative residual min(delta, 1e-10), on
+    y_in scaled by the power of two that brings max|y_in| into [1/2, 1): C is
+    linear, so no bit changes on normal scales, and a tiny y_in underflows
+    in neither GMRES nor the residual."""
     N = params.N
     if y_in.shape != (N,):
         raise ValidationError(f"y_in must have length {N}")
     target = min(delta, SOLVE_FLOOR) if delta > 0 else SOLVE_FLOOR
+    e = np.frexp(np.max(np.abs(y_in)))[1]
+    y = np.ldexp(y_in, -e)
     iterations = None
     if solver == "forward":
-        x = C.march(y_in)
+        x = C.march(y)
     elif solver == "iterative":
         rhs = np.zeros((params.d + 1) * N)
-        rhs[:N] = y_in
+        rhs[:N] = y
         # D^{-1} C = I - D^{-1} L, with D^{-1} L strictly lower triangular over
         # the m steps and the tail: GMRES ends within m+1 iterations, and the
         # basis holds m+3 vectors; restarts continue should rounding need more
@@ -427,12 +453,13 @@ def solve_marching(C: MarchingOperator, y_in: np.ndarray, delta: float,
         iterations = len(presids)
     else:
         raise ValidationError(f"unknown solver '{solver}'")
-    residual = C.residual(x, y_in) / max(float(np.linalg.norm(y_in)), np.finfo(float).tiny)
+    residual = C.residual(x, y) / max(float(np.linalg.norm(y)), np.finfo(float).tiny)
     if residual > max(target, 1e-12):
         raise NumericalError(
             f"solver '{solver}' residual {residual:.3e} misses target {target:.3e}"
         )
-    return MarchingSolution(x=x, params=params, residual=residual, iterations=iterations)
+    return MarchingSolution(x=np.ldexp(x, e, out=x), params=params, residual=residual,
+                            iterations=iterations)
 
 
 def expm_trajectory(A: sp.csr_array, y_in: np.ndarray, h: float, m: int) -> np.ndarray:

@@ -66,14 +66,18 @@ def _triplet(t) -> bool:
 
 
 # key -> (rule its value must meet, what the rule asks for); a key whose
-# default is None also takes None, which leaves the choice to the run
+# default is None also takes None, which leaves the choice to the run.
+# u_in and the triplet lists have checks of their own in `from_dict`.
 _KEY_RULES = {
+    **dict.fromkeys(("n", "m", "p", "dense_cap", "dimension_cap"),
+                    (lambda x: _integer(x) and x >= 1, "a positive integer")),
+    "T": (lambda x: _finite_real(x) and x >= 0, "a finite nonnegative real number"),
+    **dict.fromkeys(("epsilon", "g", "eta", "zeta", "tol"),
+                    (lambda x: _finite_real(x) and x > 0, "a finite positive real number")),
     **dict.fromkeys(("c", "k", "seed"),
                     (lambda x: _integer(x) and x >= 0, "a nonnegative integer")),
-    **dict.fromkeys(("m", "p", "dense_cap", "dimension_cap"),
-                    (lambda x: _integer(x) and x >= 1, "a positive integer")),
-    **dict.fromkeys(("h", "g", "eta", "zeta", "tol"),
-                    (lambda x: _finite_real(x) and x > 0, "a finite positive real number")),
+    "solver": (lambda x: isinstance(x, str) and x in mar.SOLVERS,
+               f"one of {list(mar.SOLVERS)}"),
     **dict.fromkeys(("force", "assume_valid"),
                     (lambda x: isinstance(x, bool), "true or false")),
     **dict.fromkeys(("F1_path", "F2_path", "emit_blocks"),
@@ -97,7 +101,6 @@ class RunConfig:
     k: int | None = None
     m: int | None = None
     p: int | None = None
-    h: float | None = None
     g: float | None = None
     eta: float | None = None
     zeta: float | None = None
@@ -120,13 +123,11 @@ class RunConfig:
         for req in ("n", "T", "epsilon", "u_in"):
             if req not in raw:
                 raise ValidationError(f"config missing required key '{req}'")
-        n = raw["n"]
-        if not _integer(n) or n < 1:
-            raise ValidationError(f"config key 'n' must be a positive integer, not {n!r}")
-        for key in ("T", "epsilon"):
-            if not _finite_real(raw[key]):
-                raise ValidationError(
-                    f"config key '{key}' must be a finite real number, not {raw[key]!r}")
+        for key, (rule, what) in _KEY_RULES.items():
+            value = raw.get(key)
+            if key in raw and not (rule(value) or value is None
+                                   and cls.__dataclass_fields__[key].default is None):
+                raise ValidationError(f"config key '{key}' must be {what}, not {value!r}")
         u_in = raw["u_in"]
         if not isinstance(u_in, (list, tuple, np.ndarray)):
             raise ValidationError(f"config key 'u_in' must be a list, not {u_in!r}")
@@ -149,15 +150,6 @@ class RunConfig:
             if bad:
                 raise ValidationError(f"config key '{key}' needs [int, int, finite real] "
                                       f"triplets, not {bad[0]!r}")
-        solver = raw.get("solver", "forward")
-        if not (isinstance(solver, str) and solver in mar.SOLVERS):
-            raise ValidationError(f"config key 'solver' must be one of {list(mar.SOLVERS)}, "
-                                  f"not {solver!r}")
-        for key, (rule, what) in _KEY_RULES.items():
-            value = raw.get(key)
-            if key in raw and not (rule(value) or value is None
-                                   and cls.__dataclass_fields__[key].default is None):
-                raise ValidationError(f"config key '{key}' must be {what}, not {value!r}")
         return cls(**raw)
 
     @classmethod
@@ -172,18 +164,6 @@ class RunConfig:
         if overrides and isinstance(raw, dict):
             raw = {**raw, **overrides}
         return cls.from_dict(raw)
-
-    def overrides(self) -> dict:
-        out = {}
-        for key in ("k", "m", "p", "h"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        if self.tol is not None:
-            out["delta"] = self.tol
-        if self.c is not None:
-            out["c"] = self.c
-        return out
 
 
 def build_ode(config: RunConfig, base_dir: Path | None = None) -> QuadraticODE:
@@ -302,8 +282,9 @@ def rescaled_problem(ode: QuadraticODE, zeta: float | None = None
 @dataclass
 class Prepared:
     """What a run's first four stages found: `solved` is `ode` rescaled by
-    zeta, nl0 and nl their nonlinearity parameters, and c the order in use,
-    sel.c unless the config overrides it."""
+    zeta, nl0 and nl their nonlinearity parameters, and sel the order
+    selection, whose sel.c is the order in use: the config's c where it
+    sets one, else the budget's."""
     ode: QuadraticODE
     solved: QuadraticODE
     zeta: float
@@ -312,8 +293,6 @@ class Prepared:
     ref: Trajectory
     eta: float
     sel: mar.OrderSelection
-    c: int
-    warnings: list[str]
 
 
 def prepare(config: RunConfig, base_dir: Path | None = None,
@@ -342,33 +321,24 @@ def prepare(config: RunConfig, base_dir: Path | None = None,
         eta = config.eta if config.eta is not None else nl0.norm_u_in / norm_uT
 
     with _Stage("order", timings):
-        sel = mar.choose_order(nl.K, config.epsilon, eta, nl.norm_u_in,
-                               nl.norm_F2, nl.re_lambda1, force=config.force)
-        c = sel.c if config.c is None else int(config.c)
-        warnings: list[str] = []
-        if sel.c_cap is not None and c > sel.c_cap:
-            msg = (f"override c = {c} violates the exponential-norm "
-                   f"precondition (largest admissible order is {sel.c_cap})")
-            if not config.force:
-                raise ValidationError(msg)
-            warnings.append(msg)
-        warnings.extend(sel.warnings)
-    return Prepared(ode, solved, zeta, nl0, nl, ref, eta, sel, c, warnings)
+        sel = mar.choose_order(nl.K, config.epsilon, eta, nl.norm_u_in, nl.norm_F2,
+                               nl.re_lambda1, c=config.c, force=config.force)
+    return Prepared(ode, solved, zeta, nl0, nl, ref, eta, sel)
 
 
 def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
     timings: dict = {}
     prep = prepare(config, base_dir, timings)
     solved, nl, ref, sel = prep.solved, prep.nl, prep.ref, prep.sel
-    c_used, u_exact, warnings = prep.c, ref.final(), prep.warnings
+    u_exact = ref.final()
 
     with _Stage("cascade", timings):
-        casc = hpm.solve_cascade(solved, c_used, config.T, K=nl.K)
+        casc = hpm.solve_cascade(solved, sel.c, config.T, K=nl.K)
         utilde_T = casc.nu[:, -1, :].sum(axis=0)
         utilde_norm = vector_norm(utilde_T)
 
     with _Stage("embed", timings):
-        sys = emb.assemble_A(solved, c_used, cap=config.dimension_cap)
+        sys = emb.assemble_A(solved, sel.c, cap=config.dimension_cap)
         struct = emb.structural_report(sys, solved, nl.norm_F2, nl.re_lambda1)
 
     with _Stage("decay", timings):
@@ -376,9 +346,8 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
 
     with _Stage("parameters", timings):
         params = mar.select_parameters(nl, sel, sys, config.T, config.epsilon, g, prep.eta,
-                                       overrides=config.overrides(),
-                                       force=config.force)
-        warnings.extend(params.warnings)
+                                       m=config.m, p=config.p, k=config.k,
+                                       delta=config.tol, force=config.force)
 
     with _Stage("assemble_C", timings):
         C = mar.assemble_C(sys.A, params)
@@ -390,7 +359,7 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
             _emit_step_blocks(sol, Path(config.emit_blocks))
 
     # (c+1)||F2|| <= |Re lambda_1|, the inequality choose_order turned into c_cap
-    exp_norm_pre = sel.c_cap is None or c_used <= sel.c_cap
+    exp_norm_pre = sel.c_cap is None or sel.c <= sel.c_cap
 
     with _Stage("condition", timings):
         cond = mar.condition_report(C, params, exp_norm_pre, config.dense_cap)
@@ -460,7 +429,7 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
         },
         solver={"name": config.solver, "residual": sol.residual,
                 "iterations": sol.iterations},
-        warnings=warnings,
+        warnings=sel.warnings + params.warnings,
         timings=timings,
         status=status,
         exit_code=0 if status == "pass" else 1,

@@ -97,6 +97,28 @@ def test_gen_rejects_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_refuses_a_config_run_would_refuse(tmp_path, capsys):
+    out = tmp_path / "inst"
+    assert main(["--out", str(out), "gen", "--n", "2", "--s", "2", "--K", "0.3",
+                 "--T", "-1", "--epsilon", "0"]) == 2
+    assert "'T'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_refuses_an_h_key_at_load(tmp_path, capsys):
+    # h = T/m is derived: half the chosen step, 0.0625, once ended the march at t = 0.5
+    inst = tmp_path / "inst"
+    assert main(["--out", str(inst), "--seed", "7", "gen",
+                 "--n", "4", "--s", "2", "--K", "0.3"]) == 0
+    raw = json.loads((inst / "instance.json").read_text())
+    (inst / "instance.json").write_text(json.dumps({**raw, "h": 0.0625}))
+    capsys.readouterr()
+    assert main(["--config", str(inst / "instance.json"), "--out", str(tmp_path / "o"),
+                 "run"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown config keys: ['h']" in err and "in stage" not in err
+
+
 def test_command_line_overrides_reach_the_report(std1_config, tmp_path):
     out = tmp_path / "o"
     assert main(["--config", str(std1_config), "--out", str(out), "--seed", "5", "--force",

@@ -533,6 +533,55 @@ def test_choose_order_linear():
     assert sel.c == 0 and sel.certified
 
 
+def _std1_order_args():
+    nl = compute_K(std1_scaled())
+    return nl, (nl.K, 1e-2, 2.5, nl.norm_u_in, nl.norm_F2, nl.re_lambda1)
+
+
+def test_choose_order_over_cap_override_needs_force():
+    _, args = _std1_order_args()
+    with pytest.raises(ValidationError, match="override c = 5 violates the exponential-norm"):
+        choose_order(*args, c=5)
+    sel = choose_order(*args, c=5, force=True)
+    assert sel.c == 5 and sel.c_cap == 3
+    assert sel.warnings[0].startswith("override c = 5 violates the exponential-norm")
+    assert sel.warnings[-1] == "order override: using c = 5, budget selection was 3"
+
+
+def test_choose_order_certifies_an_override_on_its_own_tail():
+    nl, args = _std1_order_args()
+    budget = choose_order(*args)
+    assert not budget.certified
+    forced = choose_order(*args, c=budget.c_required, force=True)
+    assert forced.certified
+    # no cap binds here: the budget's order is certified, a lower one is not,
+    # and an override equal to the budget's order is certified again
+    args = (0.3, 1e-2, 1.0, 0.3, 0.01, -1.0)
+    budget = choose_order(*args)
+    assert budget.certified and budget.c > 0
+    low = choose_order(*args, c=budget.c - 1)
+    assert not low.certified
+    assert low.warnings == [f"order override: using c = {budget.c - 1}, "
+                            f"budget selection was {budget.c}"]
+    same = choose_order(*args, c=budget.c)
+    assert same.certified and same.warnings == []
+
+
+def test_choose_order_linear_override_is_warned():
+    sel = choose_order(0.0, 1e-3, 2.0, 0.5, 0.0, -1.0, c=2)
+    assert sel.c == 2 and sel.certified
+    assert sel.warnings == ["linear fast path (F2 = 0)",
+                            "order override: using c = 2, budget selection was 0"]
+
+
+def test_select_parameters_refuses_an_embedding_at_another_order():
+    ode = std1_scaled()
+    nl, args = _std1_order_args()
+    sel = choose_order(*args, c=2)
+    with pytest.raises(ValidationError, match="order 3"):
+        select_parameters(nl, sel, assemble_A(ode, 3), 1.0, 1e-2, g=2.75, eta=2.5)
+
+
 def test_select_parameters_postconditions():
     ode = std1_scaled()
     nl = compute_K(ode)

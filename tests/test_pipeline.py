@@ -18,6 +18,7 @@ from hpmsim.errors import NumericalError, ValidationError
 from hpmsim.marching import choose_order, expm_trajectory
 from hpmsim.ode import compute_K
 from hpmsim.pipeline import (
+    _KEY_RULES,
     RunConfig,
     _Stage,
     build_ode,
@@ -92,10 +93,18 @@ def test_config_requires_core_keys():
     ("F1_triplets", [[0, 0, -1.0, 1.0]]), ("F1_triplets", [0, 0, -1.0]),
     ("F2_triplets", [[0, 0, True]]), ("F2_triplets", "[[0, 0, 0.2]]"),
     ("u_in", [0.0]), ("u_in", [1e-300, -1e-160]),
+    ("T", -1.0), ("epsilon", 0.0), ("epsilon", -0.1),
 ])
 def test_config_rejects_bad_values(key, value):
     with pytest.raises(ValidationError, match=f"'{key}'"):
         RunConfig.from_dict({**STD1, key: value})
+
+
+def test_every_config_key_has_a_read_time_rule():
+    # u_in and the triplet lists have their own checks; every other key is
+    # checked from the one rule table, so a new key cannot skip the read
+    own_checks = {"u_in", "F1_triplets", "F2_triplets"}
+    assert set(RunConfig.__dataclass_fields__) - own_checks == set(_KEY_RULES)
 
 
 def test_config_accepts_ints_as_reals():
@@ -116,6 +125,37 @@ def test_orthogonal_start_instance_passes():
     row = next(r for r in rep.bound_checks if r["check"] == "embedding_norm")
     assert row["measured"] <= row["bound"]
     assert rep.errors["final_error"] <= 1e-2
+
+
+# K = 1.5e-300: the rescaled y_in is about 1e-300 in size
+TINY_K = {
+    "n": 2, "T": 1.0, "epsilon": 1e-2, "u_in": [0.3, 0.2],
+    "F1_triplets": [[0, 0, -1.0], [0, 1, 0.2], [1, 0, 0.2], [1, 1, -2.0]],
+    "F2_triplets": [[0, 1, 1e-300], [1, 3, -1e-300]],
+}
+
+
+def test_tiny_K_iterative_solve_matches_forward():
+    # unscaled, GMRES stops at once on the tiny right-hand side and returns
+    # x = 0, and the residual underflows to 0 and accepts it
+    fwd = run(RunConfig.from_dict(TINY_K))
+    it = run(RunConfig.from_dict({**TINY_K, "solver": "iterative"}))
+    assert fwd.status == it.status == "pass"
+    assert np.max(np.abs(np.subtract(it.measurement["u_out"],
+                                     fwd.measurement["u_out"]))) <= 1e-12
+
+
+def test_tiny_K_residual_refuses_a_perturbed_march(monkeypatch):
+    march = hpmsim.marching.MarchingOperator.march
+
+    def perturbed(self, y_in):
+        x = march(self, y_in)
+        return x * (1.0 + 1e-6 * np.cos(np.arange(x.size)))
+
+    monkeypatch.setattr(hpmsim.marching.MarchingOperator, "march", perturbed)
+    with pytest.raises(NumericalError, match="residual") as info:
+        run(RunConfig.from_dict(TINY_K))
+    assert info.value.stage == "solve"
 
 
 def test_linear_fast_path():
@@ -291,7 +331,7 @@ def test_sweep_T_final_error_under_epsilon():
 def test_sweep_records_failures_and_continues():
     rows = sweep(std1_config(), "epsilon", [1e-2, -1.0])
     assert rows[0]["status"] == "pass"
-    assert str(rows[1]["status"]).startswith("error in stage order: ")
+    assert str(rows[1]["status"]).startswith("error: config key 'epsilon' must be")
 
 
 def test_over_cap_paths_still_pass():
@@ -428,9 +468,7 @@ def test_decay_ratio_matches_dense_step_grid(n):
 def test_decay_grid_refinement_stable(std1_report):
     # computing g on a 4x finer step grid must not flip the acceptance
     # probability's bound check
-    rep4 = run(std1_config(m=4 * std1_report.parameters["m"],
-                           h=std1_report.parameters["h"] / 4.0,
-                           force=True))
+    rep4 = run(std1_config(m=4 * std1_report.parameters["m"], force=True))
     g_coarse = std1_report.parameters["g"]
     g_fine = rep4.parameters["g"]
     assert g_fine == pytest.approx(g_coarse, rel=0.05)
