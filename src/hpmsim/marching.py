@@ -7,15 +7,20 @@ no solve stores it: it is applied a chunk of whole steps at a time, as many
 steps as keep the chunk's k N r floats within CHUNK_FLOATS (at least one),
 each chunk one product of A with its coupling blocks.  The system is unit
 lower triangular, so forward substitution solves it exactly in m k
-products with A, in place in the one array x; a residual checked GMRES on
-the operator, preconditioned by the inverse of C's block diagonal over the
-steps, doubles as an independent path.  The residual ||C x - e_0 kron
-y_in|| is summed chunk by chunk through the same row blocks as C x, so
-the forward path holds x plus the temporaries of one chunk.  The operator
-applies neither C^T nor C^{-1}: the condition number ||C|| ||C^{-1}||, an
-oracle run only under the dense cap, takes C assembled as a sparse matrix by
-`tocsr()` and its SuperLU factor, which for unit lower triangular C is C
-itself, with no fill.
+products with A, marched by the same chunks through one reused buffer.
+The forward solve is a fold over those chunks: it keeps the step starts
+x_{i,0}, ||x||^2 and the residual ||C x - e_0 kron y_in||, whose rows
+each chunk gives through the same row code as C x, so the check shares no
+code with the substitution.  x itself, (d+1) N floats, is never formed:
+the forward path holds the (m+1) N floats of the step starts, one chunk of
+steps, its residual rows and the temporaries of its one product with A
+(n = 4 at c = 6, N = 78,100: 170 MiB peak RSS for a whole run).  A
+residual checked GMRES on the operator, preconditioned by the inverse of
+C's block diagonal over the steps, doubles as an independent path.  The
+operator applies neither C^T nor C^{-1}: the condition number ||C||
+||C^{-1}||, an oracle run only under the dense cap, takes C assembled as a
+sparse matrix by `tocsr()` and its SuperLU factor, which for unit lower
+triangular C is C itself, with no fill.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .cascade import min_order_for_bound, truncation_bound
 from .embedding import EmbeddedSystem, step_counts
 from .errors import NumericalError, ValidationError
 from .ode import SQRT_HALF, NonlinearityParams
-from .sparse import DENSE_ORACLE_CAP, spectral_norm, vector_norm
+from .sparse import DENSE_ORACLE_CAP, spectral_norm, sum_sq, vector_norm
 
 SOLVE_FLOOR = 1e-10
 SOLVERS = ("forward", "iterative")
@@ -157,17 +162,6 @@ class TaylorSystemParams:
     hpm_budget_certified: bool = True
     warnings: list[str] = field(default_factory=list)
 
-    def block_index(self, i: int, j: int) -> int:
-        if i < 0 or i > self.m:
-            raise ValidationError(f"step index {i} outside 0..{self.m}")
-        if i < self.m:
-            if j < 0 or j > self.k:
-                raise ValidationError(f"inner index {j} outside 0..{self.k}")
-            return i * (self.k + 1) + j
-        if j < 0 or j > self.p:
-            raise ValidationError(f"copy index {j} outside 0..{self.p}")
-        return self.m * (self.k + 1) + j
-
 
 def taylor_order_for(Omega: float) -> int:
     """Smallest workable k: floor(2 log(Omega)/log log(Omega)) bumped until
@@ -292,27 +286,32 @@ class MarchingOperator(spla.LinearOperator):
                               np.concatenate([t.col for t in terms]))),
                             shape=self.shape).tocsr()
 
-    def march(self, y_in: np.ndarray) -> np.ndarray:
-        """Solves C x = e_0 kron y_in in m k products with A, in place in x."""
-        X = np.zeros((self.params.d + 1, self.N))
-        X[0] = y_in
-        return self._substitute(X).reshape(-1)
+    def march(self, y_in: np.ndarray):
+        """Solves C x = e_0 kron y_in by forward substitution in m k products
+        with A, a chunk of whole steps at a time (`_chunks(1)`), into one
+        reused (steps, k+1, N) buffer.
 
-    def _substitute(self, X: np.ndarray) -> np.ndarray:
-        """Overwrites the (d+1, N, ...) blocks X of b with C^{-1} b by forward
-        substitution: m k products with A."""
-        m, k, h = self.params.m, self.params.k, self.params.h
-        for i in range(m):
-            base = i * (k + 1)
-            if i:
-                X[base] += cur
-            for j in range(1, k + 1):
-                X[base + j] += (h / j) * (self.A @ X[base + j - 1])
-            cur = X[base:base + k + 1].sum(axis=0)
-        tail = X[m * (k + 1):]
-        tail[0] += cur
-        np.cumsum(tail, axis=0, out=tail)
-        return X
+        After each chunk it yields (i0, blocks, carry): i0 the chunk's first
+        step, blocks the x_{i,j} of its steps, and carry = sum_j x_{i,j} of
+        its last step i, which is x_{i+1,0}.  The next chunk overwrites
+        blocks.  The copy tail, p+1 copies of the last carry, is not formed.
+        """
+        m, k, h, N = self.params.m, self.params.k, self.params.h, self.N
+        chunks = self._chunks(1)
+        buf = np.empty((min(chunks.step, m), k + 1, N))
+        carry = None
+        for i0 in chunks:
+            blocks = buf[:min(chunks.step, m - i0)]
+            blocks.fill(0.0)
+            for X in blocks:
+                if carry is None:
+                    X[0] = y_in
+                else:
+                    X[0] += carry
+                for j in range(1, k + 1):
+                    X[j] += (h / j) * (self.A @ X[j - 1])
+                carry = X.sum(axis=0)
+            yield i0, blocks, carry
 
     def step_inverse(self) -> spla.LinearOperator:
         """D^{-1} as an operator, D the block diagonal of C over the m steps
@@ -344,6 +343,24 @@ class MarchingOperator(spla.LinearOperator):
         src = np.moveaxis(blocks, 2, 0).reshape(N, s * k * r)
         return np.moveaxis((M @ src).reshape(N, s, k, r), 0, 2)
 
+    def _step_rows(self, blocks: np.ndarray, carry: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+        """Rows i(k+1)+1..(i+1)(k+1) of C x for a chunk of whole steps i,
+        written into out and returned: blocks holds the chunk's x_{i,j},
+        (s, k+1, N, r), carry the next step's x_{i+1,0} after the chunk's
+        last step, (N, r), and out is (s, k+1, N, r)."""
+        k = self.params.k
+        # row i(k+1)+j couples to block i(k+1)+j-1 with -h/j, j = 1..k
+        coef = (-self.params.h / np.arange(1, k + 1))[None, :, None, None]
+        # row i(k+1)+1+j of the chunk is the coupling row j+1 of step i for
+        # j < k, and its summation row (i+1)(k+1) for j = k
+        out[:, :k] = blocks[:, 1:]
+        out[:-1, k] = blocks[1:, 0]
+        out[-1, k] = carry
+        out[:, :k] += coef * self._coupled(self.A, blocks[:, :k])
+        out[:, k] -= blocks.sum(axis=1)
+        return out
+
     def _row_blocks(self, x: np.ndarray, out: np.ndarray | None = None):
         """C x, x a (size, r) stack, as (first block, rows) pairs in row order:
         block 0, each chunk of steps, then the copy tail in chunks of as many
@@ -351,8 +368,6 @@ class MarchingOperator(spla.LinearOperator):
         given, else into one chunk buffer that the next pair overwrites."""
         m, k, d, N = self.params.m, self.params.k, self.params.d, self.N
         r = x.shape[1]
-        # row i(k+1)+j couples to block i(k+1)+j-1 with -h/j, j = 1..k
-        coef = (-self.params.h / np.arange(1, k + 1))[None, :, None, None]
         X = x.reshape(d + 1, N, r)
         chunks = self._chunks(r)
         width = min(chunks.step, m) * (k + 1)
@@ -367,13 +382,8 @@ class MarchingOperator(spla.LinearOperator):
         for i0 in chunks:
             i1 = min(i0 + chunks.step, m)
             lo, hi = i0 * (k + 1) + 1, i1 * (k + 1) + 1
-            steps = X[lo - 1:hi - 1].reshape(i1 - i0, k + 1, N, r)
-            # block i(k+1)+1+j is the coupling row j+1 of step i for j < k,
-            # and its summation row (i+1)(k+1) for j = k
-            Y = rows_at(lo, hi).reshape(i1 - i0, k + 1, N, r)
-            Y[...] = X[lo:hi].reshape(i1 - i0, k + 1, N, r)
-            Y[:, :k] += coef * self._coupled(self.A, steps[:, :k])
-            Y[:, k] -= steps.sum(axis=1)
+            Y = self._step_rows(X[lo - 1:hi - 1].reshape(i1 - i0, k + 1, N, r), X[hi - 1],
+                                rows_at(lo, hi).reshape(i1 - i0, k + 1, N, r))
             yield lo, Y.reshape(-1, N, r)
         # copy rows m(k+1)+1..d
         for lo in range(m * (k + 1) + 1, d + 1, width):
@@ -393,7 +403,7 @@ class MarchingOperator(spla.LinearOperator):
         for lo, rows in self._row_blocks(x.reshape(-1, 1)):
             if lo == 0:
                 rows -= y_in.reshape(1, -1, 1)
-            total += float(np.sum(rows * rows))
+            total += sum_sq(rows)
         return math.sqrt(total)
 
 
@@ -404,22 +414,53 @@ def assemble_C(A: sp.csr_array, params: TaylorSystemParams) -> MarchingOperator:
 
 @dataclass
 class MarchingSolution:
-    x: np.ndarray
+    """What post-selection and the step checks read of x = C^{-1} (e_0 kron
+    y_in): starts holds the step blocks x_{i,0}, i = 0..m, row by row,
+    final the last copy block x_{m,p}, and norm_sq is ||x||^2.
+
+    All three are taken on the solution as solved, for y_in scaled by
+    2^-exponent; `step_solution` and `extract_final` scale back.
+    """
+    starts: np.ndarray
+    final: np.ndarray
+    norm_sq: float
+    exponent: int
     params: TaylorSystemParams
     residual: float
     iterations: int | None = None      # GMRES inner iterations; None for forward
 
-    def extract_block(self, i: int, j: int) -> np.ndarray:
-        N = self.params.N
-        l = self.params.block_index(i, j)
-        return self.x[l * N:(l + 1) * N]
-
     def extract_final(self) -> np.ndarray:
-        return self.extract_block(self.params.m, self.params.p)
+        return np.ldexp(self.final, self.exponent)
 
     def step_solution(self, i: int) -> np.ndarray:
         """The time-t=ih approximation x_{i,0}."""
-        return self.extract_block(i, 0)
+        if not 0 <= i <= self.params.m:
+            raise ValidationError(f"step index {i} outside 0..{self.params.m}")
+        return np.ldexp(self.starts[i], self.exponent)
+
+
+def _forward_fold(C: MarchingOperator, y: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The forward solve as a fold over the chunks that `C.march(y)` yields:
+    (starts, final, ||x||^2, ||C x - e_0 kron y||) with x never formed.
+
+    Each chunk's step starts are copied out, its squares added to ||x||^2,
+    and its rows of C x taken by `_step_rows`, the code of C x itself.  The
+    copy tail is p+1 copies of x_{m,0}: it adds (p+1) ||x_{m,0}||^2 to
+    ||x||^2, and its copy rows, like row 0 (x_{0,0} = y), are zero by
+    construction.
+    """
+    m, p = C.params.m, C.params.p
+    starts = np.empty((m + 1, C.N))
+    parts, res_sq = [], 0.0
+    for i0, blocks, carry in C.march(y):
+        starts[i0:i0 + len(blocks)] = blocks[:, 0]
+        parts.append(sum_sq(blocks))
+        res_sq += sum_sq(C._step_rows(blocks[..., None], carry[:, None],
+                                      np.empty(blocks.shape + (1,))))
+    starts[m] = carry
+    parts.append((p + 1) * sum_sq(carry))
+    return starts, carry, math.fsum(parts), math.sqrt(res_sq)
 
 
 def solve_marching(C: MarchingOperator, y_in: np.ndarray, delta: float,
@@ -428,8 +469,9 @@ def solve_marching(C: MarchingOperator, y_in: np.ndarray, delta: float,
     """Solve C x = e_0 kron y_in to relative residual min(delta, 1e-10), on
     y_in scaled by the power of two that brings max|y_in| into [1/2, 1): C is
     linear, so no bit changes on normal scales, and a tiny y_in underflows
-    in neither GMRES nor the residual."""
-    N = params.N
+    in neither GMRES, the residual nor ||x||^2.  A residual that is not
+    within the target (NaN included) or a non-finite ||x||^2 is refused."""
+    N, m, k, d = params.N, params.m, params.k, params.d
     if y_in.shape != (N,):
         raise ValidationError(f"y_in must have length {N}")
     target = min(delta, SOLVE_FLOOR) if delta > 0 else SOLVE_FLOOR
@@ -437,29 +479,37 @@ def solve_marching(C: MarchingOperator, y_in: np.ndarray, delta: float,
     y = np.ldexp(y_in, -e)
     iterations = None
     if solver == "forward":
-        x = C.march(y)
+        starts, final, norm_sq, residual = _forward_fold(C, y)
     elif solver == "iterative":
-        rhs = np.zeros((params.d + 1) * N)
+        rhs = np.zeros((d + 1) * N)
         rhs[:N] = y
         # D^{-1} C = I - D^{-1} L, with D^{-1} L strictly lower triangular over
         # the m steps and the tail: GMRES ends within m+1 iterations, and the
         # basis holds m+3 vectors; restarts continue should rounding need more
         presids = []
         x, info = spla.gmres(C, rhs, rtol=target / 10.0, atol=0.0, M=C.step_inverse(),
-                             restart=params.m + 2, maxiter=5000,
+                             restart=m + 2, maxiter=5000,
                              callback=presids.append, callback_type="pr_norm")
         if info != 0:
             raise NumericalError(f"gmres did not converge (info={info})")
         iterations = len(presids)
+        X = x.reshape(d + 1, N)
+        starts, final = X[:m * (k + 1) + 1:k + 1].copy(), X[d].copy()
+        # summed by chunks of x, so no copy of x is made
+        norm_sq = math.fsum(sum_sq(x[i:i + CHUNK_FLOATS])
+                            for i in range(0, x.size, CHUNK_FLOATS))
+        residual = C.residual(x, y)
     else:
         raise ValidationError(f"unknown solver '{solver}'")
-    residual = C.residual(x, y) / max(float(np.linalg.norm(y)), np.finfo(float).tiny)
-    if residual > max(target, 1e-12):
+    residual /= max(float(np.linalg.norm(y)), np.finfo(float).tiny)
+    if not residual <= max(target, 1e-12):
         raise NumericalError(
             f"solver '{solver}' residual {residual:.3e} misses target {target:.3e}"
         )
-    return MarchingSolution(x=np.ldexp(x, e, out=x), params=params, residual=residual,
-                            iterations=iterations)
+    if not math.isfinite(norm_sq):
+        raise NumericalError(f"solver '{solver}' solution has ||x||^2 = {norm_sq}")
+    return MarchingSolution(starts=starts, final=final, norm_sq=norm_sq, exponent=int(e),
+                            params=params, residual=residual, iterations=iterations)
 
 
 def expm_trajectory(A: sp.csr_array, y_in: np.ndarray, h: float, m: int) -> np.ndarray:

@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import marching as mar
 from .embedding import EmbeddingIndexMap
 from .errors import ValidationError
 from .marching import MarchingSolution
 from .ode import SQRT_HALF, NonlinearityParams
-from .sparse import DENSE_ORACLE_CAP, dense_expm, spectral_norm, vector_norm
+from .sparse import DENSE_ORACLE_CAP, dense_expm, spectral_norm, sum_sq, vector_norm
 
 
 @dataclass
@@ -38,12 +37,6 @@ class MeasurementReport:
     level_group_bounds: list[float] = field(default_factory=list)
 
 
-def _sum_sq(x: np.ndarray) -> float:
-    """sum x_i^2 by numpy's pairwise sum: unlike a BLAS dot product, its
-    order of additions, and so its bits, do not depend on the thread count."""
-    return float(np.sum(x * x))
-
-
 def postselect(sol: MarchingSolution, index: EmbeddingIndexMap,
                nl: NonlinearityParams, utilde_T_norm: float) -> MeasurementReport:
     """Exact acceptance probabilities and the normalized output state.
@@ -52,14 +45,11 @@ def postselect(sol: MarchingSolution, index: EmbeddingIndexMap,
     eta' = K / ||u~(T)|| in the level-0 probability bound.
     """
     params = sol.params
-    # the squared norms are taken of x scaled by one exact power of two, clear
-    # of underflow; the ratios and u_out are the same as without the scale.
-    # ||x||^2 is summed by chunks of x, so no copy of x is made
-    e = -math.frexp(max(float(sol.x.max()), -float(sol.x.min())))[1]
-    step = mar.CHUNK_FLOATS
-    x_norm_sq = math.fsum(_sum_sq(np.ldexp(sol.x[i:i + step], e))
-                          for i in range(0, sol.x.size, step))
-    block_sq = _sum_sq(np.ldexp(sol.extract_block(params.m, 0), e))
+    # the squares are taken on the solution as solved, where max|y_in| lies
+    # in [1/2, 1): clear of underflow, and its power-of-two scale cancels
+    # exactly in the ratios and in u_out
+    x_norm_sq = sol.norm_sq
+    block_sq = sum_sq(sol.starts[params.m])
     if x_norm_sq == 0.0:
         raise ValidationError("marching solution is identically zero")
     p1_block = block_sq / x_norm_sq
@@ -68,10 +58,9 @@ def postselect(sol: MarchingSolution, index: EmbeddingIndexMap,
     p1_pre = math.factorial(params.k + 1) >= 50.0 * params.m * (params.c + 1) * (
         params.c + 2) * g
 
-    y_final = np.ldexp(sol.extract_final(), e)
-    y_norm_sq = _sum_sq(y_final)
-    level0 = y_final[index.level_slice(0)]
-    level0_sq = _sum_sq(level0)
+    y_norm_sq = sum_sq(sol.final)
+    level0 = sol.final[index.level_slice(0)]
+    level0_sq = sum_sq(level0)
     if level0_sq == 0.0:
         raise ValidationError("level-0 block of the final state is zero")
     chi0_sq = level0_sq / y_norm_sq
@@ -117,7 +106,7 @@ def level_group_norms(y: np.ndarray, index: EmbeddingIndexMap,
         for j, a in enumerate(index.levels[lvl]):
             block = y[index.block_slice(lvl, j)]
             degree = sum(a) + len(a)          # sum (a_k + 1)
-            groups[degree - 1] = groups.get(degree - 1, 0.0) + _sum_sq(block)
+            groups[degree - 1] = groups.get(degree - 1, 0.0) + sum_sq(block)
     out_sq, out_bound = [], []
     for i in sorted(groups):
         out_sq.append(groups[i])

@@ -166,12 +166,7 @@ def integrate(rhs, y0: np.ndarray, T: float, steps: int, diverge: float = math.i
     DOP853 picks its own steps to meet rtol and an atol of ATOL_PER_UNIT
     times max|y0|; the grid is sampled from its dense output. A state norm
     above `diverge` is a terminal event: it raises NumericalError at once.
-    More than MAX_GRID_STEPS grid steps are refused before anything is
-    allocated.
     """
-    if steps > MAX_GRID_STEPS:
-        raise ValidationError(f"{steps} grid steps exceed the cap of {MAX_GRID_STEPS}: "
-                              "T is too long for the step size")
     y0 = np.array(y0, dtype=np.float64)
     top = float(np.abs(y0).max(initial=0.0))
     if steps == 0 or top == 0.0:
@@ -199,21 +194,33 @@ def integrate(rhs, y0: np.ndarray, T: float, steps: int, diverge: float = math.i
 
 
 def grid_steps(ode: QuadraticODE, T: float, dt: float | None = None) -> int:
-    """ceil(T/dt) equal steps of [0, T], at least one; dt defaults to default_dt."""
+    """ceil(T/dt) equal steps of [0, T], at least one; dt defaults to
+    default_dt.  More than MAX_GRID_STEPS are refused before anything is
+    allocated."""
     if dt is None:
         dt = default_dt(ode, T)
     if dt <= 0:
         raise ValidationError("dt must be positive")
-    return max(1, int(math.ceil(T / dt)))
+    steps = max(1, int(math.ceil(T / dt)))
+    if steps > MAX_GRID_STEPS:
+        raise ValidationError(f"{steps} grid steps exceed the cap of {MAX_GRID_STEPS}: "
+                              "T is too long for the step size")
+    return steps
 
 
 def reference_solution(ode: QuadraticODE, T: float, dt: float | None = None) -> Trajectory:
     """Ground truth on the ceil(T/dt) equal steps of [0, T], with its error
-    estimate: the relative distance at T from a second pass at RTOL_LOOSE."""
+    estimate: the relative distance at T from a second pass at RTOL_LOOSE.
+
+    The grid only samples DOP853's dense output, so u(T) is the same for
+    every dt.  DOP853 is explicit, and its step count grows with T ||F1||
+    whatever the grid: an instance whose default grid exceeds the cap is
+    refused at any dt."""
     if T < 0:
         raise ValidationError("T must be nonnegative")
     if T == 0:
         return Trajectory(ts=np.array([0.0]), us=ode.u_in[None, :].copy(), error=0.0)
+    grid_steps(ode, T)                 # the cap on the default grid
     steps = grid_steps(ode, T, dt)
     diverge = 1e3 * vector_norm(ode.u_in)
     us = integrate(ode.rhs, ode.u_in, T, steps, diverge)

@@ -314,7 +314,8 @@ def prepare(config: RunConfig, base_dir: Path | None = None,
             raise NumericalError("rescaling changed K, which must be invariant")
 
     with _Stage("reference", timings):
-        ref = reference_solution(ode, config.T)
+        # the run reads u(T) alone: one grid step, [0, T]
+        ref = reference_solution(ode, config.T, dt=config.T)
         norm_uT = float(vector_norm(ref.final()))
         if norm_uT == 0.0:
             raise NumericalError("reference solution vanished at T")

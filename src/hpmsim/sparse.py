@@ -174,6 +174,12 @@ def vector_norm(v, axis: int | None = None):
     return np.ldexp(np.linalg.norm(np.ldexp(v, -exp), axis=axis), exp)
 
 
+def sum_sq(x: np.ndarray) -> float:
+    """sum x_i^2 by numpy's pairwise sum: unlike a BLAS dot product, its
+    order of additions, and so its bits, do not depend on the thread count."""
+    return float(np.sum(x * x))
+
+
 def dense_expm(arr: np.ndarray, cap: int = DENSE_ORACLE_CAP) -> np.ndarray:
     """Scaling-and-squaring matrix exponential, gated by the entry cap."""
     arr = np.asarray(arr, dtype=np.float64)

@@ -7,7 +7,8 @@ import pytest
 
 import hpmsim.marching
 from hpmsim.cli import main
-from hpmsim.pipeline import generate_instance
+from hpmsim.errors import NumericalError
+from hpmsim.pipeline import RunConfig, generate_instance, run
 from hpmsim.sparse import read_triplets
 from oracles import read_vector
 
@@ -212,6 +213,21 @@ def test_run_maps_memory_error_to_exit_3(std1_config, tmp_path, monkeypatch, cap
     assert code == 3
     last = capsys.readouterr().err.strip().splitlines()[-1]
     assert last.startswith("unexpected MemoryError in stage solve")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_nan_residual_is_refused_at_stage_solve(tmp_path, capsys):
+    # ||A h|| = 922: the Taylor terms of the one step overflow, and the
+    # residual reads NaN, which no comparison with the target rejects
+    raw = {**STD1, "T": 200.0, "m": 1, "k": 1500, "force": True}
+    with pytest.raises(NumericalError, match="residual nan") as info:
+        run(RunConfig.from_dict(raw))
+    assert info.value.stage == "solve"
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"]) == 3
+    assert "in stage solve" in capsys.readouterr().err
 
 
 def test_sweep_csv(std1_config, tmp_path):

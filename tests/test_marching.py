@@ -30,6 +30,7 @@ from hpmsim.sparse import SparseMatrix, dense_expm, spectral_norm
 from oracles import (
     dense_condition_number,
     dense_trajectory,
+    marched_x,
     reference_C,
     taylor_polynomial_apply,
 )
@@ -82,9 +83,10 @@ def test_solve_4x4_forward_substitution_by_hand():
     params = tiny_params(N=1, m=1, k=1, p=1, h=1.0)
     C = assemble_C(A, params)
     sol = solve_marching(C, np.array([y0]), 1e-10, params)
-    assert sol.x == pytest.approx([y0, a * y0, (1 + a) * y0, (1 + a) * y0], abs=1e-14)
+    x = marched_x(C, np.array([y0]))
+    assert x == pytest.approx([y0, a * y0, (1 + a) * y0, (1 + a) * y0], abs=1e-14)
     # block (1, 0) is T_1(a) y0
-    assert sol.extract_block(1, 0)[0] == pytest.approx((1 + a) * y0, abs=1e-14)
+    assert sol.step_solution(1)[0] == pytest.approx((1 + a) * y0, abs=1e-14)
 
 
 def test_zero_matrix_pure_copying():
@@ -103,7 +105,7 @@ def test_first_block_bit_for_bit():
     params = tiny_params(N=sys.index.N, m=m, k=6, p=m, h=h, c=1)
     C = assemble_C(sys.A, params)
     sol = solve_marching(C, sys.y_in, 1e-10, params)
-    assert np.array_equal(sol.extract_block(0, 0), sys.y_in)
+    assert np.array_equal(sol.step_solution(0), sys.y_in)
 
 
 def test_copy_blocks_identical():
@@ -112,9 +114,14 @@ def test_copy_blocks_identical():
     params = tiny_params(N=sys.index.N, m=m, k=6, p=3, h=h, c=1)
     C = assemble_C(sys.A, params)
     sol = solve_marching(C, sys.y_in, 1e-10, params)
-    final = sol.extract_block(params.m, 0)
-    for j in range(1, params.p + 1):
-        assert np.allclose(sol.extract_block(params.m, j), final, atol=1e-14)
+    assert np.array_equal(sol.extract_final(), sol.step_solution(params.m))
+    # the march forms no copy tail: the copies of x_{m,0} solve C's copy rows
+    x = marched_x(C, sys.y_in)
+    rhs = np.zeros(C.shape[0])
+    rhs[:sys.index.N] = sys.y_in
+    tail = (C @ x - rhs)[params.m * (params.k + 1) * sys.index.N:]
+    assert np.abs(tail).max() <= 1e-14 * np.linalg.norm(sys.y_in)
+    assert np.count_nonzero(tail[sys.index.N:]) == 0
 
 
 def test_step_equivalence_recurrences():
@@ -123,16 +130,16 @@ def test_step_equivalence_recurrences():
     m, h = step_counts(1.5, sys.norm_A)
     params = tiny_params(N=sys.index.N, m=m, k=5, p=m, h=h, c=2)
     C = assemble_C(sys.A, params)
-    sol = solve_marching(C, sys.y_in, 1e-10, params)
+    X = marched_x(C, sys.y_in).reshape(params.d + 1, sys.index.N)
     for i in range(m):
         acc = np.zeros(sys.index.N)
         for j in range(params.k + 1):
-            blk = sol.extract_block(i, j)
+            blk = X[i * (params.k + 1) + j]
             acc += blk
             if j >= 1:
-                pred = (sys.A @ sol.extract_block(i, j - 1)) * (h / j)
+                pred = (sys.A @ X[i * (params.k + 1) + j - 1]) * (h / j)
                 assert np.allclose(blk, pred, atol=1e-13)
-        nxt = sol.extract_block(i + 1, 0)
+        nxt = X[(i + 1) * (params.k + 1)]
         assert np.allclose(nxt, acc, atol=1e-13)
 
 
@@ -156,7 +163,16 @@ def test_forward_and_iterative_agree():
     C = assemble_C(sys.A, params)
     a = solve_marching(C, sys.y_in, 1e-10, params, solver="forward")
     b = solve_marching(C, sys.y_in, 1e-10, params, solver="iterative")
-    assert np.linalg.norm(a.x - b.x) <= 1e-12 * max(1.0, np.linalg.norm(a.x))
+    assert_same_fields(a, b, 1e-12)
+
+
+def assert_same_fields(a, b, rtol: float) -> None:
+    """The fields of two solutions of one system agree within rtol."""
+    scale = max(1.0, math.sqrt(a.norm_sq))
+    assert a.exponent == b.exponent
+    assert np.linalg.norm(a.starts - b.starts) <= rtol * scale
+    assert np.linalg.norm(a.final - b.final) <= rtol * scale
+    assert abs(a.norm_sq - b.norm_sq) <= rtol * a.norm_sq
 
 
 def test_unknown_solver_rejected():
@@ -165,6 +181,20 @@ def test_unknown_solver_rejected():
     C = assemble_C(A, params)
     with pytest.raises(ValidationError):
         solve_marching(C, np.array([1.0]), 1e-10, params, solver="magic")
+
+
+@pytest.mark.parametrize("norm_sq, residual", [(math.inf, 0.0), (math.nan, 0.0),
+                                                (1.0, math.nan), (1.0, math.inf)])
+def test_solve_refuses_a_nan_residual_or_a_non_finite_norm(monkeypatch, norm_sq, residual):
+    # the copy tail adds (p+1) ||x_{m,0}||^2 to ||x||^2 with no row check of its
+    # own, and NaN compares False with any target
+    A = SparseMatrix.zeros(1, 1).csr
+    params = tiny_params(N=1, m=1, k=1, p=1, h=1.0)
+    C = assemble_C(A, params)
+    monkeypatch.setattr(marching, "_forward_fold", lambda C, y: (
+        np.ones((2, 1)), np.ones(1), norm_sq, residual))
+    with pytest.raises(NumericalError, match="residual" if norm_sq == 1.0 else r"\|\|x\|\|"):
+        solve_marching(C, np.array([1.0]), 1e-10, params)
 
 
 def test_final_block_near_matrix_exponential():
@@ -265,7 +295,7 @@ def test_operator_matches_reference_matrix(case):
     rhs = np.zeros(C.shape[0])
     rhs[:A.shape[0]] = y
     expected = spla.spsolve_triangular(ref, rhs, lower=True)
-    assert np.linalg.norm(C.march(y) - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert np.linalg.norm(marched_x(C, y) - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def assert_same_csr(got: sp.csr_array, want: sp.csr_array) -> None:
@@ -334,10 +364,52 @@ def test_chunked_products_match_reference_matrix(monkeypatch, steps_per_chunk, r
     y = rng.normal(size=4)
     rhs = np.zeros(C.shape[0])
     rhs[:4] = y
-    assert C.residual(C.march(y), y) <= 1e-13 * np.linalg.norm(y)
+    assert C.residual(marched_x(C, y), y) <= 1e-13 * np.linalg.norm(y)
     for col in x.reshape(C.shape[0], -1).T:
         want = np.linalg.norm(ref @ col - rhs)
         assert abs(C.residual(col, y) - want) <= 1e-13 * want
+
+
+# chunk budgets of 1-7 floats give chunks of one step up to all of them, the
+# last one often shorter; the default puts every step of these small cases
+# in one chunk.  The k = 0 case has steps of one block and no coupling rows
+FOLD_CASES = [*OPERATOR_CASES, dict(N=2, m=4, k=0, p=3, seed=9, normal=False)]
+
+
+@pytest.mark.parametrize("budget", [*range(1, 8), None])
+def test_forward_fold_keeps_the_blocks_of_the_marched_x(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(marching, "CHUNK_FLOATS", budget)
+    for case in FOLD_CASES:
+        A, params = operator_case(case)
+        C = assemble_C(A, params)
+        m, k, N = params.m, params.k, A.shape[0]
+        y = np.random.default_rng(case["seed"] + 300).normal(size=N)
+        y *= 3.0 / np.abs(y).max()          # solved as y / 4
+        sol = solve_marching(C, y, 1e-10, params)
+        assert sol.iterations is None and sol.exponent == 2
+        X = marched_x(C, np.ldexp(y, -sol.exponent)).reshape(params.d + 1, N)
+        assert np.array_equal(sol.starts, X[:m * (k + 1) + 1:k + 1])
+        assert np.array_equal(sol.final, X[-1])
+        want = math.fsum((X * X).ravel())
+        assert abs(sol.norm_sq - want) <= 1e-15 * want
+        assert np.array_equal(sol.step_solution(m), np.ldexp(X[m * (k + 1)], 2))
+        assert sol.residual <= 1e-13
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+@pytest.mark.parametrize("case", OPERATOR_CASES)
+def test_gmres_fields_match_the_forward_fold(case, scale):
+    # both take the fields on y_in scaled into [1/2, 1): a y_in of 1e-300 or
+    # 1e300 has ||x||^2 neither underflow nor overflow
+    A, params = operator_case(case)
+    C = assemble_C(A, params)
+    y = np.random.default_rng(case["seed"] + 400).normal(size=A.shape[0]) * scale
+    fwd = solve_marching(C, y, 1e-10, params, solver="forward")
+    it = solve_marching(C, y, 1e-10, params, solver="iterative")
+    assert_same_fields(fwd, it, 1e-12)
+    assert 0.0 < fwd.norm_sq < math.inf
+    assert fwd.residual <= 1e-12 and it.residual <= 1e-12
 
 
 @pytest.mark.parametrize("case", OPERATOR_CASES)
@@ -370,8 +442,11 @@ def test_preconditioned_gmres_ends_within_m_plus_1_iterations(n, c, T):
         C = assemble_C(sys.A, params)
         sol = solve_marching(C, sys.y_in, 1e-10, params, solver="iterative")
         assert 1 <= sol.iterations <= m + 1
-        x = C.march(sys.y_in)
-        assert np.linalg.norm(sol.x - x) <= 1e-12 * np.linalg.norm(x)
+        X = marched_x(C, np.ldexp(sys.y_in, -sol.exponent)).reshape(params.d + 1, -1)
+        x_norm = np.linalg.norm(X)
+        assert np.linalg.norm(sol.starts - X[:m * (k + 1) + 1:k + 1]) <= 1e-12 * x_norm
+        assert np.linalg.norm(sol.final - X[-1]) <= 1e-12 * x_norm
+        assert abs(sol.norm_sq - x_norm ** 2) <= 1e-12 * x_norm ** 2
 
 
 def test_gmres_takes_the_step_inverse_and_an_m_plus_2_basis(monkeypatch):
@@ -455,7 +530,7 @@ def test_condition_report_takes_no_product_through_the_operator(monkeypatch):
         raise AssertionError("a product through the marching operator")
 
     monkeypatch.setattr(MarchingOperator, "_matmat", refuse)
-    monkeypatch.setattr(MarchingOperator, "_substitute", refuse)
+    monkeypatch.setattr(MarchingOperator, "march", refuse)
     got = condition_report(C, params, exp_norm_precondition_ok=True)
     assert got == want and got["measured"] is not None
     # over the cap C is never assembled, and the row is skipped

@@ -23,6 +23,7 @@ from hpmsim.sparse import SparseMatrix
 from oracles import (
     amplitude_lower_bound,
     component_difference_bound,
+    marched_x,
     normalized_perturbation_bounds,
 )
 
@@ -54,31 +55,29 @@ def test_postselect_linear_c0_full_level0_mass():
 
 @pytest.mark.parametrize("chunk", [7, 2 ** 16])
 def test_postselect_norms_take_every_chunk_of_x(monkeypatch, chunk):
-    # chunks of 7 entries split x unevenly; the ratios are those of the whole x
+    # chunks of 7 floats march one step at a time; the ratios are those of
+    # the whole x
+    monkeypatch.setattr(marching, "CHUNK_FLOATS", chunk)
     ode = generate_instance(2, 2, 0.3, 7)
     sys = assemble_A(ode, 2)
     m, h = step_counts(1.0, sys.norm_A)
     params = tiny_params(N=sys.index.N, m=m, k=6, p=m, h=h, c=2)
-    sol = solve_marching(assemble_C(sys.A, params), sys.y_in, 1e-10, params)
-    assert sol.x.size % 7 and sol.x.size > 7 * 7
-    monkeypatch.setattr(marching, "CHUNK_FLOATS", chunk)
+    C = assemble_C(sys.A, params)
+    sol = solve_marching(C, sys.y_in, 1e-10, params)
     rep = postselect(sol, sys.index, compute_K(ode), utilde_T_norm=1.0)
-    block = sol.extract_block(m, 0)
-    want = np.linalg.norm(block) ** 2 / np.linalg.norm(sol.x) ** 2
+    x = marched_x(C, sys.y_in)
+    block = x.reshape(params.d + 1, -1)[m * (params.k + 1)]
+    want = np.linalg.norm(block) ** 2 / np.linalg.norm(x) ** 2
     assert rep.p1_block_ratio == pytest.approx(want, rel=1e-14)
 
 
-def test_forward_solve_and_postselect_hold_x_and_a_few_chunks():
-    # x is 13 chunks here, and a product with C takes one step (k N = 0.7
-    # chunk) at a time: the allowance of 4 chunks covers the reused row
-    # buffer, the product's source and result and one more temporary.  A
-    # product over all steps at once held about 5.6 times x.nbytes
+def _traced_forward_peak(p: int) -> tuple[int, int]:
+    """Traced peak bytes of the forward solve and post-selection on the gen4
+    instance at c = 4 with p copies, and the bytes of its step starts."""
     ode = generate_instance(4, 2, 0.3, 7)
     sys = assemble_A(ode, 4)
-    params = tiny_params(N=sys.index.N, m=16, k=15, p=16, h=1.0 / sys.norm_A, c=4)
+    params = tiny_params(N=sys.index.N, m=16, k=15, p=p, h=1.0 / sys.norm_A, c=4)
     C = assemble_C(sys.A, params)
-    chunk_bytes = 8 * marching.CHUNK_FLOATS
-    assert C.shape[0] * 8 > 12 * chunk_bytes
     nl = compute_K(ode)
     tracemalloc.start()
     try:
@@ -88,7 +87,21 @@ def test_forward_solve_and_postselect_hold_x_and_a_few_chunks():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= sol.x.nbytes + 4 * chunk_bytes
+    return peak, sol.starts.nbytes
+
+
+def test_forward_solve_and_postselect_hold_the_starts_and_a_few_chunks():
+    # x would be 13 chunks at p = 16 and 31 at p = 400; the march and its
+    # residual rows take one step (k N = 0.7 chunk) at a time, and the
+    # allowance of 4 chunks covers the march's buffer, the row buffer, the
+    # product's source and result.  The copy tail is never formed, so the
+    # peak does not grow with p: the 384 more copies would add 9.1 MiB, and
+    # the peak of two identical calls differs by some hundred bytes
+    chunk_bytes = 8 * marching.CHUNK_FLOATS
+    short, starts_bytes = _traced_forward_peak(16)
+    long, _ = _traced_forward_peak(400)
+    assert long <= short + 64 * 1024
+    assert short <= starts_bytes + 4 * chunk_bytes
 
 
 def test_level_group_component_counts():

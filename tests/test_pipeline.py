@@ -16,7 +16,7 @@ import hpmsim.pipeline
 from hpmsim.embedding import assemble_A, step_counts
 from hpmsim.errors import NumericalError, ValidationError
 from hpmsim.marching import choose_order, expm_trajectory
-from hpmsim.ode import compute_K
+from hpmsim.ode import compute_K, reference_solution
 from hpmsim.pipeline import (
     _KEY_RULES,
     RunConfig,
@@ -24,6 +24,7 @@ from hpmsim.pipeline import (
     build_ode,
     generate_instance,
     instance_config,
+    prepare,
     rescaled_problem,
     run,
     sweep,
@@ -149,13 +150,27 @@ def test_tiny_K_residual_refuses_a_perturbed_march(monkeypatch):
     march = hpmsim.marching.MarchingOperator.march
 
     def perturbed(self, y_in):
-        x = march(self, y_in)
-        return x * (1.0 + 1e-6 * np.cos(np.arange(x.size)))
+        for i0, blocks, carry in march(self, y_in):
+            yield i0, blocks * (1.0 + 1e-6 * np.cos(np.arange(blocks.size))
+                                ).reshape(blocks.shape), carry
 
     monkeypatch.setattr(hpmsim.marching.MarchingOperator, "march", perturbed)
     with pytest.raises(NumericalError, match="residual") as info:
         run(RunConfig.from_dict(TINY_K))
     assert info.value.stage == "solve"
+
+
+def test_reference_stage_samples_only_T():
+    # one grid step: DOP853 takes the same steps, so u(T) and the error
+    # estimate are those of the default grid of 1,000 steps bit for bit
+    for config in (RunConfig.from_dict(STD1),
+                   instance_config(generate_instance(3, 2, 0.3, 7), 1.0, 1e-2)):
+        prep = prepare(config)
+        full = reference_solution(prep.ode, config.T)
+        assert np.array_equal(prep.ref.ts, [0.0, config.T])
+        assert len(full.ts) > 1000
+        assert np.array_equal(prep.ref.final(), full.final())
+        assert prep.ref.error == full.error
 
 
 def test_linear_fast_path():
@@ -590,6 +605,22 @@ def test_forward_report_does_not_depend_on_the_blas_thread_count():
         reports = [json.dumps(report_at_threads(config, threads), sort_keys=True)
                    for threads in ("1", "2")]
         assert reports[0] == reports[1], config
+
+
+def test_forward_run_at_the_budget_order_does_not_hold_x():
+    # n = 4 at c = 6: N = 78,100, m = 15, k = 16 and p = 15, so x would be
+    # (d+1) N floats, 161 MiB, and the run peaked at 312 MiB holding it; the
+    # forward fold keeps the (m+1) N step starts, 9.5 MiB
+    src = str(Path(hpmsim.__file__).resolve().parents[1])
+    code = ("import resource; from hpmsim.pipeline import generate_instance, "
+            "instance_config, run; rep = run(instance_config(generate_instance("
+            "4, 2, 0.3, 7), 1.0, 1e-2, c=6, force=True)); print(rep.status, "
+            "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+                         check=True, timeout=120).stdout.split()
+    assert out[0] == "pass"
+    assert float(out[1]) < 250.0
 
 
 def assert_close_tree(a, b, rel: float, atol: float, path: str = "report") -> None:
