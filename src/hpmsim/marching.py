@@ -5,22 +5,23 @@ unit diagonal, -A h/j couplings inside each step, -identity summation rows
 at step boundaries, -identity copy rows at the tail.  C is an operator, and
 no solve stores it: it is applied a chunk of whole steps at a time, as many
 steps as keep the chunk's k N r floats within CHUNK_FLOATS (at least one),
-each chunk one product of A with its coupling blocks.  The system is unit
-lower triangular, so forward substitution solves it exactly in m k
-products with A, marched by the same chunks through one reused buffer.
-The forward solve is a fold over those chunks: it keeps the step starts
-x_{i,0}, ||x||^2 and the residual ||C x - e_0 kron y_in||, whose rows
-each chunk gives through the same row code as C x, so the check shares no
-code with the substitution.  x itself, (d+1) N floats, is never formed:
-the forward path holds the (m+1) N floats of the step starts, one chunk of
-steps, its residual rows and the temporaries of its one product with A
-(n = 4 at c = 6, N = 78,100: 170 MiB peak RSS for a whole run).  A
-residual checked GMRES on the operator, preconditioned by the inverse of
-C's block diagonal over the steps, doubles as an independent path.  The
-operator applies neither C^T nor C^{-1}: the condition number ||C||
-||C^{-1}||, an oracle run only under the dense cap, takes C assembled as a
-sparse matrix by `tocsr()` and its SuperLU factor, which for unit lower
-triangular C is C itself, with no fill.
+each chunk one product of A with its coupling blocks.  `_step_rows` is the
+one code that forms rows of C x, and `C @ X` fills its rows chunk by chunk
+through it.  The system is unit lower triangular, so forward substitution
+solves it exactly in m k products with A, marched by the same chunks
+through one reused buffer.  The forward solve is a fold over those chunks:
+it keeps the step starts x_{i,0}, ||x||^2 and the residual ||C x - e_0
+kron y_in||, whose rows each chunk gives through `_step_rows`, so the
+check shares no code with the substitution.  x itself, (d+1) N floats, is
+never formed: the forward path holds the (m+1) N floats of the step
+starts, one chunk of steps, its residual rows and the temporaries of its
+one product with A.  A residual checked GMRES on the operator,
+preconditioned by the inverse of C's block diagonal over the steps,
+doubles as an independent path: it takes its residual, through `C @ x`,
+and ||x||^2 from its whole x.  The operator applies neither C^T nor
+C^{-1}: the condition number ||C|| ||C^{-1}||, an oracle run only under
+the dense cap, takes C assembled as a sparse matrix by `tocsr()` and its
+SuperLU factor, which for unit lower triangular C is C itself, no fill.
 """
 
 from __future__ import annotations
@@ -361,50 +362,22 @@ class MarchingOperator(spla.LinearOperator):
         out[:, k] -= blocks.sum(axis=1)
         return out
 
-    def _row_blocks(self, x: np.ndarray, out: np.ndarray | None = None):
-        """C x, x a (size, r) stack, as (first block, rows) pairs in row order:
-        block 0, each chunk of steps, then the copy tail in chunks of as many
-        blocks.  The rows are written into out, (d+1, N, r), where it is
-        given, else into one chunk buffer that the next pair overwrites."""
+    def _matmat(self, x: np.ndarray) -> np.ndarray:
+        """C x, x a (size, r) stack: row 0 copied, each chunk of steps written
+        by `_step_rows`, and the copy rows in one subtraction."""
         m, k, d, N = self.params.m, self.params.k, self.params.d, self.N
-        r = x.shape[1]
-        X = x.reshape(d + 1, N, r)
-        chunks = self._chunks(r)
-        width = min(chunks.step, m) * (k + 1)
-        buf = np.empty((width, N, r)) if out is None else None
-
-        def rows_at(lo: int, hi: int) -> np.ndarray:
-            return out[lo:hi] if buf is None else buf[:hi - lo]
-
-        first = rows_at(0, 1)
-        first[...] = X[:1]
-        yield 0, first
+        X = x.reshape(d + 1, N, -1)
+        out = np.empty(X.shape)
+        tail, steps = m * (k + 1), (m, k + 1) + X.shape[1:]
+        # step i's blocks i(k+1)..i(k+1)+k make its rows i(k+1)+1..(i+1)(k+1)
+        blocks, rows = X[:tail].reshape(steps), out[1:tail + 1].reshape(steps)
+        out[0] = X[0]
+        chunks = self._chunks(X.shape[2])
         for i0 in chunks:
             i1 = min(i0 + chunks.step, m)
-            lo, hi = i0 * (k + 1) + 1, i1 * (k + 1) + 1
-            Y = self._step_rows(X[lo - 1:hi - 1].reshape(i1 - i0, k + 1, N, r), X[hi - 1],
-                                rows_at(lo, hi).reshape(i1 - i0, k + 1, N, r))
-            yield lo, Y.reshape(-1, N, r)
-        # copy rows m(k+1)+1..d
-        for lo in range(m * (k + 1) + 1, d + 1, width):
-            hi = min(lo + width, d + 1)
-            yield lo, np.subtract(X[lo:hi], X[lo - 1:hi - 1], out=rows_at(lo, hi))
-
-    def _matmat(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty((self.params.d + 1, self.N, x.shape[1]))
-        for _ in self._row_blocks(x, out):
-            pass
+            self._step_rows(blocks[i0:i1], X[i1 * (k + 1)], rows[i0:i1])
+        np.subtract(X[tail + 1:], X[tail:d], out=out[tail + 1:])
         return out.reshape(x.shape)
-
-    def residual(self, x: np.ndarray, y_in: np.ndarray) -> float:
-        """||C x - e_0 kron y_in||, squares summed a row block at a time by
-        numpy's pairwise sums."""
-        total = 0.0
-        for lo, rows in self._row_blocks(x.reshape(-1, 1)):
-            if lo == 0:
-                rows -= y_in.reshape(1, -1, 1)
-            total += sum_sq(rows)
-        return math.sqrt(total)
 
 
 def assemble_C(A: sp.csr_array, params: TaylorSystemParams) -> MarchingOperator:
@@ -445,33 +418,38 @@ def _forward_fold(C: MarchingOperator, y: np.ndarray
     (starts, final, ||x||^2, ||C x - e_0 kron y||) with x never formed.
 
     Each chunk's step starts are copied out, its squares added to ||x||^2,
-    and its rows of C x taken by `_step_rows`, the code of C x itself.  The
-    copy tail is p+1 copies of x_{m,0}: it adds (p+1) ||x_{m,0}||^2 to
-    ||x||^2, and its copy rows, like row 0 (x_{0,0} = y), are zero by
-    construction.
+    and its rows of C x taken by `_step_rows`.  The copy tail is p+1 copies
+    of x_{m,0}: it adds (p+1) ||x_{m,0}||^2 to ||x||^2, and its copy rows,
+    like row 0 (x_{0,0} = y), are zero by construction.  An overflowing
+    march is left, numpy's warnings held back, at the first chunk whose
+    squares or residual rows are not finite.
     """
     m, p = C.params.m, C.params.p
     starts = np.empty((m + 1, C.N))
     parts, res_sq = [], 0.0
-    for i0, blocks, carry in C.march(y):
-        starts[i0:i0 + len(blocks)] = blocks[:, 0]
-        parts.append(sum_sq(blocks))
-        res_sq += sum_sq(C._step_rows(blocks[..., None], carry[:, None],
-                                      np.empty(blocks.shape + (1,))))
-    starts[m] = carry
-    parts.append((p + 1) * sum_sq(carry))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0, blocks, carry in C.march(y):
+            starts[i0:i0 + len(blocks)] = blocks[:, 0]
+            parts.append(sum_sq(blocks))
+            res_sq += sum_sq(C._step_rows(blocks[..., None], carry[:, None],
+                                          np.empty(blocks.shape + (1,))))
+            if not (math.isfinite(parts[-1]) and math.isfinite(res_sq)):
+                break
+        starts[m] = carry
+        parts.append((p + 1) * sum_sq(carry))
     return starts, carry, math.fsum(parts), math.sqrt(res_sq)
 
 
-def solve_marching(C: MarchingOperator, y_in: np.ndarray, delta: float,
-                   params: TaylorSystemParams,
+def solve_marching(C: MarchingOperator, y_in: np.ndarray,
                    solver: str = "forward") -> MarchingSolution:
-    """Solve C x = e_0 kron y_in to relative residual min(delta, 1e-10), on
-    y_in scaled by the power of two that brings max|y_in| into [1/2, 1): C is
-    linear, so no bit changes on normal scales, and a tiny y_in underflows
-    in neither GMRES, the residual nor ||x||^2.  A residual that is not
-    within the target (NaN included) or a non-finite ||x||^2 is refused."""
-    N, m, k, d = params.N, params.m, params.k, params.d
+    """Solve C x = e_0 kron y_in to relative residual min(delta, 1e-10), delta
+    from C.params, on y_in scaled by the power of two that brings max|y_in|
+    into [1/2, 1): C is linear, so no bit changes on normal scales, and a
+    tiny y_in underflows in neither GMRES, the residual nor ||x||^2.  A
+    residual not within the target (NaN included) or a non-finite ||x||^2
+    is refused."""
+    params = C.params
+    N, m, k, d, delta = params.N, params.m, params.k, params.d, params.delta
     if y_in.shape != (N,):
         raise ValidationError(f"y_in must have length {N}")
     target = min(delta, SOLVE_FLOOR) if delta > 0 else SOLVE_FLOOR
@@ -495,10 +473,8 @@ def solve_marching(C: MarchingOperator, y_in: np.ndarray, delta: float,
         iterations = len(presids)
         X = x.reshape(d + 1, N)
         starts, final = X[:m * (k + 1) + 1:k + 1].copy(), X[d].copy()
-        # summed by chunks of x, so no copy of x is made
-        norm_sq = math.fsum(sum_sq(x[i:i + CHUNK_FLOATS])
-                            for i in range(0, x.size, CHUNK_FLOATS))
-        residual = C.residual(x, y)
+        norm_sq = sum_sq(x)
+        residual = math.sqrt(sum_sq(C @ x - rhs))
     else:
         raise ValidationError(f"unknown solver '{solver}'")
     residual /= max(float(np.linalg.norm(y)), np.finfo(float).tiny)
@@ -527,14 +503,14 @@ def expm_trajectory(A: sp.csr_array, y_in: np.ndarray, h: float, m: int) -> np.n
         np.random.set_state(state)
 
 
-def step_errors_vs_expm(sys: EmbeddedSystem, params: TaylorSystemParams,
-                        sol: MarchingSolution, exact: np.ndarray | None = None
-                        ) -> list[dict]:
+def step_errors_vs_expm(sys: EmbeddedSystem, sol: MarchingSolution,
+                        exact: np.ndarray | None = None) -> list[dict]:
     """Per-step ||expm(A j h) y_in - x_{j,0}|| against the factorial bound.
 
     exact holds the trajectory expm(A j h) y_in, j = 0..m, row by row; it
     defaults to `expm_trajectory` on the sparse A.
     """
+    params = sol.params
     if exact is None:
         exact = expm_trajectory(sys.A, sys.y_in, params.h, params.m)
     norm_yin = float(vector_norm(sys.y_in))
@@ -555,10 +531,9 @@ def _factor(Cs: sp.csr_array) -> spla.SuperLU:
     return spla.splu(Cs.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
 
 
-def condition_report(C: MarchingOperator, params: TaylorSystemParams,
-                     exp_norm_precondition_ok: bool,
+def condition_report(C: MarchingOperator, exp_norm_precondition_ok: bool,
                      dense_cap: int = DENSE_ORACLE_CAP) -> dict:
-    """kappa(C) against 2e sqrt(k) (m(k+1)+p)(c+2).
+    """kappa(C) against 2e sqrt(k) (m(k+1)+p)(c+2), at the parameters C.params.
 
     kappa = ||C|| ||C^{-1}|| by Lanczos on C assembled by `tocsr()` and on
     the inverse that its SuperLU factor applies, each certified from below:
@@ -566,6 +541,7 @@ def condition_report(C: MarchingOperator, params: TaylorSystemParams,
     the all-ones probe b.  Measured while size^2 stays under the dense cap,
     which bounds the cost of both; above it C is never assembled.
     """
+    params = C.params
     m, k, p, c = params.m, params.k, params.p, params.c
     bound = 2.0 * math.e * math.sqrt(k) * (m * (k + 1) + p) * (c + 2)
     preconditions = {

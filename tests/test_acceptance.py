@@ -181,8 +181,8 @@ def test_criterion3_step_error_decay():
             epsilon1=0.0, Omega=0.0, g_est=1.0, eta_est=1.0, eta_prime=0.0,
             norm_A=sys.norm_A, N=sys.index.N)
         C = assemble_C(sys.A, params)
-        sol = solve_marching(C, sys.y_in, 1e-10, params)
-        rows = step_errors_vs_expm(sys, params, sol, dense_trajectory(sys.A, sys.y_in, h, m))
+        sol = solve_marching(C, sys.y_in)
+        rows = step_errors_vs_expm(sys, sol, dense_trajectory(sys.A, sys.y_in, h, m))
         worst_by_k[k] = max(r["measured"] - r["bound"] for r in rows)
     ok = all(v <= ABS_TOL for v in worst_by_k.values())
     _line(3, "per-step factorial error bound, k=3..8", ok,
@@ -253,7 +253,7 @@ def test_criterion5_condition_number_bound():
                                 epsilon1=0.0, Omega=0.0, g_est=1.0,
                                 eta_est=1.0, eta_prime=0.0, norm_A=0.5, N=1)
     kappa = dense_condition_number(reference_C(A, params).toarray())
-    measured = condition_report(assemble_C(A, params), params, True)["measured"]
+    measured = condition_report(assemble_C(A, params), True)["measured"]
     bound = 2 * math.e * math.sqrt(params.k) * (params.m * (params.k + 1) + params.p) * (params.c + 2)
     results.append(("4x4", kappa, bound, 4))
     assert kappa == pytest.approx(6.332670303617229, rel=1e-9)
@@ -267,7 +267,7 @@ def test_criterion5_condition_number_bound():
         A, params, size = _kappa_case(**case)
         assert size <= 2000, case
         kappa = dense_condition_number(reference_C(A, params).toarray())
-        measured = condition_report(assemble_C(A, params), params, True)["measured"]
+        measured = condition_report(assemble_C(A, params), True)["measured"]
         bound = 2 * math.e * math.sqrt(params.k) * (params.m * (params.k + 1) + params.p) * (params.c + 2)
         results.append((f"n={case['n']},c={case['c']},k={case['k']}", kappa, bound, size))
         assert measured == pytest.approx(kappa, rel=1e-10), case
@@ -402,7 +402,7 @@ def test_criterion9_solver_equivalence():
             epsilon1=0.0, Omega=0.0, g_est=1.0, eta_est=1.0, eta_prime=0.0,
             norm_A=sys.norm_A, N=sys.index.N)
         C = assemble_C(sys.A, params)
-        sol = solve_marching(C, sys.y_in, 1e-10, params)
+        sol = solve_marching(C, sys.y_in)
         y = sys.y_in.copy()
         worst = 0.0
         for j in range(m + 1):

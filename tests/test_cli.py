@@ -1,10 +1,14 @@
 import csv
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hpmsim
 import hpmsim.marching
 from hpmsim.cli import main
 from hpmsim.errors import NumericalError
@@ -228,6 +232,23 @@ def test_nan_residual_is_refused_at_stage_solve(tmp_path, capsys):
     cfg.write_text(json.dumps(raw))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"]) == 3
     assert "in stage solve" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("T, m", [(200.0, 1), (800.0, 4)])
+def test_overflowing_march_prints_only_its_refusal(tmp_path, T, m):
+    # ||A h|| = 922 in each step; in a fresh interpreter, where numpy's
+    # warnings would reach stderr, the refusal is the one line there
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps({**STD1, "T": T, "m": m, "k": 1500, "force": True}))
+    src = str(Path(hpmsim.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "hpmsim.cli", "--config", str(cfg),
+                           "--out", str(tmp_path / "o"), "run"],
+                          capture_output=True, text=True, env={"PYTHONPATH": src},
+                          timeout=120)
+    assert done.returncode == 3
+    [line] = done.stderr.splitlines()
+    assert line.startswith("numerical failure in stage solve: solver 'forward' "
+                           "residual nan misses target")
 
 
 def test_sweep_csv(std1_config, tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from hpmsim.marching import (
     taylor_order_for,
 )
 from hpmsim.ode import compute_K, make_ode, reference_solution, rescale
+from hpmsim.pipeline import RunConfig, generate_instance, instance_config, run
 from hpmsim.sparse import SparseMatrix, dense_expm, spectral_norm
 from oracles import (
     dense_condition_number,
@@ -82,7 +84,7 @@ def test_solve_4x4_forward_substitution_by_hand():
     A = SparseMatrix.from_triplets(1, 1, [(0, 0, a)]).csr
     params = tiny_params(N=1, m=1, k=1, p=1, h=1.0)
     C = assemble_C(A, params)
-    sol = solve_marching(C, np.array([y0]), 1e-10, params)
+    sol = solve_marching(C, np.array([y0]))
     x = marched_x(C, np.array([y0]))
     assert x == pytest.approx([y0, a * y0, (1 + a) * y0, (1 + a) * y0], abs=1e-14)
     # block (1, 0) is T_1(a) y0
@@ -94,7 +96,7 @@ def test_zero_matrix_pure_copying():
     params = tiny_params(N=3, m=2, k=2, p=2, h=0.5)
     C = assemble_C(A, params)
     y = np.array([1.0, -2.0, 3.0])
-    sol = solve_marching(C, y, 1e-10, params)
+    sol = solve_marching(C, y)
     for i in range(3):
         assert np.array_equal(sol.step_solution(i), y)
 
@@ -104,7 +106,7 @@ def test_first_block_bit_for_bit():
     m, h = step_counts(1.0, sys.norm_A)
     params = tiny_params(N=sys.index.N, m=m, k=6, p=m, h=h, c=1)
     C = assemble_C(sys.A, params)
-    sol = solve_marching(C, sys.y_in, 1e-10, params)
+    sol = solve_marching(C, sys.y_in)
     assert np.array_equal(sol.step_solution(0), sys.y_in)
 
 
@@ -113,7 +115,7 @@ def test_copy_blocks_identical():
     m, h = step_counts(1.0, sys.norm_A)
     params = tiny_params(N=sys.index.N, m=m, k=6, p=3, h=h, c=1)
     C = assemble_C(sys.A, params)
-    sol = solve_marching(C, sys.y_in, 1e-10, params)
+    sol = solve_marching(C, sys.y_in)
     assert np.array_equal(sol.extract_final(), sol.step_solution(params.m))
     # the march forms no copy tail: the copies of x_{m,0} solve C's copy rows
     x = marched_x(C, sys.y_in)
@@ -149,7 +151,7 @@ def test_solution_matches_taylor_power_iteration():
     m, h = step_counts(1.5, sys.norm_A)
     params = tiny_params(N=sys.index.N, m=m, k=8, p=m, h=h, c=2)
     C = assemble_C(sys.A, params)
-    sol = solve_marching(C, sys.y_in, 1e-10, params)
+    sol = solve_marching(C, sys.y_in)
     y = sys.y_in.copy()
     for j in range(m + 1):
         assert np.linalg.norm(sol.step_solution(j) - y) <= 1e-10
@@ -161,8 +163,8 @@ def test_forward_and_iterative_agree():
     m, h = step_counts(1.0, sys.norm_A)
     params = tiny_params(N=sys.index.N, m=m, k=6, p=m, h=h, c=1)
     C = assemble_C(sys.A, params)
-    a = solve_marching(C, sys.y_in, 1e-10, params, solver="forward")
-    b = solve_marching(C, sys.y_in, 1e-10, params, solver="iterative")
+    a = solve_marching(C, sys.y_in, solver="forward")
+    b = solve_marching(C, sys.y_in, solver="iterative")
     assert_same_fields(a, b, 1e-12)
 
 
@@ -180,7 +182,7 @@ def test_unknown_solver_rejected():
     params = tiny_params(N=1, m=1, k=1, p=1, h=0.0)
     C = assemble_C(A, params)
     with pytest.raises(ValidationError):
-        solve_marching(C, np.array([1.0]), 1e-10, params, solver="magic")
+        solve_marching(C, np.array([1.0]), solver="magic")
 
 
 @pytest.mark.parametrize("norm_sq, residual", [(math.inf, 0.0), (math.nan, 0.0),
@@ -194,7 +196,7 @@ def test_solve_refuses_a_nan_residual_or_a_non_finite_norm(monkeypatch, norm_sq,
     monkeypatch.setattr(marching, "_forward_fold", lambda C, y: (
         np.ones((2, 1)), np.ones(1), norm_sq, residual))
     with pytest.raises(NumericalError, match="residual" if norm_sq == 1.0 else r"\|\|x\|\|"):
-        solve_marching(C, np.array([1.0]), 1e-10, params)
+        solve_marching(C, np.array([1.0]))
 
 
 def test_final_block_near_matrix_exponential():
@@ -203,7 +205,7 @@ def test_final_block_near_matrix_exponential():
     m, h = step_counts(T, sys.norm_A)
     params = tiny_params(N=sys.index.N, m=m, k=8, p=m, h=h, c=2)
     C = assemble_C(sys.A, params)
-    sol = solve_marching(C, sys.y_in, 1e-10, params)
+    sol = solve_marching(C, sys.y_in)
     exact = dense_expm(sys.A.toarray() * (m * h)) @ sys.y_in
     err = np.linalg.norm(exact - sol.extract_final())
     bound = 2 * m * 3 * 4 * np.linalg.norm(sys.y_in) / math.factorial(9)
@@ -215,8 +217,8 @@ def test_step_errors_bounded_every_step():
     m, h = step_counts(1.9 / sys.norm_A, sys.norm_A)
     params = tiny_params(N=sys.index.N, m=m, k=5, p=m, h=h, c=1)
     C = assemble_C(sys.A, params)
-    sol = solve_marching(C, sys.y_in, 1e-10, params)
-    rows = step_errors_vs_expm(sys, params, sol, dense_trajectory(sys.A, sys.y_in, h, m))
+    sol = solve_marching(C, sys.y_in)
+    rows = step_errors_vs_expm(sys, sol, dense_trajectory(sys.A, sys.y_in, h, m))
     assert len(rows) == m + 1
     assert rows[0]["measured"] == 0.0
     for row in rows:
@@ -348,7 +350,7 @@ def test_factor_of_C_has_no_fill_and_applies_its_inverse(case):
 @pytest.mark.parametrize("steps_per_chunk", [1, 2])
 def test_chunked_products_match_reference_matrix(monkeypatch, steps_per_chunk, r):
     # m = 5 steps in chunks of one step, or of two with one step left over;
-    # the copy tail of p = 9 blocks then splits into chunks of 4 or 8 blocks
+    # the copy tail of p = 9 blocks follows in one subtraction
     A = random_A(4, seed=9, normal=False)
     params = tiny_params(N=4, m=5, k=3, p=9, h=0.2)
     C = assemble_C(A, params)
@@ -360,14 +362,42 @@ def test_chunked_products_match_reference_matrix(monkeypatch, steps_per_chunk, r
     got, want = C @ x, ref @ x
     assert got.shape == want.shape
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-    # the residual of a solution, and of the columns of x, against e_0 kron y
-    y = rng.normal(size=4)
-    rhs = np.zeros(C.shape[0])
-    rhs[:4] = y
-    assert C.residual(marched_x(C, y), y) <= 1e-13 * np.linalg.norm(y)
-    for col in x.reshape(C.shape[0], -1).T:
-        want = np.linalg.norm(ref @ col - rhs)
-        assert abs(C.residual(col, y) - want) <= 1e-13 * want
+
+
+GMRES_RUNS = {
+    "std1": lambda: RunConfig.from_dict({
+        "n": 1, "T": 1.0, "epsilon": 1e-2, "u_in": [0.5], "F1_triplets": [[0, 0, -1.0]],
+        "F2_triplets": [[0, 0, 0.2]], "solver": "iterative"}),
+    "gen2": lambda: instance_config(generate_instance(2, 2, 0.3, 7), 1.0, 1e-2,
+                                    solver="iterative"),
+}
+
+
+@pytest.mark.parametrize("budget", [1, None])
+@pytest.mark.parametrize("name", sorted(GMRES_RUNS))
+def test_gmres_residual_refuses_a_perturbed_x(monkeypatch, name, budget):
+    # GMRES's x scaled by 1 + 1e-6 cos j: the residual C @ x - rhs, its rows
+    # from `_step_rows` at one step a chunk or at the default chunks, misses
+    # the target, and the message prints it as the explicit matrix gives it
+    # (gen2's C, 11,396 square, is 1 GiB dense: the explicit matrix stays sparse)
+    if budget is not None:
+        monkeypatch.setattr(marching, "CHUNK_FLOATS", budget)
+    gmres, seen = spla.gmres, {}
+
+    def perturbed(C, rhs, **kwargs):
+        x, _ = gmres(C, rhs, **kwargs)
+        seen.update(C=C, rhs=rhs, x=x * (1.0 + 1e-6 * np.cos(np.arange(x.size))))
+        return seen["x"], 0
+
+    monkeypatch.setattr(spla, "gmres", perturbed)
+    with pytest.raises(NumericalError, match="residual") as info:
+        run(GMRES_RUNS[name]())
+    assert info.value.stage == "solve"
+    C, rhs = seen["C"], seen["rhs"]
+    want = np.linalg.norm(reference_C(C.A, C.params) @ seen["x"] - rhs) / np.linalg.norm(rhs)
+    printed = float(re.search(r"residual (\S+) misses", str(info.value)).group(1))
+    # .3e keeps four digits: within half a unit of the fourth
+    assert abs(printed - want) <= 5e-4 * want
 
 
 # chunk budgets of 1-7 floats give chunks of one step up to all of them, the
@@ -386,7 +416,7 @@ def test_forward_fold_keeps_the_blocks_of_the_marched_x(monkeypatch, budget):
         m, k, N = params.m, params.k, A.shape[0]
         y = np.random.default_rng(case["seed"] + 300).normal(size=N)
         y *= 3.0 / np.abs(y).max()          # solved as y / 4
-        sol = solve_marching(C, y, 1e-10, params)
+        sol = solve_marching(C, y)
         assert sol.iterations is None and sol.exponent == 2
         X = marched_x(C, np.ldexp(y, -sol.exponent)).reshape(params.d + 1, N)
         assert np.array_equal(sol.starts, X[:m * (k + 1) + 1:k + 1])
@@ -405,8 +435,8 @@ def test_gmres_fields_match_the_forward_fold(case, scale):
     A, params = operator_case(case)
     C = assemble_C(A, params)
     y = np.random.default_rng(case["seed"] + 400).normal(size=A.shape[0]) * scale
-    fwd = solve_marching(C, y, 1e-10, params, solver="forward")
-    it = solve_marching(C, y, 1e-10, params, solver="iterative")
+    fwd = solve_marching(C, y, solver="forward")
+    it = solve_marching(C, y, solver="iterative")
     assert_same_fields(fwd, it, 1e-12)
     assert 0.0 < fwd.norm_sq < math.inf
     assert fwd.residual <= 1e-12 and it.residual <= 1e-12
@@ -440,7 +470,7 @@ def test_preconditioned_gmres_ends_within_m_plus_1_iterations(n, c, T):
     for k in (1, 5, 9):
         params = tiny_params(N=sys.index.N, m=m, k=k, p=m + 1, h=h, c=c)
         C = assemble_C(sys.A, params)
-        sol = solve_marching(C, sys.y_in, 1e-10, params, solver="iterative")
+        sol = solve_marching(C, sys.y_in, solver="iterative")
         assert 1 <= sol.iterations <= m + 1
         X = marched_x(C, np.ldexp(sys.y_in, -sol.exponent)).reshape(params.d + 1, -1)
         x_norm = np.linalg.norm(X)
@@ -462,7 +492,7 @@ def test_gmres_takes_the_step_inverse_and_an_m_plus_2_basis(monkeypatch):
         return gmres(*args, **kwargs)
 
     monkeypatch.setattr(spla, "gmres", spy)
-    solve_marching(C, sys.y_in, 1e-10, params, solver="iterative")
+    solve_marching(C, sys.y_in, solver="iterative")
     [kwargs] = calls
     assert kwargs["restart"] == params.m + 2
     v = np.random.default_rng(0).normal(size=C.shape[0])
@@ -472,7 +502,7 @@ def test_gmres_takes_the_step_inverse_and_an_m_plus_2_basis(monkeypatch):
 @pytest.mark.parametrize("case", OPERATOR_CASES)
 def test_condition_report_matches_dense_svd(case):
     A, params = operator_case(case)
-    rep = condition_report(assemble_C(A, params), params, exp_norm_precondition_ok=True)
+    rep = condition_report(assemble_C(A, params), exp_norm_precondition_ok=True)
     dense = dense_condition_number(reference_C(A, params).toarray())
     assert rep["measured"] == pytest.approx(dense, rel=1e-10)
 
@@ -493,7 +523,7 @@ def test_condition_report_refuses_estimate_below_certificate(monkeypatch, which)
 
     monkeypatch.setattr(sparse_mod, "svds", short_svds)
     with pytest.raises(NumericalError, match="below its certified lower bound"):
-        condition_report(C, params, exp_norm_precondition_ok=True)
+        condition_report(C, exp_norm_precondition_ok=True)
 
 
 @pytest.mark.parametrize("case", OPERATOR_CASES)
@@ -524,19 +554,19 @@ def test_norm_floor_is_largest_row_or_column_norm(monkeypatch, case):
 def test_condition_report_takes_no_product_through_the_operator(monkeypatch):
     A, params = operator_case(OPERATOR_CASES[3])
     C = assemble_C(A, params)
-    want = condition_report(C, params, exp_norm_precondition_ok=True)
+    want = condition_report(C, exp_norm_precondition_ok=True)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a product through the marching operator")
 
     monkeypatch.setattr(MarchingOperator, "_matmat", refuse)
     monkeypatch.setattr(MarchingOperator, "march", refuse)
-    got = condition_report(C, params, exp_norm_precondition_ok=True)
+    got = condition_report(C, exp_norm_precondition_ok=True)
     assert got == want and got["measured"] is not None
     # over the cap C is never assembled, and the row is skipped
     monkeypatch.setattr(MarchingOperator, "tocsr", refuse)
     size = C.shape[0]
-    skipped = condition_report(C, params, exp_norm_precondition_ok=True,
+    skipped = condition_report(C, exp_norm_precondition_ok=True,
                                dense_cap=size * size - 1)
     assert skipped["measured"] is None and skipped["pass"]
     assert skipped["bound"] == want["bound"]
@@ -693,7 +723,7 @@ def test_condition_bound_formula_value():
     params = tiny_params(N=1, m=3, k=5, p=3, h=0.1, c=2)
     A = SparseMatrix.zeros(1, 1).csr
     C = assemble_C(A, params)
-    rep = condition_report(C, params, exp_norm_precondition_ok=True)
+    rep = condition_report(C, exp_norm_precondition_ok=True)
     assert rep["bound"] == pytest.approx(1021.1481756733905, rel=1e-12)
 
 
@@ -702,7 +732,7 @@ def test_condition_4x4_measured_under_bound():
     A = SparseMatrix.from_triplets(1, 1, [(0, 0, a)]).csr
     params = tiny_params(N=1, m=1, k=1, p=1, h=1.0)
     C = assemble_C(A, params)
-    rep = condition_report(C, params, exp_norm_precondition_ok=True)
+    rep = condition_report(C, exp_norm_precondition_ok=True)
     assert rep["measured"] == pytest.approx(6.332670303617229, rel=1e-9)
     assert rep["measured"] <= 2 * math.e * math.sqrt(1) * 3 * 2
     assert not rep["preconditions"]["k_ge_5"]
@@ -713,5 +743,5 @@ def test_condition_identity_like():
     A = SparseMatrix.zeros(2, 2).csr
     params = tiny_params(N=2, m=1, k=1, p=1, h=1.0)
     C = assemble_C(A, params)
-    rep = condition_report(C, params, exp_norm_precondition_ok=True)
+    rep = condition_report(C, exp_norm_precondition_ok=True)
     assert rep["measured"] <= rep["bound"]

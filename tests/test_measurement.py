@@ -44,7 +44,7 @@ def test_postselect_linear_c0_full_level0_mass():
     m, h = step_counts(1.0, sys.norm_A)
     params = tiny_params(N=2, m=m, k=6, p=m, h=h, c=0)
     C = assemble_C(sys.A, params)
-    sol = solve_marching(C, sys.y_in, 1e-10, params)
+    sol = solve_marching(C, sys.y_in)
     rep = postselect(sol, sys.index, nl, utilde_T_norm=1.0)
     assert rep.chi0_sq == 1.0
     assert rep.chi0_bound == 1.0
@@ -63,7 +63,7 @@ def test_postselect_norms_take_every_chunk_of_x(monkeypatch, chunk):
     m, h = step_counts(1.0, sys.norm_A)
     params = tiny_params(N=sys.index.N, m=m, k=6, p=m, h=h, c=2)
     C = assemble_C(sys.A, params)
-    sol = solve_marching(C, sys.y_in, 1e-10, params)
+    sol = solve_marching(C, sys.y_in)
     rep = postselect(sol, sys.index, compute_K(ode), utilde_T_norm=1.0)
     x = marched_x(C, sys.y_in)
     block = x.reshape(params.d + 1, -1)[m * (params.k + 1)]
@@ -82,7 +82,7 @@ def _traced_forward_peak(p: int) -> tuple[int, int]:
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        sol = solve_marching(C, sys.y_in, 1e-10, params)
+        sol = solve_marching(C, sys.y_in)
         postselect(sol, sys.index, nl, utilde_T_norm=1.0)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:

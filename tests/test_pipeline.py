@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -11,6 +12,7 @@ import scipy.linalg
 import hpmsim
 import hpmsim.embedding
 import hpmsim.marching
+import hpmsim.measurement
 import hpmsim.ode
 import hpmsim.pipeline
 from hpmsim.embedding import assemble_A, step_counts
@@ -158,6 +160,40 @@ def test_tiny_K_residual_refuses_a_perturbed_march(monkeypatch):
     with pytest.raises(NumericalError, match="residual") as info:
         run(RunConfig.from_dict(TINY_K))
     assert info.value.stage == "solve"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_march_stops_after_its_first_chunk(monkeypatch):
+    # one step per chunk, and ||A h|| = 922: the first step's Taylor terms
+    # overflow, and the fold is left there, with no warning, not after m = 4
+    monkeypatch.setattr(hpmsim.marching, "CHUNK_FLOATS", 1)
+    march = hpmsim.marching.MarchingOperator.march
+    firsts = []
+
+    def counted(self, y_in):
+        for chunk in march(self, y_in):
+            firsts.append(chunk[0])
+            yield chunk
+
+    monkeypatch.setattr(hpmsim.marching.MarchingOperator, "march", counted)
+    with pytest.raises(NumericalError, match="residual nan") as info:
+        run(std1_config(T=800.0, m=4, k=1500, force=True))
+    assert info.value.stage == "solve"
+    assert firsts == [0]
+
+
+def test_final_error_has_one_verdict_within_the_slack(monkeypatch):
+    # epsilon (1 + 1e-10) is within the target row's relative slack of 1e-9:
+    # errors.pass reads that row, so it agrees with status
+    final_error = hpmsim.measurement.final_error
+    eps = STD1["epsilon"]
+    monkeypatch.setattr(hpmsim.measurement, "final_error", lambda *args: dataclasses.replace(
+        final_error(*args), final_error=eps * (1 + 1e-10)))
+    rep = run(std1_config())
+    [target] = [row for row in rep.bound_checks if row["check"] == "target"]
+    assert rep.errors["final_error"] > eps
+    assert target["pass"] and rep.status == "pass"
+    assert rep.errors["pass"] is True
 
 
 def test_reference_stage_samples_only_T():

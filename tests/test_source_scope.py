@@ -18,7 +18,7 @@ BENCH = ROOT / "bench"
 # name -> why it stays although neither src/hpmsim nor bench/ uses it
 ALLOWED = {
     "instance_config": "wraps an in-memory instance as a run config; the planned "
-                       "complexity ledger (ROADMAP item 5) builds its configs through it",
+                       "complexity ledger (ROADMAP item 10) builds its configs through it",
 }
 
 
