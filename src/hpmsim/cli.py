@@ -55,7 +55,8 @@ def _parser() -> argparse.ArgumentParser:
     rn = sub.add_parser("run", help="full pipeline with JSON report and CSV summary")
     rn.add_argument("--solver", choices=["forward", "iterative"], default=None)
     rn.add_argument("--tol", type=float, default=None,
-                    help="override the solver residual target")
+                    help="override the solve budget delta: it sets k and the GMRES "
+                         "residual target")
     rn.add_argument("--emit-blocks", default=None,
                     help="write each per-step solution block to this directory")
 

@@ -10,24 +10,28 @@ one code that forms rows of C x, and `C @ X` fills its rows chunk by chunk
 through it.  The system is unit lower triangular, so forward substitution
 solves it exactly in m k products with A, marched by the same chunks
 through one reused buffer.  The forward solve is a fold over those chunks:
-it keeps the step starts x_{i,0}, ||x||^2 and the residual ||C x - e_0
-kron y_in||, whose rows each chunk gives through `_step_rows`, so the
-check shares no code with the substitution.  x itself, (d+1) N floats, is
-never formed: the forward path holds the (m+1) N floats of the step
-starts, one chunk of steps, its residual rows and the temporaries of its
-one product with A.  A residual checked GMRES on the operator,
-preconditioned by the inverse of C's block diagonal over the steps,
-doubles as an independent path: it takes its residual, through `C @ x`,
-and ||x||^2 from its whole x.  The operator applies neither C^T nor
-C^{-1}: the condition number ||C|| ||C^{-1}||, an oracle run only under
-the dense cap, takes C assembled as a sparse matrix by `tocsr()` and its
-SuperLU factor, which for unit lower triangular C is C itself, no fill.
+it keeps the step starts x_{i,0} and ||x||^2, and checks every coupling
+and summation row of C x = e_0 kron y_in with one seeded Freivalds probe
+z (Freivalds, MFCS 1979): w = A^T z and |A|^T |z| are taken once, two
+products, and each row then costs dot products of length N against its
+rounding bound, not a second product with A.  x itself, (d+1) N floats,
+is never formed: the forward path holds the (m+1) N floats of the step
+starts, one chunk of steps, one chunk of probe products and the
+temporaries of its one product with A.  A residual checked GMRES on the
+operator, preconditioned by the inverse of C's block diagonal over the
+steps, doubles as an independent path: it takes its exact residual,
+through `C @ x`, and ||x||^2 from its whole x.  The operator applies
+neither C^T nor C^{-1}: the condition number ||C|| ||C^{-1}||, an oracle
+run only under the dense cap, takes C assembled as a sparse matrix by
+`tocsr()` and its SuperLU factor, which for unit lower triangular C is C
+itself, no fill.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -287,6 +291,33 @@ class MarchingOperator(spla.LinearOperator):
                               np.concatenate([t.col for t in terms]))),
                             shape=self.shape).tocsr()
 
+    @cached_property
+    def probe_tol(self) -> float:
+        """The forward fold's gate on a normalised probe gap: gamma_{2n} =
+        2nu / (1 - 2nu), u = 2^-53, n = max(rho + 1, k) + ceil(log2 N) + 30,
+        rho the most nonzeros of A in one row or column.
+
+        gamma_n bounds the relative rounding error of n operations (Higham,
+        Accuracy and Stability of Numerical Algorithms, 2002, ch. 3).  A
+        coupling row meets rounding in the march's SpMV (rho products and
+        sums a row) and its scaling by h/j, in w = A^T z and |A|^T |z| (rho
+        a column), and in the probe's dot products: a product a term, then
+        numpy's pairwise sum, through which a term of N meets at most 24
+        additions within a block of 128, one a halving above that and one
+        joining the reduction's first element, fewer than ceil(log2 N) + 25.
+        A summation row meets the march's sum of k+1 blocks, k additions,
+        the same dot products and their pairwise sum over the step, at most
+        k again.  Either gap is then at most 2 gamma_{n'} times its
+        normaliser, and the normaliser's own rounding leaves gamma_{2n};
+        +30 covers the handful of single roundings beside the sums.
+        """
+        A, N, k = self.A, self.N, self.params.k
+        rho = max(np.diff(A.indptr).max(initial=0),
+                  np.bincount(A.indices, minlength=N).max(initial=0))
+        n = max(int(rho) + 1, k) + math.ceil(math.log2(max(N, 1))) + 30
+        u = math.ldexp(1.0, -53)
+        return 2 * n * u / (1 - 2 * n * u)
+
     def march(self, y_in: np.ndarray):
         """Solves C x = e_0 kron y_in by forward substitution in m k products
         with A, a chunk of whole steps at a time (`_chunks(1)`), into one
@@ -415,50 +446,92 @@ class MarchingSolution:
 def _forward_fold(C: MarchingOperator, y: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """The forward solve as a fold over the chunks that `C.march(y)` yields:
-    (starts, final, ||x||^2, ||C x - e_0 kron y||) with x never formed.
+    (starts, final, ||x||^2, largest normalised probe gap) with x never
+    formed.
 
-    Each chunk's step starts are copied out, its squares added to ||x||^2,
-    and its rows of C x taken by `_step_rows`.  The copy tail is p+1 copies
-    of x_{m,0}: it adds (p+1) ||x_{m,0}||^2 to ||x||^2, and its copy rows,
-    like row 0 (x_{0,0} = y), are zero by construction.  An overflowing
-    march is left, numpy's warnings held back, at the first chunk whose
-    squares or residual rows are not finite.
+    Each chunk's step starts are copied out and its squares added to
+    ||x||^2.  Its rows of C x = e_0 kron y are checked by one probe, z from
+    `default_rng(0)`, w = A^T z and a = |A|^T |z|: a coupling row, step i
+    and j = 1..k, gives the gap |z^T x_{i,j} - (h/j) w^T x_{i,j-1}| against
+    its normaliser (h/j) a^T |x_{i,j-1}|, and a summation row the gap
+    |z^T x_{i+1,0} - sum_j z^T x_{i,j}| against sum_j |z|^T |x_{i,j}|.  In
+    exact arithmetic a marched x has every gap zero; rounding keeps each
+    gap within `C.probe_tol` times its normaliser, so the solve refuses a
+    larger largest ratio.  An error e in a row is missed only if |z^T e|
+    falls under that tolerance.  Underflow adds at most 2^-1075 to a
+    product (Higham (2.8)); the normaliser is raised by mu / probe_tol,
+    mu = 4 (N + k + 1)(1 + h)(||z||_1 + N (1 + M)) 2^-1074 with M the
+    chunk's 2-norm, which bounds what all the products of one row add.
+    The dot products are numpy products and pairwise sums over the chunk's
+    (s(k+1), N) view, no BLAS, so no bit depends on the thread count.  The
+    copy tail is p+1 copies of x_{m,0}: it adds (p+1) ||x_{m,0}||^2 to
+    ||x||^2, and its copy rows, like row 0 (x_{0,0} = y), are exact copies.
+    An overflowing march is left, numpy's warnings held back, at the first
+    chunk whose squares or gaps are not finite.
     """
-    m, p = C.params.m, C.params.p
-    starts = np.empty((m + 1, C.N))
-    parts, res_sq = [], 0.0
+    m, k, p, h, N, A = C.params.m, C.params.k, C.params.p, C.params.h, C.N, C.A
+    z = np.random.default_rng(0).standard_normal(N)
+    w = A.T @ z
+    # |A| shares A's index arrays: one temporary of nnz(A) floats
+    a = sp.csr_array((np.abs(A.data), A.indices, A.indptr), shape=A.shape).T @ np.abs(z)
+    coef = h / np.arange(1, k + 1)
+    mu = math.ldexp(4.0 * (N + k + 1) * (1.0 + h), -1074) / C.probe_tol
+    z1 = float(np.sum(np.abs(z)))
+    starts = np.empty((m + 1, N))
+    parts, gap, tmp = [], 0.0, None
     with np.errstate(over="ignore", invalid="ignore"):
         for i0, blocks, carry in C.march(y):
-            starts[i0:i0 + len(blocks)] = blocks[:, 0]
+            s = len(blocks)
+            starts[i0:i0 + s] = blocks[:, 0]
             parts.append(sum_sq(blocks))
-            res_sq += sum_sq(C._step_rows(blocks[..., None], carry[:, None],
-                                          np.empty(blocks.shape + (1,))))
-            if not (math.isfinite(parts[-1]) and math.isfinite(res_sq)):
+            X = blocks.reshape(-1, N)
+            tmp = np.empty_like(X) if tmp is None else tmp[:len(X)]
+            zx = np.multiply(X, z, out=tmp).sum(axis=1)
+            zax = np.abs(tmp, out=tmp).sum(axis=1)
+            wx = np.multiply(X, w, out=tmp).sum(axis=1)
+            ax = np.abs(np.multiply(X, a, out=tmp), out=tmp).sum(axis=1)
+            zx, zax, wx, ax = (v.reshape(s, k + 1) for v in (zx, zax, wx, ax))
+            floor = mu * (z1 + N * (1.0 + math.sqrt(parts[-1])))
+            coupling = (np.abs(zx[:, 1:] - coef * wx[:, :-1])
+                        / (coef * ax[:, :-1] + floor))
+            summation = (np.abs(np.append(zx[1:, 0], np.sum(carry * z)) - zx.sum(axis=1))
+                         / (zax.sum(axis=1) + floor))
+            # np.max, unlike max, keeps a NaN wherever it stands
+            gap = float(np.max([gap, coupling.max(initial=0.0), summation.max()]))
+            if not (math.isfinite(parts[-1]) and math.isfinite(gap)):
                 break
         starts[m] = carry
         parts.append((p + 1) * sum_sq(carry))
-    return starts, carry, math.fsum(parts), math.sqrt(res_sq)
+    return starts, carry, math.fsum(parts), gap
 
 
 def solve_marching(C: MarchingOperator, y_in: np.ndarray,
                    solver: str = "forward") -> MarchingSolution:
-    """Solve C x = e_0 kron y_in to relative residual min(delta, 1e-10), delta
-    from C.params, on y_in scaled by the power of two that brings max|y_in|
-    into [1/2, 1): C is linear, so no bit changes on normal scales, and a
-    tiny y_in underflows in neither GMRES, the residual nor ||x||^2.  A
-    residual not within the target (NaN included) or a non-finite ||x||^2
-    is refused."""
+    """Solve C x = e_0 kron y_in on y_in scaled by the power of two that
+    brings max|y_in| into [1/2, 1): C is linear, so no bit changes on
+    normal scales, and a tiny y_in underflows in neither GMRES, its
+    residual, the probe nor ||x||^2.
+
+    The forward march is checked by the fold's Freivalds probe: its
+    residual is the largest normalised probe gap, and its target
+    `C.probe_tol`, the rounding bound on that gap.  GMRES, whose x does
+    not come from the march, is checked by its exact relative residual
+    ||C x - e_0 kron y|| / ||y||, to min(delta, 1e-10), delta from
+    C.params.  A residual not within its target (NaN included) or a
+    non-finite ||x||^2 is refused."""
     params = C.params
     N, m, k, d, delta = params.N, params.m, params.k, params.d, params.delta
     if y_in.shape != (N,):
         raise ValidationError(f"y_in must have length {N}")
-    target = min(delta, SOLVE_FLOOR) if delta > 0 else SOLVE_FLOOR
     e = np.frexp(np.max(np.abs(y_in)))[1]
     y = np.ldexp(y_in, -e)
     iterations = None
     if solver == "forward":
         starts, final, norm_sq, residual = _forward_fold(C, y)
+        target = gate = C.probe_tol
     elif solver == "iterative":
+        target = min(delta, SOLVE_FLOOR) if delta > 0 else SOLVE_FLOOR
+        gate = max(target, 1e-12)
         rhs = np.zeros((d + 1) * N)
         rhs[:N] = y
         # D^{-1} C = I - D^{-1} L, with D^{-1} L strictly lower triangular over
@@ -474,11 +547,11 @@ def solve_marching(C: MarchingOperator, y_in: np.ndarray,
         X = x.reshape(d + 1, N)
         starts, final = X[:m * (k + 1) + 1:k + 1].copy(), X[d].copy()
         norm_sq = sum_sq(x)
-        residual = math.sqrt(sum_sq(C @ x - rhs))
+        residual = (math.sqrt(sum_sq(C @ x - rhs))
+                    / max(float(np.linalg.norm(y)), np.finfo(float).tiny))
     else:
         raise ValidationError(f"unknown solver '{solver}'")
-    residual /= max(float(np.linalg.norm(y)), np.finfo(float).tiny)
-    if not residual <= max(target, 1e-12):
+    if not residual <= gate:
         raise NumericalError(
             f"solver '{solver}' residual {residual:.3e} misses target {target:.3e}"
         )

@@ -42,7 +42,11 @@ class SparseMatrix:
 
     @classmethod
     def from_triplets(cls, rows: int, cols: int, triplets) -> "SparseMatrix":
-        """(i, j, value) triplets; indices are bounds-checked, duplicates sum."""
+        """(i, j, value) triplets; indices are bounds-checked, duplicates sum.
+
+        The index arrays are int32 wherever the shape and entry count fit,
+        scipy's own rule: the sparse products of A then read half the index
+        bytes, and `kron` and `block_array` keep that dtype."""
         if rows < 0 or cols < 0:
             raise ValidationError("matrix dimensions must be nonnegative")
         triplets = list(triplets)
@@ -54,7 +58,8 @@ class SparseMatrix:
         if jj.size and (jj.min() < 0 or jj.max() >= cols):
             raise ValidationError(f"column index out of bounds for {rows}x{cols}")
         vv = np.asarray(vv, dtype=np.float64)
-        return cls(sp.coo_array((vv, (ii, jj)), shape=(rows, cols)))
+        idx = np.int32 if max(rows, cols, vv.size) <= np.iinfo(np.int32).max else np.int64
+        return cls(sp.coo_array((vv, (ii.astype(idx), jj.astype(idx))), shape=(rows, cols)))
 
     @classmethod
     def from_dense(cls, arr) -> "SparseMatrix":

@@ -257,6 +257,30 @@ def test_assemble_A_matches_reference_bit_for_bit(n, c, kind):
     assert A.data.tobytes() == data.tobytes()
 
 
+def _with_int64_indices(M: SparseMatrix) -> SparseMatrix:
+    csr = M.csr
+    return SparseMatrix(sp.csr_array((csr.data, csr.indices.astype(np.int64),
+                                      csr.indptr.astype(np.int64)), shape=csr.shape))
+
+
+@pytest.mark.parametrize("make", [std1, lambda: generate_instance(3, 2, 0.3, 7)])
+def test_assemble_A_indexes_with_int32_like_its_int64_build(make):
+    # F1 and F2, from triplets or from dense arrays, hold int32 indices, and
+    # kron and block_array keep them; the same F1 and F2 with int64 indices
+    # assemble an int64 A with the same entries and bit-identical products
+    ode = make()
+    A = assemble_A(ode, 3).A
+    wide = assemble_A(dataclasses.replace(ode, F1=_with_int64_indices(ode.F1),
+                                          F2=_with_int64_indices(ode.F2)), 3).A
+    assert A.indices.dtype == A.indptr.dtype == np.int32
+    assert wide.indices.dtype == wide.indptr.dtype == np.int64
+    assert np.array_equal(A.indptr, wide.indptr) and np.array_equal(A.indices, wide.indices)
+    assert A.data.tobytes() == wide.data.tobytes()
+    v = np.random.default_rng(0).normal(size=(A.shape[0], 3))
+    assert (A @ v[:, 0]).tobytes() == (wide @ v[:, 0]).tobytes()
+    assert (A @ v).tobytes() == (wide @ v).tobytes()
+
+
 def _in_slot(mat, n: int, k: int, i: int):
     """I_n^(kron k) kron mat kron I_n^(kron i-k)."""
     return sp.kron(sp.kron(sp.eye_array(n ** k), mat, format="coo"),

@@ -427,6 +427,38 @@ def test_forward_fold_keeps_the_blocks_of_the_marched_x(monkeypatch, budget):
         assert sol.residual <= 1e-13
 
 
+@pytest.mark.parametrize("scaled", ["block", "carry"])
+@pytest.mark.parametrize("name", sorted(GMRES_RUNS))
+def test_forward_probe_refuses_a_march_off_by_1e_9(monkeypatch, name, scaled):
+    # after the first chunk is marched, its coupling block x_{0,1} or the
+    # carry it yields is scaled by 1 + 1e-9; the march goes on from its own
+    # clean values.  The carry reaches only the probe's summation rows
+    march = MarchingOperator.march
+
+    def perturbed(self, y_in):
+        for n, (i0, blocks, carry) in enumerate(march(self, y_in)):
+            if n == 0 and scaled == "block":
+                blocks[0, 1] *= 1.0 + 1e-9
+            elif n == 0:
+                carry = carry * (1.0 + 1e-9)
+            yield i0, blocks, carry
+
+    monkeypatch.setattr(MarchingOperator, "march", perturbed)
+    with pytest.raises(NumericalError, match="solver 'forward' residual") as info:
+        run(dataclasses.replace(GMRES_RUNS[name](), solver="forward"))
+    assert info.value.stage == "solve"
+
+
+def test_forward_probe_passes_a_march_that_underflows():
+    # k = 200 at ||A h|| <= 1: the Taylor terms fall through the subnormal
+    # range to zero, where rounding errors are absolute, not relative; the
+    # underflow floor on each normaliser keeps the clean march within target
+    config = dataclasses.replace(GMRES_RUNS["std1"](), solver="forward", k=200, force=True)
+    rep = run(config)
+    assert rep.status == "pass"
+    assert 0.0 < rep.solver["residual"] < 1e-13
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
 @pytest.mark.parametrize("case", OPERATOR_CASES)
 def test_gmres_fields_match_the_forward_fold(case, scale):

@@ -643,15 +643,29 @@ def test_forward_report_does_not_depend_on_the_blas_thread_count():
         assert reports[0] == reports[1], config
 
 
+def test_forward_probe_gap_does_not_depend_on_the_blas_thread_count():
+    # the probe's dot products are numpy products and pairwise sums, not
+    # BLAS: gen8's largest normalised gap, a rounding-level figure that the
+    # exact residual (0 by construction) never showed, agrees bit for bit
+    gaps = [report_at_threads("instance_config(generate_instance(8, 2, 0.3, 7), "
+                              "1.0, 1e-2)", threads)["solver"]["residual"]
+            for threads in ("1", "2")]
+    assert gaps[0] == gaps[1]
+    assert 0.0 < gaps[0] < 1e-13
+
+
 def test_forward_run_at_the_budget_order_does_not_hold_x():
     # n = 4 at c = 6: N = 78,100, m = 15, k = 16 and p = 15, so x would be
     # (d+1) N floats, 161 MiB, and the run peaked at 312 MiB holding it; the
-    # forward fold keeps the (m+1) N step starts, 9.5 MiB
+    # forward fold keeps the (m+1) N step starts, 9.5 MiB.  The peak is the
+    # child's VmHWM, which starts afresh at exec: its ru_maxrss keeps the
+    # peak of the process that started it
     src = str(Path(hpmsim.__file__).resolve().parents[1])
-    code = ("import resource; from hpmsim.pipeline import generate_instance, "
-            "instance_config, run; rep = run(instance_config(generate_instance("
-            "4, 2, 0.3, 7), 1.0, 1e-2, c=6, force=True)); print(rep.status, "
-            "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)")
+    code = ("from hpmsim.pipeline import generate_instance, instance_config, run; "
+            "rep = run(instance_config(generate_instance(4, 2, 0.3, 7), 1.0, 1e-2, "
+            "c=6, force=True)); hwm = [line.split()[1] for line in "
+            "open('/proc/self/status') if line.startswith('VmHWM:')][0]; "
+            "print(rep.status, int(hwm) / 1024)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
                          check=True, timeout=120).stdout.split()
