@@ -3,28 +3,27 @@
 The marching matrix stacks m Taylor steps of order k plus p copy rows:
 unit diagonal, -A h/j couplings inside each step, -identity summation rows
 at step boundaries, -identity copy rows at the tail.  C is an operator, and
-no solve stores it: it is applied a chunk of whole steps at a time, as many
-steps as keep the chunk's k N r floats within CHUNK_FLOATS (at least one),
-each chunk one product of A with its coupling blocks.  `_step_rows` is the
-one code that forms rows of C x, and `C @ X` fills its rows chunk by chunk
-through it.  The system is unit lower triangular, so forward substitution
-solves it exactly in m k products with A, marched by the same chunks
-through one reused buffer.  The forward solve is a fold over those chunks:
-it keeps the step starts x_{i,0} and ||x||^2, and checks every coupling
-and summation row of C x = e_0 kron y_in with one seeded Freivalds probe
-z (Freivalds, MFCS 1979): w = A^T z and |A|^T |z| are taken once, two
-products, and each row then costs dot products of length N against its
-rounding bound, not a second product with A.  x itself, (d+1) N floats,
-is never formed: the forward path holds the (m+1) N floats of the step
-starts, one chunk of steps, one chunk of probe products and the
-temporaries of its one product with A.  A residual checked GMRES on the
-operator, preconditioned by the inverse of C's block diagonal over the
-steps, doubles as an independent path: it takes its exact residual,
-through `C @ x`, and ||x||^2 from its whole x.  The operator applies
-neither C^T nor C^{-1}: the condition number ||C|| ||C^{-1}||, an oracle
-run only under the dense cap, takes C assembled as a sparse matrix by
-`tocsr()` and its SuperLU factor, which for unit lower triangular C is C
-itself, no fill.
+no solve stores it.  One in-place kernel, `MarchingOperator._taylor`, runs
+the step recurrence x_{i,j} = (h/j) A x_{i,j-1}, on one step or on all m
+steps at once, one product of A a term.  The system is unit lower
+triangular, so forward substitution solves it exactly in m k products with
+A, one step at a time through one reused buffer.  The forward solve is a
+fold over those steps: it keeps the step starts x_{i,0} and ||x||^2, and
+checks every coupling and summation row of C x = e_0 kron y_in with one
+seeded Freivalds probe z (Freivalds, MFCS 1979): w = A^T z and |A|^T |z|
+are taken once, two products, and each row then costs dot products of
+length N against its rounding bound, not a second product with A.  x
+itself, (d+1) N floats, is never formed: the forward path holds the
+(m+1) N floats of the step starts, one step, one step of probe products
+and the temporaries of its one product with A.  GMRES doubles as an
+independent path.  With C = D - L, D the block diagonal of C over the
+steps and L its summation rows, it runs on I - D^{-1} L, the kernel once
+over all steps a product, and then takes its exact residual through one
+`C @ x`, whose products with A are its own and not the kernel's, and
+||x||^2 from its whole x.  The operator applies neither C^T nor C^{-1}:
+the condition number ||C|| ||C^{-1}||, an oracle run only under the dense
+cap, takes C assembled as a sparse matrix by `tocsr()` and its SuperLU
+factor, which for unit lower triangular C is C itself, no fill.
 """
 
 from __future__ import annotations
@@ -45,9 +44,6 @@ from .sparse import DENSE_ORACLE_CAP, spectral_norm, sum_sq, vector_norm
 
 SOLVE_FLOOR = 1e-10
 SOLVERS = ("forward", "iterative")
-# floats per chunk of a product with C (512 KiB): small against x on large
-# instances, while small instances stay in one chunk, one scipy call a product
-CHUNK_FLOATS = 2 ** 16
 
 
 @dataclass
@@ -318,96 +314,68 @@ class MarchingOperator(spla.LinearOperator):
         u = math.ldexp(1.0, -53)
         return 2 * n * u / (1 - 2 * n * u)
 
+    def _taylor(self, X: np.ndarray) -> None:
+        """The Taylor terms X[j] = (h/j) A X[j-1], j = 1..k, written in
+        place: X is one step's (k+1, N) buffer, or a (k+1, N, s) view of s
+        steps, one product of A with their (N, s) stack a term."""
+        h = self.params.h
+        for j in range(1, self.params.k + 1):
+            np.multiply(self.A @ X[j - 1], h / j, out=X[j])
+
     def march(self, y_in: np.ndarray):
         """Solves C x = e_0 kron y_in by forward substitution in m k products
-        with A, a chunk of whole steps at a time (`_chunks(1)`), into one
-        reused (steps, k+1, N) buffer.
+        with A, one step at a time through `_taylor` into one reused
+        (k+1, N) buffer X.
 
-        After each chunk it yields (i0, blocks, carry): i0 the chunk's first
-        step, blocks the x_{i,j} of its steps, and carry = sum_j x_{i,j} of
-        its last step i, which is x_{i+1,0}.  The next chunk overwrites
-        blocks.  The copy tail, p+1 copies of the last carry, is not formed.
+        After step i it yields (i, X, carry): X holds x_{i,j}, j = 0..k, and
+        carry = sum_j x_{i,j} is x_{i+1,0}.  The next step overwrites X.  The
+        copy tail, p+1 copies of the last carry, is not formed.
         """
+        X = np.empty((self.params.k + 1, self.N))
+        carry = y_in
+        for i in range(self.params.m):
+            X[0] = carry
+            self._taylor(X)
+            carry = X.sum(axis=0)
+            yield i, X, carry
+
+    def _preconditioned(self, v: np.ndarray) -> np.ndarray:
+        """(I - D^{-1} L) v for C = D - L: D is C's block diagonal over the m
+        steps and the copy tail, and L holds the summation rows, which carry
+        the sum of one step's blocks into the next step's start.
+
+        So D^{-1} L v starts step i at sum_j v_{i-1,j} (step 0 at zero),
+        fills in every step's Taylor terms by one `_taylor` over the
+        (k+1, N, m) view of all steps, and holds sum_j v_{m-1,j} in every
+        tail block."""
+        m, k, N = self.params.m, self.params.k, self.N
+        V = v.reshape(-1, N)
+        sums = V[:m * (k + 1)].reshape(m, k + 1, N).sum(axis=1)
+        out = np.empty_like(V)
+        steps = out[:m * (k + 1)].reshape(m, k + 1, N)
+        steps[0, 0] = 0.0
+        steps[1:, 0] = sums[:-1]
+        self._taylor(steps.transpose(1, 2, 0))
+        out[m * (k + 1):] = sums[-1]
+        return np.subtract(V, out, out=out).reshape(v.shape)
+
+    def _matvec(self, x: np.ndarray) -> np.ndarray:
+        """C x: x less, for each order j, (h/j) A times the (N, m) stack of
+        every step's block j-1, less each step's sum at the next step's
+        start, and less the block before each copy row.  It forms its own
+        products with A, not `_taylor`'s, so a residual through it checks
+        the kernel."""
         m, k, h, N = self.params.m, self.params.k, self.params.h, self.N
-        chunks = self._chunks(1)
-        buf = np.empty((min(chunks.step, m), k + 1, N))
-        carry = None
-        for i0 in chunks:
-            blocks = buf[:min(chunks.step, m - i0)]
-            blocks.fill(0.0)
-            for X in blocks:
-                if carry is None:
-                    X[0] = y_in
-                else:
-                    X[0] += carry
-                for j in range(1, k + 1):
-                    X[j] += (h / j) * (self.A @ X[j - 1])
-                carry = X.sum(axis=0)
-            yield i0, blocks, carry
-
-    def step_inverse(self) -> spla.LinearOperator:
-        """D^{-1} as an operator, D the block diagonal of C over the m steps
-        and the copy tail: C without its summation rows.  All steps are
-        solved at once, in k products of A with an (N, m) stack."""
-        m, k, h, d, N = self.params.m, self.params.k, self.params.h, self.params.d, self.N
-
-        def solve(b: np.ndarray) -> np.ndarray:
-            X = np.array(b, dtype=np.float64).reshape(d + 1, N, -1)
-            steps = X[:m * (k + 1)].reshape(m, k + 1, N, -1)
-            for j in range(1, k + 1):
-                steps[:, j] += (h / j) * self._coupled(self.A, steps[:, j - 1:j])[:, 0]
-            tail = X[m * (k + 1):]
-            np.cumsum(tail, axis=0, out=tail)
-            return X.reshape(np.shape(b))
-
-        return spla.LinearOperator(self.shape, matvec=solve, matmat=solve, dtype=np.float64)
-
-    def _chunks(self, r: int) -> range:
-        """First steps of C's chunks for an r-column product: each chunk holds
-        as many whole steps as keep its k N r floats within CHUNK_FLOATS."""
-        per = max(1, CHUNK_FLOATS // (max(self.params.k, 1) * self.N * r))
-        return range(0, self.params.m, per)
-
-    def _coupled(self, M: sp.csr_array, blocks: np.ndarray) -> np.ndarray:
-        """M applied to each block of an (s, k, N, r) stack, in one product
-        M @ (N, s k r)."""
-        s, k, N, r = blocks.shape
-        src = np.moveaxis(blocks, 2, 0).reshape(N, s * k * r)
-        return np.moveaxis((M @ src).reshape(N, s, k, r), 0, 2)
-
-    def _step_rows(self, blocks: np.ndarray, carry: np.ndarray,
-                   out: np.ndarray) -> np.ndarray:
-        """Rows i(k+1)+1..(i+1)(k+1) of C x for a chunk of whole steps i,
-        written into out and returned: blocks holds the chunk's x_{i,j},
-        (s, k+1, N, r), carry the next step's x_{i+1,0} after the chunk's
-        last step, (N, r), and out is (s, k+1, N, r)."""
-        k = self.params.k
-        # row i(k+1)+j couples to block i(k+1)+j-1 with -h/j, j = 1..k
-        coef = (-self.params.h / np.arange(1, k + 1))[None, :, None, None]
-        # row i(k+1)+1+j of the chunk is the coupling row j+1 of step i for
-        # j < k, and its summation row (i+1)(k+1) for j = k
-        out[:, :k] = blocks[:, 1:]
-        out[:-1, k] = blocks[1:, 0]
-        out[-1, k] = carry
-        out[:, :k] += coef * self._coupled(self.A, blocks[:, :k])
-        out[:, k] -= blocks.sum(axis=1)
-        return out
-
-    def _matmat(self, x: np.ndarray) -> np.ndarray:
-        """C x, x a (size, r) stack: row 0 copied, each chunk of steps written
-        by `_step_rows`, and the copy rows in one subtraction."""
-        m, k, d, N = self.params.m, self.params.k, self.params.d, self.N
-        X = x.reshape(d + 1, N, -1)
-        out = np.empty(X.shape)
-        tail, steps = m * (k + 1), (m, k + 1) + X.shape[1:]
-        # step i's blocks i(k+1)..i(k+1)+k make its rows i(k+1)+1..(i+1)(k+1)
-        blocks, rows = X[:tail].reshape(steps), out[1:tail + 1].reshape(steps)
-        out[0] = X[0]
-        chunks = self._chunks(X.shape[2])
-        for i0 in chunks:
-            i1 = min(i0 + chunks.step, m)
-            self._step_rows(blocks[i0:i1], X[i1 * (k + 1)], rows[i0:i1])
-        np.subtract(X[tail + 1:], X[tail:d], out=out[tail + 1:])
+        X = x.reshape(-1, N)
+        out = X.copy()
+        tail = m * (k + 1)
+        blocks = X[:tail].reshape(m, k + 1, N)
+        rows = out[:tail].reshape(m, k + 1, N)
+        for j in range(1, k + 1):
+            rows[:, j] -= (h / j) * (self.A @ blocks[:, j - 1].T).T
+        # step i's blocks sum into row (i+1)(k+1), the next start or the tail's first
+        out[k + 1:tail + 1:k + 1] -= blocks.sum(axis=1)
+        out[tail + 1:] -= X[tail:-1]
         return out.reshape(x.shape)
 
 
@@ -445,15 +413,16 @@ class MarchingSolution:
 
 def _forward_fold(C: MarchingOperator, y: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """The forward solve as a fold over the chunks that `C.march(y)` yields:
+    """The forward solve as a fold over the steps that `C.march(y)` yields:
     (starts, final, ||x||^2, largest normalised probe gap) with x never
     formed.
 
-    Each chunk's step starts are copied out and its squares added to
-    ||x||^2.  Its rows of C x = e_0 kron y are checked by one probe, z from
-    `default_rng(0)`, w = A^T z and a = |A|^T |z|: a coupling row, step i
-    and j = 1..k, gives the gap |z^T x_{i,j} - (h/j) w^T x_{i,j-1}| against
-    its normaliser (h/j) a^T |x_{i,j-1}|, and a summation row the gap
+    Each step's start is copied out, and the pairwise sum of its squares
+    joins the `math.fsum` that gives ||x||^2.  Its rows of C x = e_0 kron y
+    are checked by one probe, z from `default_rng(0)`, w = A^T z and
+    a = |A|^T |z|: a coupling row, step i and j = 1..k, gives the gap
+    |z^T x_{i,j} - (h/j) w^T x_{i,j-1}| against its normaliser
+    (h/j) a^T |x_{i,j-1}|, and a summation row the gap
     |z^T x_{i+1,0} - sum_j z^T x_{i,j}| against sum_j |z|^T |x_{i,j}|.  In
     exact arithmetic a marched x has every gap zero; rounding keeps each
     gap within `C.probe_tol` times its normaliser, so the solve refuses a
@@ -461,13 +430,13 @@ def _forward_fold(C: MarchingOperator, y: np.ndarray
     falls under that tolerance.  Underflow adds at most 2^-1075 to a
     product (Higham (2.8)); the normaliser is raised by mu / probe_tol,
     mu = 4 (N + k + 1)(1 + h)(||z||_1 + N (1 + M)) 2^-1074 with M the
-    chunk's 2-norm, which bounds what all the products of one row add.
-    The dot products are numpy products and pairwise sums over the chunk's
-    (s(k+1), N) view, no BLAS, so no bit depends on the thread count.  The
+    step's 2-norm, which bounds what all the products of one row add.
+    The dot products are numpy products and pairwise sums over the step's
+    (k+1, N) buffer, no BLAS, so no bit depends on the thread count.  The
     copy tail is p+1 copies of x_{m,0}: it adds (p+1) ||x_{m,0}||^2 to
     ||x||^2, and its copy rows, like row 0 (x_{0,0} = y), are exact copies.
     An overflowing march is left, numpy's warnings held back, at the first
-    chunk whose squares or gaps are not finite.
+    step whose squares or gaps are not finite.
     """
     m, k, p, h, N, A = C.params.m, C.params.k, C.params.p, C.params.h, C.N, C.A
     z = np.random.default_rng(0).standard_normal(N)
@@ -478,26 +447,21 @@ def _forward_fold(C: MarchingOperator, y: np.ndarray
     mu = math.ldexp(4.0 * (N + k + 1) * (1.0 + h), -1074) / C.probe_tol
     z1 = float(np.sum(np.abs(z)))
     starts = np.empty((m + 1, N))
-    parts, gap, tmp = [], 0.0, None
+    tmp = np.empty((k + 1, N))
+    parts, gap = [], 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for i0, blocks, carry in C.march(y):
-            s = len(blocks)
-            starts[i0:i0 + s] = blocks[:, 0]
-            parts.append(sum_sq(blocks))
-            X = blocks.reshape(-1, N)
-            tmp = np.empty_like(X) if tmp is None else tmp[:len(X)]
+        for i, X, carry in C.march(y):
+            starts[i] = X[0]
+            parts.append(sum_sq(X))
             zx = np.multiply(X, z, out=tmp).sum(axis=1)
             zax = np.abs(tmp, out=tmp).sum(axis=1)
             wx = np.multiply(X, w, out=tmp).sum(axis=1)
             ax = np.abs(np.multiply(X, a, out=tmp), out=tmp).sum(axis=1)
-            zx, zax, wx, ax = (v.reshape(s, k + 1) for v in (zx, zax, wx, ax))
             floor = mu * (z1 + N * (1.0 + math.sqrt(parts[-1])))
-            coupling = (np.abs(zx[:, 1:] - coef * wx[:, :-1])
-                        / (coef * ax[:, :-1] + floor))
-            summation = (np.abs(np.append(zx[1:, 0], np.sum(carry * z)) - zx.sum(axis=1))
-                         / (zax.sum(axis=1) + floor))
+            coupling = np.abs(zx[1:] - coef * wx[:-1]) / (coef * ax[:-1] + floor)
+            summation = abs(np.sum(carry * z) - zx.sum()) / (zax.sum() + floor)
             # np.max, unlike max, keeps a NaN wherever it stands
-            gap = float(np.max([gap, coupling.max(initial=0.0), summation.max()]))
+            gap = float(np.max([gap, coupling.max(initial=0.0), summation]))
             if not (math.isfinite(parts[-1]) and math.isfinite(gap)):
                 break
         starts[m] = carry
@@ -532,13 +496,18 @@ def solve_marching(C: MarchingOperator, y_in: np.ndarray,
     elif solver == "iterative":
         target = min(delta, SOLVE_FLOOR) if delta > 0 else SOLVE_FLOOR
         gate = max(target, 1e-12)
-        rhs = np.zeros((d + 1) * N)
-        rhs[:N] = y
-        # D^{-1} C = I - D^{-1} L, with D^{-1} L strictly lower triangular over
-        # the m steps and the tail: GMRES ends within m+1 iterations, and the
-        # basis holds m+3 vectors; restarts continue should rounding need more
+        # GMRES runs on D^{-1} C = I - D^{-1} L, C = D - L, whose right-hand
+        # side D^{-1} (e_0 kron y) is step 0's Taylor terms from y.  D^{-1} L
+        # is strictly lower triangular over the m steps and the tail: GMRES
+        # ends within m+1 iterations, and the basis holds m+3 vectors;
+        # restarts continue should rounding need more
+        b = np.zeros((d + 1) * N)
+        head = b[:(k + 1) * N].reshape(k + 1, N)
+        head[0] = y
+        C._taylor(head)
+        op = spla.LinearOperator(C.shape, matvec=C._preconditioned, dtype=np.float64)
         presids = []
-        x, info = spla.gmres(C, rhs, rtol=target / 10.0, atol=0.0, M=C.step_inverse(),
+        x, info = spla.gmres(op, b, rtol=target / 10.0, atol=0.0,
                              restart=m + 2, maxiter=5000,
                              callback=presids.append, callback_type="pr_norm")
         if info != 0:
@@ -547,7 +516,10 @@ def solve_marching(C: MarchingOperator, y_in: np.ndarray,
         X = x.reshape(d + 1, N)
         starts, final = X[:m * (k + 1) + 1:k + 1].copy(), X[d].copy()
         norm_sq = sum_sq(x)
-        residual = (math.sqrt(sum_sq(C @ x - rhs))
+        # the one product with C: C x - e_0 kron y
+        r = C @ x
+        r[:N] -= y
+        residual = (math.sqrt(sum_sq(r))
                     / max(float(np.linalg.norm(y)), np.finfo(float).tiny))
     else:
         raise ValidationError(f"unknown solver '{solver}'")

@@ -176,11 +176,7 @@ def build_ode(config: RunConfig, base_dir: Path | None = None) -> QuadraticODE:
             p = Path(path)
             if base_dir is not None and not p.is_absolute():
                 p = base_dir / p
-            mat = read_triplets(p)
-            if mat.rows != rows or mat.cols != cols:
-                raise ValidationError(f"{name} from {p} has shape "
-                                      f"{mat.rows}x{mat.cols}, need {rows}x{cols}")
-            return mat
+            return read_triplets(p, (rows, cols))
         raise ValidationError(f"config needs {name}_triplets or {name}_path")
 
     F1 = load(config.F1_triplets, config.F1_path, n, n, "F1")

@@ -233,19 +233,38 @@ def write_triplets(matrix: sp.sparray, path) -> None:
             fh.write(f"{i} {j} {v:.17g}\n")
 
 
-def read_triplets(path) -> SparseMatrix:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValidationError(f"bad triplet header in {path}")
-        rows, cols, nnz = (int(x) for x in header)
-        triplets = []
-        for _ in range(nnz):
-            parts = fh.readline().split()
-            if len(parts) != 3:
-                raise ValidationError(f"truncated triplet file {path}")
-            triplets.append((int(parts[0]), int(parts[1]), float(parts[2])))
-    return SparseMatrix.from_triplets(rows, cols, triplets)
+def read_triplets(path, shape: tuple[int, int] | None = None) -> SparseMatrix:
+    """The matrix in a triplet file: a header `rows cols nnz`, then nnz lines
+    `i j value`, then blank lines only.  Each line is checked as an inline
+    triplet is: integer counts and indices, and finite real values.  Where
+    shape is given, the header must state it before anything is built."""
+    try:
+        with open(path) as fh:
+            lines = [line.split() for line in fh]
+        while lines and not lines[-1]:
+            lines.pop()
+        rows, cols, nnz = _tokens(lines[0] if lines else [], (int, int, int))
+        if min(rows, cols, nnz) < 0:
+            raise ValueError("a negative count")
+        if shape is not None and (rows, cols) != tuple(shape):
+            raise ValueError(f"shape {rows}x{cols}, need {shape[0]}x{shape[1]}")
+        if len(lines) - 1 != nnz:
+            raise ValueError(f"{len(lines) - 1} entry lines under a count of {nnz}")
+        triplets = [_tokens(line, (int, int, float)) for line in lines[1:]]
+        return SparseMatrix.from_triplets(rows, cols, triplets)
+    except (OSError, ValueError, ValidationError) as exc:   # unreadable, not UTF-8 or malformed
+        raise ValidationError(f"bad triplet file {path}: {exc}") from None
+
+
+def _tokens(line: list[str], types: tuple) -> tuple:
+    """The tokens of one line read as types, each float finite."""
+    text = " ".join(line)
+    if len(line) != len(types):
+        raise ValueError(f"line {text!r} needs {len(types)} fields")
+    vals = tuple(t(x) for t, x in zip(types, line))
+    if not all(math.isfinite(v) for v in vals if isinstance(v, float)):
+        raise ValueError(f"line {text!r} holds a value that is not finite")
+    return vals
 
 
 def write_vector(v: np.ndarray, path) -> None:

@@ -3,7 +3,7 @@
 Each one restates a piece of the method by a second route (a closed form,
 an explicit matrix, a per-component construction) so that the tests can
 hold the pipeline's own code against it.  `marched_x` is the exception:
-it rebuilds, from the chunks that the march yields, the x that the forward
+it rebuilds, from the steps that the march yields, the x that the forward
 solve never forms, so that tests can read x's blocks from the code itself.
 """
 
@@ -198,13 +198,13 @@ def reference_C(A: sp.csr_array, params: TaylorSystemParams) -> sp.csr_array:
 
 
 def marched_x(C, y: np.ndarray) -> np.ndarray:
-    """x = C^{-1} (e_0 kron y) of the operator C, rebuilt from the chunks that
-    `C.march(y)` yields: each chunk's blocks in place, then p+1 copies of the
+    """x = C^{-1} (e_0 kron y) of the operator C, rebuilt from the steps that
+    `C.march(y)` yields: each step's blocks in place, then p+1 copies of the
     last carry as the copy tail."""
     N, k, d = C.N, C.params.k, C.params.d
     X = np.empty((d + 1, N))
-    for i0, blocks, carry in C.march(y):
-        X[i0 * (k + 1):(i0 + len(blocks)) * (k + 1)] = blocks.reshape(-1, N)
+    for i, blocks, carry in C.march(y):
+        X[i * (k + 1):(i + 1) * (k + 1)] = blocks
     X[C.params.m * (k + 1):] = carry
     return X.reshape(-1)
 

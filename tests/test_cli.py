@@ -66,6 +66,36 @@ def test_run_rejects_bad_triplet_at_load(tmp_path, triplet, capsys):
     assert "F2_triplets" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    pytest.param("1 1 1\n0 0 nan\n", id="nan"),
+    pytest.param("1 1 1\n0 0 inf\n", id="inf"),
+    pytest.param("1 x 1\n0 0 -1.0\n", id="header-token"),
+    pytest.param("1 1 -3\n", id="negative-count"),
+    pytest.param("1 1 1\n0 0 -1.0\n0 0 -1.0\n", id="extra-entry"),
+    pytest.param("1 1 1\n0 0.0 -1.0\n", id="float-index"),
+    pytest.param("1 1 2\n0 0 -1.0\n", id="truncated"),
+    pytest.param("2 1 1\n0 0 -1.0\n", id="wrong-shape"),
+    pytest.param("1 1 1\n0 1 -1.0\n", id="index-out-of-bounds"),
+    pytest.param("100000000000000000000 1 0\n", id="huge-shape"),
+    pytest.param(None, id="missing"),
+    pytest.param("1 1 1\n0 0 -1.0\n\n\n", id="trailing-blank-lines")])
+def test_run_checks_a_triplet_file_as_strictly_as_inline_triplets(tmp_path, text, capsys):
+    # the last file, F1 = [-1] and blank trailing lines, is std1's F1
+    path = tmp_path / "F1.txt"
+    if text is not None:
+        path.write_text(text)
+    cfg = tmp_path / "cfg.json"
+    config = {key: val for key, val in STD1.items() if key != "F1_triplets"}
+    cfg.write_text(json.dumps({**config, "F1_path": str(path)}))
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"])
+    err = capsys.readouterr().err
+    if text is not None and text.endswith("\n\n"):
+        assert code == 0 and err == ""
+    else:
+        assert code == 2
+        assert err.startswith("validation failure in stage load: ") and str(path) in err
+
+
 def test_run_rejects_unknown_solver_at_load(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({**STD1, "solver": "magic"}))

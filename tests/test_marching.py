@@ -347,21 +347,29 @@ def test_factor_of_C_has_no_fill_and_applies_its_inverse(case):
 
 
 @pytest.mark.parametrize("r", [1, 3])
-@pytest.mark.parametrize("steps_per_chunk", [1, 2])
-def test_chunked_products_match_reference_matrix(monkeypatch, steps_per_chunk, r):
-    # m = 5 steps in chunks of one step, or of two with one step left over;
-    # the copy tail of p = 9 blocks follows in one subtraction
+@pytest.mark.parametrize("steps", [1, 2])
+def test_chunked_products_match_reference_matrix(steps, r):
+    # m = 5 steps, each order one product of A with the (N, m) stack of the
+    # steps' blocks; the copy tail of p = 9 blocks follows in one subtraction.
+    # The kernel on chunks of one step, or of two with one step left over,
+    # fills in Taylor terms that zero every coupling row of the explicit matrix
     A = random_A(4, seed=9, normal=False)
     params = tiny_params(N=4, m=5, k=3, p=9, h=0.2)
+    m, k = params.m, params.k
     C = assemble_C(A, params)
-    monkeypatch.setattr(marching, "CHUNK_FLOATS", steps_per_chunk * params.k * 4 * r)
-    assert C._chunks(r) == range(0, params.m, steps_per_chunk)
     ref = reference_C(A, params)
-    rng = np.random.default_rng(steps_per_chunk + 10 * r)
+    rng = np.random.default_rng(steps + 10 * r)
     x = rng.normal(size=(C.shape[0], r)).squeeze()
     got, want = C @ x, ref @ x
     assert got.shape == want.shape
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    X = rng.normal(size=(m, k + 1, 4))
+    for i0 in range(0, m, steps):
+        C._taylor(X[i0:i0 + steps].transpose(1, 2, 0))
+    v = np.zeros(C.shape[0])
+    v[:X.size] = X.ravel()
+    rows = (ref @ v)[:X.size].reshape(m, k + 1, 4)
+    assert np.abs(rows[:, 1:]).max() <= 1e-14 * np.abs(X).max()
 
 
 GMRES_RUNS = {
@@ -373,44 +381,62 @@ GMRES_RUNS = {
 }
 
 
-@pytest.mark.parametrize("budget", [1, None])
-@pytest.mark.parametrize("name", sorted(GMRES_RUNS))
-def test_gmres_residual_refuses_a_perturbed_x(monkeypatch, name, budget):
-    # GMRES's x scaled by 1 + 1e-6 cos j: the residual C @ x - rhs, its rows
-    # from `_step_rows` at one step a chunk or at the default chunks, misses
-    # the target, and the message prints it as the explicit matrix gives it
-    # (gen2's C, 11,396 square, is 1 GiB dense: the explicit matrix stays sparse)
-    if budget is not None:
-        monkeypatch.setattr(marching, "CHUNK_FLOATS", budget)
-    gmres, seen = spla.gmres, {}
+def spy_solve(monkeypatch) -> dict:
+    """Patches `solve_marching` to record the C and y_in of the run's solve."""
+    solve, seen = marching.solve_marching, {}
 
-    def perturbed(C, rhs, **kwargs):
-        x, _ = gmres(C, rhs, **kwargs)
-        seen.update(C=C, rhs=rhs, x=x * (1.0 + 1e-6 * np.cos(np.arange(x.size))))
+    def spy(C, y_in, **kwargs):
+        seen.update(C=C, y_in=y_in)
+        return solve(C, y_in, **kwargs)
+
+    monkeypatch.setattr(marching, "solve_marching", spy)
+    return seen
+
+
+@pytest.mark.parametrize("block", [1, None])
+@pytest.mark.parametrize("name", sorted(GMRES_RUNS))
+def test_gmres_residual_refuses_a_perturbed_x(monkeypatch, name, block):
+    # GMRES's x, its block x_{0,1} alone or all of it, scaled by
+    # 1 + 1e-6 cos j: the residual C @ x - e_0 kron y misses the target, and
+    # the message prints it as the explicit matrix gives it (gen2's C,
+    # 11,396 square, is 1 GiB dense: it stays sparse).  C and y come from
+    # the run: GMRES itself sees I - D^{-1} L and D^{-1} rhs
+    gmres, seen = spla.gmres, spy_solve(monkeypatch)
+
+    def perturbed(op, b, **kwargs):
+        x, _ = gmres(op, b, **kwargs)
+        scale = 1.0 + 1e-6 * np.cos(np.arange(x.size))
+        if block is not None:
+            N = seen["C"].N
+            scale[:block * N] = scale[(block + 1) * N:] = 1.0
+        seen["x"] = x * scale
         return seen["x"], 0
 
     monkeypatch.setattr(spla, "gmres", perturbed)
     with pytest.raises(NumericalError, match="residual") as info:
         run(GMRES_RUNS[name]())
     assert info.value.stage == "solve"
-    C, rhs = seen["C"], seen["rhs"]
+    C, y_in = seen["C"], seen["y_in"]
+    # the solve takes y_in scaled by a power of two into [1/2, 1)
+    y = np.ldexp(y_in, -np.frexp(np.abs(y_in).max())[1])
+    rhs = np.zeros(C.shape[0])
+    rhs[:y.size] = y
     want = np.linalg.norm(reference_C(C.A, C.params) @ seen["x"] - rhs) / np.linalg.norm(rhs)
     printed = float(re.search(r"residual (\S+) misses", str(info.value)).group(1))
     # .3e keeps four digits: within half a unit of the fourth
     assert abs(printed - want) <= 5e-4 * want
 
 
-# chunk budgets of 1-7 floats give chunks of one step up to all of them, the
-# last one often shorter; the default puts every step of these small cases
-# in one chunk.  The k = 0 case has steps of one block and no coupling rows
+# the k = 0 case has steps of one block and no coupling rows
 FOLD_CASES = [*OPERATOR_CASES, dict(N=2, m=4, k=0, p=3, seed=9, normal=False)]
 
 
-@pytest.mark.parametrize("budget", [*range(1, 8), None])
-def test_forward_fold_keeps_the_blocks_of_the_marched_x(monkeypatch, budget):
-    if budget is not None:
-        monkeypatch.setattr(marching, "CHUNK_FLOATS", budget)
+@pytest.mark.parametrize("steps", [*range(1, 8), None])
+def test_forward_fold_keeps_the_blocks_of_the_marched_x(steps):
+    # every case marched over 1-7 steps, or over its own m
     for case in FOLD_CASES:
+        if steps is not None:
+            case = dict(case, m=steps)
         A, params = operator_case(case)
         C = assemble_C(A, params)
         m, k, N = params.m, params.k, A.shape[0]
@@ -430,22 +456,41 @@ def test_forward_fold_keeps_the_blocks_of_the_marched_x(monkeypatch, budget):
 @pytest.mark.parametrize("scaled", ["block", "carry"])
 @pytest.mark.parametrize("name", sorted(GMRES_RUNS))
 def test_forward_probe_refuses_a_march_off_by_1e_9(monkeypatch, name, scaled):
-    # after the first chunk is marched, its coupling block x_{0,1} or the
+    # after the first step is marched, its coupling block x_{0,1} or the
     # carry it yields is scaled by 1 + 1e-9; the march goes on from its own
     # clean values.  The carry reaches only the probe's summation rows
     march = MarchingOperator.march
 
     def perturbed(self, y_in):
-        for n, (i0, blocks, carry) in enumerate(march(self, y_in)):
-            if n == 0 and scaled == "block":
-                blocks[0, 1] *= 1.0 + 1e-9
-            elif n == 0:
+        for i, X, carry in march(self, y_in):
+            if i == 0 and scaled == "block":
+                X[1] *= 1.0 + 1e-9
+            elif i == 0:
                 carry = carry * (1.0 + 1e-9)
-            yield i0, blocks, carry
+            yield i, X, carry
 
     monkeypatch.setattr(MarchingOperator, "march", perturbed)
     with pytest.raises(NumericalError, match="solver 'forward' residual") as info:
         run(dataclasses.replace(GMRES_RUNS[name](), solver="forward"))
+    assert info.value.stage == "solve"
+
+
+@pytest.mark.parametrize("solver", ["forward", "iterative"])
+@pytest.mark.parametrize("name", sorted(GMRES_RUNS))
+def test_a_taylor_kernel_off_by_1e_9_is_refused(monkeypatch, name, solver):
+    # the kernel scales its first term by 1 + 1e-9 wherever it runs.  The
+    # forward probe sees the march's coupling rows miss; GMRES solves
+    # (D' - L) x = e_0 kron y for the kernel's D', and its exact residual,
+    # through C's own products with A, misses by (D - D') x
+    taylor = MarchingOperator._taylor
+
+    def defective(self, X):
+        taylor(self, X)
+        X[1] *= 1.0 + 1e-9
+
+    monkeypatch.setattr(MarchingOperator, "_taylor", defective)
+    with pytest.raises(NumericalError, match=f"solver '{solver}' residual") as info:
+        run(dataclasses.replace(GMRES_RUNS[name](), solver=solver))
     assert info.value.stage == "solve"
 
 
@@ -475,21 +520,30 @@ def test_gmres_fields_match_the_forward_fold(case, scale):
 
 
 @pytest.mark.parametrize("case", OPERATOR_CASES)
-def test_step_inverse_matches_dense_block_diagonal_inverse(case):
+def test_preconditioned_operator_matches_dense(case):
     A, params = operator_case(case)
     C = assemble_C(A, params)
-    N, m, k = A.shape[0], params.m, params.k
+    size, N, m, k = C.shape[0], A.shape[0], params.m, params.k
     # group of each row and column: step i for blocks i(k+1)..i(k+1)+k, m for the tail
-    group = np.minimum(np.arange(C.shape[0]) // N // (k + 1), m)
+    group = np.minimum(np.arange(size) // N // (k + 1), m)
     dense = reference_C(A, params).toarray()
     D = np.where(group[:, None] == group[None, :], dense, 0.0)
-    # C differs from D only in the summation rows
-    assert np.count_nonzero(dense - D) == m * (k + 1) * N
-    want = np.linalg.inv(D)
-    Dinv = C.step_inverse()
-    assert np.abs(Dinv @ np.eye(C.shape[0]) - want).max() <= 1e-13
-    v = np.random.default_rng(case["seed"]).normal(size=C.shape[0])
-    assert np.abs(Dinv @ v - want @ v).max() <= 1e-13 * np.linalg.norm(v)
+    L = D - dense
+    # C = D - L differs from D only in the summation rows
+    assert np.count_nonzero(L) == m * (k + 1) * N
+    want = np.eye(size) - np.linalg.solve(D, L)
+    got = np.column_stack([C._preconditioned(e) for e in np.eye(size)])
+    assert np.abs(got - want).max() <= 1e-13
+    v = np.random.default_rng(case["seed"]).normal(size=size)
+    assert np.abs(C._preconditioned(v) - want @ v).max() <= 1e-13 * np.linalg.norm(v)
+    # D^{-1} (e_0 kron y) is the kernel on step 0 alone
+    rhs = np.zeros(size)
+    rhs[:N] = v[:N]
+    head = np.zeros((k + 1, N))
+    head[0] = v[:N]
+    C._taylor(head)
+    assert np.abs(head.ravel() - np.linalg.solve(D, rhs)[:(k + 1) * N]).max() \
+        <= 1e-13 * np.linalg.norm(v[:N])
 
 
 @pytest.mark.parametrize("T", [0.0, 0.5, 1.5])
@@ -511,24 +565,33 @@ def test_preconditioned_gmres_ends_within_m_plus_1_iterations(n, c, T):
         assert abs(sol.norm_sq - x_norm ** 2) <= 1e-12 * x_norm ** 2
 
 
-def test_gmres_takes_the_step_inverse_and_an_m_plus_2_basis(monkeypatch):
+def test_gmres_runs_on_the_preconditioned_operator_with_one_product_with_C(monkeypatch):
+    # GMRES applies I - D^{-1} L, each product one `_taylor` over all steps;
+    # the solve's one product with C is its exact residual
     ode, sys = stable_system(2, 1, seed=6)
     m, h = step_counts(1.0, sys.norm_A)
     params = tiny_params(N=sys.index.N, m=m, k=6, p=m, h=h, c=1)
     C = assemble_C(sys.A, params)
-    calls = []
-    gmres = spla.gmres
+    calls, products = [], []
+    gmres, matvec = spla.gmres, MarchingOperator._matvec
 
     def spy(*args, **kwargs):
-        calls.append(kwargs)
+        calls.append((args, kwargs))
         return gmres(*args, **kwargs)
 
+    def counted(self, x):
+        products.append(x.shape)
+        return matvec(self, x)
+
     monkeypatch.setattr(spla, "gmres", spy)
-    solve_marching(C, sys.y_in, solver="iterative")
-    [kwargs] = calls
-    assert kwargs["restart"] == params.m + 2
+    monkeypatch.setattr(MarchingOperator, "_matvec", counted)
+    sol = solve_marching(C, sys.y_in, solver="iterative")
+    [((op, b), kwargs)] = calls
+    assert products == [(C.shape[0],)]
+    assert 1 <= sol.iterations <= m + 1
+    assert kwargs["restart"] == params.m + 2 and "M" not in kwargs
     v = np.random.default_rng(0).normal(size=C.shape[0])
-    assert np.array_equal(kwargs["M"] @ v, C.step_inverse() @ v)
+    assert np.array_equal(op @ v, C._preconditioned(v))
 
 
 @pytest.mark.parametrize("case", OPERATOR_CASES)
@@ -591,8 +654,8 @@ def test_condition_report_takes_no_product_through_the_operator(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a product through the marching operator")
 
-    monkeypatch.setattr(MarchingOperator, "_matmat", refuse)
-    monkeypatch.setattr(MarchingOperator, "march", refuse)
+    for name in ("_matvec", "_taylor", "march"):
+        monkeypatch.setattr(MarchingOperator, name, refuse)
     got = condition_report(C, exp_norm_precondition_ok=True)
     assert got == want and got["measured"] is not None
     # over the cap C is never assembled, and the row is skipped

@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import hpmsim.marching as marching
 from hpmsim.embedding import assemble_A, build_index_map
 from hpmsim.errors import ValidationError
 from hpmsim.marching import assemble_C, solve_marching, step_counts
@@ -53,15 +52,14 @@ def test_postselect_linear_c0_full_level0_mass():
     assert np.linalg.norm(rep.u_out) == pytest.approx(1.0, rel=1e-14)
 
 
-@pytest.mark.parametrize("chunk", [7, 2 ** 16])
-def test_postselect_norms_take_every_chunk_of_x(monkeypatch, chunk):
-    # chunks of 7 floats march one step at a time; the ratios are those of
-    # the whole x
-    monkeypatch.setattr(marching, "CHUNK_FLOATS", chunk)
+@pytest.mark.parametrize("p", [7, 2 ** 16])
+def test_postselect_norms_take_every_chunk_of_x(p):
+    # the march yields one step at a time, and the copy tail of p blocks is
+    # never formed; the ratios are those of the whole x
     ode = generate_instance(2, 2, 0.3, 7)
     sys = assemble_A(ode, 2)
     m, h = step_counts(1.0, sys.norm_A)
-    params = tiny_params(N=sys.index.N, m=m, k=6, p=m, h=h, c=2)
+    params = tiny_params(N=sys.index.N, m=m, k=6, p=p, h=h, c=2)
     C = assemble_C(sys.A, params)
     sol = solve_marching(C, sys.y_in)
     rep = postselect(sol, sys.index, compute_K(ode), utilde_T_norm=1.0)
@@ -91,17 +89,18 @@ def _traced_forward_peak(p: int) -> tuple[int, int]:
 
 
 def test_forward_solve_and_postselect_hold_the_starts_and_a_few_chunks():
-    # x would be 13 chunks at p = 16 and 31 at p = 400; the march and its
-    # residual rows take one step (k N = 0.7 chunk) at a time, and the
-    # allowance of 4 chunks covers the march's buffer, the row buffer, the
-    # product's source and result.  The copy tail is never formed, so the
-    # peak does not grow with p: the 384 more copies would add 9.1 MiB, and
-    # the peak of two identical calls differs by some hundred bytes
-    chunk_bytes = 8 * marching.CHUNK_FLOATS
+    # a step buffer is (k+1) N floats, and x would be 17 of them at p = 16
+    # and 41 at p = 400.  The march takes one step at a time, and the
+    # allowance of 4 step buffers covers the march's buffer, the probe's
+    # buffer, one step's squares and the temporaries of the probe's |A| and
+    # of one product with A.  The copy tail is never formed, so the peak
+    # does not grow with p: the 384 more copies would add 9.1 MiB, and the
+    # peak of two identical calls differs by some hundred bytes
     short, starts_bytes = _traced_forward_peak(16)
+    step_bytes = starts_bytes // 17 * 16        # m + 1 = 17 starts, k + 1 = 16 blocks a step
     long, _ = _traced_forward_peak(400)
     assert long <= short + 64 * 1024
-    assert short <= starts_bytes + 4 * chunk_bytes
+    assert short <= starts_bytes + 4 * step_bytes
 
 
 def test_level_group_component_counts():

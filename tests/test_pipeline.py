@@ -151,10 +151,11 @@ def test_tiny_K_iterative_solve_matches_forward():
 def test_tiny_K_residual_refuses_a_perturbed_march(monkeypatch):
     march = hpmsim.marching.MarchingOperator.march
 
+    # x's blocks scaled by 1 + 1e-6 cos j, j counted over the whole march
     def perturbed(self, y_in):
-        for i0, blocks, carry in march(self, y_in):
-            yield i0, blocks * (1.0 + 1e-6 * np.cos(np.arange(blocks.size))
-                                ).reshape(blocks.shape), carry
+        for i, X, carry in march(self, y_in):
+            j = np.arange(i * X.size, (i + 1) * X.size).reshape(X.shape)
+            yield i, X * (1.0 + 1e-6 * np.cos(j)), carry
 
     monkeypatch.setattr(hpmsim.marching.MarchingOperator, "march", perturbed)
     with pytest.raises(NumericalError, match="residual") as info:
@@ -164,9 +165,9 @@ def test_tiny_K_residual_refuses_a_perturbed_march(monkeypatch):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_march_stops_after_its_first_chunk(monkeypatch):
-    # one step per chunk, and ||A h|| = 922: the first step's Taylor terms
-    # overflow, and the fold is left there, with no warning, not after m = 4
-    monkeypatch.setattr(hpmsim.marching, "CHUNK_FLOATS", 1)
+    # the march yields one step at a time, and ||A h|| = 922: the first
+    # step's Taylor terms overflow, and the fold is left there, with no
+    # warning, not after m = 4
     march = hpmsim.marching.MarchingOperator.march
     firsts = []
 
