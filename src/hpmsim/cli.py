@@ -22,6 +22,7 @@ from .errors import BoundViolation, NumericalError, ValidationError
 from .pipeline import (
     RunConfig,
     SWEEP_COLUMNS,
+    _Stage,
     build_ode,
     generate_instance,
     in_stage,
@@ -142,15 +143,19 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_embed(args) -> int:
     cfg = _load_config(args)
-    ode = build_ode(cfg, args.config.parent)
-    solved, zeta, _ = rescaled_problem(ode, cfg.zeta)
+    # the stages of `run` name any error; their timings are not reported
+    with _Stage("load", {}):
+        ode = build_ode(cfg, args.config.parent)
+    with _Stage("nonlinearity", {}):
+        solved, zeta, _ = rescaled_problem(ode, cfg.zeta)
     if args.order is not None:
         c = args.order
     elif cfg.c is not None:
         c = cfg.c
     else:
         raise ValidationError("embed needs --order or a c override in the config")
-    sys_ = emb.assemble_A(solved, c, cap=cfg.dimension_cap)
+    with _Stage("embed", {}):
+        sys_ = emb.assemble_A(solved, c, cap=cfg.dimension_cap)
     args.out.mkdir(parents=True, exist_ok=True)
     write_triplets(sys_.A, args.out / "A.txt")
     write_vector(sys_.y_in, args.out / "y_in.txt")
@@ -173,7 +178,8 @@ def _cmd_hpm(args) -> int:
     cfg = _load_config(args)
     prep = prepare(cfg, args.config.parent)
     K, norm_u = prep.nl.K, prep.nl.norm_u_in
-    casc = hpm.solve_cascade(prep.solved, prep.sel.c, cfg.T, K=K)
+    with _Stage("cascade", {}):
+        casc = hpm.solve_cascade(prep.solved, prep.sel.c, cfg.T, K=K)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "hpm.csv"
     with open(path, "w", newline="") as fh:

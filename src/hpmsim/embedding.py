@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from .errors import BoundViolation, ValidationError
 from .ode import QuadraticODE
-from .sparse import spectral_norm
+from .sparse import max_line_nnz, spectral_norm
 
 # default limit on the embedded dimension N (keeps direct solves desk-scale)
 N_CAP = 200_000
@@ -291,8 +291,7 @@ def structural_report(sys: EmbeddedSystem, ode: QuadraticODE, norm_F2: float,
         if cols.size and (cols.min() < lvl.start or cols.max() >= end):
             raise BoundViolation("entries outside the block bidiagonal structure")
 
-    max_row = int(np.diff(indptr).max())
-    max_col = int(np.bincount(indices, minlength=index.N).max())
+    max_row, max_col = max_line_nnz(A)
     witness = s * c * c + c
     # proved per-level counts: level-0 rows see F1 plus beta_1 copies of F2;
     # any other row sees at most (i+1)s diagonal plus (c-i)s coupling entries

@@ -40,7 +40,7 @@ from .cascade import min_order_for_bound, truncation_bound
 from .embedding import EmbeddedSystem, step_counts
 from .errors import NumericalError, ValidationError
 from .ode import SQRT_HALF, NonlinearityParams
-from .sparse import DENSE_ORACLE_CAP, spectral_norm, sum_sq, vector_norm
+from .sparse import DENSE_ORACLE_CAP, max_line_nnz, spectral_norm, sum_sq, vector_norm
 
 SOLVE_FLOOR = 1e-10
 SOLVERS = ("forward", "iterative")
@@ -308,9 +308,8 @@ class MarchingOperator(spla.LinearOperator):
         +30 covers the handful of single roundings beside the sums.
         """
         A, N, k = self.A, self.N, self.params.k
-        rho = max(np.diff(A.indptr).max(initial=0),
-                  np.bincount(A.indices, minlength=N).max(initial=0))
-        n = max(int(rho) + 1, k) + math.ceil(math.log2(max(N, 1))) + 30
+        rho = max(max_line_nnz(A))
+        n = max(rho + 1, k) + math.ceil(math.log2(max(N, 1))) + 30
         u = math.ldexp(1.0, -53)
         return 2 * n * u / (1 - 2 * n * u)
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .sparse import DENSE_ORACLE_CAP, SparseMatrix, dense_eigs, spectral_norm, vector_norm
+from .sparse import (DENSE_ORACLE_CAP, SparseMatrix, _check_cap, dense_eigs, max_line_nnz,
+                     spectral_norm, vector_norm)
 
 SQRT_HALF = math.sqrt(2.0) / 2.0
 # most grid steps one integration may sample: more would run for minutes and
@@ -37,18 +38,11 @@ class QuadraticODE:
     F1: SparseMatrix
     F2: SparseMatrix
     u_in: np.ndarray
-    s: int = 0  # max row/col nonzeros over F1 and F2, filled by make_ode
-    # F1's spectrum (see f1_spectrum), given together or taken here
-    eigs_F1: np.ndarray | None = None
-    norm_F1: float | None = None
-    log_norm_F1: float | None = None
-
-    def __post_init__(self):
-        if self.eigs_F1 is None:
-            spectrum = f1_spectrum(self.F1)[:3]
-            names = ("eigs_F1", "norm_F1", "log_norm_F1")
-            for name, value in zip(names, spectrum):
-                object.__setattr__(self, name, value)
+    s: int  # max row/col nonzeros over F1 and F2
+    # F1's spectrum (see f1_spectrum), taken once by make_ode
+    eigs_F1: np.ndarray
+    norm_F1: float
+    log_norm_F1: float
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
         return self.F1.matvec(u) + self.F2.matvec(np.outer(u, u).ravel())
@@ -65,7 +59,8 @@ def f1_spectrum(F1: SparseMatrix, dense_cap: int = DENSE_ORACLE_CAP
     by an exact power of two, so entries such as 1e300 cannot overflow
     them; sigma_1 and mu(F1) are exact to rounding of order eps sigma_1.
     """
-    d1 = F1.to_dense(dense_cap)
+    _check_cap(*F1.csr.shape, dense_cap)
+    d1 = F1.csr.toarray()
     exp = math.frexp(float(np.abs(d1).max(initial=0.0)))[1]
     d1s = np.ldexp(d1, -exp)
     sig = np.linalg.svd(d1s)[1]
@@ -87,13 +82,13 @@ def make_ode(n: int, F1: SparseMatrix, F2: SparseMatrix, u_in,
     passes assume_valid=True.
     """
     u_in = np.asarray(u_in, dtype=np.float64)
-    if F1.rows != n or F1.cols != n:
+    if F1.csr.shape != (n, n):
         raise ValidationError(f"F1 must be {n}x{n}")
-    if F2.rows != n or F2.cols != n * n:
+    if F2.csr.shape != (n, n * n):
         raise ValidationError(f"F2 must be {n}x{n * n}")
     if u_in.shape != (n,):
         raise ValidationError(f"u_in must have length {n}")
-    s = max(F1.sparsity(), F2.sparsity())
+    s = max(*max_line_nnz(F1.csr), *max_line_nnz(F2.csr))
     lam, norm1, mu, departure = f1_spectrum(F1, dense_cap)
     if not assume_valid:
         if departure > 1e-10:
@@ -121,7 +116,7 @@ def compute_K(ode: QuadraticODE) -> NonlinearityParams:
     re1 = float(ode.eigs_F1.real.max())
     if re1 >= 0:
         raise ValidationError(f"not dissipative: max Re(lambda) = {re1:.3e}")
-    norm_f2 = spectral_norm(ode.F2.csr) if ode.F2.nnz else 0.0
+    norm_f2 = spectral_norm(ode.F2.csr) if ode.F2.csr.nnz else 0.0
     norm_u = float(vector_norm(ode.u_in))
     K = 4.0 * norm_u * norm_f2 / abs(re1)
     return NonlinearityParams(
@@ -138,7 +133,7 @@ def rescale(ode: QuadraticODE, zeta: float) -> QuadraticODE:
     """Substitute u -> zeta*u: u_in' = zeta u_in, F2' = F2/zeta. K is invariant."""
     if zeta <= 0:
         raise ValidationError("zeta must be positive")
-    return replace(ode, F2=ode.F2.scaled(1.0 / zeta), u_in=ode.u_in * zeta)
+    return replace(ode, F2=SparseMatrix(ode.F2.csr * (1.0 / zeta)), u_in=ode.u_in * zeta)
 
 
 @dataclass

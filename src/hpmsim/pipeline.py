@@ -647,7 +647,7 @@ def generate_instance(n: int, s: int, K_target: float, seed: int,
     gauss = rng.normal(size=(n, n))
     q, r = np.linalg.qr(gauss)
     q = q * np.sign(np.diag(r))          # deterministic orthogonal factor
-    F1 = SparseMatrix.from_dense(q @ np.diag(eigs) @ q.T)
+    F1 = SparseMatrix(q @ np.diag(eigs) @ q.T)
 
     if u_norm is None:
         u_norm = K_target if K_target > 0 else 0.5
@@ -655,7 +655,7 @@ def generate_instance(n: int, s: int, K_target: float, seed: int,
     u_in = direction / np.linalg.norm(direction) * u_norm
 
     if s == 0:
-        F2 = SparseMatrix.zeros(n, n * n)
+        F2 = SparseMatrix.from_triplets(n, n * n, [])
     else:
         col_counts = np.zeros(n * n, dtype=int)
         trips = []
@@ -673,7 +673,7 @@ def generate_instance(n: int, s: int, K_target: float, seed: int,
         re1 = float(eigs.max())
         target_norm = K_target * abs(re1) / (4.0 * u_norm)
         current = spectral_norm(F2.csr)
-        F2 = F2.scaled(target_norm / current)
+        F2 = SparseMatrix(F2.csr * (target_norm / current))
 
     ode = make_ode(n, F1, F2, u_in)
     nl = compute_K(ode)

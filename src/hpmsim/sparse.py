@@ -3,7 +3,10 @@
 `SparseMatrix` holds a problem instance's validated F1 and F2 as one
 canonical `scipy.sparse.csr_array`, `.csr` (sorted indices, duplicates
 summed); the embedding matrix A and everything built from it are plain
-`csr_array`s.
+`csr_array`s.  Besides `.csr` and its two constructors it keeps only
+`matvec`, `rmatvec` and `entries`, the members the benchmark harness binds
+by name; every other use reads `.csr`.  `max_line_nnz` is the one count of
+the most nonzeros in a row and in a column, for F1, F2 and A alike.
 `spectral_norm` is the one 2-norm estimator for sparse, dense and operator
 inputs: Lanczos (ARPACK `svds`) from a seeded random start, certified
 against a lower bound on the norm (the largest row and column 2-norms of a
@@ -37,8 +40,6 @@ class SparseMatrix:
         csr = sp.csr_array(matrix, dtype=np.float64)
         csr.sum_duplicates()                # sorts indices; no-op when canonical
         self.csr = csr
-        self.rows, self.cols = csr.shape
-        self.nnz = int(csr.nnz)
 
     @classmethod
     def from_triplets(cls, rows: int, cols: int, triplets) -> "SparseMatrix":
@@ -61,19 +62,6 @@ class SparseMatrix:
         idx = np.int32 if max(rows, cols, vv.size) <= np.iinfo(np.int32).max else np.int64
         return cls(sp.coo_array((vv, (ii.astype(idx), jj.astype(idx))), shape=(rows, cols)))
 
-    @classmethod
-    def from_dense(cls, arr) -> "SparseMatrix":
-        return cls(np.asarray(arr, dtype=np.float64))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "SparseMatrix":
-        return cls.from_triplets(rows, cols, [])
-
-    def sparsity(self) -> int:
-        """Max nonzero count over all rows and columns."""
-        return int(max(np.diff(self.csr.indptr).max(initial=0),
-                       np.bincount(self.csr.indices, minlength=self.cols).max(initial=0)))
-
     def entries(self):
         """(row, col, value) in row-major order."""
         coo = self.csr.tocoo()
@@ -82,23 +70,25 @@ class SparseMatrix:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Product M v."""
         v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.cols,):
-            raise ValidationError(f"matvec length mismatch: {v.shape} vs cols={self.cols}")
+        cols = self.csr.shape[1]
+        if v.shape != (cols,):
+            raise ValidationError(f"matvec length mismatch: {v.shape} vs cols={cols}")
         return self.csr @ v
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
         """Transpose product M^T v."""
         v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.rows,):
-            raise ValidationError(f"rmatvec length mismatch: {v.shape} vs rows={self.rows}")
+        rows = self.csr.shape[0]
+        if v.shape != (rows,):
+            raise ValidationError(f"rmatvec length mismatch: {v.shape} vs rows={rows}")
         return v @ self.csr
 
-    def scaled(self, alpha: float) -> "SparseMatrix":
-        return SparseMatrix(self.csr * alpha)
 
-    def to_dense(self, cap: int = DENSE_ORACLE_CAP) -> np.ndarray:
-        _check_cap(self.rows, self.cols, cap)
-        return self.csr.toarray()
+def max_line_nnz(M: sp.csr_array) -> tuple[int, int]:
+    """The most nonzeros of a canonical csr array in one row and in one
+    column, each 0 where the array has no rows or no columns."""
+    return (int(np.diff(M.indptr).max(initial=0)),
+            int(np.bincount(M.indices, minlength=M.shape[1]).max(initial=0)))
 
 
 def _check_cap(rows: int, cols: int, cap: int = DENSE_ORACLE_CAP) -> None:

@@ -137,7 +137,7 @@ def row_pattern_Bm(F1: SparseMatrix, m: int, row: tuple[int, ...]) -> list[tuple
     pattern of the remaining digits under an unchanged leading digit, then
     the post-diagonal leading replacements.
     """
-    n = F1.rows
+    n = F1.csr.shape[0]
     row = tuple(int(d) for d in row)
     if len(row) != m + 1:
         raise ValidationError(f"row needs {m + 1} digits, got {len(row)}")

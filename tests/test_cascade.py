@@ -43,7 +43,7 @@ def reference_cascade(ode, c: int, T: float, dt: float) -> np.ndarray:
         out = np.empty_like(state)
         for i in range(c + 1):
             acc = ode.F1.matvec(state[i])
-            if i >= 1 and ode.F2.nnz:
+            if i >= 1 and ode.F2.csr.nnz:
                 force = np.zeros(n * n)
                 for j in range(i):
                     force += np.kron(state[j], state[i - 1 - j])
@@ -74,7 +74,7 @@ def coupled3():
 
 def decoupled2():
     F1 = SparseMatrix.from_triplets(2, 2, [(0, 0, -1.0), (1, 1, -2.0)])
-    return make_ode(2, F1, SparseMatrix.zeros(2, 4), [0.3, 0.4])
+    return make_ode(2, F1, SparseMatrix.from_triplets(2, 4, []), [0.3, 0.4])
 
 
 CASCADE_CASES = [
@@ -101,7 +101,7 @@ def test_solve_cascade_matches_per_pair_reference(name, make, T, c):
 
 def test_linear_system_decouples():
     F1 = SparseMatrix.from_triplets(2, 2, [(0, 0, -1.0), (1, 1, -2.0)])
-    F2 = SparseMatrix.zeros(2, 4)
+    F2 = SparseMatrix.from_triplets(2, 4, [])
     ode = make_ode(2, F1, F2, [0.3, 0.4])
     casc = solve_cascade(ode, 3, 1.0, dt=1e-3)
     expected = np.array([0.3 * math.exp(-1.0), 0.4 * math.exp(-2.0)])

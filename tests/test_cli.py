@@ -322,7 +322,7 @@ def test_embed_outputs(std1_config, tmp_path):
     assert code == 0
     A = read_triplets(out / "A.txt")
     # rescaled system: F2' = 0.2/0.8 = 0.25
-    assert np.array_equal(A.to_dense(), np.array([[-1.0, 0.25], [0.0, -2.0]]))
+    assert np.array_equal(A.csr.toarray(), np.array([[-1.0, 0.25], [0.0, -2.0]]))
     y = read_vector(out / "y_in.txt")
     assert y == pytest.approx([0.4, 0.16])
     sidecar = json.loads((out / "embed.json").read_text())
@@ -348,9 +348,19 @@ def test_embed_sidecar_reports_the_norm_bracket(std1_config, tmp_path):
     out = tmp_path / "out"
     assert main(["--config", str(std1_config), "--out", str(out), "embed", "--order", "3"]) == 0
     sidecar = json.loads((out / "embed.json").read_text())
-    A = read_triplets(out / "A.txt").to_dense()
+    A = read_triplets(out / "A.txt").csr.toarray()
     assert sidecar["norm_A_lower"] <= np.linalg.norm(A, 2) <= sidecar["norm_A"]
     assert not {"norm_A_upper", "norm_A_tol"} & set(sidecar)
+
+
+def test_embed_names_the_stage_that_refuses(std1_config, tmp_path, capsys):
+    # order 17 embeds std1 in 2^18 - 2 dimensions, over the default cap; the
+    # refusal names the stage that `run` would name
+    code = main(["--config", str(std1_config), "--out", str(tmp_path / "out"),
+                 "embed", "--order", "17"])
+    assert code == 2
+    assert capsys.readouterr().err == ("validation failure in stage embed: embedded "
+                                       "dimension 262126 exceeds cap 200000\n")
 
 
 def test_hpm_csv(std1_config, tmp_path):

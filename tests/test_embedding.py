@@ -25,7 +25,7 @@ from hpmsim.embedding import (
 from hpmsim.errors import BoundViolation, ValidationError
 from hpmsim.ode import compute_K, make_ode
 from hpmsim.pipeline import generate_instance
-from hpmsim.sparse import SparseMatrix, dense_expm, spectral_norm
+from hpmsim.sparse import SparseMatrix, dense_expm, max_line_nnz, spectral_norm
 from oracles import build_embedded_vector, row_pattern_Bm, truncated_solution, unrank
 
 
@@ -39,8 +39,8 @@ def random_ode(n: int, seed: int, f2_scale: float = 0.1):
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.normal(size=(n, n)))
     q = q * np.sign(np.diag(r))
-    F1 = SparseMatrix.from_dense(q @ np.diag(-rng.uniform(0.5, 2.0, n)) @ q.T)
-    F2 = SparseMatrix.from_dense(rng.normal(size=(n, n * n)) * f2_scale)
+    F1 = SparseMatrix(q @ np.diag(-rng.uniform(0.5, 2.0, n)) @ q.T)
+    F2 = SparseMatrix(rng.normal(size=(n, n * n)) * f2_scale)
     u_in = rng.normal(size=n) * 0.3
     return make_ode(n, F1, F2, u_in)
 
@@ -128,7 +128,7 @@ def test_assemble_A_n1_c1_exact():
 
 def test_assemble_A_linear_block_diagonal():
     F1 = SparseMatrix.from_triplets(2, 2, [(0, 0, -1.0), (1, 1, -2.0)])
-    F2 = SparseMatrix.zeros(2, 4)
+    F2 = SparseMatrix.from_triplets(2, 4, [])
     ode = make_ode(2, F1, F2, [0.1, 0.2])
     sys = assemble_A(ode, 2)
     index = sys.index
@@ -209,7 +209,7 @@ def reference_A(ode, c: int):
             off = index.block_slice(i, j).start
             for k in range(i + 1):
                 parts.append(_kron_factor_coo(ode.F1, n, k, i - k, 1, off, off))
-    if ode.F2.nnz:
+    if ode.F2.csr.nnz:
         if c >= 1:
             for jp in range(index.beta[1]):
                 col_off = index.block_slice(1, jp).start
@@ -233,8 +233,8 @@ def nonnormal_ode(n: int, seed: int):
     """Upper-triangular F1 (not normal) and an F2 whose triplets collide:
     each row repeats a coupling and holds both orders of a pair (a, b)."""
     rng = np.random.default_rng(seed)
-    F1 = SparseMatrix.from_dense(np.triu(rng.normal(size=(n, n)), 1)
-                                 - np.diag(rng.uniform(0.5, 2.0, n)))
+    F1 = SparseMatrix(np.triu(rng.normal(size=(n, n)), 1)
+                      - np.diag(rng.uniform(0.5, 2.0, n)))
     trips = []
     for row in range(n):
         a, b = rng.integers(0, n, size=2)
@@ -419,7 +419,7 @@ def test_structural_report_raises_only_on_the_estimate():
 
 def test_structural_report_linear_eigs():
     F1 = SparseMatrix.from_triplets(2, 2, [(0, 0, -1.0), (1, 1, -2.0)])
-    F2 = SparseMatrix.zeros(2, 4)
+    F2 = SparseMatrix.from_triplets(2, 4, [])
     ode = make_ode(2, F1, F2, [0.1, 0.2])
     sys = assemble_A(ode, 2)
     rep = structural_report(sys, ode, 0.0, compute_K(ode).re_lambda1)
@@ -439,7 +439,7 @@ def test_structural_report_rejects_entries_off_the_bidiagonal(row_level, col_lev
     structural_report(sys, ode, 0.2, -1.0)
     dense = sys.A.toarray()
     dense[sys.index.offsets[row_level], sys.index.offsets[col_level]] = 1e-3
-    bad = dataclasses.replace(sys, A=SparseMatrix.from_dense(dense).csr)
+    bad = dataclasses.replace(sys, A=SparseMatrix(dense).csr)
     with pytest.raises(BoundViolation, match="block bidiagonal"):
         structural_report(bad, ode, 0.2, -1.0)
 
@@ -454,7 +454,7 @@ def test_structural_report_rejects_perturbed_diagonal_block(level):
     start = sys.index.offsets[level]
     assert dense[start, start] != 0.0
     dense[start, start] += 1e-6
-    bad = dataclasses.replace(sys, A=SparseMatrix.from_dense(dense).csr)
+    bad = dataclasses.replace(sys, A=SparseMatrix(dense).csr)
     with pytest.raises(BoundViolation, match=f"diagonal block of level {level}"):
         structural_report(bad, ode, spectral_norm(ode.F2.csr), re1)
 
@@ -464,7 +464,7 @@ def test_structural_report_rejects_swapped_kronecker_order():
     # I_beta kron (F1 kron I + I kron F1)
     ode = random_ode(2, seed=6)
     sys = assemble_A(ode, 2)
-    F1, eye = ode.F1.to_dense(), np.eye(2)
+    F1, eye = ode.F1.csr.toarray(), np.eye(2)
     ksum = np.kron(F1, eye) + np.kron(eye, F1)
     beta, lvl = sys.index.beta[1], sys.index.level_slice(1)
     dense = sys.A.toarray()
@@ -472,7 +472,7 @@ def test_structural_report_rejects_swapped_kronecker_order():
     swapped = np.kron(ksum, np.eye(beta))
     assert not np.allclose(swapped, dense[lvl, lvl])
     dense[lvl, lvl] = swapped
-    bad = dataclasses.replace(sys, A=SparseMatrix.from_dense(dense).csr)
+    bad = dataclasses.replace(sys, A=SparseMatrix(dense).csr)
     with pytest.raises(BoundViolation, match="diagonal block of level 1"):
         structural_report(bad, ode, spectral_norm(ode.F2.csr), compute_K(ode).re_lambda1)
 
@@ -484,12 +484,12 @@ def test_structural_report_probe_orients_nonnormal_blocks():
     sys = assemble_A(ode, 2)
     args = (spectral_norm(ode.F2.csr), compute_K(ode).re_lambda1)
     structural_report(sys, ode, *args)
-    F1t = ode.F1.to_dense().T
+    F1t = ode.F1.csr.toarray().T
     ksum = sum(np.kron(np.kron(np.eye(3 ** k), F1t), np.eye(3 ** (2 - k))) for k in range(3))
     lvl = sys.index.level_slice(2)
     dense = sys.A.toarray()
     dense[lvl, lvl] = np.kron(np.eye(sys.index.beta[2]), ksum)
-    bad = dataclasses.replace(sys, A=SparseMatrix.from_dense(dense).csr)
+    bad = dataclasses.replace(sys, A=SparseMatrix(dense).csr)
     with pytest.raises(BoundViolation, match="diagonal block of level 2"):
         structural_report(bad, ode, *args)
 
@@ -508,8 +508,8 @@ def test_structural_report_random_instance():
 
 def brute_force_pattern(F1: SparseMatrix, m: int, row: tuple[int, ...]):
     """Structural pattern of B(m) via dense Kronecker materialization."""
-    n = F1.rows
-    struct = (F1.to_dense() != 0).astype(float) + np.eye(n)
+    n = F1.csr.shape[0]
+    struct = (F1.csr.toarray() != 0).astype(float) + np.eye(n)
     total = np.zeros((n ** (m + 1), n ** (m + 1)))
     for j in range(m + 1):
         term = np.eye(n ** j)
@@ -542,7 +542,7 @@ def test_row_pattern_m0_is_F1_row():
 
 
 def test_row_pattern_m1_dense_2x2():
-    F1 = SparseMatrix.from_dense(np.array([[-1.0, 0.5], [0.3, -2.0]]))
+    F1 = SparseMatrix(np.array([[-1.0, 0.5], [0.3, -2.0]]))
     pattern = row_pattern_Bm(F1, 1, (0, 0))
     assert set(pattern) == {(0, 0), (0, 1), (1, 0)}
     assert len(pattern) == 2 * 2 - 1  # (m+1)s - m with s=2
@@ -552,7 +552,7 @@ def test_row_pattern_matches_brute_force():
     rng = np.random.default_rng(17)
     F1 = SparseMatrix.from_triplets(3, 3, [
         (0, 0, -1.0), (0, 1, 0.4), (1, 1, -2.0), (2, 0, 0.3), (2, 2, -1.0)])
-    s = max(3, F1.sparsity())
+    s = max(3, *max_line_nnz(F1.csr))
     for m in range(0, 4):
         for _ in range(5):
             row = tuple(rng.integers(0, 3, size=m + 1).tolist())
@@ -563,7 +563,7 @@ def test_row_pattern_matches_brute_force():
 
 
 def test_row_pattern_rejects_bad_digits():
-    F1 = SparseMatrix.from_dense(np.eye(2))
+    F1 = SparseMatrix(np.eye(2))
     with pytest.raises(ValidationError):
         row_pattern_Bm(F1, 1, (0, 5))
     with pytest.raises(ValidationError):

@@ -56,8 +56,8 @@ def stable_system(n: int, c: int, seed: int, f2_scale: float = 0.05):
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.normal(size=(n, n)))
     q = q * np.sign(np.diag(r))
-    F1 = SparseMatrix.from_dense(q @ np.diag(-rng.uniform(0.8, 1.5, n)) @ q.T)
-    F2 = SparseMatrix.from_dense(rng.normal(size=(n, n * n)) * f2_scale)
+    F1 = SparseMatrix(q @ np.diag(-rng.uniform(0.8, 1.5, n)) @ q.T)
+    F2 = SparseMatrix(rng.normal(size=(n, n * n)) * f2_scale)
     ode = make_ode(n, F1, F2, rng.normal(size=n) * 0.3)
     return ode, assemble_A(ode, c)
 
@@ -92,7 +92,7 @@ def test_solve_4x4_forward_substitution_by_hand():
 
 
 def test_zero_matrix_pure_copying():
-    A = SparseMatrix.zeros(3, 3).csr
+    A = SparseMatrix.from_triplets(3, 3, []).csr
     params = tiny_params(N=3, m=2, k=2, p=2, h=0.5)
     C = assemble_C(A, params)
     y = np.array([1.0, -2.0, 3.0])
@@ -178,7 +178,7 @@ def assert_same_fields(a, b, rtol: float) -> None:
 
 
 def test_unknown_solver_rejected():
-    A = SparseMatrix.zeros(1, 1).csr
+    A = SparseMatrix.from_triplets(1, 1, []).csr
     params = tiny_params(N=1, m=1, k=1, p=1, h=0.0)
     C = assemble_C(A, params)
     with pytest.raises(ValidationError):
@@ -190,7 +190,7 @@ def test_unknown_solver_rejected():
 def test_solve_refuses_a_nan_residual_or_a_non_finite_norm(monkeypatch, norm_sq, residual):
     # the copy tail adds (p+1) ||x_{m,0}||^2 to ||x||^2 with no row check of its
     # own, and NaN compares False with any target
-    A = SparseMatrix.zeros(1, 1).csr
+    A = SparseMatrix.from_triplets(1, 1, []).csr
     params = tiny_params(N=1, m=1, k=1, p=1, h=1.0)
     C = assemble_C(A, params)
     monkeypatch.setattr(marching, "_forward_fold", lambda C, y: (
@@ -259,7 +259,7 @@ def random_A(N: int, seed: int, normal: bool) -> sp.csr_array:
         # strictly upper part makes it non-normal; sparsify the rest
         dense = np.triu(rng.normal(size=(N, N)) * 2.0, 1) - np.diag(rng.uniform(0.5, 1.5, N))
         dense[rng.random((N, N)) < 0.4] = 0.0
-    return SparseMatrix.from_dense(dense).csr
+    return SparseMatrix(dense).csr
 
 
 OPERATOR_CASES = [
@@ -320,7 +320,7 @@ def test_tocsr_keeps_zero_couplings_and_a_zero_A():
     A, params = operator_case(OPERATOR_CASES[1])
     # h = 0 makes every coupling -A h/j zero; they stay stored, as in the oracle
     for A, params in ((A, dataclasses.replace(params, h=0.0)),
-                      (SparseMatrix.zeros(3, 3).csr, params)):
+                      (SparseMatrix.from_triplets(3, 3, []).csr, params)):
         C = assemble_C(A, params)
         assert_same_csr(C.tocsr(), reference_C(A, params))
         assert C.tocsr().nnz == C.nnz
@@ -816,7 +816,7 @@ def test_select_parameters_rejects_g_below_one():
 def test_condition_bound_formula_value():
     # m=3, k=5, p=3, c=2: 2 e sqrt(5) (3*6+3) (2+2)
     params = tiny_params(N=1, m=3, k=5, p=3, h=0.1, c=2)
-    A = SparseMatrix.zeros(1, 1).csr
+    A = SparseMatrix.from_triplets(1, 1, []).csr
     C = assemble_C(A, params)
     rep = condition_report(C, exp_norm_precondition_ok=True)
     assert rep["bound"] == pytest.approx(1021.1481756733905, rel=1e-12)
@@ -835,7 +835,7 @@ def test_condition_4x4_measured_under_bound():
 
 def test_condition_identity_like():
     # A = 0 reduces all couplings to copies; kappa stays small
-    A = SparseMatrix.zeros(2, 2).csr
+    A = SparseMatrix.from_triplets(2, 2, []).csr
     params = tiny_params(N=2, m=1, k=1, p=1, h=1.0)
     C = assemble_C(A, params)
     rep = condition_report(C, exp_norm_precondition_ok=True)

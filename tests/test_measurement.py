@@ -36,7 +36,7 @@ def tiny_params(N, m, k, p, h, c=0, g=1.0):
 
 def test_postselect_linear_c0_full_level0_mass():
     F1 = SparseMatrix.from_triplets(2, 2, [(0, 0, -1.0), (1, 1, -2.0)])
-    F2 = SparseMatrix.zeros(2, 4)
+    F2 = SparseMatrix.from_triplets(2, 4, [])
     ode = make_ode(2, F1, F2, [0.3, 0.4])
     nl = compute_K(ode)
     sys = assemble_A(ode, 0)

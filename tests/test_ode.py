@@ -9,7 +9,6 @@ import pytest
 import hpmsim
 from hpmsim.errors import NumericalError, ValidationError
 from hpmsim.ode import (
-    QuadraticODE,
     compute_K,
     default_dt,
     make_ode,
@@ -36,7 +35,7 @@ def test_compute_K_std1():
 
 def test_compute_K_linear():
     F1 = SparseMatrix.from_triplets(2, 2, [(0, 0, -1.0), (1, 1, -3.0)])
-    F2 = SparseMatrix.zeros(2, 4)
+    F2 = SparseMatrix.from_triplets(2, 4, [])
     nl = compute_K(make_ode(2, F1, F2, [0.3, 0.1]))
     assert nl.K == 0.0
 
@@ -46,14 +45,14 @@ def test_compute_K_cross_checked_with_svd():
     F2 = SparseMatrix.from_triplets(2, 4, [(0, 1, 0.3), (1, 2, -0.2), (0, 3, 0.1)])
     u_in = np.array([0.3, 0.1])
     nl = compute_K(make_ode(2, F1, F2, u_in))
-    norm_f2 = np.linalg.svd(F2.to_dense(), compute_uv=False)[0]
+    norm_f2 = np.linalg.svd(F2.csr.toarray(), compute_uv=False)[0]
     expected = 4.0 * np.linalg.norm(u_in) * norm_f2 / 1.0
     assert nl.K == pytest.approx(expected, abs=1e-8)
 
 
 def test_not_dissipative_rejected():
     F1 = SparseMatrix.from_triplets(1, 1, [(0, 0, 0.5)])
-    F2 = SparseMatrix.zeros(1, 1)
+    F2 = SparseMatrix.from_triplets(1, 1, [])
     with pytest.raises(ValidationError, match="dissipative"):
         make_ode(1, F1, F2, [1.0])
 
@@ -61,7 +60,7 @@ def test_not_dissipative_rejected():
 def test_non_normal_rejected():
     # [[-1, 5], [0, -1]]: stable but far from normal
     F1 = SparseMatrix.from_triplets(2, 2, [(0, 0, -1.0), (0, 1, 5.0), (1, 1, -1.0)])
-    F2 = SparseMatrix.zeros(2, 4)
+    F2 = SparseMatrix.from_triplets(2, 4, [])
     with pytest.raises(ValidationError, match="normal"):
         make_ode(2, F1, F2, [1.0, 0.0])
 
@@ -70,16 +69,16 @@ def test_normal_F1_with_complex_eigenvalues_is_accepted():
     # [[-1, 2], [-2, -1]] is normal with eigenvalues -1 +- 2i
     F1 = SparseMatrix.from_triplets(2, 2, [(0, 0, -1.0), (0, 1, 2.0), (1, 0, -2.0),
                                            (1, 1, -1.0)])
-    ode = make_ode(2, F1, SparseMatrix.zeros(2, 4), [0.3, 0.1])
+    ode = make_ode(2, F1, SparseMatrix.from_triplets(2, 4, []), [0.3, 0.1])
     assert sorted(ode.eigs_F1.imag) == pytest.approx([-2.0, 2.0])
     assert ode.norm_F1 == pytest.approx(math.sqrt(5.0), rel=1e-15)
     assert compute_K(ode).re_lambda1 == pytest.approx(-1.0)
 
 
-def test_directly_built_instance_carries_the_spectrum_of_F1(monkeypatch):
+def test_instance_carries_the_spectrum_of_F1(monkeypatch):
     F1 = SparseMatrix.from_triplets(2, 2, [(0, 0, -1.0), (1, 1, -4.0)])
     F2 = SparseMatrix.from_triplets(2, 4, [(0, 1, 0.3)])
-    ode = QuadraticODE(n=2, F1=F1, F2=F2, u_in=np.array([0.3, 0.1]))
+    ode = make_ode(2, F1, F2, [0.3, 0.1])
     assert ode.norm_F1 == 4.0
     assert sorted(ode.eigs_F1.real) == [-4.0, -1.0]
     assert default_dt(ode, 100.0) == 1.0 / 40.0
@@ -88,14 +87,23 @@ def test_directly_built_instance_carries_the_spectrum_of_F1(monkeypatch):
     assert rescale(ode, 2.0).norm_F1 == 4.0
 
 
+def test_spectrum_refused_over_the_dense_cap():
+    # F1's spectrum is taken from a dense F1, so n^2 over the cap is refused
+    F1 = SparseMatrix.from_triplets(3, 3, [(i, i, -1.0) for i in range(3)])
+    F2 = SparseMatrix.from_triplets(3, 9, [])
+    with pytest.raises(ValidationError, match="dense oracle refused: 3x3 exceeds cap of 8"):
+        make_ode(3, F1, F2, [0.1, 0.2, 0.3], dense_cap=8)
+    assert make_ode(3, F1, F2, [0.1, 0.2, 0.3], dense_cap=9).norm_F1 == 1.0
+
+
 def test_log_norm_of_F1():
     # mu(F1) = lambda_max((F1 + F1^T)/2): the spectral abscissa of a normal
     # F1, and above it for a non-normal one, here 0.5 against -1
-    normal = QuadraticODE(n=2, F1=SparseMatrix.from_triplets(2, 2, [(0, 0, -1.0), (1, 1, -4.0)]),
-                          F2=SparseMatrix.zeros(2, 4), u_in=np.array([0.3, 0.1]))
+    normal = make_ode(2, SparseMatrix.from_triplets(2, 2, [(0, 0, -1.0), (1, 1, -4.0)]),
+                      SparseMatrix.from_triplets(2, 4, []), [0.3, 0.1])
     assert normal.log_norm_F1 == pytest.approx(-1.0, rel=1e-15)
     F1 = SparseMatrix.from_triplets(2, 2, [(0, 0, -1.0), (0, 1, 3.0), (1, 1, -1.0)])
-    ode = make_ode(2, F1, SparseMatrix.zeros(2, 4), [0.3, 0.2], assume_valid=True)
+    ode = make_ode(2, F1, SparseMatrix.from_triplets(2, 4, []), [0.3, 0.2], assume_valid=True)
     assert ode.log_norm_F1 == pytest.approx(0.5, rel=1e-15)
     assert rescale(ode, 2.0).log_norm_F1 == ode.log_norm_F1
 
@@ -104,7 +112,7 @@ def test_rescale_identity():
     ode = std1()
     same = rescale(ode, 1.0)
     assert np.array_equal(same.u_in, ode.u_in)
-    assert np.array_equal(same.F2.to_dense(), ode.F2.to_dense())
+    assert np.array_equal(same.F2.csr.toarray(), ode.F2.csr.toarray())
 
 
 def test_rescale_std1_numbers():
@@ -134,7 +142,7 @@ def test_rescale_solution_equivalence():
 
 def test_reference_linear_exact():
     F1 = SparseMatrix.from_triplets(1, 1, [(0, 0, -1.0)])
-    F2 = SparseMatrix.zeros(1, 1)
+    F2 = SparseMatrix.from_triplets(1, 1, [])
     ode = make_ode(1, F1, F2, [0.5])
     ref = reference_solution(ode, 1.0)
     assert ref.final()[0] == pytest.approx(0.5 * math.exp(-1.0), abs=1e-10)
@@ -164,10 +172,10 @@ def test_reference_divergence_detected():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_rhs_bit_equal_to_kron_form(n):
     rng = np.random.default_rng(100 + n)
-    F1 = SparseMatrix.from_dense(rng.standard_normal((n, n)))
-    F2 = SparseMatrix.from_dense(rng.standard_normal((n, n * n))
-                                 * (rng.random((n, n * n)) < 0.3))
-    ode = QuadraticODE(n=n, F1=F1, F2=F2, u_in=np.zeros(n))
+    F1 = SparseMatrix(rng.standard_normal((n, n)))
+    F2 = SparseMatrix(rng.standard_normal((n, n * n))
+                      * (rng.random((n, n * n)) < 0.3))
+    ode = make_ode(n, F1, F2, np.zeros(n), assume_valid=True)
     for _ in range(5):
         u = rng.standard_normal(n)
         expected = F1.matvec(u) + F2.matvec(np.kron(u, u))
@@ -199,9 +207,9 @@ def test_dissipative_norm_decay():
     rng = np.random.default_rng(11)
     for trial in range(5):
         diag = -rng.uniform(0.5, 2.0, 2)
-        F1 = SparseMatrix.from_dense(np.diag(diag))
+        F1 = SparseMatrix(np.diag(diag))
         F2d = rng.normal(size=(2, 4)) * 0.05
-        F2 = SparseMatrix.from_dense(F2d)
+        F2 = SparseMatrix(F2d)
         u_in = rng.normal(size=2) * 0.2
         ode = make_ode(2, F1, F2, u_in)
         assert compute_K(ode).K < 1.0

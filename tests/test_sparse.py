@@ -12,6 +12,7 @@ from hpmsim.sparse import (
     SparseMatrix,
     dense_eigs,
     dense_expm,
+    max_line_nnz,
     read_triplets,
     spectral_norm,
     vector_norm,
@@ -21,7 +22,7 @@ from oracles import dense_condition_number
 
 
 def test_spmv_identity():
-    m = SparseMatrix.from_dense(np.eye(3))
+    m = SparseMatrix(np.eye(3))
     v = np.array([1.0, 2.0, 3.0])
     assert np.array_equal(m.matvec(v), v)
 
@@ -39,7 +40,7 @@ def test_spmv_hand_2x2():
 
 
 def test_spmv_dimension_mismatch():
-    m = SparseMatrix.from_dense(np.eye(3))
+    m = SparseMatrix(np.eye(3))
     with pytest.raises(ValidationError):
         m.matvec(np.ones(4))
 
@@ -47,8 +48,8 @@ def test_spmv_dimension_mismatch():
 def test_duplicates_sum_on_finalize():
     dup = SparseMatrix.from_triplets(2, 2, [(0, 1, 1.5), (0, 1, 2.5), (1, 0, -1.0)])
     pre = SparseMatrix.from_triplets(2, 2, [(0, 1, 4.0), (1, 0, -1.0)])
-    assert np.array_equal(dup.to_dense(), pre.to_dense())
-    assert dup.nnz == 2
+    assert np.array_equal(dup.csr.toarray(), pre.csr.toarray())
+    assert dup.csr.nnz == 2
 
 
 @settings(max_examples=50, deadline=None)
@@ -63,12 +64,24 @@ def test_duplicates_sum_matches_presummed(triplets):
         summed[(i, j)] = summed.get((i, j), 0.0) + v
     a = SparseMatrix.from_triplets(5, 5, triplets)
     b = SparseMatrix.from_triplets(5, 5, [(i, j, v) for (i, j), v in summed.items()])
-    assert np.allclose(a.to_dense(), b.to_dense(), atol=1e-12)
+    assert np.allclose(a.csr.toarray(), b.csr.toarray(), atol=1e-12)
 
 
 def test_row_col_counts():
     m = SparseMatrix.from_triplets(3, 3, [(0, 0, 1.0), (0, 2, 1.0), (2, 2, 5.0)])
-    assert m.sparsity() == 2
+    assert max_line_nnz(m.csr) == (2, 2)
+
+
+def test_max_line_nnz_matches_a_dense_count():
+    rng = np.random.default_rng(5)
+    for trial in range(30):
+        rows, cols = (int(x) for x in rng.integers(0, 7, size=2))
+        dense = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < 0.4)
+        dense[rng.random(rows) < 0.3] = 0.0          # some empty rows
+        dense[:, rng.random(cols) < 0.3] = 0.0       # and some empty columns
+        nz = dense != 0
+        want = (int(nz.sum(axis=1).max(initial=0)), int(nz.sum(axis=0).max(initial=0)))
+        assert max_line_nnz(SparseMatrix(dense).csr) == want, trial
 
 
 def test_out_of_bounds_rejected():
@@ -90,7 +103,7 @@ def test_spectral_norm_nilpotent():
 
 def test_spectral_norm_vs_svd_hand_case():
     m = SparseMatrix.from_triplets(2, 2, [(0, 0, -1.0), (0, 1, 0.2), (1, 1, -2.0)])
-    sig = np.linalg.svd(m.to_dense(), compute_uv=False)[0]
+    sig = np.linalg.svd(m.csr.toarray(), compute_uv=False)[0]
     assert spectral_norm(m.csr, tol=1e-12) == pytest.approx(sig, abs=1e-8)
 
 
@@ -100,7 +113,7 @@ def test_spectral_norm_vs_svd_random():
         n = int(rng.integers(1, 9))
         cols = int(rng.integers(1, 9))
         dense = rng.normal(size=(n, cols))
-        m = SparseMatrix.from_dense(dense)
+        m = SparseMatrix(dense)
         sig = np.linalg.svd(dense, compute_uv=False)[0]
         assert spectral_norm(m.csr, tol=1e-12) == pytest.approx(sig, rel=1e-6), trial
 
@@ -108,7 +121,7 @@ def test_spectral_norm_vs_svd_random():
 def test_spectral_norm_scaling_exact():
     m = SparseMatrix.from_triplets(2, 2, [(0, 0, 0.3), (1, 0, -0.4), (0, 1, 1.1)])
     base = spectral_norm(m.csr, tol=1e-12)
-    assert spectral_norm(m.scaled(2.0).csr, tol=1e-12) == pytest.approx(2.0 * base, rel=1e-13)
+    assert spectral_norm(m.csr * 2.0, tol=1e-12) == pytest.approx(2.0 * base, rel=1e-13)
 
 
 def _series_expm(a: np.ndarray, terms: int = 60) -> np.ndarray:
@@ -231,7 +244,7 @@ F1_ORTHOGONAL_START = [[-1.5, 0.5], [0.5, -1.5]]
 
 
 def test_spectral_norm_not_fooled_by_orthogonal_start():
-    m = SparseMatrix.from_dense(F1_ORTHOGONAL_START)
+    m = SparseMatrix(F1_ORTHOGONAL_START)
     assert spectral_norm(m.csr) == pytest.approx(2.0, rel=1e-12)
     assert spectral_norm(np.array(F1_ORTHOGONAL_START)) == pytest.approx(2.0, rel=1e-12)
 
@@ -244,13 +257,13 @@ def test_spectral_norm_certificate_rejects_underestimate(monkeypatch):
 
     monkeypatch.setattr(hpmsim.sparse, "svds", smallest_singular_value)
     with pytest.raises(NumericalError, match="lower bound"):
-        spectral_norm(SparseMatrix.from_dense(F1_ORTHOGONAL_START).csr)
+        spectral_norm(SparseMatrix(F1_ORTHOGONAL_START).csr)
 
 
 def test_spectral_norm_caller_lower_bound_certifies_a_matrix():
     # sqrt(2.5), the largest column norm, passes; a caller's bound above
     # ||M|| = 2 makes the estimate fail its certificate
-    m = SparseMatrix.from_dense(F1_ORTHOGONAL_START)
+    m = SparseMatrix(F1_ORTHOGONAL_START)
     assert spectral_norm(m.csr, lower=1.9) == pytest.approx(2.0, rel=1e-12)
     with pytest.raises(NumericalError, match="lower bound 2.1"):
         spectral_norm(m.csr, lower=2.1)
@@ -278,17 +291,17 @@ def _small_matrices(draw):
 @given(_small_matrices(), st.booleans())
 def test_spectral_norm_matches_svd(arr, as_sparse):
     expected = np.linalg.norm(arr, 2)
-    got = spectral_norm(SparseMatrix.from_dense(arr).csr if as_sparse else arr)
+    got = spectral_norm(SparseMatrix(arr).csr if as_sparse else arr)
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_triplet_roundtrip_empty(tmp_path):
-    m = SparseMatrix.zeros(2, 3)
+    m = SparseMatrix.from_triplets(2, 3, [])
     path = tmp_path / "empty.txt"
     write_triplets(m.csr, path)
     back = read_triplets(path)
-    assert back.rows == 2 and back.cols == 3 and back.nnz == 0
-    assert not back.to_dense().any()
+    assert back.csr.shape == (2, 3) and back.csr.nnz == 0
+    assert not back.csr.toarray().any()
 
 
 def test_triplet_roundtrip(tmp_path):
@@ -296,7 +309,7 @@ def test_triplet_roundtrip(tmp_path):
     path = tmp_path / "m.txt"
     write_triplets(m.csr, path)
     back = read_triplets(path)
-    assert back.rows == 3 and back.cols == 4
-    assert np.array_equal(back.to_dense(), m.to_dense())
+    assert back.csr.shape == (3, 4)
+    assert np.array_equal(back.csr.toarray(), m.csr.toarray())
     header = path.read_text().splitlines()[0]
     assert header == "3 4 3"
