@@ -49,7 +49,10 @@ def _parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", type=Path, help="JSON run configuration")
     ap.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     ap.add_argument("--force", action="store_true",
-                    help="downgrade precondition violations to warnings")
+                    help="downgrade to warnings: c above the exp-norm cap, epsilon over "
+                         "budget, ||A h|| > 1, (k+1)! < Omega for a k override, "
+                         "2m(c+1)(c+2) > (k+1)!; never K >= sqrt(2)/2, ||F2|| > "
+                         "|Re lambda_1| or the dimension, dense and grid caps")
     ap.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub = ap.add_subparsers(dest="command", required=True)
 

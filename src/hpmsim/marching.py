@@ -60,6 +60,18 @@ class OrderSelection:
     certified: bool            # tail bound at c meets epsilon1
     warnings: list[str] = field(default_factory=list)
 
+    @property
+    def exp_norm_ok(self) -> bool:
+        """(c+1)||F2|| <= |Re lambda_1| at c, which keeps ||e^{At}|| <= c+1."""
+        return self.c_cap is None or self.c <= self.c_cap
+
+
+def _refuse(msg: str, force: bool, warnings: list[str], first: bool = False) -> None:
+    """The one force rule: refuse msg, or under force warn of it, first where asked."""
+    if not force:
+        raise ValidationError(msg)
+    warnings.insert(0 if first else len(warnings), msg)
+
 
 def choose_order(K: float, epsilon: float, eta: float, norm_u_in: float,
                  norm_F2: float, re_lambda1: float, c: int | None = None,
@@ -74,10 +86,13 @@ def choose_order(K: float, epsilon: float, eta: float, norm_u_in: float,
     a capped order is flagged as not bound-certified.  An override c above
     the cap is refused unless forced, and then warned of first; an override
     other than the budget's choice is warned of; and an override is
-    certified on its own tail bound.
+    certified on its own tail bound.  K >= sqrt(2)/2 is refused, forced or not.
     """
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
+    if K >= SQRT_HALF:
+        raise ValidationError(f"nonlinearity too strong: K = {K:.4g} >= sqrt(2)/2; "
+                              "the post-selection bound is unavailable")
     if K == 0.0:
         sel = OrderSelection(c=0, c_formula=0, c_scan=0, c_required=0,
                              c_cap=None, epsilon1=0.0, eta_prime=0.0,
@@ -86,62 +101,49 @@ def choose_order(K: float, epsilon: float, eta: float, norm_u_in: float,
         sel = _budget_order(K, epsilon, eta, norm_u_in, norm_F2, re_lambda1, force)
     if c is None:
         return sel
-    if sel.c_cap is not None and c > sel.c_cap:
-        msg = (f"override c = {c} violates the exponential-norm precondition "
-               f"(largest admissible order is {sel.c_cap})")
-        if not force:
-            raise ValidationError(msg)
-        sel.warnings.insert(0, msg)
+    chosen = replace(sel, c=c, certified=truncation_bound(K, c) <= sel.epsilon1)
+    if not chosen.exp_norm_ok:
+        _refuse(f"override c = {c} violates the exponential-norm precondition "
+                f"(largest admissible order is {sel.c_cap})", force, chosen.warnings,
+                first=True)
     if c != sel.c:
-        sel.warnings.append(f"order override: using c = {c}, budget selection was {sel.c}")
-    return replace(sel, c=c, certified=truncation_bound(K, c) <= sel.epsilon1)
+        chosen.warnings.append(f"order override: using c = {c}, budget selection was {sel.c}")
+    return chosen
 
 
 def _budget_order(K: float, epsilon: float, eta: float, norm_u_in: float,
                   norm_F2: float, re_lambda1: float, force: bool) -> OrderSelection:
-    """The budget's order for 0 < K, capped by the exponential-norm precondition."""
+    """The budget's order for 0 < K < sqrt(2)/2, capped by the exp-norm precondition."""
     warnings: list[str] = []
-    if K >= SQRT_HALF:
-        raise ValidationError(
-            f"nonlinearity too strong: K = {K:.4g} >= sqrt(2)/2; "
-            "the post-selection bound is unavailable"
-        )
     eta_prime = eta * K / norm_u_in
     eps_budget = 0.1 * math.sqrt(1.0 - 2.0 * K * K) / eta_prime
     if epsilon > eps_budget:
-        msg = (f"epsilon = {epsilon:.4g} exceeds the admissible budget "
-               f"0.1 sqrt(1-2K^2)/eta' = {eps_budget:.4g}")
-        if not force:
-            raise ValidationError(msg)
-        warnings.append(msg)
+        _refuse(f"epsilon = {epsilon:.4g} exceeds the admissible budget "
+                f"0.1 sqrt(1-2K^2)/eta' = {eps_budget:.4g}", force, warnings)
     epsilon1 = epsilon * K / (4.0 * eta_prime)
     arg = 4.0 * norm_u_in / ((1.0 - K) * epsilon * eta)
     c_formula = max(0, math.ceil(math.log(arg) / math.log(1.0 / K))) if arg > 1 else 0
     c_scan = min_order_for_bound(K, epsilon1)
     c_required = max(c_formula, c_scan)
-    if norm_F2 > 0:
-        c_cap = int(math.floor(abs(re_lambda1) * (1 + 1e-12) / norm_F2)) - 1
-    else:
-        c_cap = None
+    c_cap = (int(math.floor(abs(re_lambda1) * (1 + 1e-12) / norm_F2)) - 1
+             if norm_F2 > 0 else None)
     if c_cap is not None and c_cap < 0:
         raise ValidationError(
             f"||F2|| = {norm_F2:.4g} exceeds |Re lambda_1| = {abs(re_lambda1):.4g}: "
             "the exponential-norm precondition fails at every order"
         )
-    c = c_required
-    certified = True
-    if c_cap is not None and c_required > c_cap:
-        c = c_cap
-        certified = False
-        warnings.append(
-            f"order capped at {c_cap} by the exponential-norm precondition "
-            f"(budget wants {c_required}); tail bound "
-            f"{truncation_bound(K, c):.3e} exceeds epsilon1 = {epsilon1:.3e}, "
-            "relying on measured truncation error instead"
-        )
-    return OrderSelection(c=c, c_formula=c_formula, c_scan=c_scan,
-                          c_required=c_required, c_cap=c_cap, epsilon1=epsilon1,
-                          eta_prime=eta_prime, certified=certified, warnings=warnings)
+    sel = OrderSelection(c=c_required, c_formula=c_formula, c_scan=c_scan,
+                         c_required=c_required, c_cap=c_cap, epsilon1=epsilon1,
+                         eta_prime=eta_prime, certified=True, warnings=warnings)
+    if sel.exp_norm_ok:
+        return sel
+    warnings.append(
+        f"order capped at {c_cap} by the exponential-norm precondition "
+        f"(budget wants {c_required}); tail bound "
+        f"{truncation_bound(K, c_cap):.3e} exceeds epsilon1 = {epsilon1:.3e}, "
+        "relying on measured truncation error instead"
+    )
+    return replace(sel, c=c_cap, certified=False)
 
 
 @dataclass
@@ -162,6 +164,16 @@ class TaylorSystemParams:
     N: int
     hpm_budget_certified: bool = True
     warnings: list[str] = field(default_factory=list)
+
+    @property
+    def contract_ok(self) -> bool:
+        """||A h|| <= 1, the per-step contract (Berry et al., CMP 356, 2017)."""
+        return self.norm_A * self.h <= 1.0 + 1e-9
+
+    @property
+    def factorial_ok(self) -> bool:
+        """2m(c+1)(c+2) <= (k+1)!, the margin of the step-error bound."""
+        return 2.0 * self.m * (self.c + 1) * (self.c + 2) <= math.factorial(self.k + 1)
 
 
 def taylor_order_for(Omega: float) -> int:
@@ -197,18 +209,11 @@ def select_parameters(nl: NonlinearityParams, sel: OrderSelection, sys: Embedded
     if sys.index.c != c:
         raise ValidationError(f"embedding assembled at order {sys.index.c}, "
                               f"not at the selected order {c}")
-    warnings: list[str] = []
     m = step_counts(T, sys.norm_A)[0] if m is None else m
     p = m if p is None else p
     if m < 1 or p < 1:
         raise ValidationError("m and p must be positive")
     h = T / m if T > 0 else 0.0
-    if sys.norm_A * h > 1.0 + 1e-9:
-        msg = f"||A h|| = {sys.norm_A * h:.4g} > 1 breaks the per-step contract"
-        if not force:
-            raise ValidationError(msg)
-        warnings.append(msg)
-
     scale = sel.eta_prime if sel.eta_prime > 0 else 1.0
     if delta is None:
         delta = epsilon * math.sqrt(max(1.0 - 2.0 * nl.K ** 2, 0.0)) / (
@@ -219,28 +224,24 @@ def select_parameters(nl: NonlinearityParams, sel: OrderSelection, sys: Embedded
             f"solver budget degenerated to delta = {delta} (K = {nl.K:.4g})"
         )
     Omega = 50.0 * m * (c + 1) * (c + 2) * g / delta
-    if k is not None:
-        if math.factorial(k + 1) < Omega:
-            msg = f"override k = {k} violates (k+1)! >= Omega = {Omega:.4g}"
-            if not force:
-                raise ValidationError(msg)
-            warnings.append(msg)
-    else:
-        k = taylor_order_for(Omega)
-        if math.factorial(k + 1) < Omega:
-            raise ValidationError("Taylor order selection failed its own postcondition")
-    if 2.0 * m * (c + 1) * (c + 2) > math.factorial(k + 1):
-        msg = f"step-error precondition 2m(c+1)(c+2) <= (k+1)! fails at k = {k}"
-        if not force:
-            raise ValidationError(msg)
-        warnings.append(msg)
-    d = m * (k + 1) + p
-    return TaylorSystemParams(
-        c=c, h=h, m=m, k=k, p=p, d=d, delta=delta, epsilon1=sel.epsilon1,
+    # taylor_order_for meets (k+1)! >= Omega; only an override can miss it
+    k_short = k is not None and math.factorial(k + 1) < Omega
+    k = taylor_order_for(Omega) if k is None else k
+    params = TaylorSystemParams(
+        c=c, h=h, m=m, k=k, p=p, d=m * (k + 1) + p, delta=delta, epsilon1=sel.epsilon1,
         Omega=Omega, g_est=g, eta_est=eta, eta_prime=sel.eta_prime,
-        norm_A=sys.norm_A, N=sys.index.N,
-        hpm_budget_certified=sel.certified, warnings=warnings,
+        norm_A=sys.norm_A, N=sys.index.N, hpm_budget_certified=sel.certified,
     )
+    if not params.contract_ok:
+        _refuse(f"||A h|| = {sys.norm_A * h:.4g} > 1 breaks the per-step contract",
+                force, params.warnings)
+    if k_short:
+        _refuse(f"override k = {k} violates (k+1)! >= Omega = {Omega:.4g}",
+                force, params.warnings)
+    if not params.factorial_ok:
+        _refuse(f"step-error precondition 2m(c+1)(c+2) <= (k+1)! fails at k = {k}",
+                force, params.warnings)
+    return params
 
 
 class MarchingOperator(spla.LinearOperator):
@@ -583,17 +584,13 @@ def condition_report(C: MarchingOperator, exp_norm_precondition_ok: bool,
     the inverse that its SuperLU factor applies, each certified from below:
     ||C|| by its row and column norms, ||C^{-1}|| by ||C^{-1} b|| / ||b|| for
     the all-ones probe b.  Measured while size^2 stays under the dense cap,
-    which bounds the cost of both; above it C is never assembled.
+    which bounds the cost of both; above it C is never assembled.  The
+    precondition joins C.params' verdicts `contract_ok` and `factorial_ok`,
+    k >= 5 and the order selection's exp-norm verdict.
     """
     params = C.params
     m, k, p, c = params.m, params.k, params.p, params.c
     bound = 2.0 * math.e * math.sqrt(k) * (m * (k + 1) + p) * (c + 2)
-    preconditions = {
-        "norm_Ah_le_1": params.norm_A * params.h <= 1.0 + 1e-9,
-        "k_ge_5": k >= 5,
-        "factorial_margin": 2.0 * m * (c + 1) * (c + 2) <= math.factorial(k + 1),
-        "exp_norm_bound": exp_norm_precondition_ok,
-    }
     size = C.shape[0]
     measured = None
     if size * size <= dense_cap:
@@ -607,7 +604,6 @@ def condition_report(C: MarchingOperator, exp_norm_precondition_ok: bool,
     return {
         "bound": bound,
         "measured": measured,
-        "precondition_ok": all(preconditions.values()),
-        "preconditions": preconditions,
-        "pass": measured is None or measured <= bound,
+        "precondition_ok": (params.contract_ok and k >= 5 and params.factorial_ok
+                            and exp_norm_precondition_ok),
     }

@@ -18,7 +18,7 @@ import numpy as np
 from .embedding import EmbeddingIndexMap
 from .errors import ValidationError
 from .marching import MarchingSolution
-from .ode import SQRT_HALF, NonlinearityParams
+from .ode import NonlinearityParams
 from .sparse import DENSE_ORACLE_CAP, dense_expm, spectral_norm, sum_sq, vector_norm
 
 
@@ -85,7 +85,7 @@ def postselect(sol: MarchingSolution, index: EmbeddingIndexMap,
         p1_precondition_ok=bool(p1_pre),
         chi0_sq=chi0_sq,
         chi0_bound=chi0_bound,
-        chi0_precondition_ok=K < SQRT_HALF,
+        chi0_precondition_ok=not nl.flag_K_large,
         u_out=level0 / math.sqrt(level0_sq),
         eta_prime=eta_prime,
         level_group_norms_sq=groups_sq,
@@ -125,15 +125,15 @@ class ErrorBudget:
 def final_error(report: MeasurementReport, u_exact: np.ndarray,
                 utilde_T: np.ndarray, epsilon1: float, K: float) -> ErrorBudget:
     """Measured normalized error, split into truncation and solve parts."""
-    nrm = float(np.linalg.norm(u_exact))
+    nrm = float(vector_norm(u_exact))
     if nrm == 0.0:
         raise ValidationError("exact solution has zero norm")
     u_hat = u_exact / nrm
     ut_nrm = vector_norm(utilde_T)
     ut_hat = utilde_T / ut_nrm if ut_nrm > 0 else u_hat
-    err = float(np.linalg.norm(report.u_out - u_hat))
-    hpm = float(np.linalg.norm(ut_hat - u_hat))
-    solve = float(np.linalg.norm(report.u_out - ut_hat))
+    err = float(vector_norm(report.u_out - u_hat))
+    hpm = float(vector_norm(ut_hat - u_hat))
+    solve = float(vector_norm(report.u_out - ut_hat))
     # normalized-difference bound with alpha = ||u(T)|| = K/eta', beta = eps1
     hpm_bound = 2.0 * report.eta_prime * epsilon1 / K if K > 0 else 0.0
     return ErrorBudget(final_error=err, hpm_part=hpm, solve_part=solve,

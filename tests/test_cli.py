@@ -10,6 +10,7 @@ import pytest
 
 import hpmsim
 import hpmsim.marching
+import hpmsim.pipeline
 from hpmsim.cli import main
 from hpmsim.errors import NumericalError
 from hpmsim.pipeline import RunConfig, generate_instance, run
@@ -49,6 +50,71 @@ def test_run_exit_code_validation(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(bad))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"]) == 2
+
+
+# the five refusals that force downgrades, each alone on std1: the config,
+# the stage that refuses it and the start of its message
+DOWNGRADABLE = [
+    ({"c": 5}, "order", "override c = 5 violates the exponential-norm"),
+    ({"epsilon": 0.5}, "order", "epsilon = 0.5 exceeds the admissible budget"),
+    ({"m": 2}, "parameters", "||A h|| = 2.306 > 1 breaks the per-step contract"),
+    ({"k": 3}, "parameters", "override k = 3 violates (k+1)! >= Omega"),
+    # a loose tol keeps k = 3 above Omega, so the factorial margin fails alone
+    ({"k": 3, "tol": 1000.0}, "parameters", "step-error precondition 2m(c+1)(c+2)"),
+]
+CAPPED = ("order capped at 3 by the exponential-norm precondition (budget wants 8); "
+          "tail bound 1.707e-02 exceeds epsilon1 = 3.927e-04, relying on measured "
+          "truncation error instead")
+
+
+@pytest.mark.parametrize("extra,stage,message", DOWNGRADABLE)
+def test_each_downgradable_refusal_exits_2_in_its_stage(tmp_path, capsys, extra, stage,
+                                                        message):
+    cfg = tmp_path / "std1.json"
+    cfg.write_text(json.dumps({**STD1, **extra}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"validation failure in stage {stage}: {message}")
+    rep = run(RunConfig.from_dict({**STD1, **extra, "force": True}))
+    assert sum(w.startswith(message) for w in rep.warnings) == 1
+
+
+def test_forced_warnings_keep_their_order():
+    rep = run(RunConfig.from_dict({**STD1, "c": 4, "m": 3, "k": 2, "epsilon": 0.5,
+                                   "force": True}))
+    assert rep.warnings == [
+        "override c = 4 violates the exponential-norm precondition "
+        "(largest admissible order is 3)",
+        "epsilon = 0.5 exceeds the admissible budget 0.1 sqrt(1-2K^2)/eta' = 0.03238",
+        "order override: using c = 4, budget selection was 3",
+        "||A h|| = 1.93 > 1 breaks the per-step contract",
+        "override k = 2 violates (k+1)! >= Omega = 9.656e+07",
+        "step-error precondition 2m(c+1)(c+2) <= (k+1)! fails at k = 2",
+    ]
+    # the cap's override warning goes first, before the cap's own
+    rep = run(RunConfig.from_dict({**STD1, "c": 5, "force": True}))
+    assert rep.warnings == [
+        "override c = 5 violates the exponential-norm precondition "
+        "(largest admissible order is 3)",
+        CAPPED, "order override: using c = 5, budget selection was 3"]
+    rep = run(RunConfig.from_dict({**STD1, "k": 3, "force": True}))
+    assert rep.warnings == [CAPPED, "override k = 3 violates (k+1)! >= Omega = 6.922e+09",
+                            "step-error precondition 2m(c+1)(c+2) <= (k+1)! fails at k = 3"]
+
+
+@pytest.mark.parametrize("force", [[], ["--force"]])
+def test_strong_nonlinearity_is_refused_before_the_reference_forced_or_not(
+        tmp_path, capsys, monkeypatch, force):
+    def no_reference(*args, **kwargs):
+        raise AssertionError("the reference ran")
+
+    monkeypatch.setattr(hpmsim.pipeline, "reference_solution", no_reference)
+    cfg = tmp_path / "k2.json"
+    cfg.write_text(json.dumps({**STD1, "F2_triplets": [[0, 0, 0.5]], "u_in": [1.0]}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), *force, "run"]) == 2
+    assert capsys.readouterr().err == (
+        "validation failure in stage nonlinearity: K = 2 >= sqrt(2)/2: the level-0 "
+        "post-selection bound needs K < sqrt(2)/2\n")
 
 
 @pytest.mark.parametrize("u_in", [[float("nan")], ["0.5"], [0.0], [1e-300]])

@@ -657,14 +657,13 @@ def test_condition_report_takes_no_product_through_the_operator(monkeypatch):
     for name in ("_matvec", "_taylor", "march"):
         monkeypatch.setattr(MarchingOperator, name, refuse)
     got = condition_report(C, exp_norm_precondition_ok=True)
-    assert got == want and got["measured"] is not None
+    assert got == want and got["measured"] is not None and got["precondition_ok"]
     # over the cap C is never assembled, and the row is skipped
     monkeypatch.setattr(MarchingOperator, "tocsr", refuse)
     size = C.shape[0]
     skipped = condition_report(C, exp_norm_precondition_ok=True,
                                dense_cap=size * size - 1)
-    assert skipped["measured"] is None and skipped["pass"]
-    assert skipped["bound"] == want["bound"]
+    assert skipped == {"bound": want["bound"], "measured": None, "precondition_ok": True}
 
 
 def test_spectral_norm_of_operator_needs_lower_bound():
@@ -830,7 +829,20 @@ def test_condition_4x4_measured_under_bound():
     rep = condition_report(C, exp_norm_precondition_ok=True)
     assert rep["measured"] == pytest.approx(6.332670303617229, rel=1e-9)
     assert rep["measured"] <= 2 * math.e * math.sqrt(1) * 3 * 2
-    assert not rep["preconditions"]["k_ge_5"]
+    # k = 1 misses both k >= 5 and the margin: 2m(c+1)(c+2) = 4 > (k+1)! = 2
+    assert not rep["precondition_ok"]
+
+
+def test_condition_precondition_needs_k_ge_5():
+    # m = 1, c = 0: 2m(c+1)(c+2) = 4 <= (k+1)! at k = 4 and 5, ||A h|| = 0 and
+    # the exp-norm verdict holds, so k >= 5 is the one precondition that moves
+    A = SparseMatrix.from_triplets(1, 1, []).csr
+    for k, ok in ((4, False), (5, True)):
+        params = tiny_params(N=1, m=1, k=k, p=1, h=1.0)
+        assert params.contract_ok and params.factorial_ok
+        rep = condition_report(assemble_C(A, params), exp_norm_precondition_ok=True)
+        assert rep["precondition_ok"] is ok, k
+        assert sorted(rep) == ["bound", "measured", "precondition_ok"]
 
 
 def test_condition_identity_like():

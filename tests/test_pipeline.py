@@ -197,6 +197,30 @@ def test_final_error_has_one_verdict_within_the_slack(monkeypatch):
     assert rep.errors["pass"] is True
 
 
+def test_final_error_takes_scaled_norms_where_the_reference_does():
+    # ||u(T)|| ~ 2.8e-165: its square underflows, so an unscaled norm reads 0
+    # where the reference stage's scaled one does not
+    rep = run(RunConfig.from_dict({**STD1, "T": 25, "u_in": [2e-154], "force": True}))
+    assert rep.status == "pass"
+    assert rep.errors["final_error"] <= rep.errors["epsilon"]
+
+
+@pytest.mark.parametrize("u_in,judged", [(1e-12, True), (1e-17, False), (1e-100, False)])
+def test_truncation_row_is_judged_only_above_the_reference_error(u_in, judged):
+    rep = run(std1_config(u_in=[u_in]))
+    [row] = [r for r in rep.bound_checks if r["check"] == "truncation"]
+    noise = (rep.nonlinearity["zeta"] * rep.errors["reference_error"]
+             * u_in * math.exp(-1.0))
+    # the bound against the reference's own error on zeta u(T), ||u(T)|| within
+    # 1% of u_in e^-T at this K
+    assert (row["bound"] > 1.01 * noise) is judged
+    assert (row["bound"] > 0.99 * noise) is judged
+    assert row["precondition_ok"] is judged
+    assert row["measured"] is not None and row["pass"]
+    assert ("not judged" in row["note"]) is not judged
+    assert rep.status == "pass"
+
+
 def test_reference_stage_samples_only_T():
     # one grid step: DOP853 takes the same steps, so u(T) and the error
     # estimate are those of the default grid of 1,000 steps bit for bit
