@@ -59,7 +59,7 @@ def solve_cascade(ode: QuadraticODE, c: int, T: float, dt: float | None = None,
     n, m = ode.n, c + 1
     norm_u = float(vector_norm(ode.u_in))
     steps = grid_steps(ode, T, dt) if T > 0 else 0
-    F1, F2 = ode.F1.csr, ode.F2.csr
+    F1, F2 = ode.F1, ode.F2
     pair_sum = np.add.outer(np.arange(m), np.arange(m)).ravel()   # j + l at column j*m + l
     S = (pair_sum == np.arange(m)[:, None] - 1).astype(np.float64)
 

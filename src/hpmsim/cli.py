@@ -71,7 +71,7 @@ def _parser() -> argparse.ArgumentParser:
 
     em = sub.add_parser("embed", help="write the embedding matrix and initial vector")
     em.add_argument("--order", type=int, default=None,
-                    help="truncation order (defaults to the config/selection)")
+                    help="truncation order (else the config's c; one is required)")
 
     sub.add_parser("hpm", help="cascade order norms as CSV (t, i, norm, bound)")
     sub.add_parser("bounds", help="JSON report of every bound check")
@@ -273,8 +273,8 @@ def _cmd_gen(args) -> int:
     }
     RunConfig.from_dict(cfg)    # refuse what `run` would refuse, before writing
     args.out.mkdir(parents=True, exist_ok=True)
-    write_triplets(ode.F1.csr, args.out / "F1.txt")
-    write_triplets(ode.F2.csr, args.out / "F2.txt")
+    write_triplets(ode.F1, args.out / "F1.txt")
+    write_triplets(ode.F2, args.out / "F2.txt")
     (args.out / "instance.json").write_text(json.dumps(cfg, indent=2) + "\n")
     print(f"wrote instance (n={args.n}, s={args.s}, K={args.K}) to {args.out}")
     return EXIT_PASS

@@ -192,7 +192,7 @@ def assemble_A(ode: QuadraticODE, c: int, cap: int = N_CAP) -> EmbeddedSystem:
     <= 1 for every t >= 0.
     """
     index = build_index_map(c, ode.n, cap)
-    n, F1, F2 = ode.n, ode.F1.csr, ode.F2.csr
+    n, F1, F2 = ode.n, ode.F1, ode.F2
     sizes = [index.beta[i] * n ** (i + 1) for i in range(c + 1)]
     # with every block csr, empty ones included, block_array joins the csr
     # arrays directly instead of copying all entries through one COO
@@ -328,7 +328,7 @@ def structural_report(sys: EmbeddedSystem, ode: QuadraticODE, norm_F2: float,
         x = np.zeros(index.N)
         x[lvl] = rng.standard_normal(lvl.stop - lvl.start)
         got = (A @ x)[lvl]
-        want = _kron_sum_apply(ode.F1.csr, x[lvl], index.beta[i], n, i)
+        want = _kron_sum_apply(ode.F1, x[lvl], index.beta[i], n, i)
         # rounding of the i+1 sums of F1 rows stays far below this
         if np.abs(got - want).max() > 1e-10 * (i + 1) * ode.norm_F1 * np.abs(x).max():
             raise BoundViolation(f"diagonal block of level {i} is not I_beta kron "

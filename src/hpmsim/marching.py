@@ -224,6 +224,9 @@ def select_parameters(nl: NonlinearityParams, sel: OrderSelection, sys: Embedded
             f"solver budget degenerated to delta = {delta} (K = {nl.K:.4g})"
         )
     Omega = 50.0 * m * (c + 1) * (c + 2) * g / delta
+    if not math.isfinite(Omega):
+        raise ValidationError(f"Omega = 50 m (c+1)(c+2) g / delta = {Omega} at "
+                              f"delta = {delta:.3g}: no Taylor order meets it")
     # taylor_order_for meets (k+1)! >= Omega; only an override can miss it
     k_short = k is not None and math.factorial(k + 1) < Omega
     k = taylor_order_for(Omega) if k is None else k

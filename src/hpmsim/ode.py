@@ -59,8 +59,8 @@ def f1_spectrum(F1: SparseMatrix, dense_cap: int = DENSE_ORACLE_CAP
     by an exact power of two, so entries such as 1e300 cannot overflow
     them; sigma_1 and mu(F1) are exact to rounding of order eps sigma_1.
     """
-    _check_cap(*F1.csr.shape, dense_cap)
-    d1 = F1.csr.toarray()
+    _check_cap(*F1.shape, dense_cap)
+    d1 = F1.toarray()
     exp = math.frexp(float(np.abs(d1).max(initial=0.0)))[1]
     d1s = np.ldexp(d1, -exp)
     sig = np.linalg.svd(d1s)[1]
@@ -82,13 +82,13 @@ def make_ode(n: int, F1: SparseMatrix, F2: SparseMatrix, u_in,
     passes assume_valid=True.
     """
     u_in = np.asarray(u_in, dtype=np.float64)
-    if F1.csr.shape != (n, n):
+    if F1.shape != (n, n):
         raise ValidationError(f"F1 must be {n}x{n}")
-    if F2.csr.shape != (n, n * n):
+    if F2.shape != (n, n * n):
         raise ValidationError(f"F2 must be {n}x{n * n}")
     if u_in.shape != (n,):
         raise ValidationError(f"u_in must have length {n}")
-    s = max(*max_line_nnz(F1.csr), *max_line_nnz(F2.csr))
+    s = max(*max_line_nnz(F1), *max_line_nnz(F2))
     lam, norm1, mu, departure = f1_spectrum(F1, dense_cap)
     if not assume_valid:
         if departure > 1e-10:
@@ -116,7 +116,7 @@ def compute_K(ode: QuadraticODE) -> NonlinearityParams:
     re1 = float(ode.eigs_F1.real.max())
     if re1 >= 0:
         raise ValidationError(f"not dissipative: max Re(lambda) = {re1:.3e}")
-    norm_f2 = spectral_norm(ode.F2.csr) if ode.F2.csr.nnz else 0.0
+    norm_f2 = spectral_norm(ode.F2) if ode.F2.nnz else 0.0
     norm_u = float(vector_norm(ode.u_in))
     K = 4.0 * norm_u * norm_f2 / abs(re1)
     return NonlinearityParams(
@@ -133,7 +133,7 @@ def rescale(ode: QuadraticODE, zeta: float) -> QuadraticODE:
     """Substitute u -> zeta*u: u_in' = zeta u_in, F2' = F2/zeta. K is invariant."""
     if zeta <= 0:
         raise ValidationError("zeta must be positive")
-    return replace(ode, F2=SparseMatrix(ode.F2.csr * (1.0 / zeta)), u_in=ode.u_in * zeta)
+    return replace(ode, F2=ode.F2 * (1.0 / zeta), u_in=ode.u_in * zeta)
 
 
 @dataclass

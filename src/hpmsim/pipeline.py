@@ -672,8 +672,8 @@ def generate_instance(n: int, s: int, K_target: float, seed: int,
         F2 = SparseMatrix.from_triplets(n, n * n, trips)
         re1 = float(eigs.max())
         target_norm = K_target * abs(re1) / (4.0 * u_norm)
-        current = spectral_norm(F2.csr)
-        F2 = SparseMatrix(F2.csr * (target_norm / current))
+        current = spectral_norm(F2)
+        F2 = F2 * (target_norm / current)
 
     ode = make_ode(n, F1, F2, u_in)
     nl = compute_K(ode)

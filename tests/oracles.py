@@ -137,14 +137,14 @@ def row_pattern_Bm(F1: SparseMatrix, m: int, row: tuple[int, ...]) -> list[tuple
     pattern of the remaining digits under an unchanged leading digit, then
     the post-diagonal leading replacements.
     """
-    n = F1.csr.shape[0]
+    n = F1.shape[0]
     row = tuple(int(d) for d in row)
     if len(row) != m + 1:
         raise ValidationError(f"row needs {m + 1} digits, got {len(row)}")
     if any(d < 0 or d >= n for d in row):
         raise ValidationError(f"digits must lie in [0, {n})")
 
-    indptr, indices = F1.csr.indptr, F1.csr.indices
+    indptr, indices = F1.indptr, F1.indices
     cols_cache: dict[int, list[int]] = {}
 
     def cols_of(j: int) -> list[int]:

@@ -248,7 +248,7 @@ def _kappa_case(n, c, seed, m_target, k, u_norm=1.0):
 def test_criterion5_condition_number_bound():
     results = []
     # hand-checkable 4x4 system
-    A = SparseMatrix.from_triplets(1, 1, [(0, 0, 0.5)]).csr
+    A = SparseMatrix.from_triplets(1, 1, [(0, 0, 0.5)])
     params = TaylorSystemParams(c=0, h=1.0, m=1, k=1, p=1, d=3, delta=1e-10,
                                 epsilon1=0.0, Omega=0.0, g_est=1.0,
                                 eta_est=1.0, eta_prime=0.0, norm_A=0.5, N=1)
@@ -341,7 +341,7 @@ def test_criterion7_structural_identities():
         ode = generate_instance(n=n, s=min(2, n * n), K_target=0.35,
                                 seed=seed, u_norm=1.0)
         sys = assemble_A(ode, c)
-        rep = structural_report(sys, ode, spectral_norm(ode.F2.csr),
+        rep = structural_report(sys, ode, spectral_norm(ode.F2),
                                 compute_K(ode).re_lambda1)
         assert rep["max_re_eigenvalue"] < 0, (n, c)
         # the block structure alone fixes the spectrum: compare with all of A's

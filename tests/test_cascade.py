@@ -43,7 +43,7 @@ def reference_cascade(ode, c: int, T: float, dt: float) -> np.ndarray:
         out = np.empty_like(state)
         for i in range(c + 1):
             acc = ode.F1.matvec(state[i])
-            if i >= 1 and ode.F2.csr.nnz:
+            if i >= 1 and ode.F2.nnz:
                 force = np.zeros(n * n)
                 for j in range(i):
                     force += np.kron(state[j], state[i - 1 - j])

@@ -295,6 +295,15 @@ def test_run_tiny_epsilon_does_not_overflow_the_factorial(tmp_path):
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"]) in (0, 1, 2)
 
 
+def test_run_refuses_an_infinite_Omega_in_stage_parameters(tmp_path, capsys):
+    # tol = 5e-324 is a positive delta, but 50 m (c+1)(c+2) g / delta overflows
+    cfg = tmp_path / "tiny_tol.json"
+    cfg.write_text(json.dumps({**STD1, "tol": 5e-324}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "run"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "validation failure in stage parameters: Omega = 50 m (c+1)(c+2) g / delta = inf")
+
+
 def test_run_huge_F1_refused_by_the_rk4_cap(tmp_path, capsys):
     # squaring F1 = [[-1e300]] in the normality check must not overflow
     cfg = tmp_path / "huge.json"
@@ -388,13 +397,20 @@ def test_embed_outputs(std1_config, tmp_path):
     assert code == 0
     A = read_triplets(out / "A.txt")
     # rescaled system: F2' = 0.2/0.8 = 0.25
-    assert np.array_equal(A.csr.toarray(), np.array([[-1.0, 0.25], [0.0, -2.0]]))
+    assert np.array_equal(A.toarray(), np.array([[-1.0, 0.25], [0.0, -2.0]]))
     y = read_vector(out / "y_in.txt")
     assert y == pytest.approx([0.4, 0.16])
     sidecar = json.loads((out / "embed.json").read_text())
     assert sidecar["N"] == 2
     assert sidecar["beta"] == [1, 1]
     assert sidecar["offsets"] == [0, 1]
+
+
+def test_embed_without_an_order_or_c_is_refused(std1_config, tmp_path, capsys):
+    code = main(["--config", str(std1_config), "--out", str(tmp_path / "out"), "embed"])
+    assert code == 2
+    assert capsys.readouterr().err == ("validation failure: embed needs --order or a c "
+                                       "override in the config\n")
 
 
 def test_embed_reads_triplet_files(tmp_path):
@@ -414,7 +430,7 @@ def test_embed_sidecar_reports_the_norm_bracket(std1_config, tmp_path):
     out = tmp_path / "out"
     assert main(["--config", str(std1_config), "--out", str(out), "embed", "--order", "3"]) == 0
     sidecar = json.loads((out / "embed.json").read_text())
-    A = read_triplets(out / "A.txt").csr.toarray()
+    A = read_triplets(out / "A.txt").toarray()
     assert sidecar["norm_A_lower"] <= np.linalg.norm(A, 2) <= sidecar["norm_A"]
     assert not {"norm_A_upper", "norm_A_tol"} & set(sidecar)
 

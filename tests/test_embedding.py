@@ -187,7 +187,7 @@ def _kron_factor_coo(mat, n: int, slots_left: int, slots_right: int,
                      col_digits: int, row_off: int, col_off: int):
     """Triplets of I_n^(kron slots_left) kron mat kron I_n^(kron slots_right),
     by index arithmetic; mat takes one row digit and col_digits column digits."""
-    coo = mat.csr.tocoo()
+    coo = mat.tocoo()
     n_hi, n_lo = n ** slots_left, n ** slots_right
     base_r = (np.arange(n_hi)[:, None] * n ** (slots_right + 1)
               + np.arange(n_lo)[None, :]).ravel()
@@ -209,7 +209,7 @@ def reference_A(ode, c: int):
             off = index.block_slice(i, j).start
             for k in range(i + 1):
                 parts.append(_kron_factor_coo(ode.F1, n, k, i - k, 1, off, off))
-    if ode.F2.csr.nnz:
+    if ode.F2.nnz:
         if c >= 1:
             for jp in range(index.beta[1]):
                 col_off = index.block_slice(1, jp).start
@@ -258,9 +258,8 @@ def test_assemble_A_matches_reference_bit_for_bit(n, c, kind):
 
 
 def _with_int64_indices(M: SparseMatrix) -> SparseMatrix:
-    csr = M.csr
-    return SparseMatrix(sp.csr_array((csr.data, csr.indices.astype(np.int64),
-                                      csr.indptr.astype(np.int64)), shape=csr.shape))
+    return SparseMatrix((M.data, M.indices.astype(np.int64), M.indptr.astype(np.int64)),
+                        shape=M.shape)
 
 
 @pytest.mark.parametrize("make", [std1, lambda: generate_instance(3, 2, 0.3, 7)])
@@ -291,7 +290,7 @@ def per_slot_A(ode, c: int) -> sp.csr_array:
     """A from one Kronecker product per slot and level, summed over the
     slots: the construction the recurrences in assemble_A replace."""
     index = build_index_map(c, ode.n)
-    n, F1, F2 = ode.n, ode.F1.csr, ode.F2.csr
+    n, F1, F2 = ode.n, ode.F1, ode.F2
     sizes = [index.beta[i] * n ** (i + 1) for i in range(c + 1)]
     blocks = [[sp.csr_array((rows, cols)) for cols in sizes] for rows in sizes]
     for i in range(c + 1):
@@ -303,7 +302,7 @@ def per_slot_A(ode, c: int) -> sp.csr_array:
             blocks[i][i + 1] = sum(
                 sp.kron(_split_matrix(index, i, k), _in_slot(F2, n, k, i), format="csr")
                 for k in range(i + 1))
-    return SparseMatrix(sp.block_array(blocks, format="csr")).csr
+    return sp.block_array(blocks, format="csr")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -408,7 +407,7 @@ def test_structural_report_raises_only_on_the_estimate():
     # the Lanczos estimate then decides, here for A and for 2A
     ode, c = random_ode(2, seed=4), 2
     sys = assemble_A(ode, c)
-    norm_f2, re1 = spectral_norm(ode.F2.csr), compute_K(ode).re_lambda1
+    norm_f2, re1 = spectral_norm(ode.F2), compute_K(ode).re_lambda1
     bound = (c + 1) * (ode.norm_F1 + norm_f2)
     rep = structural_report(dataclasses.replace(sys, norm_A=2 * bound), ode, norm_f2, re1)
     assert rep["norm_A_estimate"] == spectral_norm(sys.A, lower=sys.norm_A_lower)
@@ -439,7 +438,7 @@ def test_structural_report_rejects_entries_off_the_bidiagonal(row_level, col_lev
     structural_report(sys, ode, 0.2, -1.0)
     dense = sys.A.toarray()
     dense[sys.index.offsets[row_level], sys.index.offsets[col_level]] = 1e-3
-    bad = dataclasses.replace(sys, A=SparseMatrix(dense).csr)
+    bad = dataclasses.replace(sys, A=sp.csr_array(dense))
     with pytest.raises(BoundViolation, match="block bidiagonal"):
         structural_report(bad, ode, 0.2, -1.0)
 
@@ -449,14 +448,14 @@ def test_structural_report_rejects_perturbed_diagonal_block(level):
     ode = random_ode(2, seed=5)
     sys = assemble_A(ode, 2)
     re1 = compute_K(ode).re_lambda1
-    structural_report(sys, ode, spectral_norm(ode.F2.csr), re1)
+    structural_report(sys, ode, spectral_norm(ode.F2), re1)
     dense = sys.A.toarray()
     start = sys.index.offsets[level]
     assert dense[start, start] != 0.0
     dense[start, start] += 1e-6
-    bad = dataclasses.replace(sys, A=SparseMatrix(dense).csr)
+    bad = dataclasses.replace(sys, A=sp.csr_array(dense))
     with pytest.raises(BoundViolation, match=f"diagonal block of level {level}"):
-        structural_report(bad, ode, spectral_norm(ode.F2.csr), re1)
+        structural_report(bad, ode, spectral_norm(ode.F2), re1)
 
 
 def test_structural_report_rejects_swapped_kronecker_order():
@@ -464,7 +463,7 @@ def test_structural_report_rejects_swapped_kronecker_order():
     # I_beta kron (F1 kron I + I kron F1)
     ode = random_ode(2, seed=6)
     sys = assemble_A(ode, 2)
-    F1, eye = ode.F1.csr.toarray(), np.eye(2)
+    F1, eye = ode.F1.toarray(), np.eye(2)
     ksum = np.kron(F1, eye) + np.kron(eye, F1)
     beta, lvl = sys.index.beta[1], sys.index.level_slice(1)
     dense = sys.A.toarray()
@@ -472,9 +471,9 @@ def test_structural_report_rejects_swapped_kronecker_order():
     swapped = np.kron(ksum, np.eye(beta))
     assert not np.allclose(swapped, dense[lvl, lvl])
     dense[lvl, lvl] = swapped
-    bad = dataclasses.replace(sys, A=SparseMatrix(dense).csr)
+    bad = dataclasses.replace(sys, A=sp.csr_array(dense))
     with pytest.raises(BoundViolation, match="diagonal block of level 1"):
-        structural_report(bad, ode, spectral_norm(ode.F2.csr), compute_K(ode).re_lambda1)
+        structural_report(bad, ode, spectral_norm(ode.F2), compute_K(ode).re_lambda1)
 
 
 def test_structural_report_probe_orients_nonnormal_blocks():
@@ -482,21 +481,21 @@ def test_structural_report_probe_orients_nonnormal_blocks():
     # level-2 block built from F1^T does not
     ode = nonnormal_ode(3, seed=8)
     sys = assemble_A(ode, 2)
-    args = (spectral_norm(ode.F2.csr), compute_K(ode).re_lambda1)
+    args = (spectral_norm(ode.F2), compute_K(ode).re_lambda1)
     structural_report(sys, ode, *args)
-    F1t = ode.F1.csr.toarray().T
+    F1t = ode.F1.toarray().T
     ksum = sum(np.kron(np.kron(np.eye(3 ** k), F1t), np.eye(3 ** (2 - k))) for k in range(3))
     lvl = sys.index.level_slice(2)
     dense = sys.A.toarray()
     dense[lvl, lvl] = np.kron(np.eye(sys.index.beta[2]), ksum)
-    bad = dataclasses.replace(sys, A=SparseMatrix(dense).csr)
+    bad = dataclasses.replace(sys, A=sp.csr_array(dense))
     with pytest.raises(BoundViolation, match="diagonal block of level 2"):
         structural_report(bad, ode, *args)
 
 
 def test_structural_report_random_instance():
     ode = random_ode(2, seed=3)
-    norm_f2 = spectral_norm(ode.F2.csr)
+    norm_f2 = spectral_norm(ode.F2)
     sys = assemble_A(ode, 2)
     rep = structural_report(sys, ode, norm_f2, compute_K(ode).re_lambda1)
     assert rep["max_re_eigenvalue"] < 0
@@ -508,8 +507,8 @@ def test_structural_report_random_instance():
 
 def brute_force_pattern(F1: SparseMatrix, m: int, row: tuple[int, ...]):
     """Structural pattern of B(m) via dense Kronecker materialization."""
-    n = F1.csr.shape[0]
-    struct = (F1.csr.toarray() != 0).astype(float) + np.eye(n)
+    n = F1.shape[0]
+    struct = (F1.toarray() != 0).astype(float) + np.eye(n)
     total = np.zeros((n ** (m + 1), n ** (m + 1)))
     for j in range(m + 1):
         term = np.eye(n ** j)
@@ -552,7 +551,7 @@ def test_row_pattern_matches_brute_force():
     rng = np.random.default_rng(17)
     F1 = SparseMatrix.from_triplets(3, 3, [
         (0, 0, -1.0), (0, 1, 0.4), (1, 1, -2.0), (2, 0, 0.3), (2, 2, -1.0)])
-    s = max(3, *max_line_nnz(F1.csr))
+    s = max(3, *max_line_nnz(F1))
     for m in range(0, 4):
         for _ in range(5):
             row = tuple(rng.integers(0, 3, size=m + 1).tolist())

@@ -66,7 +66,7 @@ def stable_system(n: int, c: int, seed: int, f2_scale: float = 0.05):
 
 def test_assemble_C_4x4_exact():
     a = 0.5
-    A = SparseMatrix.from_triplets(1, 1, [(0, 0, a)]).csr
+    A = SparseMatrix.from_triplets(1, 1, [(0, 0, a)])
     params = tiny_params(N=1, m=1, k=1, p=1, h=1.0)
     C = assemble_C(A, params)
     expected = np.array([
@@ -81,7 +81,7 @@ def test_assemble_C_4x4_exact():
 
 def test_solve_4x4_forward_substitution_by_hand():
     a, y0 = 0.5, 2.0
-    A = SparseMatrix.from_triplets(1, 1, [(0, 0, a)]).csr
+    A = SparseMatrix.from_triplets(1, 1, [(0, 0, a)])
     params = tiny_params(N=1, m=1, k=1, p=1, h=1.0)
     C = assemble_C(A, params)
     sol = solve_marching(C, np.array([y0]))
@@ -92,7 +92,7 @@ def test_solve_4x4_forward_substitution_by_hand():
 
 
 def test_zero_matrix_pure_copying():
-    A = SparseMatrix.from_triplets(3, 3, []).csr
+    A = SparseMatrix.from_triplets(3, 3, [])
     params = tiny_params(N=3, m=2, k=2, p=2, h=0.5)
     C = assemble_C(A, params)
     y = np.array([1.0, -2.0, 3.0])
@@ -178,7 +178,7 @@ def assert_same_fields(a, b, rtol: float) -> None:
 
 
 def test_unknown_solver_rejected():
-    A = SparseMatrix.from_triplets(1, 1, []).csr
+    A = SparseMatrix.from_triplets(1, 1, [])
     params = tiny_params(N=1, m=1, k=1, p=1, h=0.0)
     C = assemble_C(A, params)
     with pytest.raises(ValidationError):
@@ -190,7 +190,7 @@ def test_unknown_solver_rejected():
 def test_solve_refuses_a_nan_residual_or_a_non_finite_norm(monkeypatch, norm_sq, residual):
     # the copy tail adds (p+1) ||x_{m,0}||^2 to ||x||^2 with no row check of its
     # own, and NaN compares False with any target
-    A = SparseMatrix.from_triplets(1, 1, []).csr
+    A = SparseMatrix.from_triplets(1, 1, [])
     params = tiny_params(N=1, m=1, k=1, p=1, h=1.0)
     C = assemble_C(A, params)
     monkeypatch.setattr(marching, "_forward_fold", lambda C, y: (
@@ -259,7 +259,7 @@ def random_A(N: int, seed: int, normal: bool) -> sp.csr_array:
         # strictly upper part makes it non-normal; sparsify the rest
         dense = np.triu(rng.normal(size=(N, N)) * 2.0, 1) - np.diag(rng.uniform(0.5, 1.5, N))
         dense[rng.random((N, N)) < 0.4] = 0.0
-    return SparseMatrix(dense).csr
+    return sp.csr_array(dense)
 
 
 OPERATOR_CASES = [
@@ -320,7 +320,7 @@ def test_tocsr_keeps_zero_couplings_and_a_zero_A():
     A, params = operator_case(OPERATOR_CASES[1])
     # h = 0 makes every coupling -A h/j zero; they stay stored, as in the oracle
     for A, params in ((A, dataclasses.replace(params, h=0.0)),
-                      (SparseMatrix.from_triplets(3, 3, []).csr, params)):
+                      (SparseMatrix.from_triplets(3, 3, []), params)):
         C = assemble_C(A, params)
         assert_same_csr(C.tocsr(), reference_C(A, params))
         assert C.tocsr().nnz == C.nnz
@@ -815,7 +815,7 @@ def test_select_parameters_rejects_g_below_one():
 def test_condition_bound_formula_value():
     # m=3, k=5, p=3, c=2: 2 e sqrt(5) (3*6+3) (2+2)
     params = tiny_params(N=1, m=3, k=5, p=3, h=0.1, c=2)
-    A = SparseMatrix.from_triplets(1, 1, []).csr
+    A = SparseMatrix.from_triplets(1, 1, [])
     C = assemble_C(A, params)
     rep = condition_report(C, exp_norm_precondition_ok=True)
     assert rep["bound"] == pytest.approx(1021.1481756733905, rel=1e-12)
@@ -823,7 +823,7 @@ def test_condition_bound_formula_value():
 
 def test_condition_4x4_measured_under_bound():
     a = 0.5
-    A = SparseMatrix.from_triplets(1, 1, [(0, 0, a)]).csr
+    A = SparseMatrix.from_triplets(1, 1, [(0, 0, a)])
     params = tiny_params(N=1, m=1, k=1, p=1, h=1.0)
     C = assemble_C(A, params)
     rep = condition_report(C, exp_norm_precondition_ok=True)
@@ -836,7 +836,7 @@ def test_condition_4x4_measured_under_bound():
 def test_condition_precondition_needs_k_ge_5():
     # m = 1, c = 0: 2m(c+1)(c+2) = 4 <= (k+1)! at k = 4 and 5, ||A h|| = 0 and
     # the exp-norm verdict holds, so k >= 5 is the one precondition that moves
-    A = SparseMatrix.from_triplets(1, 1, []).csr
+    A = SparseMatrix.from_triplets(1, 1, [])
     for k, ok in ((4, False), (5, True)):
         params = tiny_params(N=1, m=1, k=k, p=1, h=1.0)
         assert params.contract_ok and params.factorial_ok
@@ -847,7 +847,7 @@ def test_condition_precondition_needs_k_ge_5():
 
 def test_condition_identity_like():
     # A = 0 reduces all couplings to copies; kappa stays small
-    A = SparseMatrix.from_triplets(2, 2, []).csr
+    A = SparseMatrix.from_triplets(2, 2, [])
     params = tiny_params(N=2, m=1, k=1, p=1, h=1.0)
     C = assemble_C(A, params)
     rep = condition_report(C, exp_norm_precondition_ok=True)

@@ -15,7 +15,8 @@ from hpmsim.ode import (
     reference_solution,
     rescale,
 )
-from hpmsim.sparse import SparseMatrix, spectral_norm
+from hpmsim.pipeline import generate_instance
+from hpmsim.sparse import SparseMatrix, read_triplets, spectral_norm
 from oracles import bernoulli_closed_form
 
 
@@ -23,6 +24,23 @@ def std1():
     F1 = SparseMatrix.from_triplets(1, 1, [(0, 0, -1.0)])
     F2 = SparseMatrix.from_triplets(1, 1, [(0, 0, 0.2)])
     return make_ode(1, F1, F2, [0.5])
+
+
+def test_F1_and_F2_are_canonical_float64_int32_sparse_matrices(tmp_path):
+    # triplets out of row-major order with one duplicate, inline and from a file
+    trips = [(1, 3, 2.0), (0, 1, -1.0), (1, 3, 0.5), (1, 0, 0.25)]
+    path = tmp_path / "F2.txt"
+    path.write_text("2 4 4\n" + "".join(f"{i} {j} {v}\n" for i, j, v in trips))
+    F1 = SparseMatrix.from_triplets(2, 2, [(1, 1, -2.0), (0, 0, -1.0)])
+    ode = make_ode(2, F1, read_triplets(path), [0.3, 0.1])
+    gen = generate_instance(3, 2, 0.3, 7)
+    for M in (SparseMatrix.from_triplets(2, 4, trips), ode.F1, ode.F2, rescale(ode, 0.5).F2,
+              gen.F1, gen.F2, rescale(gen, 0.5).F2):
+        assert type(M) is SparseMatrix
+        assert M.dtype == np.float64
+        assert M.indices.dtype == M.indptr.dtype == np.int32
+        rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+        assert np.all(np.diff(rows * M.shape[1] + M.indices) > 0)   # sorted, no duplicates
 
 
 def test_compute_K_std1():
@@ -45,7 +63,7 @@ def test_compute_K_cross_checked_with_svd():
     F2 = SparseMatrix.from_triplets(2, 4, [(0, 1, 0.3), (1, 2, -0.2), (0, 3, 0.1)])
     u_in = np.array([0.3, 0.1])
     nl = compute_K(make_ode(2, F1, F2, u_in))
-    norm_f2 = np.linalg.svd(F2.csr.toarray(), compute_uv=False)[0]
+    norm_f2 = np.linalg.svd(F2.toarray(), compute_uv=False)[0]
     expected = 4.0 * np.linalg.norm(u_in) * norm_f2 / 1.0
     assert nl.K == pytest.approx(expected, abs=1e-8)
 
@@ -112,14 +130,14 @@ def test_rescale_identity():
     ode = std1()
     same = rescale(ode, 1.0)
     assert np.array_equal(same.u_in, ode.u_in)
-    assert np.array_equal(same.F2.csr.toarray(), ode.F2.csr.toarray())
+    assert np.array_equal(same.F2.toarray(), ode.F2.toarray())
 
 
 def test_rescale_std1_numbers():
     # zeta = K/||u_in|| = 0.8 gives ||u_in'|| = 0.4 = K, ||F2'|| = 0.25
     scaled = rescale(std1(), 0.8)
     assert np.linalg.norm(scaled.u_in) == pytest.approx(0.4, abs=1e-15)
-    assert spectral_norm(scaled.F2.csr) == pytest.approx(0.25, rel=1e-10)
+    assert spectral_norm(scaled.F2) == pytest.approx(0.25, rel=1e-10)
     nl = compute_K(scaled)
     assert nl.K == pytest.approx(0.4, abs=1e-12)
     assert not nl.flag_K_below_u

@@ -576,12 +576,12 @@ def test_generate_instance_seed_changes_matrices():
 
 def test_generate_instance_sparsity_respected():
     ode = generate_instance(n=3, s=2, K_target=0.3, seed=5)
-    assert max(max_line_nnz(ode.F2.csr)) <= 2
+    assert max(max_line_nnz(ode.F2)) <= 2
 
 
 def test_generate_instance_zero_sparsity():
     ode = generate_instance(n=2, s=0, K_target=0.0, seed=1)
-    assert ode.F2.csr.nnz == 0
+    assert ode.F2.nnz == 0
     with pytest.raises(ValidationError, match="K_target must be 0"):
         generate_instance(n=2, s=0, K_target=0.3, seed=1)
 
