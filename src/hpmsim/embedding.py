@@ -13,6 +13,20 @@ comes with a closed-form bracket whose upper end sets the step count
 m = ceil(T upper), so ||A h|| <= 1 holds by proof and no estimator of ||A||
 runs on the solve path; A's logarithmic norm comes with a closed-form upper
 end that certifies ||e^(At)|| <= 1.
+
+The solve runs in a smaller space.  A joint permutation of the i+1 slots
+of (a, t), multi-index and tensor index together, permutes the
+coordinates of level i; Sym, the vectors constant on each orbit of these
+permutations, holds y_in (block (i, 0) is u_in^(kron i+1) at a = 0) and
+A keeps it: a diagonal block, a Kronecker sum of F1 over the slots,
+commutes with the permutations, and a coupling splits one slot into two
+adjacent ones, where on a symmetric argument it does not matter which
+slot split; level 0 has no slots, one orbit per entry.  So every step of
+the march stays in Sym (Harrow, "The church of the symmetric subspace",
+arXiv:1308.6595).  `orbit_basis` numbers the orbits and `reduce_to_orbits`
+gives A_sym, A in Sym's orthonormal orbit basis, R-square for R orbits
+(946 for N = 6,536 at n = 8, c = 3).  A^T does not keep Sym, so the
+checks on A itself, its norm, spectrum and exponential, run on the full A.
 """
 
 from __future__ import annotations
@@ -23,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BoundViolation, ValidationError
+from .errors import BoundViolation, NumericalError, ValidationError
 from .ode import QuadraticODE
-from .sparse import max_line_nnz, spectral_norm
+from .sparse import max_line_nnz, spectral_norm, vector_norm
 
 # default limit on the embedded dimension N (keeps direct solves desk-scale)
 N_CAP = 200_000
@@ -223,6 +237,118 @@ def assemble_A(ode: QuadraticODE, c: int, cap: int = N_CAP) -> EmbeddedSystem:
     return EmbeddedSystem(index=index, A=sp.block_array(blocks, format="csr"),
                           y_in=assemble_y_in(ode, index), norm_A=upper, norm_A_lower=lower,
                           log_norm_A_upper=log_norm_upper)
+
+
+@dataclass
+class OrbitBasis:
+    """The orthonormal basis V of Sym, the vectors constant on each orbit of
+    the joint permutations of a level's slots: column r of V is orbit r's
+    0/1 indicator over sqrt(w_r), w_r its size.
+
+    orbit[i] is coordinate i's orbit, reps[r] the first coordinate of orbit
+    r, and root_w[r] = sqrt(w_r).  Level 0 comes first, one orbit per entry.
+    """
+    orbit: np.ndarray
+    reps: np.ndarray
+    root_w: np.ndarray
+
+    def restrict(self, y: np.ndarray) -> np.ndarray:
+        """V^T y for y in Sym: sqrt(w) y[reps]."""
+        return self.root_w * y[self.reps]
+
+    def expand(self, x: np.ndarray) -> np.ndarray:
+        """V x along the last axis: (x / sqrt(w))[orbit]."""
+        return np.take(x / self.root_w, self.orbit, axis=-1)
+
+
+def orbit_basis(index: EmbeddingIndexMap) -> OrbitBasis:
+    """Number the orbits of the slot permutations, one level at a time.
+
+    Coordinate (a, t) of level i >= 1, a the multi-index and t the tensor
+    index (t_0 the most significant digit, as kron orders it), has slots
+    s = 0..i holding the codes a_s n + t_s < (c-i+1) n.  Its orbit is the
+    multiset of its codes: sorted, they are the digits of one int64 key in
+    base (c-i+1) n, and np.unique numbers the keys in order and gives each
+    orbit's first coordinate and size.  A level whose largest key would not
+    fit an int64 is refused before anything is allocated.
+    """
+    n, c = index.n, index.c
+    top = max((((c - i + 1) * n) ** (i + 1) for i in range(1, c + 1)), default=0)
+    if top - 1 > np.iinfo(np.int64).max:
+        raise ValidationError(f"orbit keys reach {top} - 1, which overflows int64")
+    orbit = np.empty(index.N, dtype=np.int64)
+    orbit[:n] = np.arange(n)
+    reps, sizes = [np.arange(n)], [np.ones(n, dtype=np.int64)]
+    for i in range(1, c + 1):
+        base = (c - i + 1) * n
+        a = np.array(index.levels[i])
+        t = np.indices((n,) * (i + 1)).reshape(i + 1, -1).T
+        codes = np.sort((a[:, None, :] * n + t).reshape(-1, i + 1), axis=1)
+        keys = codes @ base ** np.arange(i + 1, dtype=np.int64)
+        _, first, inverse, counts = np.unique(keys, return_index=True,
+                                              return_inverse=True, return_counts=True)
+        level = index.level_slice(i)
+        orbit[level] = inverse + sum(r.size for r in reps)
+        reps.append(first + level.start)
+        sizes.append(counts)
+    return OrbitBasis(orbit=orbit, reps=np.concatenate(reps),
+                      root_w=np.sqrt(np.concatenate(sizes)))
+
+
+def reduce_to_orbits(A: sp.csr_array, basis: OrbitBasis) -> sp.csr_array:
+    """A_sym = V^T A V, with A V = V A_sym checked by one seeded probe.
+
+    A keeps Sym, so A Q = Q A_red for Q the 0/1 orbit indicators, and
+    A_red[r, s] sums row reps[r] of A over the columns of orbit s: the rows
+    of reps are gathered from A's CSR arrays, their columns mapped through
+    orbit, and COO->CSR sums the duplicates.  Each entry is scaled on the
+    way to A_sym = diag(sqrt w) A_red diag(1/sqrt w), which acts on the
+    orthonormal coordinates, where ||x||^2 is a plain sum.
+
+    The probe draws v from `default_rng(0)`, takes u = V v and a = |A| |u|,
+    and refuses ||A u - V A_sym v|| above gamma_n (||a|| + ||a[reps][orbit]||),
+    n = 2 rho + 30, rho the most nonzeros in a row of A, and gamma_n =
+    n 2^-53 / (1 - n 2^-53) the bound on the relative rounding error of n
+    operations (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, ch. 3).  In exact arithmetic both sides are sum_col A[i, col]
+    v_s / sqrt(w_s) at coordinate i, s = orbit[col].  Coordinate i of A u
+    meets u's square root and quotient, one product and at most rho - 1
+    additions: within gamma_{rho+2} a_i.  Coordinate i of V A_sym v, in
+    orbit r, meets in each term the two square roots, the quotient and the
+    product that scale an entry of A, at most rho - 1 additions of
+    duplicates, the product with v_s, at most rho - 1 additions over s,
+    and the expansion's square root and quotient: within gamma_{2 rho + 5}
+    a_{reps[r]}, as (|A_sym| |v|)_r <= sqrt(w_r) a_{reps[r]}.  +25
+    leaves room for the subtraction and the three norms.  A map whose
+    classes are not orbits of a subspace that A keeps makes row i and row
+    reps[r] differ in exact arithmetic, and the probe misses that only
+    where the difference is orthogonal to u.  Its cost is one product with
+    A and one with |A|.
+    """
+    reps, orbit, root_w = basis.reps, basis.orbit, basis.root_w
+    R = reps.size
+    starts = A.indptr[reps].astype(np.int64)
+    lengths = A.indptr[reps + 1] - starts
+    # rows and cols in A's index dtype keep A_sym int32 wherever A is
+    rows = np.repeat(np.arange(R, dtype=A.indices.dtype), lengths)
+    # position k of the gathered row r is A's entry starts[r] + k
+    pos = np.arange(rows.size) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    cols = orbit[A.indices[pos]].astype(A.indices.dtype)
+    A_sym = sp.csr_array((A.data[pos] * (root_w[rows] / root_w[cols]), (rows, cols)),
+                         shape=(R, R))
+
+    v = np.random.default_rng(0).standard_normal(R)
+    u = basis.expand(v)
+    leak = vector_norm(A @ u - basis.expand(A_sym @ v))
+    # |A| shares A's index arrays: one temporary of nnz(A) floats
+    a = sp.csr_array((np.abs(A.data), A.indices, A.indptr), shape=A.shape) @ np.abs(u)
+    n = 2 * int(np.diff(A.indptr).max(initial=0)) + 30
+    gamma = n * math.ldexp(1.0, -53) / (1 - n * math.ldexp(1.0, -53))
+    tol = gamma * (vector_norm(a) + vector_norm(a[reps][orbit]))
+    if not leak <= tol:
+        raise NumericalError(f"A does not keep the orbit basis: A V v - V A_sym v "
+                             f"has norm {leak:.3e}, over its rounding bound {tol:.3e}")
+    return A_sym
 
 
 def assemble_y_in(ode: QuadraticODE, index: EmbeddingIndexMap) -> np.ndarray:

@@ -24,6 +24,12 @@ over all steps a product, and then takes its exact residual through one
 the condition number ||C|| ||C^{-1}||, an oracle run only under the dense
 cap, takes C assembled as a sparse matrix by `tocsr()` and its SuperLU
 factor, which for unit lower triangular C is C itself, no fill.
+
+Nothing here depends on which A it is given.  A run gives it A_sym, the
+embedding in its orbit basis (see `embedding`), so N is there the orbit
+count R; the pipeline expands the solution's step starts and final block
+back to the full space, and builds an operator on the full A for the
+condition oracle and the step-error floor.
 """
 
 from __future__ import annotations
@@ -487,7 +493,7 @@ def solve_marching(C: MarchingOperator, y_in: np.ndarray,
     C.params.  A residual not within its target (NaN included) or a
     non-finite ||x||^2 is refused."""
     params = C.params
-    N, m, k, d, delta = params.N, params.m, params.k, params.d, params.delta
+    N, m, k, d, delta = C.N, params.m, params.k, params.d, params.delta
     if y_in.shape != (N,):
         raise ValidationError(f"y_in must have length {N}")
     e = np.frexp(np.max(np.abs(y_in)))[1]

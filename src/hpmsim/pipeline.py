@@ -16,7 +16,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,6 @@ from .sparse import (
 )
 
 _REL_SLACK = 1e-9   # slack on measured-vs-bound comparisons that can sit at equality
-_ABS_SLACK = 1e-9   # absolute integrator-noise slack on error comparisons
 # smallest largest |entry| of u_in whose square is a normal float
 _TINY_STATE = math.sqrt(np.finfo(float).tiny)
 
@@ -345,15 +344,21 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
                                        delta=config.tol, force=config.force)
 
     with _Stage("assemble_C", timings):
-        C = mar.assemble_C(sys.A, params)
+        basis = emb.orbit_basis(sys.index)
+        A_sym = emb.reduce_to_orbits(sys.A, basis)
+        y_sym = basis.restrict(sys.y_in)
+        C = mar.assemble_C(A_sym, params)
+        struct.update(R=A_sym.shape[0], nnz_A_sym=A_sym.nnz)
 
     with _Stage("solve", timings):
-        sol = mar.solve_marching(C, sys.y_in, solver=config.solver)
+        sol = mar.solve_marching(C, y_sym, solver=config.solver)
+        sol = replace(sol, starts=basis.expand(sol.starts), final=basis.expand(sol.final))
         if config.emit_blocks:
             _emit_step_blocks(sol, Path(config.emit_blocks))
 
     with _Stage("condition", timings):
-        cond = mar.condition_report(C, sel.exp_norm_ok, config.dense_cap)
+        cond = mar.condition_report(mar.MarchingOperator(sys.A, params), sel.exp_norm_ok,
+                                    config.dense_cap)
 
     with _Stage("measurement", timings):
         report_m = meas.postselect(sol, sys.index, nl, utilde_norm)
@@ -482,6 +487,46 @@ def _exp_norm_row(sys: emb.EmbeddedSystem, params: mar.TaylorSystemParams,
     return row(max_norm, "dense E^j products")
 
 
+def _step_error_row(sys: emb.EmbeddedSystem, params: mar.TaylorSystemParams,
+                    sol: mar.MarchingSolution, precondition_ok: bool, dense_cap: int) -> dict:
+    """||expm(A j h) y_in - x_{j,0}|| against 2 j (c+1)(c+2) ||y_in|| / (k+1)!
+    at each step j = 0..m; the row shows the step of tightest margin.
+
+    The trajectory is one `expm_multiply` sweep on the full A, run while
+    N^2 fits under the dense cap, a cap on its cost.  The bound covers
+    truncation in exact arithmetic and is 0 at j = 0: rounding, in the
+    solve and in the sweep, is not in it.  So each step passes within its
+    bound plus the floor gamma ||y_in||, gamma the `probe_tol` of the
+    operator on the full A: gamma_{2n} for the n roundings that one row of
+    C x = e_0 kron y_in meets, the relative error to which the solve's
+    probe holds each row (the orbit operator that is marched has a gate of
+    the same form, 1.04e-14 against 1.07e-14 on std1).  The rows build
+    each x_{j,0} from y_in, so a difference under gamma ||y_in|| is one
+    row's rounding on a vector of y_in's size, which the row cannot tell
+    from truncation.  The floor is that resolution, not a bound on
+    rounding summed over the steps.  Measured: every step of std1 and
+    gen4-gmres, GMRES's x_{0,0} included, is within 7.2e-16 of the sweep,
+    under floors of 4.7e-15 and 4.0e-15; std1 on GMRES at `tol` 1e-11
+    reads 3.2e-16 against a bound of 7.2e-18, rounding that passes on the
+    floor.  A step at 10 times a bound b fails wherever 9 b exceeds the
+    floor, as at the tightest bounds of those two runs, 1.3e-11 and
+    6.0e-13.
+    """
+    description = "||expm(A j h) y_in - x_{j,0}|| <= 2 j (c+1)(c+2)||y_in||/(k+1)!"
+    if sys.index.N ** 2 > dense_cap:
+        return _check("step_error", description, None, 0.0, True,
+                      note="skipped: N over dense cap")
+    rows = mar.step_errors_vs_expm(sys, sol)
+    floor = mar.MarchingOperator(sys.A, params).probe_tol * float(vector_norm(sys.y_in))
+    # step 0 is exact but for rounding; report the tightest-margin real step
+    j_w = max(range(1, len(rows)), key=lambda i: rows[i]["measured"] - rows[i]["bound"])
+    row = _check("step_error", description, rows[j_w]["measured"], rows[j_w]["bound"],
+                 precondition_ok, note=f"tightest step j={j_w}")
+    row["pass"] = (not precondition_ok) or all(r["measured"] <= r["bound"] + floor
+                                               for r in rows)
+    return row
+
+
 def _bound_checks(nl, sys: emb.EmbeddedSystem, params: mar.TaylorSystemParams,
                   sol: mar.MarchingSolution, cond: dict,
                   report_m: meas.MeasurementReport, struct: dict, utilde_T: np.ndarray,
@@ -532,24 +577,8 @@ def _bound_checks(nl, sys: emb.EmbeddedSystem, params: mar.TaylorSystemParams,
               else "" if params.hpm_budget_certified
               else "bound exceeds the epsilon1 budget at the capped order")))
 
-    # a cost cap: the expm_multiply sweep runs while N^2 fits under the dense cap
-    if sys.index.N ** 2 <= config.dense_cap:
-        rows = mar.step_errors_vs_expm(sys, sol)
-        # step 0 is trivially exact; report the tightest-margin real step,
-        # pass only if every step sits under its own bound
-        j_w = max(range(1, len(rows)),
-                  key=lambda i: rows[i]["measured"] - rows[i]["bound"])
-        all_ok = all(r["measured"] <= r["bound"] + _ABS_SLACK for r in rows)
-        row = _check(
-            "step_error", "||expm(A j h) y_in - x_{j,0}|| <= 2 j (c+1)(c+2)||y_in||/(k+1)!",
-            rows[j_w]["measured"], rows[j_w]["bound"],
-            params.factorial_ok and exp_norm_ok, note=f"tightest step j={j_w}")
-        row["pass"] = bool((not row["precondition_ok"]) or all_ok)
-        checks.append(row)
-    else:
-        checks.append(_check(
-            "step_error", "||expm(A j h) y_in - x_{j,0}|| <= 2 j (c+1)(c+2)||y_in||/(k+1)!",
-            None, 0.0, True, note="skipped: N over dense cap"))
+    checks.append(_step_error_row(sys, params, sol, params.factorial_ok and exp_norm_ok,
+                                  config.dense_cap))
 
     checks.append(_check(
         "step_acceptance", "||x_{m,0}||^2/||x||^2 >= 1/(p + 77 m g^2)",

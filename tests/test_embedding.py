@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -18,11 +19,13 @@ from hpmsim.embedding import (
     embedded_norm_profile,
     enumerate_level,
     level_sizes,
+    orbit_basis,
+    reduce_to_orbits,
     step_counts,
     structural_report,
     total_dimension,
 )
-from hpmsim.errors import BoundViolation, ValidationError
+from hpmsim.errors import BoundViolation, NumericalError, ValidationError
 from hpmsim.ode import compute_K, make_ode
 from hpmsim.pipeline import generate_instance
 from hpmsim.sparse import SparseMatrix, dense_expm, max_line_nnz, spectral_norm
@@ -615,3 +618,91 @@ def test_embedded_norm_profile_matches_direct():
     for t in (0, len(casc.ts) // 2, len(casc.ts) - 1):
         y = build_embedded_vector(sys.index, casc.nu[:, t, :])
         assert profile[t] == pytest.approx(np.linalg.norm(y), rel=1e-12)
+
+
+# -- the orbit basis of the slot-symmetric subspace ------------------------------
+
+def multiset_count(n: int, c: int) -> int:
+    """n level-0 entries plus, for each level i >= 1, the multisets of i+1
+    pairs (a, t), t in 0..n-1, whose a sum to at most c - i: a dynamic
+    programme over the values of a, q pairs of one value a chosen among the
+    C(n+q-1, q) multisets of its n pairs."""
+    total = n
+    for i in range(1, c + 1):
+        size, budget = i + 1, c - i
+        ways = {(0, 0): 1}                    # (pairs so far, sum of a) -> count
+        for a in range(budget + 1):
+            grown: dict = {}
+            for (count, s), w in ways.items():
+                for q in range(size - count + 1):
+                    if s + q * a > budget:
+                        break
+                    key = (count + q, s + q * a)
+                    grown[key] = grown.get(key, 0) + w * math.comb(n + q - 1, q)
+            ways = grown
+        total += sum(w for (count, _), w in ways.items() if count == size)
+    return total
+
+
+def orbit_keys(index) -> list:
+    """The orbit key of every coordinate by a loop over coordinates: (0, t)
+    on level 0, else (i, the sorted pairs (a_s, t_s))."""
+    keys = [(0, t) for t in range(index.n)]
+    for i in range(1, index.c + 1):
+        for a in index.levels[i]:
+            keys += [(i, tuple(sorted(zip(a, t))))
+                     for t in itertools.product(range(index.n), repeat=i + 1)]
+    return keys
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 10_000),
+       st.sampled_from(["normal", "nonnormal"]))
+def test_orbit_basis_is_invariant_under_A_and_counts_the_multisets(n, c, seed, kind):
+    # random_ode's dense F2 and nonnormal_ode's colliding triplets have no
+    # symmetry between the two factors of u kron u; nonnormal_ode's F1 is
+    # upper triangular, under assume_valid
+    ode = random_ode(n, seed) if kind == "normal" else nonnormal_ode(n, seed)
+    sys = assemble_A(ode, c)
+    basis = orbit_basis(sys.index)
+    N, R = sys.index.N, basis.reps.size
+    assert R == multiset_count(n, c)
+    assert np.array_equal(basis.orbit[:n], np.arange(n))
+    assert np.array_equal(basis.reps[:n], np.arange(n))
+    assert np.array_equal(basis.root_w[:n], np.ones(n))
+    # the orbits are the classes of the loop's keys, numbered by the first
+    # coordinate of each, and root_w holds the square roots of their sizes
+    keys = orbit_keys(sys.index)
+    assert len(keys) == N
+    assert len(set(zip(keys, basis.orbit.tolist()))) == len(set(keys)) == R
+    assert np.array_equal(basis.orbit[basis.reps], np.arange(R))
+    assert np.array_equal(basis.root_w, np.sqrt(np.bincount(basis.orbit, minlength=R)))
+    V = sp.csr_array((1.0 / basis.root_w[basis.orbit], (np.arange(N), basis.orbit)),
+                     shape=(N, R))
+    A_sym = reduce_to_orbits(sys.A, basis)
+    AV = (sys.A @ V).toarray()
+    assert np.linalg.norm(AV - (V @ A_sym).toarray()) <= 1e-14 * np.linalg.norm(AV)
+    assert np.allclose((V.T @ V).toarray(), np.eye(R), rtol=0.0, atol=1e-15)
+    y = basis.expand(basis.restrict(sys.y_in))
+    assert np.linalg.norm(y - sys.y_in) <= 1e-14 * np.linalg.norm(sys.y_in)
+
+
+def test_orbit_keys_that_overflow_int64_are_refused():
+    # level 1 of n = 2^32 keys its pairs in base 2^32: the largest key,
+    # 2^64 - 1, does not fit, and the refusal comes before any allocation
+    with pytest.raises(ValidationError, match="overflows int64"):
+        orbit_basis(build_index_map(1, 2 ** 32, cap=math.inf))
+
+
+def test_a_reduction_that_leaks_out_of_the_orbit_basis_is_refused():
+    # one coordinate moved to another orbit of the same level: A V = V A_sym
+    # fails far above the probe's rounding bound
+    sys = assemble_A(random_ode(2, seed=5), 3)
+    basis = orbit_basis(sys.index)
+    level = sys.index.level_slice(2)
+    i, j = level.start, level.start + 1
+    assert basis.orbit[i] != basis.orbit[j]
+    orbit = basis.orbit.copy()
+    orbit[[i, j]] = orbit[[j, i]]
+    with pytest.raises(NumericalError, match="does not keep the orbit basis"):
+        reduce_to_orbits(sys.A, dataclasses.replace(basis, orbit=orbit))

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hpmsim.cascade import truncation_bound
-from hpmsim.embedding import assemble_A
+from hpmsim.embedding import assemble_A, orbit_basis, reduce_to_orbits
 import hpmsim.marching as marching
 import hpmsim.sparse as sparse_mod
 from hpmsim.errors import NumericalError, ValidationError
@@ -166,6 +166,27 @@ def test_forward_and_iterative_agree():
     a = solve_marching(C, sys.y_in, solver="forward")
     b = solve_marching(C, sys.y_in, solver="iterative")
     assert_same_fields(a, b, 1e-12)
+
+
+@pytest.mark.parametrize("solver", marching.SOLVERS)
+@pytest.mark.parametrize("n, c, seed", [(1, 3, 1), (2, 1, 2), (2, 3, 3), (3, 2, 4), (3, 3, 5)])
+def test_the_orbit_solve_is_the_full_solve(n, c, seed, solver):
+    # solve_marching on A_sym from the restricted y_in, expanded, against
+    # solve_marching on the full A from y_in itself
+    ode, sys = stable_system(n, c, seed)
+    m, h = step_counts(1.0, sys.norm_A)
+    params = tiny_params(N=sys.index.N, m=m, k=8, p=m, h=h, c=c)
+    full = solve_marching(assemble_C(sys.A, params), sys.y_in, solver=solver)
+    basis = orbit_basis(sys.index)
+    C = assemble_C(reduce_to_orbits(sys.A, basis), params)
+    assert C.N == basis.reps.size < sys.index.N
+    sym = solve_marching(C, basis.restrict(sys.y_in), solver=solver)
+    assert sym.exponent == full.exponent and sym.iterations == full.iterations
+    for got, want in ((basis.expand(sym.starts), full.starts),
+                      (basis.expand(sym.final), full.final)):
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    assert abs(sym.norm_sq - full.norm_sq) <= 1e-14 * full.norm_sq
 
 
 def assert_same_fields(a, b, rtol: float) -> None:

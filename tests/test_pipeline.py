@@ -323,6 +323,75 @@ def test_tiny_nonlinearity_step_error_bound_is_positive():
     assert row["measured"] <= row["bound"]
 
 
+STEP_ERROR_RUNS = {
+    "std1": std1_config,
+    "gen4-gmres": lambda: instance_config(generate_instance(4, 2, 0.3, 7), 1.0, 1e-2,
+                                          solver="iterative"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_ERROR_RUNS))
+@pytest.mark.parametrize("step, excess, passes", [
+    ("tightest", "9 bound", False),     # measured at 10 times the tightest bound
+    (0, "floor / 2", True),             # step 0's bound is 0: rounding within the floor
+    (0, "2 floor", False),
+])
+def test_step_error_verdict_allows_the_rounding_floor_and_no_more(
+        monkeypatch, name, step, excess, passes):
+    # one step's measured error is set to its bound plus the excess; the
+    # floor is gamma ||y_in||, gamma the probe_tol of the full-space operator
+    step_errors = hpmsim.marching.step_errors_vs_expm
+
+    def inflated(sys, sol):
+        rows = step_errors(sys, sol)
+        floor = (hpmsim.marching.MarchingOperator(sys.A, sol.params).probe_tol
+                 * np.linalg.norm(sys.y_in))
+        j = (min(range(1, len(rows)), key=lambda i: rows[i]["bound"])
+             if step == "tightest" else step)
+        bound = rows[j]["bound"]
+        rows[j]["measured"] = bound + {"9 bound": 9 * bound, "floor / 2": floor / 2,
+                                       "2 floor": 2 * floor}[excess]
+        return rows
+
+    monkeypatch.setattr(hpmsim.marching, "step_errors_vs_expm", inflated)
+    rep = run(STEP_ERROR_RUNS[name]())
+    row = next(r for r in rep.bound_checks if r["check"] == "step_error")
+    assert row["precondition_ok"]
+    assert row["pass"] is passes
+    assert rep.status == ("pass" if passes else "bound_violation")
+
+
+@pytest.mark.parametrize("name", sorted(STEP_ERROR_RUNS))
+def test_a_corrupted_orbit_map_is_refused_in_stage_assemble_C(monkeypatch, name):
+    # the first two coordinates of level 1 trade orbit ids: A V = V A_sym
+    # fails, and the reduction's probe refuses the run before the solve
+    orbit_basis = hpmsim.embedding.orbit_basis
+
+    def corrupted(index):
+        basis = orbit_basis(index)
+        i = index.level_slice(1).start
+        orbit = basis.orbit.copy()
+        assert orbit[i] != orbit[i + 1]
+        orbit[[i, i + 1]] = orbit[[i + 1, i]]
+        return dataclasses.replace(basis, orbit=orbit)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(hpmsim.embedding, "orbit_basis", corrupted)
+    monkeypatch.setattr(hpmsim.marching, "solve_marching", no_solve)
+    with pytest.raises(NumericalError, match="does not keep the orbit basis") as info:
+        run(STEP_ERROR_RUNS[name]())
+    assert info.value.stage == "assemble_C"
+
+
+def test_structure_reports_the_orbit_count_beside_N(std1_report):
+    # std1 at c = 3: 12 coordinates in 8 orbits; parameters.N stays the full N
+    struct = std1_report.structure
+    assert (struct["N"], struct["R"], struct["nnz_A_sym"]) == (12, 8, 16)
+    assert std1_report.parameters["N"] == 12
+
+
 def test_stage_names_innermost_stage_once_and_keeps_arguments():
     timings = {}
     with pytest.raises(NumericalError) as info:
