@@ -28,6 +28,7 @@ from .pipeline import (
     in_stage,
     json_default,
     prepare,
+    refuse_non_directory,
     rescaled_problem,
     run,
     sweep,
@@ -291,6 +292,7 @@ def main(argv=None) -> int:
         "gen": _cmd_gen,
     }
     try:
+        refuse_non_directory(args.out, "--out")
         return handlers[args.command](args)
     except ValidationError as exc:
         print(f"validation failure{in_stage(exc)}: {exc}", file=sys.stderr)

@@ -23,10 +23,12 @@ commutes with the permutations, and a coupling splits one slot into two
 adjacent ones, where on a symmetric argument it does not matter which
 slot split; level 0 has no slots, one orbit per entry.  So every step of
 the march stays in Sym (Harrow, "The church of the symmetric subspace",
-arXiv:1308.6595).  `orbit_basis` numbers the orbits and `reduce_to_orbits`
-gives A_sym, A in Sym's orthonormal orbit basis, R-square for R orbits
-(946 for N = 6,536 at n = 8, c = 3).  A^T does not keep Sym, so the
-checks on A itself, its norm, spectrum and exponential, run on the full A.
+arXiv:1308.6595).  `orbit_basis` numbers the orbits and labels each with
+its level group, and `reduce_to_orbits` gives A_sym, A in Sym's
+orthonormal orbit basis, R-square for R orbits (946 for N = 6,536 at
+n = 8, c = 3).  A run reads x in that basis; only `--emit-blocks` expands
+it.  A^T does not keep Sym, so the checks on A itself, its norm, spectrum
+and exponential, run on the full A.
 """
 
 from __future__ import annotations
@@ -247,10 +249,13 @@ class OrbitBasis:
 
     orbit[i] is coordinate i's orbit, reps[r] the first coordinate of orbit
     r, and root_w[r] = sqrt(w_r).  Level 0 comes first, one orbit per entry.
+    group[r] is the level group i + sum(a) of orbit r's coordinates, which
+    a slot permutation keeps, at level i >= 1, and -1 at level 0.
     """
     orbit: np.ndarray
     reps: np.ndarray
     root_w: np.ndarray
+    group: np.ndarray
 
     def restrict(self, y: np.ndarray) -> np.ndarray:
         """V^T y for y in Sym: sqrt(w) y[reps]."""
@@ -278,7 +283,7 @@ def orbit_basis(index: EmbeddingIndexMap) -> OrbitBasis:
         raise ValidationError(f"orbit keys reach {top} - 1, which overflows int64")
     orbit = np.empty(index.N, dtype=np.int64)
     orbit[:n] = np.arange(n)
-    reps, sizes = [np.arange(n)], [np.ones(n, dtype=np.int64)]
+    reps, sizes, groups = [np.arange(n)], [np.ones(n, dtype=np.int64)], [np.full(n, -1)]
     for i in range(1, c + 1):
         base = (c - i + 1) * n
         a = np.array(index.levels[i])
@@ -291,8 +296,9 @@ def orbit_basis(index: EmbeddingIndexMap) -> OrbitBasis:
         orbit[level] = inverse + sum(r.size for r in reps)
         reps.append(first + level.start)
         sizes.append(counts)
+        groups.append(i + (codes[first] // n).sum(axis=1))
     return OrbitBasis(orbit=orbit, reps=np.concatenate(reps),
-                      root_w=np.sqrt(np.concatenate(sizes)))
+                      root_w=np.sqrt(np.concatenate(sizes)), group=np.concatenate(groups))
 
 
 def reduce_to_orbits(A: sp.csr_array, basis: OrbitBasis) -> sp.csr_array:
@@ -392,8 +398,9 @@ def structural_report(sys: EmbeddedSystem, ode: QuadraticODE, norm_F2: float,
     """Sparsity, norm, and spectrum diagnostics of the assembled matrix.
 
     A must be block upper bidiagonal over levels, and each level's diagonal
-    block must act as I_beta kron sum_k I^k kron F1 kron I^(i-k), which one
-    seeded probe per level checks against F1 applied along each tensor axis.
+    block must act as I_beta kron sum_k I^k kron F1 kron I^(i-k), which two
+    seeded probes, one on the even levels and one on the odd, check against
+    F1 applied along each tensor axis.
     The spectrum of A is then the union of its diagonal blocks' spectra,
     sums of i+1 eigenvalues of F1, so max Re(eigenvalue of A) is
     re_lambda1 = max Re(eigenvalue of F1), reached at level 0.
@@ -448,17 +455,18 @@ def structural_report(sys: EmbeddedSystem, ode: QuadraticODE, norm_F2: float,
                 f"||A|| = {est:.6g} exceeds (c+1)(||F1||+||F2||) = {norm_bound:.6g}"
             )
 
-    rng = np.random.default_rng(0)
-    for i in range(c + 1):
-        lvl = index.level_slice(i)
-        x = np.zeros(index.N)
-        x[lvl] = rng.standard_normal(lvl.stop - lvl.start)
-        got = (A @ x)[lvl]
-        want = _kron_sum_apply(ode.F1, x[lvl], index.beta[i], n, i)
-        # rounding of the i+1 sums of F1 rows stays far below this
-        if np.abs(got - want).max() > 1e-10 * (i + 1) * ode.norm_F1 * np.abs(x).max():
-            raise BoundViolation(f"diagonal block of level {i} is not I_beta kron "
-                                 "the Kronecker sum of F1")
+    # level i's rows read levels i and i+1 alone: one probe per parity of i
+    x = np.random.default_rng(0).standard_normal(index.N)
+    level = np.repeat(np.arange(c + 1), np.diff([*index.offsets, index.N]))
+    for parity in range(min(c + 1, 2)):
+        got = A @ np.where(level % 2 == parity, x, 0.0)
+        for i in range(parity, c + 1, 2):
+            lvl = index.level_slice(i)
+            err = np.abs(got[lvl] - _kron_sum_apply(ode.F1, x[lvl], index.beta[i], n, i))
+            # rounding of the i+1 sums of F1 rows stays far below this
+            if err.max() > 1e-10 * (i + 1) * ode.norm_F1 * np.abs(x[lvl]).max():
+                raise BoundViolation(f"diagonal block of level {i} is not I_beta kron "
+                                     "the Kronecker sum of F1")
 
     report["max_re_eigenvalue"] = re_lambda1
     if re_lambda1 >= 0:

@@ -27,9 +27,9 @@ factor, which for unit lower triangular C is C itself, no fill.
 
 Nothing here depends on which A it is given.  A run gives it A_sym, the
 embedding in its orbit basis (see `embedding`), so N is there the orbit
-count R; the pipeline expands the solution's step starts and final block
-back to the full space, and builds an operator on the full A for the
-condition oracle and the step-error floor.
+count R, and the solution stays in that basis: the step-error oracle sweeps
+e^(A_sym t) from the restricted y_in, which V maps onto e^(A t) y_in.  The
+one operator on the full A in a run is the condition oracle's.
 """
 
 from __future__ import annotations
@@ -557,17 +557,17 @@ def expm_trajectory(A: sp.csr_array, y_in: np.ndarray, h: float, m: int) -> np.n
         np.random.set_state(state)
 
 
-def step_errors_vs_expm(sys: EmbeddedSystem, sol: MarchingSolution,
+def step_errors_vs_expm(A: sp.csr_array, y_in: np.ndarray, sol: MarchingSolution,
                         exact: np.ndarray | None = None) -> list[dict]:
     """Per-step ||expm(A j h) y_in - x_{j,0}|| against the factorial bound.
 
-    exact holds the trajectory expm(A j h) y_in, j = 0..m, row by row; it
-    defaults to `expm_trajectory` on the sparse A.
+    sol solves C x = e_0 kron y_in on this A.  exact holds the trajectory
+    expm(A j h) y_in, j = 0..m, row by row; it defaults to `expm_trajectory`.
     """
     params = sol.params
     if exact is None:
-        exact = expm_trajectory(sys.A, sys.y_in, params.h, params.m)
-    norm_yin = float(vector_norm(sys.y_in))
+        exact = expm_trajectory(A, y_in, params.h, params.m)
+    norm_yin = float(vector_norm(y_in))
     # an int / int quotient underflows to 0 where float((k+1)!) would overflow
     inv_fact = 1 / math.factorial(params.k + 1)
     rows = []

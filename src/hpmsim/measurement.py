@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import EmbeddingIndexMap
 from .errors import ValidationError
 from .marching import MarchingSolution
 from .ode import NonlinearityParams
@@ -37,12 +36,14 @@ class MeasurementReport:
     level_group_bounds: list[float] = field(default_factory=list)
 
 
-def postselect(sol: MarchingSolution, index: EmbeddingIndexMap,
+def postselect(sol: MarchingSolution, group: np.ndarray,
                nl: NonlinearityParams, utilde_T_norm: float) -> MeasurementReport:
     """Exact acceptance probabilities and the normalized output state.
 
-    utilde_T_norm is ||sum_i nu_i(T)|| from the cascade; it sets
-    eta' = K / ||u~(T)|| in the level-0 probability bound.
+    sol may be in any orthonormal basis whose coordinates each lie in one
+    level group, which group labels (see `level_group_norms`).  utilde_T_norm
+    is ||sum_i nu_i(T)|| from the cascade; it sets eta' = K / ||u~(T)|| in
+    the level-0 probability bound.
     """
     params = sol.params
     # the squares are taken on the solution as solved, where max|y_in| lies
@@ -59,7 +60,7 @@ def postselect(sol: MarchingSolution, index: EmbeddingIndexMap,
         params.c + 2) * g
 
     y_norm_sq = sum_sq(sol.final)
-    level0 = sol.final[index.level_slice(0)]
+    level0 = sol.final[group < 0]
     level0_sq = sum_sq(level0)
     if level0_sq == 0.0:
         raise ValidationError("level-0 block of the final state is zero")
@@ -76,7 +77,7 @@ def postselect(sol: MarchingSolution, index: EmbeddingIndexMap,
         eta_prime = 0.0
         chi0_bound = 1.0
 
-    groups_sq, group_bounds = level_group_norms(sol.extract_final(), index, K)
+    groups_sq, group_bounds = level_group_norms(sol.extract_final(), group, K)
 
     return MeasurementReport(
         p1_block_ratio=p1_block,
@@ -93,25 +94,19 @@ def postselect(sol: MarchingSolution, index: EmbeddingIndexMap,
     )
 
 
-def level_group_norms(y: np.ndarray, index: EmbeddingIndexMap,
+def level_group_norms(y: np.ndarray, group: np.ndarray,
                       K: float) -> tuple[list[float], list[float]]:
     """Regroup pure-tensor blocks by total order sum(a_k + 1) = i + 1.
 
     Group i collects every component whose factors' orders sum to i+1 with
-    at least two factors; its squared norm stays below (2 K^2)^i.  This is
-    a read-only view over the stored layout via the index map.
+    at least two factors; its squared norm stays below (2 K^2)^i.  group[j]
+    is coordinate j's group, i + sum(a) in component a of level i >= 1, and
+    -1 on level 0, which no group holds (`embedding.OrbitBasis.group`).
     """
-    groups: dict[int, float] = {}
-    for lvl in range(1, index.c + 1):
-        for j, a in enumerate(index.levels[lvl]):
-            block = y[index.block_slice(lvl, j)]
-            degree = sum(a) + len(a)          # sum (a_k + 1)
-            groups[degree - 1] = groups.get(degree - 1, 0.0) + sum_sq(block)
-    out_sq, out_bound = [], []
-    for i in sorted(groups):
-        out_sq.append(groups[i])
-        out_bound.append((2.0 * K * K) ** i if K > 0 else 0.0)
-    return out_sq, out_bound
+    keep = group >= 0
+    groups_sq = np.bincount(group[keep], weights=y[keep] * y[keep])[1:].tolist()
+    return groups_sq, [(2.0 * K * K) ** i if K > 0 else 0.0
+                       for i in range(1, len(groups_sq) + 1)]
 
 
 @dataclass

@@ -16,7 +16,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,7 @@ from .sparse import (
     read_triplets,
     spectral_norm,
     vector_norm,
+    write_vector,
 )
 
 _REL_SLACK = 1e-9   # slack on measured-vs-bound comparisons that can sit at equality
@@ -290,11 +291,20 @@ class Prepared:
     sel: mar.OrderSelection
 
 
+def refuse_non_directory(path, what: str) -> None:
+    """Refuse, before any work, an output directory under a non-directory."""
+    found = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+    if not found.is_dir():
+        raise ValidationError(f"{what} {path} cannot be a directory: {found} is not one")
+
+
 def prepare(config: RunConfig, base_dir: Path | None = None,
             timings: dict | None = None) -> Prepared:
     """The stages load, nonlinearity, reference and order, timed into timings."""
     timings = {} if timings is None else timings
     with _Stage("load", timings):
+        if config.emit_blocks:
+            refuse_non_directory(config.emit_blocks, "emit_blocks")
         ode = build_ode(config, base_dir)
 
     with _Stage("nonlinearity", timings):
@@ -352,23 +362,25 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
 
     with _Stage("solve", timings):
         sol = mar.solve_marching(C, y_sym, solver=config.solver)
-        sol = replace(sol, starts=basis.expand(sol.starts), final=basis.expand(sol.final))
         if config.emit_blocks:
-            _emit_step_blocks(sol, Path(config.emit_blocks))
+            blocks = Path(config.emit_blocks)
+            blocks.mkdir(parents=True, exist_ok=True)
+            for i in range(params.m + 1):
+                write_vector(basis.expand(sol.step_solution(i)), blocks / f"x_{i:04d}_0.txt")
 
     with _Stage("condition", timings):
         cond = mar.condition_report(mar.MarchingOperator(sys.A, params), sel.exp_norm_ok,
                                     config.dense_cap)
 
     with _Stage("measurement", timings):
-        report_m = meas.postselect(sol, sys.index, nl, utilde_norm)
+        report_m = meas.postselect(sol, basis.group, nl, utilde_norm)
 
     with _Stage("errors", timings):
         budget = meas.final_error(report_m, u_exact, utilde_T,
                                   params.epsilon1, nl.K)
 
     with _Stage("checks", timings):
-        checks = _bound_checks(nl, sys, params, sol, cond, report_m, struct,
+        checks = _bound_checks(nl, sys, C, y_sym, sol, cond, report_m, struct,
                                utilde_T, prep.zeta, u_exact, ref.error, sel.exp_norm_ok,
                                config)
         checks.append(_check(
@@ -434,13 +446,6 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
     return report
 
 
-def _emit_step_blocks(sol: mar.MarchingSolution, directory: Path) -> None:
-    from .sparse import write_vector
-    directory.mkdir(parents=True, exist_ok=True)
-    for i in range(sol.params.m + 1):
-        write_vector(sol.step_solution(i), directory / f"x_{i:04d}_0.txt")
-
-
 def _decay_ratio(sys: emb.EmbeddedSystem, casc: hpm.HpmCascade) -> float:
     """g = max_t ||y(t)|| / ||y(T)|| over the cascade's sampling grid.
 
@@ -487,37 +492,36 @@ def _exp_norm_row(sys: emb.EmbeddedSystem, params: mar.TaylorSystemParams,
     return row(max_norm, "dense E^j products")
 
 
-def _step_error_row(sys: emb.EmbeddedSystem, params: mar.TaylorSystemParams,
-                    sol: mar.MarchingSolution, precondition_ok: bool, dense_cap: int) -> dict:
+def _step_error_row(C: mar.MarchingOperator, y: np.ndarray, sol: mar.MarchingSolution,
+                    precondition_ok: bool, dense_cap: int) -> dict:
     """||expm(A j h) y_in - x_{j,0}|| against 2 j (c+1)(c+2) ||y_in|| / (k+1)!
     at each step j = 0..m; the row shows the step of tightest margin.
 
-    The trajectory is one `expm_multiply` sweep on the full A, run while
-    N^2 fits under the dense cap, a cap on its cost.  The bound covers
-    truncation in exact arithmetic and is 0 at j = 0: rounding, in the
-    solve and in the sweep, is not in it.  So each step passes within its
-    bound plus the floor gamma ||y_in||, gamma the `probe_tol` of the
-    operator on the full A: gamma_{2n} for the n roundings that one row of
-    C x = e_0 kron y_in meets, the relative error to which the solve's
-    probe holds each row (the orbit operator that is marched has a gate of
-    the same form, 1.04e-14 against 1.07e-14 on std1).  The rows build
-    each x_{j,0} from y_in, so a difference under gamma ||y_in|| is one
-    row's rounding on a vector of y_in's size, which the row cannot tell
-    from truncation.  The floor is that resolution, not a bound on
-    rounding summed over the steps.  Measured: every step of std1 and
-    gen4-gmres, GMRES's x_{0,0} included, is within 7.2e-16 of the sweep,
-    under floors of 4.7e-15 and 4.0e-15; std1 on GMRES at `tol` 1e-11
-    reads 3.2e-16 against a bound of 7.2e-18, rounding that passes on the
-    floor.  A step at 10 times a bound b fails wherever 9 b exceeds the
-    floor, as at the tightest bounds of those two runs, 1.3e-11 and
-    6.0e-13.
+    The sweep runs on the operator that was marched, C.A = A_sym from
+    y = V^T y_in: A V = V A_sym and V has orthonormal columns, so
+    e^(A t) y_in = V e^(A_sym t) y, in the full space's norm.  The bound
+    covers truncation in exact arithmetic and is 0 at j = 0: rounding, in
+    the solve and in the sweep, is not in it.  So each step passes within
+    its bound plus the floor gamma ||y||, gamma the marched operator's
+    `probe_tol`: gamma_{2n} for the n roundings that one row of
+    C x = e_0 kron y meets, the relative error to which the solve's probe
+    holds each row.  The rows build each x_{j,0} from y, so a difference
+    under gamma ||y|| is one row's rounding on a vector of y's size, which
+    the row cannot tell from truncation.  The floor is that resolution,
+    not a bound on rounding summed over the steps.
+    Measured: every step of std1 and gen4-gmres, GMRES's x_{0,0} included,
+    is within 7.3e-16 of the sweep, under floors of 4.6e-15 and 4.0e-15;
+    std1 on GMRES at `tol` 1e-11 reads 2.6e-16 against a bound of 7.2e-18,
+    rounding that passes on the floor.  A step at 10 times a bound b fails
+    wherever 9 b exceeds the floor, as at the tightest bounds of those two
+    runs, 1.3e-11 and 6.0e-13.
     """
     description = "||expm(A j h) y_in - x_{j,0}|| <= 2 j (c+1)(c+2)||y_in||/(k+1)!"
-    if sys.index.N ** 2 > dense_cap:
+    if C.params.N ** 2 > dense_cap:
         return _check("step_error", description, None, 0.0, True,
                       note="skipped: N over dense cap")
-    rows = mar.step_errors_vs_expm(sys, sol)
-    floor = mar.MarchingOperator(sys.A, params).probe_tol * float(vector_norm(sys.y_in))
+    rows = mar.step_errors_vs_expm(C.A, y, sol)
+    floor = C.probe_tol * float(vector_norm(y))
     # step 0 is exact but for rounding; report the tightest-margin real step
     j_w = max(range(1, len(rows)), key=lambda i: rows[i]["measured"] - rows[i]["bound"])
     row = _check("step_error", description, rows[j_w]["measured"], rows[j_w]["bound"],
@@ -527,12 +531,13 @@ def _step_error_row(sys: emb.EmbeddedSystem, params: mar.TaylorSystemParams,
     return row
 
 
-def _bound_checks(nl, sys: emb.EmbeddedSystem, params: mar.TaylorSystemParams,
+def _bound_checks(nl, sys: emb.EmbeddedSystem, C: mar.MarchingOperator, y_sym: np.ndarray,
                   sol: mar.MarchingSolution, cond: dict,
                   report_m: meas.MeasurementReport, struct: dict, utilde_T: np.ndarray,
                   zeta: float, u_exact: np.ndarray, ref_error: float, exp_norm_ok: bool,
                   config: RunConfig) -> list[dict]:
     checks = []
+    params = C.params
     c = params.c
     K = nl.K
     # the rescaled regime ||u_in|| <= K, which the default rescaling
@@ -577,7 +582,7 @@ def _bound_checks(nl, sys: emb.EmbeddedSystem, params: mar.TaylorSystemParams,
               else "" if params.hpm_budget_certified
               else "bound exceeds the epsilon1 budget at the capped order")))
 
-    checks.append(_step_error_row(sys, params, sol, params.factorial_ok and exp_norm_ok,
+    checks.append(_step_error_row(C, y_sym, sol, params.factorial_ok and exp_norm_ok,
                                   config.dense_cap))
 
     checks.append(_check(

@@ -109,6 +109,17 @@ def unrank(index: EmbeddingIndexMap, i: int, j: int) -> tuple[int, ...]:
     return index.levels[i][j]
 
 
+def level_groups(index: EmbeddingIndexMap) -> np.ndarray:
+    """The level group of every coordinate of the full layout, by a loop
+    over components: i + sum(a) for component a of level i >= 1 (its
+    factors' orders sum to i + 1 over i + 1 factors), -1 on level 0."""
+    group = np.full(index.N, -1)
+    for i in range(1, index.c + 1):
+        for j, a in enumerate(index.levels[i]):
+            group[index.block_slice(i, j)] = i + sum(a)
+    return group
+
+
 def build_embedded_vector(index: EmbeddingIndexMap, nus: np.ndarray) -> np.ndarray:
     """Stack one time slice of the cascade into the embedded layout.
 

@@ -182,7 +182,8 @@ def test_criterion3_step_error_decay():
             norm_A=sys.norm_A, N=sys.index.N)
         C = assemble_C(sys.A, params)
         sol = solve_marching(C, sys.y_in)
-        rows = step_errors_vs_expm(sys, sol, dense_trajectory(sys.A, sys.y_in, h, m))
+        rows = step_errors_vs_expm(sys.A, sys.y_in, sol,
+                                   dense_trajectory(sys.A, sys.y_in, h, m))
         worst_by_k[k] = max(r["measured"] - r["bound"] for r in rows)
     ok = all(v <= ABS_TOL for v in worst_by_k.values())
     _line(3, "per-step factorial error bound, k=3..8", ok,

@@ -499,6 +499,31 @@ def test_run_emit_blocks(std1_config, tmp_path):
     assert first[0] == pytest.approx(0.4, abs=1e-12)
 
 
+@pytest.mark.parametrize("flag", ["--out", "--emit-blocks"])
+@pytest.mark.parametrize("below", [False, True])
+def test_an_output_path_through_a_file_is_refused_before_the_run(
+        std1_config, tmp_path, capsys, monkeypatch, flag, below):
+    # the path names an existing file, or lies below one: exit 2 with one
+    # line that names it, before the march, and nothing written
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    path = taken / "blocks" if below else taken
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(hpmsim.marching, "solve_marching", no_solve)
+    out = path if flag == "--out" else tmp_path / "out"
+    argv = ["--config", str(std1_config), "--out", str(out), "run"]
+    if flag == "--emit-blocks":
+        argv += ["--emit-blocks", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(path) in err and "Traceback" not in err
+    assert ("in stage load" in err) is (flag == "--emit-blocks")
+    assert taken.read_text() == "kept\n" and not (tmp_path / "out").exists()
+
+
 def test_gen_roundtrip_run(tmp_path):
     out = tmp_path / "inst"
     assert main(["--out", str(out), "--seed", "7", "gen",

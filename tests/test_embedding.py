@@ -26,10 +26,24 @@ from hpmsim.embedding import (
     total_dimension,
 )
 from hpmsim.errors import BoundViolation, NumericalError, ValidationError
+from hpmsim.marching import (
+    SOLVERS,
+    TaylorSystemParams,
+    assemble_C,
+    solve_marching,
+    step_errors_vs_expm,
+)
+from hpmsim.measurement import postselect
 from hpmsim.ode import compute_K, make_ode
 from hpmsim.pipeline import generate_instance
 from hpmsim.sparse import SparseMatrix, dense_expm, max_line_nnz, spectral_norm
-from oracles import build_embedded_vector, row_pattern_Bm, truncated_solution, unrank
+from oracles import (
+    build_embedded_vector,
+    level_groups,
+    row_pattern_Bm,
+    truncated_solution,
+    unrank,
+)
 
 
 def std1(f2: float = 0.2, u0: float = 0.5):
@@ -685,6 +699,61 @@ def test_orbit_basis_is_invariant_under_A_and_counts_the_multisets(n, c, seed, k
     assert np.allclose((V.T @ V).toarray(), np.eye(R), rtol=0.0, atol=1e-15)
     y = basis.expand(basis.restrict(sys.y_in))
     assert np.linalg.norm(y - sys.y_in) <= 1e-14 * np.linalg.norm(sys.y_in)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 10_000),
+       st.sampled_from(["normal", "nonnormal"]), st.sampled_from(SOLVERS))
+def test_the_orbit_solution_reads_as_the_full_one(n, c, seed, kind, solver):
+    # the orbits' level groups are the coordinates' groups, and post-selection
+    # and the step errors read the orbit solution with them as they read the
+    # same solution expanded, with every coordinate's group
+    ode = random_ode(n, seed) if kind == "normal" else nonnormal_ode(n, seed)
+    sys = assemble_A(ode, c)
+    basis = orbit_basis(sys.index)
+    group = level_groups(sys.index)
+    assert np.array_equal(basis.group[basis.orbit], group)
+    assert np.array_equal(basis.group[:n], np.full(n, -1)) and (basis.group[n:] >= 1).all()
+
+    A_sym, y_sym = reduce_to_orbits(sys.A, basis), basis.restrict(sys.y_in)
+    m, h = step_counts(0.5, sys.norm_A)
+    params = TaylorSystemParams(c=c, h=h, m=m, k=8, p=m, d=m * 9 + m, delta=1e-10,
+                                epsilon1=0.0, Omega=0.0, g_est=1.0, eta_est=1.0,
+                                eta_prime=0.0, norm_A=sys.norm_A, N=sys.index.N)
+    C = assemble_C(A_sym, params)
+    sym = solve_marching(C, y_sym, solver=solver)
+    full = dataclasses.replace(sym, starts=basis.expand(sym.starts),
+                               final=basis.expand(sym.final))
+    nl = compute_K(ode)
+    a, b = postselect(sym, basis.group, nl, 1.0), postselect(full, group, nl, 1.0)
+    assert a.u_out.tobytes() == b.u_out.tobytes()
+    assert len(a.level_group_norms_sq) == len(b.level_group_norms_sq) == c
+    for got, want in ((a.p1_block_ratio, b.p1_block_ratio), (a.chi0_sq, b.chi0_sq),
+                      *zip(a.level_group_norms_sq, b.level_group_norms_sq)):
+        assert abs(got - want) <= 1e-14 * want
+
+    floor = C.probe_tol * np.linalg.norm(sys.y_in)
+    rows = zip(step_errors_vs_expm(A_sym, y_sym, sym),
+               step_errors_vs_expm(sys.A, sys.y_in, full))
+    for got, want in rows:
+        assert abs(got["bound"] - want["bound"]) <= 1e-14 * want["bound"]
+        assert abs(got["measured"] - want["measured"]) <= floor
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_a_diagonal_block_off_the_kronecker_sum_is_refused_at_its_level(level):
+    # the even and the odd levels share a probe each: one diagonal entry of
+    # the level's first row, moved by 1e-3 ||F1||, is caught on either
+    ode = random_ode(2, seed=3)
+    sys = assemble_A(ode, 3)
+    row = sys.index.level_slice(level).start
+    A = sys.A.copy()
+    start, stop = A.indptr[row], A.indptr[row + 1]
+    A.data[start + np.flatnonzero(A.indices[start:stop] == row)[0]] += 1e-3 * ode.norm_F1
+    nl = compute_K(ode)
+    with pytest.raises(BoundViolation, match=f"diagonal block of level {level} "):
+        structural_report(dataclasses.replace(sys, A=A), ode, nl.norm_F2, nl.re_lambda1)
+    structural_report(sys, ode, nl.norm_F2, nl.re_lambda1)
 
 
 def test_orbit_keys_that_overflow_int64_are_refused():

@@ -239,7 +239,8 @@ def test_step_errors_bounded_every_step():
     params = tiny_params(N=sys.index.N, m=m, k=5, p=m, h=h, c=1)
     C = assemble_C(sys.A, params)
     sol = solve_marching(C, sys.y_in)
-    rows = step_errors_vs_expm(sys, sol, dense_trajectory(sys.A, sys.y_in, h, m))
+    rows = step_errors_vs_expm(sys.A, sys.y_in, sol,
+                               dense_trajectory(sys.A, sys.y_in, h, m))
     assert len(rows) == m + 1
     assert rows[0]["measured"] == 0.0
     for row in rows:

@@ -22,6 +22,7 @@ from hpmsim.sparse import SparseMatrix
 from oracles import (
     amplitude_lower_bound,
     component_difference_bound,
+    level_groups,
     marched_x,
     normalized_perturbation_bounds,
 )
@@ -44,7 +45,7 @@ def test_postselect_linear_c0_full_level0_mass():
     params = tiny_params(N=2, m=m, k=6, p=m, h=h, c=0)
     C = assemble_C(sys.A, params)
     sol = solve_marching(C, sys.y_in)
-    rep = postselect(sol, sys.index, nl, utilde_T_norm=1.0)
+    rep = postselect(sol, level_groups(sys.index), nl, utilde_T_norm=1.0)
     assert rep.chi0_sq == 1.0
     assert rep.chi0_bound == 1.0
     assert rep.p1_bound == pytest.approx(1.0 / (params.p + 77.0 * params.m))
@@ -62,7 +63,7 @@ def test_postselect_norms_take_every_chunk_of_x(p):
     params = tiny_params(N=sys.index.N, m=m, k=6, p=p, h=h, c=2)
     C = assemble_C(sys.A, params)
     sol = solve_marching(C, sys.y_in)
-    rep = postselect(sol, sys.index, compute_K(ode), utilde_T_norm=1.0)
+    rep = postselect(sol, level_groups(sys.index), compute_K(ode), utilde_T_norm=1.0)
     x = marched_x(C, sys.y_in)
     block = x.reshape(params.d + 1, -1)[m * (params.k + 1)]
     want = np.linalg.norm(block) ** 2 / np.linalg.norm(x) ** 2
@@ -77,11 +78,12 @@ def _traced_forward_peak(p: int) -> tuple[int, int]:
     params = tiny_params(N=sys.index.N, m=16, k=15, p=p, h=1.0 / sys.norm_A, c=4)
     C = assemble_C(sys.A, params)
     nl = compute_K(ode)
+    group = level_groups(sys.index)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         sol = solve_marching(C, sys.y_in)
-        postselect(sol, sys.index, nl, utilde_T_norm=1.0)
+        postselect(sol, group, nl, utilde_T_norm=1.0)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -125,7 +127,7 @@ def test_level_group_norms_crafted():
     y[index.block_slice(1, 1)] = 2.0
     y[index.block_slice(1, 2)] = 3.0
     y[index.block_slice(2, 0)] = 4.0            # (0,0,0): degree 3
-    groups_sq, bounds = level_group_norms(y, index, K=0.5)
+    groups_sq, bounds = level_group_norms(y, level_groups(index), K=0.5)
     assert groups_sq == pytest.approx([1.0, 4.0 + 9.0 + 16.0])
     assert bounds == pytest.approx([0.5, 0.25])
 

@@ -32,7 +32,7 @@ from hpmsim.pipeline import (
     sweep,
 )
 from hpmsim.sparse import DENSE_ORACLE_CAP, dense_expm, max_line_nnz, spectral_norm
-from oracles import dense_trajectory
+from oracles import dense_trajectory, read_vector
 
 STD1 = {
     "n": 1, "T": 1.0, "epsilon": 1e-2, "u_in": [0.5],
@@ -339,13 +339,14 @@ STEP_ERROR_RUNS = {
 def test_step_error_verdict_allows_the_rounding_floor_and_no_more(
         monkeypatch, name, step, excess, passes):
     # one step's measured error is set to its bound plus the excess; the
-    # floor is gamma ||y_in||, gamma the probe_tol of the full-space operator
+    # floor is gamma ||y_in||, gamma the probe_tol of the marched operator
+    # on A_sym, which the sweep is given with the restricted y_in
     step_errors = hpmsim.marching.step_errors_vs_expm
 
-    def inflated(sys, sol):
-        rows = step_errors(sys, sol)
-        floor = (hpmsim.marching.MarchingOperator(sys.A, sol.params).probe_tol
-                 * np.linalg.norm(sys.y_in))
+    def inflated(A, y, sol):
+        rows = step_errors(A, y, sol)
+        floor = (hpmsim.marching.MarchingOperator(A, sol.params).probe_tol
+                 * np.linalg.norm(y))
         j = (min(range(1, len(rows)), key=lambda i: rows[i]["bound"])
              if step == "tightest" else step)
         bound = rows[j]["bound"]
@@ -383,6 +384,34 @@ def test_a_corrupted_orbit_map_is_refused_in_stage_assemble_C(monkeypatch, name)
     with pytest.raises(NumericalError, match="does not keep the orbit basis") as info:
         run(STEP_ERROR_RUNS[name]())
     assert info.value.stage == "assemble_C"
+
+
+@pytest.mark.parametrize("name", sorted(STEP_ERROR_RUNS))
+def test_a_run_reads_the_solution_in_orbit_coordinates(monkeypatch, tmp_path, name):
+    # post-selection and the step-error sweep get the R-length step starts
+    # and final block that the march gave; only the emitted blocks are
+    # expanded to the full N, and so are constant on every orbit
+    seen = []
+    for module, attr in ((hpmsim.measurement, "postselect"),
+                         (hpmsim.marching, "step_errors_vs_expm")):
+        def record(*args, _original=getattr(module, attr)):
+            seen.append(next(a for a in args if isinstance(a, hpmsim.marching.MarchingSolution)))
+            return _original(*args)
+        monkeypatch.setattr(module, attr, record)
+    rep = run(STEP_ERROR_RUNS[name]())
+    R = rep.structure["R"]
+    assert R < rep.structure["N"] and len(seen) == 2
+    for sol in seen:
+        assert sol.starts.shape == (rep.parameters["m"] + 1, R) and sol.final.shape == (R,)
+
+    blocks = tmp_path / "blocks"
+    rep = run(dataclasses.replace(STEP_ERROR_RUNS[name](), emit_blocks=str(blocks)))
+    p = rep.parameters
+    basis = hpmsim.embedding.orbit_basis(hpmsim.embedding.build_index_map(p["c"], rep.config["n"]))
+    for i in range(p["m"] + 1):
+        x = read_vector(blocks / f"x_{i:04d}_0.txt")
+        assert x.shape == (p["N"],)
+        assert np.array_equal(x, x[basis.reps][basis.orbit])
 
 
 def test_structure_reports_the_orbit_count_beside_N(std1_report):
