@@ -5,10 +5,8 @@ component (i, j) is nu_{a_0} kron ... kron nu_{a_i} where the multi-index
 (a_0..a_i) runs over all tuples with a_k >= 0 and sum a_k <= c - i, ordered
 graded-lex with the all-zeros tuple first.  Level 0 is the single summed
 vector nu_0 + ... + nu_c.  The stacked dynamics are linear, dy/dt = A y,
-with A block upper bidiagonal over levels.  A is a `scipy.sparse`
-`csr_array` built from Kronecker products: Kronecker sums of F1 on the
-diagonal, each level's from the one below by S_i = S_{i-1} kron I_n +
-I kron F1, and copies of F2 placed by 0/1 split matrices above it.  ||A||
+A a block upper bidiagonal `csr_array` written row by row: in each slot F1
+evolves one factor, and F2 splits it into two, a step up a level.  ||A||
 comes with a closed-form bracket whose upper end sets the step count
 m = ceil(T upper), so ||A h|| <= 1 holds by proof and no estimator of ||A||
 runs on the solve path; A's logarithmic norm comes with a closed-form upper
@@ -24,15 +22,17 @@ adjacent ones, where on a symmetric argument it does not matter which
 slot split; level 0 has no slots, one orbit per entry.  So every step of
 the march stays in Sym (Harrow, "The church of the symmetric subspace",
 arXiv:1308.6595).  `orbit_basis` numbers the orbits and labels each with
-its level group, and `reduce_to_orbits` gives A_sym, A in Sym's
+its level group, and `assemble_A_sym` gives A_sym, A in Sym's
 orthonormal orbit basis, R-square for R orbits (946 for N = 6,536 at
-n = 8, c = 3).  A run reads x in that basis; only `--emit-blocks` expands
-it.  A^T does not keep Sym, so the checks on A itself, its norm, spectrum
-and exponential, run on the full A.
+n = 8, c = 3), from A's row builder run on one row per orbit.  A run reads
+x in that basis; only `--emit-blocks` expands it.  A^T does not keep Sym,
+so the checks on A itself, its norm, spectrum and exponential, run on the
+full A.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -162,35 +162,86 @@ def step_counts(T: float, norm_A: float) -> tuple[int, float]:
     return m, T / m
 
 
-def _split_matrix(index: EmbeddingIndexMap, i: int, k: int) -> np.ndarray:
-    """P_{i,k}: 1 where splitting slot k of a level-i multi-index gives a level-(i+1) one."""
-    P = np.zeros((index.beta[i], index.beta[i + 1]))
-    for j, a in enumerate(index.levels[i]):
-        for split in range(a[k]):
-            refined = a[:k] + (split, a[k] - 1 - split) + a[k + 1:]
-            P[j, index.rank(i + 1, refined)] = 1.0
-    return P
-
-
 def _schur_bound(block: sp.csr_array) -> float:
     """sqrt(||B||_1 ||B||_inf), an upper bound on ||B||_2."""
     mag = abs(block)
     return math.sqrt(mag.sum(axis=0).max()) * math.sqrt(mag.sum(axis=1).max())
 
 
+def _rows_of_A(ode: QuadraticODE, index: EmbeddingIndexMap, pos: np.ndarray):
+    """(data, indices, indptr) of A's rows at the coordinates pos, given level
+    by level, by the rule in `assemble_A`.  A row is pieces, each a span of a
+    row of F1 or F2 whose column u lands in A's column base + scale u, in the
+    order that makes the columns ascend: at level i >= 1, row t_s of F1 left
+    of its diagonal for s = 0..i, the diagonal, row t_s right of it for
+    s = i..0, then row t_k of F2 for each split of slot k at l, in order of k
+    and l.  The zeros off level 0 are dropped last."""
+    n, c, F1, F2 = index.n, index.c, ode.F1, ode.F2
+    f1, f2, d1 = (F1.indices, F1.data), (F2.indices, F2.data), F1.diagonal()
+    len1, len2 = np.diff(F1.indptr), np.diff(F2.indptr)
+    row1 = np.repeat(np.arange(n), len1)
+    left, right = (np.bincount(row1[side], minlength=n)
+                   for side in (F1.indices < row1, F1.indices > row1))
+    top = pos[pos < n]
+    levels = [[(f1, F1.indptr[top], len1[top], np.zeros_like(top), 1),
+               *((f2, F2.indptr[top], len2[top], index.offsets[1] + j * n * n + 0 * top, 1)
+                 for j in range(index.beta[1] if c else 0))]]
+    for i in range(1, c + 1):
+        at = pos[(pos >= index.offsets[i]) & (pos < index.level_slice(i).stop)]
+        j, T = np.divmod(at - index.offsets[i], n ** (i + 1))
+        place = n ** np.arange(i, -1, -1)
+        t = T[:, None] // place % n
+        diag = sum((d1[t[:, s]] for s in range(1, i + 1)), start=d1[t[:, 0]])
+        pieces = [(f1, F1.indptr[t[:, s]], left[t[:, s]], at - t[:, s] * place[s], place[s])
+                  for s in range(i + 1)]
+        pieces.append(((np.zeros_like(at), diag), np.arange(at.size), np.ones_like(at), at, 0))
+        pieces += [(f1, F1.indptr[t[:, s] + 1] - right[t[:, s]], right[t[:, s]],
+                    at - t[:, s] * place[s], place[s]) for s in reversed(range(i + 1))]
+        for k, l in itertools.product(range(i + 1), range(c - i)):
+            target = np.array([index.rank(i + 1, a[:k] + (l, a[k] - 1 - l) + a[k + 1:])
+                               if l < a[k] else -1 for a in index.levels[i]])[j]
+            base = (index.offsets[i + 1] + target * n ** (i + 2) + T % place[k]
+                    + T // (n * place[k]) * (n * n * place[k]))
+            pieces.append((f2, F2.indptr[t[:, k]], len2[t[:, k]] * (target >= 0), base, place[k]))
+        levels.append(pieces)
+
+    lengths = np.concatenate([sum(piece[2] for piece in pieces) for pieces in levels])
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    dtype = sp.get_index_dtype((F1.indices, F2.indices), maxval=max(index.N, indptr[-1]))
+    indices, data = np.empty(indptr[-1], dtype=dtype), np.empty(indptr[-1])
+    row = 0
+    for pieces in levels:
+        dst = indptr[row:row + pieces[0][1].size].copy()    # where each row's next piece goes
+        row += dst.size
+        for (cols, vals), start, cnt, base, scale in pieces:
+            first = np.cumsum(cnt) - cnt
+            step = np.arange(cnt.sum())
+            out = np.repeat(dst - first, cnt) + step
+            take = np.repeat(start - first, cnt) + step
+            indices[out] = np.repeat(base, cnt) + scale * cols[take]
+            data[out] = vals[take]
+            dst += cnt
+    # off level 0 an entry that is 0 is not stored; each row's span is recounted
+    keep = data != 0
+    keep[:indptr[top.size]] = True
+    if not keep.all():
+        indices, data, indptr = indices[keep], data[keep], np.append(0, np.cumsum(keep))[indptr]
+    return data, indices, indptr.astype(dtype)
+
+
 def assemble_A(ode: QuadraticODE, c: int, cap: int = N_CAP) -> EmbeddedSystem:
     """Assemble the block upper bidiagonal embedding matrix, y(0) and the ||A|| bracket.
 
-    Diagonal block i: I_{beta_i} kron S_i, S_i = sum_k I^k kron F1 kron I^(i-k)
-    the Kronecker sum of i+1 copies of F1, built by the recurrence
-    S_0 = F1, S_i = S_{i-1} kron I_n + I_{n^i} kron F1.
-    Level 0 couples to every level-1 component through a copy of F2.  For
-    i >= 1, splitting slot k of a row multi-index into (l, a_k-1-l) targets
-    the level-(i+1) component with that refined multi-index through
-    I^k kron F2 kron I^(i-k), so block (i, i+1) is
-    sum_k P_{i,k} kron I^k kron F2 kron I^(i-k).  Sums run over k = 0..i in
-    order; an entry of a sum of two or more terms that comes to exactly
-    zero is not stored.
+    Row (j, t) of level i >= 1, t = (t_0..t_i) the tensor index of
+    component a = (a_0..a_i), is what F1 and F2 do to its slots.  F1 acts
+    along each slot s, sending t_s to t', and the diagonal sums F1[t_s, t_s]
+    over the slots in slot order: the diagonal block is I_beta kron the
+    Kronecker sum of F1.  F2 splits slot s into two adjacent slots
+    (t', t''), in the level-(i+1) component that splitting a_s into
+    (l, a_s - 1 - l) names.  Level 0 is F1 as stored, plus F2 as stored into
+    every level-1 component; everywhere else an entry that comes to 0 is not
+    stored.  `_rows_of_A` writes the rows by index arithmetic, and A is
+    converted to CSR once, int32-indexed wherever F1 and F2 are and N fits.
 
     ||A|| is bracketed in closed form.  A = D + U with D block diagonal and
     U block superdiagonal: the spectral radius (c+1) rho(F1) of D's last
@@ -208,37 +259,17 @@ def assemble_A(ode: QuadraticODE, c: int, cap: int = N_CAP) -> EmbeddedSystem:
     <= 1 for every t >= 0.
     """
     index = build_index_map(c, ode.n, cap)
-    n, F1, F2 = ode.n, ode.F1, ode.F2
-    sizes = [index.beta[i] * n ** (i + 1) for i in range(c + 1)]
-    # with every block csr, empty ones included, block_array joins the csr
-    # arrays directly instead of copying all entries through one COO
-    blocks = [[sp.csr_array((rows, cols)) for cols in sizes] for rows in sizes]
-    S = F1
-    for i in range(c + 1):
-        if i:
-            S = (sp.kron(S, sp.eye_array(n), format="csr")
-                 + sp.kron(sp.eye_array(n ** i), F1, format="csr"))
-        # beta_0 = beta_c = 1: the top level, the largest, is S_c itself
-        blocks[i][i] = (S if index.beta[i] == 1
-                        else sp.kron(sp.eye_array(index.beta[i]), S, format="csr"))
-    if F2.nnz and c >= 1:
-        blocks[0][1] = sp.kron(np.ones((1, index.beta[1])), F2, format="csr")
-        slots = [F2]        # I^k kron F2 kron I^(i-k), k = 0..i, at level i
-        for i in range(1, c):
-            slots = [*(sp.kron(t, sp.eye_array(n), format="csr") for t in slots),
-                     sp.kron(sp.eye_array(n ** i), F2, format="csr")]
-            blocks[i][i + 1] = sum(sp.kron(_split_matrix(index, i, k), t, format="csr")
-                                   for k, t in enumerate(slots))
-    coupling = max((_schur_bound(blocks[i][i + 1]) for i in range(c)), default=0.0)
+    A = sp.csr_array(_rows_of_A(ode, index, np.arange(index.N)), shape=(index.N, index.N))
+    coupling = max((_schur_bound(A[index.level_slice(i), index.level_slice(i + 1)])
+                    for i in range(c)), default=0.0)
     lower = (c + 1) * float(np.abs(ode.eigs_F1).max(initial=0.0)) * (1 - BRACKET_SLACK)
     upper = (c + 1) * ode.norm_F1 + coupling
     mu = ode.log_norm_F1
     log_norm_upper = max(mu, (c + 1) * mu) + coupling + BRACKET_SLACK * upper
     upper *= 1 + BRACKET_SLACK
 
-    return EmbeddedSystem(index=index, A=sp.block_array(blocks, format="csr"),
-                          y_in=assemble_y_in(ode, index), norm_A=upper, norm_A_lower=lower,
-                          log_norm_A_upper=log_norm_upper)
+    return EmbeddedSystem(index=index, A=A, y_in=assemble_y_in(ode, index), norm_A=upper,
+                          norm_A_lower=lower, log_norm_A_upper=log_norm_upper)
 
 
 @dataclass
@@ -301,15 +332,16 @@ def orbit_basis(index: EmbeddingIndexMap) -> OrbitBasis:
                       root_w=np.sqrt(np.concatenate(sizes)), group=np.concatenate(groups))
 
 
-def reduce_to_orbits(A: sp.csr_array, basis: OrbitBasis) -> sp.csr_array:
+def assemble_A_sym(ode: QuadraticODE, sys: EmbeddedSystem, basis: OrbitBasis) -> sp.csr_array:
     """A_sym = V^T A V, with A V = V A_sym checked by one seeded probe.
 
     A keeps Sym, so A Q = Q A_red for Q the 0/1 orbit indicators, and
-    A_red[r, s] sums row reps[r] of A over the columns of orbit s: the rows
-    of reps are gathered from A's CSR arrays, their columns mapped through
-    orbit, and COO->CSR sums the duplicates.  Each entry is scaled on the
-    way to A_sym = diag(sqrt w) A_red diag(1/sqrt w), which acts on the
-    orthonormal coordinates, where ||x||^2 is a plain sum.
+    A_red[r, s] sums row reps[r] of A over the columns of orbit s: the row
+    builder writes A's rows at reps, their columns are mapped through orbit,
+    and COO->CSR sums the duplicates, so the probe below holds the builder's
+    two outputs, sys.A and A_sym, against each other.  Each entry is scaled
+    on the way to A_sym = diag(sqrt w) A_red diag(1/sqrt w), which acts on
+    the orthonormal coordinates, where ||x||^2 is a plain sum.
 
     The probe draws v from `default_rng(0)`, takes u = V v and a = |A| |u|,
     and refuses ||A u - V A_sym v|| above gamma_n (||a|| + ||a[reps][orbit]||),
@@ -331,17 +363,13 @@ def reduce_to_orbits(A: sp.csr_array, basis: OrbitBasis) -> sp.csr_array:
     where the difference is orthogonal to u.  Its cost is one product with
     A and one with |A|.
     """
-    reps, orbit, root_w = basis.reps, basis.orbit, basis.root_w
+    A, reps, orbit, root_w = sys.A, basis.reps, basis.orbit, basis.root_w
     R = reps.size
-    starts = A.indptr[reps].astype(np.int64)
-    lengths = A.indptr[reps + 1] - starts
+    data, indices, indptr = _rows_of_A(ode, sys.index, reps)
     # rows and cols in A's index dtype keep A_sym int32 wherever A is
-    rows = np.repeat(np.arange(R, dtype=A.indices.dtype), lengths)
-    # position k of the gathered row r is A's entry starts[r] + k
-    pos = np.arange(rows.size) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-    cols = orbit[A.indices[pos]].astype(A.indices.dtype)
-    A_sym = sp.csr_array((A.data[pos] * (root_w[rows] / root_w[cols]), (rows, cols)),
-                         shape=(R, R))
+    rows = np.repeat(np.arange(R, dtype=A.indices.dtype), np.diff(indptr))
+    cols = orbit[indices].astype(A.indices.dtype)
+    A_sym = sp.csr_array((data * (root_w[rows] / root_w[cols]), (rows, cols)), shape=(R, R))
 
     v = np.random.default_rng(0).standard_normal(R)
     u = basis.expand(v)

@@ -43,7 +43,7 @@ class SparseMatrix(sp.csr_array):
 
         The index arrays are int32 wherever the shape and entry count fit,
         scipy's own rule: the sparse products of A then read half the index
-        bytes, and `kron` and `block_array` keep that dtype."""
+        bytes, and `embedding.assemble_A` writes A's in that dtype."""
         if rows < 0 or cols < 0:
             raise ValidationError("matrix dimensions must be nonnegative")
         triplets = list(triplets)

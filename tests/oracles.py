@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from hpmsim.cascade import HpmCascade
-from hpmsim.embedding import EmbeddingIndexMap
+from hpmsim.embedding import EmbeddingIndexMap, OrbitBasis
 from hpmsim.errors import NumericalError, ValidationError
 from hpmsim.marching import TaylorSystemParams
 from hpmsim.measurement import normalized_difference_bound
@@ -118,6 +118,32 @@ def level_groups(index: EmbeddingIndexMap) -> np.ndarray:
         for j, a in enumerate(index.levels[i]):
             group[index.block_slice(i, j)] = i + sum(a)
     return group
+
+
+def split_matrix(index: EmbeddingIndexMap, i: int, k: int) -> np.ndarray:
+    """P_{i,k}: 1 where splitting slot k of a level-i multi-index gives a level-(i+1) one."""
+    P = np.zeros((index.beta[i], index.beta[i + 1]))
+    for j, a in enumerate(index.levels[i]):
+        for split in range(a[k]):
+            refined = a[:k] + (split, a[k] - 1 - split) + a[k + 1:]
+            P[j, index.rank(i + 1, refined)] = 1.0
+    return P
+
+
+def reduce_to_orbits(A: sp.csr_array, basis: OrbitBasis) -> sp.csr_array:
+    """A_sym = V^T A V gathered out of A's CSR arrays: the rows of reps, their
+    columns mapped through orbit, each entry scaled by sqrt(w_r) / sqrt(w_s),
+    and COO->CSR sums the duplicates."""
+    reps, orbit, root_w = basis.reps, basis.orbit, basis.root_w
+    R = reps.size
+    starts = A.indptr[reps].astype(np.int64)
+    lengths = A.indptr[reps + 1] - starts
+    rows = np.repeat(np.arange(R, dtype=A.indices.dtype), lengths)
+    # position k of the gathered row r is A's entry starts[r] + k
+    pos = np.arange(rows.size) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    cols = orbit[A.indices[pos]].astype(A.indices.dtype)
+    return sp.csr_array((A.data[pos] * (root_w[rows] / root_w[cols]), (rows, cols)),
+                        shape=(R, R))
 
 
 def build_embedded_vector(index: EmbeddingIndexMap, nus: np.ndarray) -> np.ndarray:

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import hpmsim
+import hpmsim.embedding
 import hpmsim.marching
 import hpmsim.pipeline
 from hpmsim.cli import main
-from hpmsim.errors import NumericalError
+from hpmsim.errors import BoundViolation, NumericalError
 from hpmsim.pipeline import RunConfig, generate_instance, run
 from hpmsim.sparse import read_triplets
 from oracles import read_vector
@@ -324,6 +325,18 @@ def test_run_maps_memory_error_to_exit_3(std1_config, tmp_path, monkeypatch, cap
     assert last.startswith("unexpected MemoryError in stage solve")
 
 
+def test_a_bound_violation_exits_1_and_names_its_stage(std1_config, tmp_path, monkeypatch,
+                                                      capsys):
+    def violated(*args, **kwargs):
+        raise BoundViolation("entries outside the block bidiagonal structure")
+
+    monkeypatch.setattr(hpmsim.embedding, "structural_report", violated)
+    code = main(["--config", str(std1_config), "--out", str(tmp_path / "o"), "run"])
+    assert code == 1
+    assert capsys.readouterr().err == ("bound violation in stage embed: entries outside "
+                                       "the block bidiagonal structure\n")
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_nan_residual_is_refused_at_stage_solve(tmp_path, capsys):
@@ -411,6 +424,18 @@ def test_embed_without_an_order_or_c_is_refused(std1_config, tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == ("validation failure: embed needs --order or a c "
                                        "override in the config\n")
+
+
+def test_embed_takes_its_order_from_the_config_c(tmp_path):
+    # without --order, embed reads the config's c and writes what --order c does
+    cfg = tmp_path / "c2.json"
+    cfg.write_text(json.dumps({**STD1, "c": 2}))
+    by_c, by_order = tmp_path / "by_c", tmp_path / "by_order"
+    assert main(["--config", str(cfg), "--out", str(by_c), "embed"]) == 0
+    assert main(["--config", str(cfg), "--out", str(by_order), "embed", "--order", "2"]) == 0
+    for name in ("A.txt", "y_in.txt", "embed.json"):
+        assert (by_c / name).read_bytes() == (by_order / name).read_bytes()
+    assert json.loads((by_c / "embed.json").read_text())["c"] == 2
 
 
 def test_embed_reads_triplet_files(tmp_path):

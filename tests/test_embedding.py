@@ -12,15 +12,14 @@ from scipy.sparse.linalg import eigsh
 import hpmsim.sparse
 from hpmsim.cascade import solve_cascade
 from hpmsim.embedding import (
-    _split_matrix,
     assemble_A,
+    assemble_A_sym,
     assemble_y_in,
     build_index_map,
     embedded_norm_profile,
     enumerate_level,
     level_sizes,
     orbit_basis,
-    reduce_to_orbits,
     step_counts,
     structural_report,
     total_dimension,
@@ -40,7 +39,9 @@ from hpmsim.sparse import SparseMatrix, dense_expm, max_line_nnz, spectral_norm
 from oracles import (
     build_embedded_vector,
     level_groups,
+    reduce_to_orbits,
     row_pattern_Bm,
+    split_matrix,
     truncated_solution,
     unrank,
 )
@@ -317,16 +318,40 @@ def per_slot_A(ode, c: int) -> sp.csr_array:
         blocks[0][1] = sp.kron(np.ones((1, index.beta[1])), F2, format="csr")
         for i in range(1, c):
             blocks[i][i + 1] = sum(
-                sp.kron(_split_matrix(index, i, k), _in_slot(F2, n, k, i), format="csr")
+                sp.kron(split_matrix(index, i, k), _in_slot(F2, n, k, i), format="csr")
                 for k in range(i + 1))
     return sp.block_array(blocks, format="csr")
 
 
+def zeros_ode(n: int, seed: int):
+    """F1 and F2 from triplets in which a random half of the entries, F1's
+    [0, 0] and [n-1, 0] and F2's [0, 0] and [n-1, 0] among them, come with a
+    second triplet that cancels the first: stored zeros on and off F1's
+    diagonal and in F2."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for cols in (n, n * n):
+        vals = rng.normal(size=(n, cols))
+        zero = rng.random((n, cols)) < 0.5
+        zero[0, 0] = zero[-1, 0] = True
+        trips = [(i, j, v) for (i, j), v in np.ndenumerate(vals)]
+        trips += [(i, j, -vals[i, j]) for i, j in zip(*np.nonzero(zero))]
+        mats.append(SparseMatrix.from_triplets(n, cols, trips))
+    return make_ode(n, *mats, rng.normal(size=n) * 0.3, assume_valid=True)
+
+
+ODE_KINDS = {"normal": random_ode, "nonnormal": nonnormal_ode, "zeros": zeros_ode}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("c", [0, 1, 2, 3, 4])
-@pytest.mark.parametrize("kind", ["normal", "nonnormal"])
+@pytest.mark.parametrize("kind", ["normal", "nonnormal", "zeros"])
 def test_assemble_A_matches_per_slot_construction(n, c, kind):
-    ode = random_ode(n, seed=7 * n + c) if kind == "normal" else nonnormal_ode(n, seed=7 * n + c)
+    ode = ODE_KINDS[kind](n, seed=7 * n + c)
+    if kind == "zeros":
+        # every entry is stored, so these zeros are stored ones
+        assert ode.F1.nnz == n * n and ode.F2.nnz == n ** 3
+        assert ode.F1[0, 0] == ode.F1[n - 1, 0] == ode.F2[0, 0] == ode.F2[n - 1, 0] == 0
     A, want = assemble_A(ode, c).A, per_slot_A(ode, c)
     assert np.array_equal(A.indptr, want.indptr)
     assert np.array_equal(A.indices, want.indices)
@@ -693,12 +718,30 @@ def test_orbit_basis_is_invariant_under_A_and_counts_the_multisets(n, c, seed, k
     assert np.array_equal(basis.root_w, np.sqrt(np.bincount(basis.orbit, minlength=R)))
     V = sp.csr_array((1.0 / basis.root_w[basis.orbit], (np.arange(N), basis.orbit)),
                      shape=(N, R))
-    A_sym = reduce_to_orbits(sys.A, basis)
+    A_sym = assemble_A_sym(ode, sys, basis)
     AV = (sys.A @ V).toarray()
     assert np.linalg.norm(AV - (V @ A_sym).toarray()) <= 1e-14 * np.linalg.norm(AV)
     assert np.allclose((V.T @ V).toarray(), np.eye(R), rtol=0.0, atol=1e-15)
     y = basis.expand(basis.restrict(sys.y_in))
     assert np.linalg.norm(y - sys.y_in) <= 1e-14 * np.linalg.norm(sys.y_in)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 10_000),
+       st.sampled_from(list(ODE_KINDS)))
+def test_A_sym_from_the_row_builder_is_the_gather_from_A(n, c, seed, kind):
+    # the builder's rows at the representatives, mapped to orbits, against
+    # the same rows gathered out of A's CSR arrays: the same entries in the
+    # same order into one COO->CSR, so the same bits; no F2 has a symmetry
+    # between the two factors of u kron u
+    ode = ODE_KINDS[kind](n, seed)
+    sys = assemble_A(ode, c)
+    basis = orbit_basis(sys.index)
+    got, want = assemble_A_sym(ode, sys, basis), reduce_to_orbits(sys.A, basis)
+    assert got.indptr.dtype == want.indptr.dtype and got.indices.dtype == want.indices.dtype
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -715,7 +758,7 @@ def test_the_orbit_solution_reads_as_the_full_one(n, c, seed, kind, solver):
     assert np.array_equal(basis.group[basis.orbit], group)
     assert np.array_equal(basis.group[:n], np.full(n, -1)) and (basis.group[n:] >= 1).all()
 
-    A_sym, y_sym = reduce_to_orbits(sys.A, basis), basis.restrict(sys.y_in)
+    A_sym, y_sym = assemble_A_sym(ode, sys, basis), basis.restrict(sys.y_in)
     m, h = step_counts(0.5, sys.norm_A)
     params = TaylorSystemParams(c=c, h=h, m=m, k=8, p=m, d=m * 9 + m, delta=1e-10,
                                 epsilon1=0.0, Omega=0.0, g_est=1.0, eta_est=1.0,
@@ -766,7 +809,8 @@ def test_orbit_keys_that_overflow_int64_are_refused():
 def test_a_reduction_that_leaks_out_of_the_orbit_basis_is_refused():
     # one coordinate moved to another orbit of the same level: A V = V A_sym
     # fails far above the probe's rounding bound
-    sys = assemble_A(random_ode(2, seed=5), 3)
+    ode = random_ode(2, seed=5)
+    sys = assemble_A(ode, 3)
     basis = orbit_basis(sys.index)
     level = sys.index.level_slice(2)
     i, j = level.start, level.start + 1
@@ -774,4 +818,4 @@ def test_a_reduction_that_leaks_out_of_the_orbit_basis_is_refused():
     orbit = basis.orbit.copy()
     orbit[[i, j]] = orbit[[j, i]]
     with pytest.raises(NumericalError, match="does not keep the orbit basis"):
-        reduce_to_orbits(sys.A, dataclasses.replace(basis, orbit=orbit))
+        assemble_A_sym(ode, sys, dataclasses.replace(basis, orbit=orbit))

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hpmsim.cascade import truncation_bound
-from hpmsim.embedding import assemble_A, orbit_basis, reduce_to_orbits
+from hpmsim.embedding import assemble_A, assemble_A_sym, orbit_basis
 import hpmsim.marching as marching
 import hpmsim.sparse as sparse_mod
 from hpmsim.errors import NumericalError, ValidationError
@@ -178,7 +178,7 @@ def test_the_orbit_solve_is_the_full_solve(n, c, seed, solver):
     params = tiny_params(N=sys.index.N, m=m, k=8, p=m, h=h, c=c)
     full = solve_marching(assemble_C(sys.A, params), sys.y_in, solver=solver)
     basis = orbit_basis(sys.index)
-    C = assemble_C(reduce_to_orbits(sys.A, basis), params)
+    C = assemble_C(assemble_A_sym(ode, sys, basis), params)
     assert C.N == basis.reps.size < sys.index.N
     sym = solve_marching(C, basis.restrict(sys.y_in), solver=solver)
     assert sym.exponent == full.exponent and sym.iterations == full.iterations

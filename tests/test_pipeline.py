@@ -511,12 +511,16 @@ def test_sweep_records_failures_and_continues():
 def test_over_cap_paths_still_pass():
     # a tiny dense cap marks every dense-gated check as skipped; the
     # spectrum row, the log-norm certificate of exp_norm and g do not depend
-    # on the cap, and the run still passes
+    # on the cap, and the run still passes.  The step-error sweep runs on
+    # A_sym, R = 8: it is measured at R^2 = 64 <= 100 and skipped below
     rep = run(std1_config(dense_cap=100))
     assert rep.status == "pass"
     by_name = {r["check"]: r for r in rep.bound_checks}
     assert by_name["exp_norm"]["measured"] == 1.0
-    assert by_name["step_error"]["measured"] is None
+    assert by_name["step_error"]["measured"] is not None
+    small = next(r for r in run(std1_config(dense_cap=50)).bound_checks
+                 if r["check"] == "step_error")
+    assert small["measured"] is None and small["note"] == "skipped: R over dense cap"
     assert by_name["embedding_spectrum"]["measured"] == -1.0
     assert by_name["condition_number"]["measured"] is None
     assert rep.parameters["g"] == run(std1_config()).parameters["g"]

@@ -45,6 +45,19 @@ def test_spmv_dimension_mismatch():
         m.matvec(np.ones(4))
 
 
+def test_rmatvec_is_the_transpose_product():
+    # M^T v, which the benchmark binds: bit-equal to v @ M and to M^T @ v,
+    # on a non-square M; a v of the column length is refused
+    m = SparseMatrix.from_triplets(2, 3, [(0, 0, -1.0), (0, 2, 0.2), (1, 1, -2.0),
+                                          (1, 2, 0.7)])
+    v = np.array([0.5, 0.25])
+    out = m.rmatvec(v)
+    assert out.tobytes() == (v @ m).tobytes() == (m.T @ v).tobytes()
+    assert out == pytest.approx([-0.5, -0.5, 0.275], abs=1e-15)
+    with pytest.raises(ValidationError, match="rmatvec length mismatch"):
+        m.rmatvec(np.ones(3))
+
+
 def test_duplicates_sum_on_finalize():
     dup = SparseMatrix.from_triplets(2, 2, [(0, 1, 1.5), (0, 1, 2.5), (1, 0, -1.0)])
     pre = SparseMatrix.from_triplets(2, 2, [(0, 1, 4.0), (1, 0, -1.0)])
