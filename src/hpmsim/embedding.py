@@ -162,12 +162,6 @@ def step_counts(T: float, norm_A: float) -> tuple[int, float]:
     return m, T / m
 
 
-def _schur_bound(block: sp.csr_array) -> float:
-    """sqrt(||B||_1 ||B||_inf), an upper bound on ||B||_2."""
-    mag = abs(block)
-    return math.sqrt(mag.sum(axis=0).max()) * math.sqrt(mag.sum(axis=1).max())
-
-
 def _rows_of_A(ode: QuadraticODE, index: EmbeddingIndexMap, pos: np.ndarray):
     """(data, indices, indptr) of A's rows at the coordinates pos, given level
     by level, by the rule in `assemble_A`.  A row is pieces, each a span of a
@@ -246,9 +240,25 @@ def assemble_A(ode: QuadraticODE, c: int, cap: int = N_CAP) -> EmbeddedSystem:
     ||A|| is bracketed in closed form.  A = D + U with D block diagonal and
     U block superdiagonal: the spectral radius (c+1) rho(F1) of D's last
     block is a lower end, (c+1) sigma_1(F1) + max_i sqrt(||U_i||_1 ||U_i||_inf)
-    an upper one.  The upper end is the system's norm_A: any upper bound on
-    ||A|| keeps ||A h|| <= 1 for h = T / ceil(T norm_A), so no estimate of
-    ||A|| is taken here.
+    an upper one, U_i the coupling of level i to level i+1 (0 at c = 0).
+    The norms of U_i come from F2 alone.  Let r be the row sums of |F2| and
+    G[u, v] the column sum of |F2| at column u n + v.  Splitting two
+    different slots of a multi-index never names the same refined
+    component, so no two terms of U_i share an entry and no |.| cancels.
+    U_0 is beta_1 copies of F2 side by side: ||U_0||_inf = beta_1 max r and
+    ||U_0||_1 = max G.  For i >= 1, row (a, t) of U_i sums a_s r[t_s] over
+    the slots, so ||U_i||_inf = (c - i) max r, reached at a = (c - i, 0..0).
+    Merging any adjacent pair of slots of an admissible level-(i+1)
+    component gives an admissible level-i one, so column (b, t) of U_i sums
+    G[t_k, t_k+1] over all i+1 adjacent pairs k, and ||U_i||_1 is the
+    largest sum of G along a path t_0..t_i+1: the largest entry of the
+    max-plus product of i+1 copies of G, at most (i+1) max G.  Since
+    (i+1)(c-i) <= (c+1)^2/4 <= c(c+1)/2 = beta_1 for c >= 1, with the
+    second inequality strict from c = 2, no product ||U_i||_1 ||U_i||_inf
+    exceeds U_0's, and the coupling term is sqrt(max G) sqrt(beta_1 max r).
+    The upper end is the system's norm_A: any upper bound on ||A|| keeps
+    ||A h|| <= 1 for h = T / ceil(T norm_A), so no estimate of ||A|| is
+    taken here.
 
     The logarithmic norm mu(A) = lambda_max((A + A^T)/2) has a closed-form
     upper end from the same pieces: D's block i has log norm (i+1) mu(F1),
@@ -260,8 +270,10 @@ def assemble_A(ode: QuadraticODE, c: int, cap: int = N_CAP) -> EmbeddedSystem:
     """
     index = build_index_map(c, ode.n, cap)
     A = sp.csr_array(_rows_of_A(ode, index, np.arange(index.N)), shape=(index.N, index.N))
-    coupling = max((_schur_bound(A[index.level_slice(i), index.level_slice(i + 1)])
-                    for i in range(c)), default=0.0)
+    # max_i sqrt(||U_i||_1 ||U_i||_inf) is U_0's, from F2 alone, as derived above
+    mag = abs(ode.F2)
+    coupling = (math.sqrt(mag.sum(axis=0).max()) * math.sqrt(index.beta[1] * mag.sum(axis=1).max())
+                if c else 0.0)
     lower = (c + 1) * float(np.abs(ode.eigs_F1).max(initial=0.0)) * (1 - BRACKET_SLACK)
     upper = (c + 1) * ode.norm_F1 + coupling
     mu = ode.log_norm_F1

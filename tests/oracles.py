@@ -120,6 +120,14 @@ def level_groups(index: EmbeddingIndexMap) -> np.ndarray:
     return group
 
 
+def schur_bound(block: sp.csr_array) -> float:
+    """sqrt(||B||_1 ||B||_inf), an upper bound on ||B||_2, read off an
+    assembled block: the coupling term of A's norm bracket, which
+    `assemble_A` takes from F2 in closed form, from A's blocks U_i."""
+    mag = abs(block)
+    return math.sqrt(mag.sum(axis=0).max()) * math.sqrt(mag.sum(axis=1).max())
+
+
 def split_matrix(index: EmbeddingIndexMap, i: int, k: int) -> np.ndarray:
     """P_{i,k}: 1 where splitting slot k of a level-i multi-index gives a level-(i+1) one."""
     P = np.zeros((index.beta[i], index.beta[i + 1]))

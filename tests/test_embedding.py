@@ -12,6 +12,7 @@ from scipy.sparse.linalg import eigsh
 import hpmsim.sparse
 from hpmsim.cascade import solve_cascade
 from hpmsim.embedding import (
+    BRACKET_SLACK,
     assemble_A,
     assemble_A_sym,
     assemble_y_in,
@@ -41,6 +42,7 @@ from oracles import (
     level_groups,
     reduce_to_orbits,
     row_pattern_Bm,
+    schur_bound,
     split_matrix,
     truncated_solution,
     unrank,
@@ -283,8 +285,9 @@ def _with_int64_indices(M: SparseMatrix) -> SparseMatrix:
 @pytest.mark.parametrize("make", [std1, lambda: generate_instance(3, 2, 0.3, 7)])
 def test_assemble_A_indexes_with_int32_like_its_int64_build(make):
     # F1 and F2, from triplets or from dense arrays, hold int32 indices, and
-    # kron and block_array keep them; the same F1 and F2 with int64 indices
-    # assemble an int64 A with the same entries and bit-identical products
+    # the row builder writes A's indices in their dtype; the same F1 and F2
+    # with int64 indices assemble an int64 A with the same entries and
+    # bit-identical products
     ode = make()
     A = assemble_A(ode, 3).A
     wide = assemble_A(dataclasses.replace(ode, F1=_with_int64_indices(ode.F1),
@@ -306,7 +309,8 @@ def _in_slot(mat, n: int, k: int, i: int):
 
 def per_slot_A(ode, c: int) -> sp.csr_array:
     """A from one Kronecker product per slot and level, summed over the
-    slots: the construction the recurrences in assemble_A replace."""
+    slots: the block definition that assemble_A's row builder writes by
+    index arithmetic, one row at a time."""
     index = build_index_map(c, ode.n)
     n, F1, F2 = ode.n, ode.F1, ode.F2
     sizes = [index.beta[i] * n ** (i + 1) for i in range(c + 1)]
@@ -399,6 +403,57 @@ def test_norm_bracket_holds_for_nonnormal_F1(n, c):
     sys = assemble_A(nonnormal_ode(n, seed=3 * n + c), c)
     norm = np.linalg.norm(sys.A.toarray(), 2)
     assert sys.norm_A_lower <= norm <= sys.norm_A
+
+
+def slot_asymmetric_F2(n: int, rng, kind: str, scale: float) -> SparseMatrix:
+    """An F2 with F2[u, t n + t'] != F2[u, t' n + t] wherever t != t', or
+    F2 = 0 for kind "zero".  Entries are drawn, and for each such pair and
+    u one of the two is, with probability 1/2, left out ("sparse") or
+    stored as a zero ("stored", by a second triplet that cancels the
+    first); "dense" keeps every draw."""
+    vals = rng.normal(size=(n, n, n)) * scale
+    if kind == "zero":
+        return SparseMatrix.from_triplets(n, n * n, [])
+    drop = np.zeros((n, n, n), dtype=bool)
+    if kind != "dense":
+        t, t2 = np.triu_indices(n, 1)
+        side = rng.random((n, t.size)) < 0.5
+        pick = rng.random((n, t.size)) < 0.5
+        u = np.arange(n)[:, None].repeat(t.size, axis=1)
+        drop[u[pick], np.where(side, t, t2)[pick], np.where(side, t2, t)[pick]] = True
+    trips = [(u, t * n + t2, v) for (u, t, t2), v in np.ndenumerate(vals)
+             if kind == "stored" or not drop[u, t, t2]]
+    trips += [(u, t * n + t2, -vals[u, t, t2]) for u, t, t2 in zip(*np.nonzero(drop))
+              if kind == "stored"]
+    return SparseMatrix.from_triplets(n, n * n, trips)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 4), st.integers(0, 5), st.integers(0, 10_000),
+       st.sampled_from(["dense", "sparse", "stored", "zero"]), st.integers(-1, 4))
+def test_coupling_norms_in_closed_form_are_those_of_the_assembled_blocks(n, c, seed, kind,
+                                                                          decade):
+    # the bracket and the log-norm end rebuilt from sqrt(||U_i||_1 ||U_i||_inf)
+    # of the blocks U_i sliced out of the assembled A; F1 = -1e-3 times a
+    # positive diagonal (normal, dissipative) leaves the coupling dominant
+    rng = np.random.default_rng(seed)
+    F1 = SparseMatrix(np.diag(-1e-3 * rng.uniform(0.5, 2.0, n)))
+    F2 = slot_asymmetric_F2(n, rng, kind, 10.0 ** decade)
+    dense = F2.toarray().reshape(n, n, n)
+    off = ~np.eye(n, dtype=bool)
+    assert kind == "zero" or (dense != dense.transpose(0, 2, 1))[:, off].all()
+    if kind == "stored":
+        assert F2.nnz == n ** 3
+    ode = make_ode(n, F1, F2, rng.normal(size=n) * 0.3)
+    sys = assemble_A(ode, c)
+    level = sys.index.level_slice
+    coupling = max((schur_bound(sys.A[level(i), level(i + 1)]) for i in range(c)),
+                   default=0.0)
+    upper = (c + 1) * ode.norm_F1 + coupling
+    mu = ode.log_norm_F1
+    want_log = max(mu, (c + 1) * mu) + coupling + BRACKET_SLACK * upper
+    assert abs(sys.norm_A - upper * (1 + BRACKET_SLACK)) <= 1e-15 * sys.norm_A
+    assert abs(sys.log_norm_A_upper - want_log) <= 1e-15 * abs(want_log)
 
 
 # -- the closed-form log-norm bound behind the exp_norm certificate ----------
