@@ -181,6 +181,12 @@ class TaylorSystemParams:
         """2m(c+1)(c+2) <= (k+1)!, the margin of the step-error bound."""
         return 2.0 * self.m * (self.c + 1) * (self.c + 2) <= math.factorial(self.k + 1)
 
+    @property
+    def acceptance_ok(self) -> bool:
+        """50 m(c+1)(c+2) g <= (k+1)!, the margin of the step-acceptance bound."""
+        return math.factorial(self.k + 1) >= 50.0 * self.m * (self.c + 1) * (
+            self.c + 2) * self.g_est
+
 
 def taylor_order_for(Omega: float) -> int:
     """Smallest workable k: floor(2 log(Omega)/log log(Omega)) bumped until
@@ -585,17 +591,16 @@ def _factor(Cs: sp.csr_array) -> spla.SuperLU:
     return spla.splu(Cs.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
 
 
-def condition_report(C: MarchingOperator, exp_norm_precondition_ok: bool,
-                     dense_cap: int = DENSE_ORACLE_CAP) -> dict:
+def condition_report(C: MarchingOperator, dense_cap: int = DENSE_ORACLE_CAP) -> dict:
     """kappa(C) against 2e sqrt(k) (m(k+1)+p)(c+2), at the parameters C.params.
 
     kappa = ||C|| ||C^{-1}|| by Lanczos on C assembled by `tocsr()` and on
     the inverse that its SuperLU factor applies, each certified from below:
     ||C|| by its row and column norms, ||C^{-1}|| by ||C^{-1} b|| / ||b|| for
     the all-ones probe b.  Measured while size^2 stays under the dense cap,
-    which bounds the cost of both; above it C is never assembled.  The
-    precondition joins C.params' verdicts `contract_ok` and `factorial_ok`,
-    k >= 5 and the order selection's exp-norm verdict.
+    which bounds the cost of both; above it C is never assembled and
+    measured is None.  The bound's hypotheses are judged where its row is
+    built, in `pipeline`.
     """
     params = C.params
     m, k, p, c = params.m, params.k, params.p, params.c
@@ -610,9 +615,4 @@ def condition_report(C: MarchingOperator, exp_norm_precondition_ok: bool,
         # all ones: each step sums what came before, so C^{-1} amplifies it
         inv_floor = float(np.linalg.norm(lu.solve(np.ones(size)))) / math.sqrt(size)
         measured = spectral_norm(Cs) * spectral_norm(inv, lower=inv_floor)
-    return {
-        "bound": bound,
-        "measured": measured,
-        "precondition_ok": (params.contract_ok and k >= 5 and params.factorial_ok
-                            and exp_norm_precondition_ok),
-    }
+    return {"bound": bound, "measured": measured}

@@ -26,10 +26,8 @@ class MeasurementReport:
     p1_block_ratio: float        # ||x_{m,0}||^2 / ||x||^2
     p1_measured: float           # (p+1) * block ratio: any copy block accepts
     p1_bound: float              # 1 / (p + 77 m g^2)
-    p1_precondition_ok: bool     # (k+1)! >= 50 m (c+1)(c+2) g
     chi0_sq: float               # ||y_0(T)||^2 / ||y(T)||^2
     chi0_bound: float            # (1-2K^2) / (1-2K^2 + 2 eta'^2)
-    chi0_precondition_ok: bool   # K < sqrt(2)/2
     u_out: np.ndarray            # normalized level-0 block
     eta_prime: float
     level_group_norms_sq: list[float] = field(default_factory=list)
@@ -43,7 +41,8 @@ def postselect(sol: MarchingSolution, group: np.ndarray,
     sol may be in any orthonormal basis whose coordinates each lie in one
     level group, which group labels (see `level_group_norms`).  utilde_T_norm
     is ||sum_i nu_i(T)|| from the cascade; it sets eta' = K / ||u~(T)|| in
-    the level-0 probability bound.
+    the level-0 probability bound.  The report holds bounds, not verdicts:
+    their hypotheses are judged where their rows are built, in `pipeline`.
     """
     params = sol.params
     # the squares are taken on the solution as solved, where max|y_in| lies
@@ -56,8 +55,6 @@ def postselect(sol: MarchingSolution, group: np.ndarray,
     p1_block = block_sq / x_norm_sq
     g = params.g_est
     p1_bound = 1.0 / (params.p + 77.0 * params.m * g * g)
-    p1_pre = math.factorial(params.k + 1) >= 50.0 * params.m * (params.c + 1) * (
-        params.c + 2) * g
 
     y_norm_sq = sum_sq(sol.final)
     level0 = sol.final[group < 0]
@@ -83,10 +80,8 @@ def postselect(sol: MarchingSolution, group: np.ndarray,
         p1_block_ratio=p1_block,
         p1_measured=(params.p + 1) * p1_block,
         p1_bound=p1_bound,
-        p1_precondition_ok=bool(p1_pre),
         chi0_sq=chi0_sq,
         chi0_bound=chi0_bound,
-        chi0_precondition_ok=not nl.flag_K_large,
         u_out=level0 / math.sqrt(level0_sq),
         eta_prime=eta_prime,
         level_group_norms_sq=groups_sq,

@@ -108,7 +108,7 @@ class NonlinearityParams:
     norm_F2: float
     norm_u_in: float
     flag_K_large: bool     # K >= sqrt(2)/2: post-selection bound unavailable
-    flag_K_below_u: bool   # K < ||u_in||: rescaling assumption not yet met
+    flag_K_below_u: bool   # ||u_in|| > K (1 + 1e-9): not in the rescaled regime
 
 
 def compute_K(ode: QuadraticODE) -> NonlinearityParams:
@@ -125,7 +125,9 @@ def compute_K(ode: QuadraticODE) -> NonlinearityParams:
         norm_F2=norm_f2,
         norm_u_in=norm_u,
         flag_K_large=K >= SQRT_HALF,
-        flag_K_below_u=K < norm_u,
+        # the slack keeps rounding from deciding ||u_in|| = K, which the
+        # default rescaling and `generate_instance` both set
+        flag_K_below_u=norm_u > K * (1 + 1e-9),
     )
 
 

@@ -369,8 +369,7 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
                 write_vector(basis.expand(sol.step_solution(i)), blocks / f"x_{i:04d}_0.txt")
 
     with _Stage("condition", timings):
-        cond = mar.condition_report(mar.MarchingOperator(sys.A, params), sel.exp_norm_ok,
-                                    config.dense_cap)
+        cond = mar.condition_report(mar.MarchingOperator(sys.A, params), config.dense_cap)
 
     with _Stage("measurement", timings):
         report_m = meas.postselect(sol, basis.group, nl, utilde_norm)
@@ -379,15 +378,18 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
         budget = meas.final_error(report_m, u_exact, utilde_T,
                                   params.epsilon1, nl.K)
 
+    # the step-error bound's hypotheses: ||A h|| <= 1, 2m(c+1)(c+2) <= (k+1)!
+    # and ||e^(At)|| <= c+1; the condition_number row reads them too
+    taylor_ok = params.contract_ok and params.factorial_ok and sel.exp_norm_ok
+
     # the expm sweep behind the step_error row, an oracle timed apart from the checks
     with _Stage("step_error", timings):
-        step_row = _step_error_row(C, y_sym, sol, params.factorial_ok and sel.exp_norm_ok,
-                                   config.dense_cap)
+        step_row = _step_error_row(C, y_sym, sol, taylor_ok, config.dense_cap)
 
     with _Stage("checks", timings):
         checks = _bound_checks(nl, sys, params, step_row, cond, report_m, struct,
                                utilde_T, prep.zeta, u_exact, ref.error, sel.exp_norm_ok,
-                               config)
+                               taylor_ok, config)
         checks.append(_check(
             "reference_error", "||u_a(T) - u_b(T)|| / ||u_a(T)|| <= epsilon/100, "
             "u_a the reference and u_b a looser pass", ref.error, config.epsilon / 100.0, True))
@@ -541,14 +543,16 @@ def _bound_checks(nl, sys: emb.EmbeddedSystem, params: mar.TaylorSystemParams,
                   step_row: dict, cond: dict,
                   report_m: meas.MeasurementReport, struct: dict, utilde_T: np.ndarray,
                   zeta: float, u_exact: np.ndarray, ref_error: float, exp_norm_ok: bool,
-                  config: RunConfig) -> list[dict]:
+                  taylor_ok: bool, config: RunConfig) -> list[dict]:
+    """The bound rows, each precondition built beside its row from verdicts:
+    params', the selection's exp_norm_ok, taylor_ok and nl's rescaled regime."""
     checks = []
     c = params.c
     K = nl.K
-    # the rescaled regime ||u_in|| <= K, which the default rescaling
-    # guarantees and a zeta override may leave: the geometric bounds of the
-    # truncation, level_acceptance and level_decay rows assume it
-    rescaled = nl.norm_u_in <= K * (1 + 1e-9)
+    # the rescaled regime ||u_in|| <= K (1 + 1e-9), which the default
+    # rescaling guarantees and a zeta override may leave: the geometric bounds
+    # of the truncation, level_acceptance and level_decay rows assume it
+    rescaled = not nl.flag_K_below_u
 
     checks.append(_check(
         "sparsity", "max row/col nonzeros of the embedding <= s c^2 + c witness",
@@ -570,12 +574,12 @@ def _bound_checks(nl, sys: emb.EmbeddedSystem, params: mar.TaylorSystemParams,
 
     checks.append(_check(
         "condition_number", "kappa(C) <= 2 e sqrt(k) (m(k+1)+p)(c+2)",
-        cond["measured"], cond["bound"], cond["precondition_ok"],
+        cond["measured"], cond["bound"], taylor_ok and params.k >= 5,
         note="" if cond["measured"] is not None else "skipped: size over dense cap"))
 
     trunc_measured = float(vector_norm(zeta * u_exact - utilde_T))
-    trunc_bound = hpm.truncation_bound(K, c) if 0 < K < 1 else 0.0
-    trunc_pre = 0 < K < 1 and rescaled
+    trunc_bound = hpm.truncation_bound(K, c) if K > 0 else 0.0
+    trunc_pre = K > 0 and rescaled
     # the reference's own error on zeta u(T): a bound at or below it would
     # judge the row on the oracle's noise, not on the cascade
     ref_noise = zeta * ref_error * float(vector_norm(u_exact))
@@ -591,13 +595,12 @@ def _bound_checks(nl, sys: emb.EmbeddedSystem, params: mar.TaylorSystemParams,
 
     checks.append(_check(
         "step_acceptance", "||x_{m,0}||^2/||x||^2 >= 1/(p + 77 m g^2)",
-        report_m.p1_block_ratio, report_m.p1_bound, report_m.p1_precondition_ok,
+        report_m.p1_block_ratio, report_m.p1_bound, params.acceptance_ok,
         at_least=True))
     # with c = 0 level 0 is the whole state and chi_0^2 = 1 in any regime
     checks.append(_check(
         "level_acceptance", "chi_0^2 >= (1-2K^2)/(1-2K^2 + 2 eta'^2)",
-        report_m.chi0_sq, report_m.chi0_bound,
-        report_m.chi0_precondition_ok and (c == 0 or rescaled), at_least=True))
+        report_m.chi0_sq, report_m.chi0_bound, c == 0 or rescaled, at_least=True))
 
     if report_m.level_group_norms_sq:
         worst_ratio = max(

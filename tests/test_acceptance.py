@@ -254,7 +254,7 @@ def test_criterion5_condition_number_bound():
                                 epsilon1=0.0, Omega=0.0, g_est=1.0,
                                 eta_est=1.0, eta_prime=0.0, norm_A=0.5, N=1)
     kappa = dense_condition_number(reference_C(A, params).toarray())
-    measured = condition_report(assemble_C(A, params), True)["measured"]
+    measured = condition_report(assemble_C(A, params))["measured"]
     bound = 2 * math.e * math.sqrt(params.k) * (params.m * (params.k + 1) + params.p) * (params.c + 2)
     results.append(("4x4", kappa, bound, 4))
     assert kappa == pytest.approx(6.332670303617229, rel=1e-9)
@@ -268,7 +268,7 @@ def test_criterion5_condition_number_bound():
         A, params, size = _kappa_case(**case)
         assert size <= 2000, case
         kappa = dense_condition_number(reference_C(A, params).toarray())
-        measured = condition_report(assemble_C(A, params), True)["measured"]
+        measured = condition_report(assemble_C(A, params))["measured"]
         bound = 2 * math.e * math.sqrt(params.k) * (params.m * (params.k + 1) + params.p) * (params.c + 2)
         results.append((f"n={case['n']},c={case['c']},k={case['k']}", kappa, bound, size))
         assert measured == pytest.approx(kappa, rel=1e-10), case

@@ -103,6 +103,26 @@ def test_forced_warnings_keep_their_order():
                             "step-error precondition 2m(c+1)(c+2) <= (k+1)! fails at k = 3"]
 
 
+@pytest.mark.parametrize("m,contract", [(1, 4.61), (2, 2.31), (4, 1.15)])
+def test_a_forced_step_contract_waives_the_rows_that_assume_it(tmp_path, m, contract):
+    # ||A h|| > 1 is the hypothesis of the step-error and condition-number
+    # bounds: forced past it, neither row is judged, and the run passes
+    cfg = tmp_path / "std1.json"
+    cfg.write_text(json.dumps({**STD1, "m": m}))
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "--force", "run"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    params = report["parameters"]
+    assert params["norm_A"] * params["h"] == pytest.approx(contract, abs=5e-3)
+    assert report["status"] == "pass"
+    rows = {row["check"]: row for row in report["bound_checks"]}
+    assert not rows["step_error"]["precondition_ok"]
+    assert not rows["condition_number"]["precondition_ok"]
+    if m < 4:
+        # measured above its bound: only the waived hypothesis lets it pass
+        assert rows["step_error"]["measured"] > rows["step_error"]["bound"]
+
+
 @pytest.mark.parametrize("force", [[], ["--force"]])
 def test_strong_nonlinearity_is_refused_before_the_reference_forced_or_not(
         tmp_path, capsys, monkeypatch, force):

@@ -9,11 +9,14 @@ runs the orbit basis, the march or a probe of the package.
 """
 
 import itertools
+import math
+import tempfile
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.sparse import csr_array
@@ -25,7 +28,7 @@ from hpmsim.marching import SOLVERS
 from hpmsim.ode import make_ode
 from hpmsim.pipeline import generate_instance, instance_config, run
 from hpmsim.sparse import SparseMatrix
-from oracles import level_groups, reference_C
+from oracles import level_groups, read_vector, reference_C
 
 T, EPSILON = 1.0, 1e-2
 LABEL_SEED = 5          # a permutation other than the identity at n = 2 and n = 3
@@ -52,11 +55,10 @@ def close(a, b, rel: float = 1e-12) -> bool:
 
 
 # report fields that count or decide, and must be equal
-EQUAL = {"parameters": ("c", "m", "k", "p", "d", "N"),
+EQUAL = {"nonlinearity": ("flag_K_below_u_original",),
+         "parameters": ("c", "m", "k", "p", "d", "N"),
          "structure": ("R", "nnz_A_sym", "max_row_nnz", "max_col_nnz")}
-# norm-valued fields, equal but for the order of sums: within 1e-12 relative.
-# flag_K_below_u_original is left out: generate_instance sets ||u_in|| = K,
-# so that flag compares two equal numbers and its last bit decides it.
+# norm-valued fields, equal but for the order of sums: within 1e-12 relative
 NORMS = {"nonlinearity": ("K", "re_lambda1", "norm_F2", "norm_u_in_original",
                           "norm_u_in_solved", "zeta"),
          "parameters": ("h", "delta", "epsilon1", "Omega", "g", "eta", "eta_prime", "norm_A"),
@@ -123,6 +125,19 @@ def test_a_relabelled_instance_runs_to_the_same_report(n, solver):
     assert abs(a.errors["solve_part"] - b.errors["solve_part"]) <= 1e-12
 
 
+def test_an_instance_at_norm_K_is_rescaled_under_every_labelling():
+    # generate_instance sets ||u_in|| = K, here ||u_in|| = 0.29999999999999993
+    # against K = 0.2999999999999999: the flag must not read the last bit
+    ode = generate_instance(3, 2, 0.3, 7)
+    for perm in itertools.permutations(range(3)):
+        rep = run(instance_config(relabel(ode, np.array(perm)), T, EPSILON))
+        assert not rep.nonlinearity["flag_K_below_u_original"], perm
+    # std1 starts outside the regime, K = 0.4 < ||u_in|| = 0.5
+    std1 = make_ode(1, SparseMatrix.from_triplets(1, 1, [(0, 0, -1.0)]),
+                    SparseMatrix.from_triplets(1, 1, [(0, 0, 0.2)]), [0.5])
+    assert run(instance_config(std1, T, EPSILON)).nonlinearity["flag_K_below_u_original"]
+
+
 # -- the dense differential oracle ----------------------------------------
 
 def dense_A(F1: np.ndarray, F2: np.ndarray, c: int):
@@ -168,11 +183,26 @@ def dense_y_in(u: np.ndarray, index) -> np.ndarray:
 
 @settings(max_examples=16, deadline=None, derandomize=True)
 @given(st.integers(1, 2), st.integers(0, 3), st.floats(0.05, 1.0),
-       st.sampled_from([0.1, 0.3, 0.5]), st.integers(0, 1_000), st.sampled_from(SOLVERS))
-def test_a_run_reads_as_its_dense_oracle(n, c, T_end, K, seed, solver):
+       st.sampled_from([0.1, 0.3, 0.5]), st.integers(0, 1_000), st.sampled_from(SOLVERS),
+       st.booleans())
+@example(2, 1, 0.5, 0.3, 7, "forward", True)
+def test_a_run_reads_as_its_dense_oracle(n, c, T_end, K, seed, solver, nonnormal):
     ode = generate_instance(n, n, K, seed)
-    rep = run(instance_config(ode, T_end, EPSILON, c=c, solver=solver))
-    par = rep.parameters
+    if nonnormal and n == 2:
+        # F1's eigenvalues a, b under an upper coupling 3 sqrt(ab): (F1 + F1^T)/2
+        # has determinant ab - 9ab/4 < 0, so mu(F1) > 0, no log-norm bound
+        # certifies exp_norm and the row takes dense powers.  u_in along e_0,
+        # an eigenvector, keeps the cascade's order 0 within its decay guard
+        a, b = np.linalg.eigvalsh(ode.F1.toarray())
+        F1 = np.array([[a, 3 * np.sqrt(a * b)], [0.0, b]])
+        u_in = np.array([np.linalg.norm(ode.u_in), 0.0])
+        ode = make_ode(n, SparseMatrix(F1), ode.F2, u_in, assume_valid=True)
+    with tempfile.TemporaryDirectory() as blocks:
+        rep = run(instance_config(ode, T_end, EPSILON, c=c, solver=solver,
+                                  emit_blocks=blocks, assume_valid=nonnormal))
+        par = rep.parameters
+        # V x_{j,0}: the run's step starts in the full layout
+        starts = [read_vector(Path(blocks) / f"x_{j:04d}_0.txt") for j in range(par["m"] + 1)]
     assert par["c"] == c
     # the instance as solved: u -> zeta u, F2 -> F2 / zeta
     zeta = rep.nonlinearity["zeta"]
@@ -207,13 +237,32 @@ def test_a_run_reads_as_its_dense_oracle(n, c, T_end, K, seed, solver):
 
     # u~(T), the cascade's orders summed at T, is level 0 of e^(A T) y_in, to
     # a thousand times the integrator's relative tolerance of 1e-13
-    solved = make_ode(n, ode.F1, SparseMatrix(F2), u)
+    solved = make_ode(n, ode.F1, SparseMatrix(F2), u, assume_valid=True)
     utilde = solve_cascade(solved, c, T_end).nu[:, -1, :].sum(axis=0)
     assert np.linalg.norm(utilde - (expm(A * T_end) @ y_in)[:n]) <= 1e-10 * np.linalg.norm(u)
 
-    exp_row = next(row for row in rep.bound_checks if row["check"] == "exp_norm")
-    if exp_row["note"].startswith("certified"):
-        assert exp_row["measured"] == 1.0
-        E = expm(A * par["h"])
-        powers = itertools.accumulate(range(par["m"]), lambda P, _: E @ P, initial=np.eye(N))
-        assert max(np.linalg.norm(P, 2) for P in powers) <= 1.0 + 1e-12
+    rows = {row["check"]: row for row in rep.bound_checks}
+    E = expm(A * par["h"])
+    max_power = max(np.linalg.norm(np.linalg.matrix_power(E, j), 2)
+                    for j in range(par["m"] + 1))
+    if rows["exp_norm"]["note"].startswith("certified"):
+        assert rows["exp_norm"]["measured"] == 1.0
+        assert max_power <= 1.0 + 1e-12
+    else:
+        assert nonnormal and rows["exp_norm"]["note"] == "dense E^j products"
+        assert rows["exp_norm"]["measured"] == pytest.approx(max_power, rel=1e-10)
+
+    # every step within its bound 2 j (c+1)(c+2) ||y_in|| / (k+1)! plus a
+    # rounding floor gamma_{2n} ||y_in||, n = 100: the run's floor takes
+    # n = max(rho + 1, k) + ceil(log2 R) + 30, under 100 at these sizes
+    assert rows["step_error"]["precondition_ok"]
+    norm_y = np.linalg.norm(y_in)
+    floor = 200 * 2.0 ** -53 / (1 - 200 * 2.0 ** -53) * norm_y
+    for j, x_j in enumerate(starts):
+        bound = 2 * j * (c + 1) * (c + 2) * norm_y / math.factorial(par["k"] + 1)
+        assert np.linalg.norm(expm(A * (j * par["h"])) @ y_in - x_j) <= bound + floor, j
+
+    # kappa(C), where the run measures it, against a dense SVD of C
+    if rows["condition_number"]["measured"] is not None:
+        assert rows["condition_number"]["measured"] == pytest.approx(
+            np.linalg.cond(C.toarray()), rel=1e-8)

@@ -619,7 +619,7 @@ def test_gmres_runs_on_the_preconditioned_operator_with_one_product_with_C(monke
 @pytest.mark.parametrize("case", OPERATOR_CASES)
 def test_condition_report_matches_dense_svd(case):
     A, params = operator_case(case)
-    rep = condition_report(assemble_C(A, params), exp_norm_precondition_ok=True)
+    rep = condition_report(assemble_C(A, params))
     dense = dense_condition_number(reference_C(A, params).toarray())
     assert rep["measured"] == pytest.approx(dense, rel=1e-10)
 
@@ -640,7 +640,7 @@ def test_condition_report_refuses_estimate_below_certificate(monkeypatch, which)
 
     monkeypatch.setattr(sparse_mod, "svds", short_svds)
     with pytest.raises(NumericalError, match="below its certified lower bound"):
-        condition_report(C, exp_norm_precondition_ok=True)
+        condition_report(C)
 
 
 @pytest.mark.parametrize("case", OPERATOR_CASES)
@@ -671,21 +671,20 @@ def test_norm_floor_is_largest_row_or_column_norm(monkeypatch, case):
 def test_condition_report_takes_no_product_through_the_operator(monkeypatch):
     A, params = operator_case(OPERATOR_CASES[3])
     C = assemble_C(A, params)
-    want = condition_report(C, exp_norm_precondition_ok=True)
+    want = condition_report(C)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a product through the marching operator")
 
     for name in ("_matvec", "_taylor", "march"):
         monkeypatch.setattr(MarchingOperator, name, refuse)
-    got = condition_report(C, exp_norm_precondition_ok=True)
-    assert got == want and got["measured"] is not None and got["precondition_ok"]
+    got = condition_report(C)
+    assert got == want and got["measured"] is not None
     # over the cap C is never assembled, and the row is skipped
     monkeypatch.setattr(MarchingOperator, "tocsr", refuse)
     size = C.shape[0]
-    skipped = condition_report(C, exp_norm_precondition_ok=True,
-                               dense_cap=size * size - 1)
-    assert skipped == {"bound": want["bound"], "measured": None, "precondition_ok": True}
+    skipped = condition_report(C, dense_cap=size * size - 1)
+    assert skipped == {"bound": want["bound"], "measured": None}
 
 
 def test_spectral_norm_of_operator_needs_lower_bound():
@@ -839,8 +838,18 @@ def test_condition_bound_formula_value():
     params = tiny_params(N=1, m=3, k=5, p=3, h=0.1, c=2)
     A = SparseMatrix.from_triplets(1, 1, [])
     C = assemble_C(A, params)
-    rep = condition_report(C, exp_norm_precondition_ok=True)
+    rep = condition_report(C)
     assert rep["bound"] == pytest.approx(1021.1481756733905, rel=1e-12)
+
+
+def forced_rows(m: int, k: int, p: int) -> dict:
+    """The bound rows, by name, of a forced run of du/dt = -u/2 to T = 1:
+    F2 = 0 puts c at 0, h = 1/m and ||A h|| = 1/(2m)."""
+    rep = run(RunConfig.from_dict({
+        "n": 1, "T": 1.0, "epsilon": 1e-2, "u_in": [0.3], "F1_triplets": [[0, 0, -0.5]],
+        "F2_triplets": [], "m": m, "k": k, "p": p, "force": True}))
+    assert rep.parameters["c"] == 0
+    return {row["check"]: row for row in rep.bound_checks}
 
 
 def test_condition_4x4_measured_under_bound():
@@ -848,23 +857,27 @@ def test_condition_4x4_measured_under_bound():
     A = SparseMatrix.from_triplets(1, 1, [(0, 0, a)])
     params = tiny_params(N=1, m=1, k=1, p=1, h=1.0)
     C = assemble_C(A, params)
-    rep = condition_report(C, exp_norm_precondition_ok=True)
+    rep = condition_report(C)
     assert rep["measured"] == pytest.approx(6.332670303617229, rel=1e-9)
     assert rep["measured"] <= 2 * math.e * math.sqrt(1) * 3 * 2
-    # k = 1 misses both k >= 5 and the margin: 2m(c+1)(c+2) = 4 > (k+1)! = 2
-    assert not rep["precondition_ok"]
+    # k = 1 misses both k >= 5 and the margin: 2m(c+1)(c+2) = 4 > (k+1)! = 2;
+    # the run, which builds the precondition, at the same m, k, p and h
+    assert not forced_rows(m=1, k=1, p=1)["condition_number"]["precondition_ok"]
 
 
 def test_condition_precondition_needs_k_ge_5():
-    # m = 1, c = 0: 2m(c+1)(c+2) = 4 <= (k+1)! at k = 4 and 5, ||A h|| = 0 and
+    # m = 1, c = 0: 2m(c+1)(c+2) = 4 <= (k+1)! at k = 4 and 5, ||A h|| = 1/2 and
     # the exp-norm verdict holds, so k >= 5 is the one precondition that moves
     A = SparseMatrix.from_triplets(1, 1, [])
     for k, ok in ((4, False), (5, True)):
         params = tiny_params(N=1, m=1, k=k, p=1, h=1.0)
         assert params.contract_ok and params.factorial_ok
-        rep = condition_report(assemble_C(A, params), exp_norm_precondition_ok=True)
-        assert rep["precondition_ok"] is ok, k
-        assert sorted(rep) == ["bound", "measured", "precondition_ok"]
+        rows = forced_rows(m=1, k=k, p=1)
+        # step_error reads the contract, the margin and the exp-norm verdict
+        assert rows["step_error"]["precondition_ok"], k
+        assert rows["condition_number"]["precondition_ok"] is ok, k
+        rep = condition_report(assemble_C(A, params))
+        assert sorted(rep) == ["bound", "measured"]
 
 
 def test_condition_identity_like():
@@ -872,5 +885,5 @@ def test_condition_identity_like():
     A = SparseMatrix.from_triplets(2, 2, [])
     params = tiny_params(N=2, m=1, k=1, p=1, h=1.0)
     C = assemble_C(A, params)
-    rep = condition_report(C, exp_norm_precondition_ok=True)
+    rep = condition_report(C)
     assert rep["measured"] <= rep["bound"]
