@@ -7,11 +7,13 @@ whose truncated sum approximates the quadratic ODE solution, plus the
 geometric truncation bound K^(c+2)/(1-K) and the least order that meets it.
 
 All orders are stacked as one state X of shape (c+1, n) and marched by the
-shared DOP853 integrator `ode.integrate`, sampled on an equal grid of at
-least 1,000 steps. The right-hand side is two batched sparse
-products: every outer product nu_j nu_l^T comes from one broadcast, and a
-fixed 0/1 Cauchy selection matrix S of shape (c+1, (c+1)^2), with
-S[i, j(c+1)+l] = 1 when j + l = i - 1, folds them into each order's forcing.
+shared DOP853 integrator `ode.integrate`, with no event, sampled on an
+equal grid of at least 1,000 steps; the per-order norms on that grid are
+taken once, for the divergence guard and every later reader. The
+right-hand side is two batched sparse products: every outer product
+nu_j nu_l^T comes from one broadcast, and a fixed 0/1 Cauchy selection
+matrix S of shape (c+1, (c+1)^2), with S[i, j(c+1)+l] = 1 when
+j + l = i - 1, folds them into each order's forcing.
 """
 
 from __future__ import annotations
@@ -33,9 +35,7 @@ class HpmCascade:
     c: int
     ts: np.ndarray
     nu: np.ndarray          # shape (c+1, len(ts), n)
-
-    def norms_at(self, idx: int) -> np.ndarray:
-        return vector_norm(self.nu[:, idx, :], axis=1)
+    order_norms: np.ndarray  # shape (c+1, len(ts)): ||nu_i(t)||
 
 
 def solve_cascade(ode: QuadraticODE, c: int, T: float, dt: float | None = None,
@@ -58,7 +58,7 @@ def solve_cascade(ode: QuadraticODE, c: int, T: float, dt: float | None = None,
         raise ValidationError("T must be nonnegative")
     n, m = ode.n, c + 1
     norm_u = float(vector_norm(ode.u_in))
-    steps = grid_steps(ode, T, dt) if T > 0 else 0
+    ts = np.linspace(0.0, T, (grid_steps(ode, T, dt) if T > 0 else 0) + 1)
     F1, F2 = ode.F1, ode.F2
     pair_sum = np.add.outer(np.arange(m), np.arange(m)).ravel()   # j + l at column j*m + l
     S = (pair_sum == np.arange(m)[:, None] - 1).astype(np.float64)
@@ -72,12 +72,11 @@ def solve_cascade(ode: QuadraticODE, c: int, T: float, dt: float | None = None,
 
     X0 = np.zeros((m, n))
     X0[0] = ode.u_in
-    nu = np.ascontiguousarray(np.moveaxis(integrate(rhs, X0, T, steps), 0, 1))
-    ts = np.linspace(0.0, T, steps + 1)
+    nu = np.ascontiguousarray(np.moveaxis(integrate(rhs, X0, ts), 0, 1))
+    norms = vector_norm(nu, axis=2)
     # per-order divergence guards: ||nu_0|| <= ||u_in||, ||nu_i|| <= K^i ||u_in||
     if K is not None and K > 0:
         guards = norm_u * np.power(K, np.arange(m)) * _DIVERGENCE_SLACK
-        norms = vector_norm(nu, axis=2)                         # (c+1, len(ts))
         over = norms > guards[:, None]
         if over.any():
             step = int(np.argmax(over.any(axis=0)))
@@ -87,7 +86,7 @@ def solve_cascade(ode: QuadraticODE, c: int, T: float, dt: float | None = None,
                 f"({norms[bad, step]:.3e} > {guards[bad]:.3e}): "
                 "K >= 1 or integration failure"
             )
-    return HpmCascade(c=c, ts=ts, nu=nu)
+    return HpmCascade(c=c, ts=ts, nu=nu, order_norms=norms)
 
 
 def truncation_bound(K: float, c: int) -> float:

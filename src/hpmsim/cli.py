@@ -189,8 +189,7 @@ def _cmd_hpm(args) -> int:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "i", "norm_nu_i", "bound_K_pow"])
-        for ti, t in enumerate(casc.ts):
-            norms = casc.norms_at(ti)
+        for t, norms in zip(casc.ts, casc.order_norms.T):
             for i in range(prep.sel.c + 1):
                 bound = norm_u * K ** i if K > 0 else (norm_u if i == 0 else 0.0)
                 writer.writerow([f"{t:.12g}", i, f"{norms[i]:.12g}", f"{bound:.12g}"])

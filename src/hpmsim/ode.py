@@ -2,10 +2,10 @@
 
 Holds the nonlinearity parameter K = 4 ||u_in|| ||F2|| / |Re lambda_1|,
 rescaling, and the one integrator: adaptive DOP853 (the 8(5,3)
-Dormand-Prince pair of scipy's `solve_ivp`) sampled on an equal grid, which
-marches both the perturbation cascade and the ground-truth reference used
-throughout. `scipy.integrate` is imported on the first integration, not
-with the package.
+Dormand-Prince pair of scipy's `solve_ivp`) sampled at the times its caller
+reads, which marches both the perturbation cascade, on an equal grid, and
+the ground-truth reference, at T alone. `scipy.integrate` is imported on
+the first integration, not with the package.
 """
 
 from __future__ import annotations
@@ -138,16 +138,6 @@ def rescale(ode: QuadraticODE, zeta: float) -> QuadraticODE:
     return replace(ode, F2=ode.F2 * (1.0 / zeta), u_in=ode.u_in * zeta)
 
 
-@dataclass
-class Trajectory:
-    ts: np.ndarray
-    us: np.ndarray              # shape (len(ts), n)
-    error: float                # estimated relative error of us[-1]
-
-    def final(self) -> np.ndarray:
-        return self.us[-1]
-
-
 def default_dt(ode: QuadraticODE, T: float) -> float:
     candidates = [T / 1000.0 if T > 0 else 1.0]
     if ode.norm_F1 > 0:
@@ -155,31 +145,33 @@ def default_dt(ode: QuadraticODE, T: float) -> float:
     return min(candidates)
 
 
-def integrate(rhs, y0: np.ndarray, T: float, steps: int, diverge: float = math.inf,
+def integrate(rhs, y0: np.ndarray, ts: np.ndarray, diverge: float | None = None,
               rtol: float = RTOL) -> np.ndarray:
-    """States of dy/dt = rhs(y) at the steps + 1 equal grid points of [0, T],
+    """States of dy/dt = rhs(y) at the ascending sample times ts of [0, ts[-1]],
     stacked, for a state of any shape.
 
     DOP853 picks its own steps to meet rtol and an atol of ATOL_PER_UNIT
-    times max|y0|; the grid is sampled from its dense output. A state norm
-    above `diverge` is a terminal event: it raises NumericalError at once.
+    times max|y0|; the samples come from its dense output. Given a bound
+    `diverge`, a state norm above it is a terminal event: it raises
+    NumericalError at once.
     """
+    ts = np.asarray(ts, dtype=np.float64)
     y0 = np.array(y0, dtype=np.float64)
     top = float(np.abs(y0).max(initial=0.0))
-    if steps == 0 or top == 0.0:
+    if ts[-1] == 0.0 or top == 0.0:
         # rhs(0) = 0 for both systems integrated here, so a zero state stays zero
-        return np.repeat(y0[None], steps + 1, axis=0)
+        return np.repeat(y0[None], len(ts), axis=0)
     from scipy.integrate import solve_ivp
 
-    def diverged(_t, y):
-        return vector_norm(y) - diverge
-    diverged.terminal = True
+    events = None
+    if diverge is not None:
+        def events(_t, y):
+            return vector_norm(y) - diverge
+        events.terminal = True
 
     shape = y0.shape
-    sol = solve_ivp(lambda _t, y: rhs(y.reshape(shape)).ravel(), (0.0, T), y0.ravel(),
-                    method="DOP853", t_eval=np.linspace(0.0, T, steps + 1),
-                    events=diverged,
-                    rtol=rtol,
+    sol = solve_ivp(lambda _t, y: rhs(y.reshape(shape)).ravel(), (0.0, ts[-1]), y0.ravel(),
+                    method="DOP853", t_eval=ts, events=events, rtol=rtol,
                     # a zero atol (max|y0| below ~5e-308) stalls the step control
                     atol=max(ATOL_PER_UNIT * top, np.finfo(float).smallest_subnormal))
     if sol.status == 1:
@@ -187,7 +179,7 @@ def integrate(rhs, y0: np.ndarray, T: float, steps: int, diverge: float = math.i
                              "the instance does not look dissipative")
     if sol.status != 0:
         raise NumericalError(f"DOP853 integration failed: {sol.message}")
-    return sol.y.T.reshape(steps + 1, *shape)
+    return sol.y.T.reshape(len(ts), *shape)
 
 
 def grid_steps(ode: QuadraticODE, T: float, dt: float | None = None) -> int:
@@ -205,24 +197,22 @@ def grid_steps(ode: QuadraticODE, T: float, dt: float | None = None) -> int:
     return steps
 
 
-def reference_solution(ode: QuadraticODE, T: float, dt: float | None = None) -> Trajectory:
-    """Ground truth on the ceil(T/dt) equal steps of [0, T], with its error
-    estimate: the relative distance at T from a second pass at RTOL_LOOSE.
+def reference_solution(ode: QuadraticODE, T: float) -> tuple[np.ndarray, float]:
+    """Ground truth u(T) and its error estimate: the relative distance at T
+    from a second pass at RTOL_LOOSE.
 
-    The grid only samples DOP853's dense output, so u(T) is the same for
-    every dt.  DOP853 is explicit, and its step count grows with T ||F1||
-    whatever the grid: an instance whose default grid exceeds the cap is
-    refused at any dt."""
+    Both passes sample t = T alone, so each builds DOP853's dense output
+    only on its last step. DOP853 is explicit, and its step count grows
+    with T ||F1||: an instance whose default grid exceeds the cap is
+    refused."""
     if T < 0:
         raise ValidationError("T must be nonnegative")
     if T == 0:
-        return Trajectory(ts=np.array([0.0]), us=ode.u_in[None, :].copy(), error=0.0)
+        return ode.u_in.copy(), 0.0
     grid_steps(ode, T)                 # the cap on the default grid
-    steps = grid_steps(ode, T, dt)
     diverge = 1e3 * vector_norm(ode.u_in)
-    us = integrate(ode.rhs, ode.u_in, T, steps, diverge)
-    loose = integrate(ode.rhs, ode.u_in, T, 1, diverge, rtol=RTOL_LOOSE)[-1]
-    norm_T = vector_norm(us[-1])
-    error = vector_norm(us[-1] - loose) / norm_T if norm_T > 0 else math.inf
-    return Trajectory(ts=np.linspace(0.0, T, steps + 1), us=us, error=float(error))
-
+    u_T = integrate(ode.rhs, ode.u_in, [T], diverge)[-1]
+    loose = integrate(ode.rhs, ode.u_in, [T], diverge, rtol=RTOL_LOOSE)[-1]
+    norm_T = vector_norm(u_T)
+    error = vector_norm(u_T - loose) / norm_T if norm_T > 0 else math.inf
+    return u_T, float(error)

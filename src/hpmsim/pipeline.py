@@ -29,7 +29,6 @@ from .errors import BoundViolation, NumericalError, ValidationError
 from .ode import (
     NonlinearityParams,
     QuadraticODE,
-    Trajectory,
     compute_K,
     make_ode,
     reference_solution,
@@ -278,7 +277,8 @@ def rescaled_problem(ode: QuadraticODE, zeta: float | None = None
 @dataclass
 class Prepared:
     """What a run's first four stages found: `solved` is `ode` rescaled by
-    zeta, nl0 and nl their nonlinearity parameters, and sel the order
+    zeta, nl0 and nl their nonlinearity parameters, u_T the reference u(T)
+    of `ode` and ref_error its relative error estimate, and sel the order
     selection, whose sel.c is the order in use: the config's c where it
     sets one, else the budget's."""
     ode: QuadraticODE
@@ -286,7 +286,8 @@ class Prepared:
     zeta: float
     nl0: NonlinearityParams
     nl: NonlinearityParams
-    ref: Trajectory
+    u_T: np.ndarray
+    ref_error: float
     eta: float
     sel: mar.OrderSelection
 
@@ -317,9 +318,8 @@ def prepare(config: RunConfig, base_dir: Path | None = None,
             raise NumericalError("rescaling changed K, which must be invariant")
 
     with _Stage("reference", timings):
-        # the run reads u(T) alone: one grid step, [0, T]
-        ref = reference_solution(ode, config.T, dt=config.T)
-        norm_uT = float(vector_norm(ref.final()))
+        u_T, ref_error = reference_solution(ode, config.T)
+        norm_uT = float(vector_norm(u_T))
         if norm_uT == 0.0:
             raise NumericalError("reference solution vanished at T")
         eta = config.eta if config.eta is not None else nl0.norm_u_in / norm_uT
@@ -327,14 +327,14 @@ def prepare(config: RunConfig, base_dir: Path | None = None,
     with _Stage("order", timings):
         sel = mar.choose_order(nl.K, config.epsilon, eta, nl.norm_u_in, nl.norm_F2,
                                nl.re_lambda1, c=config.c, force=config.force)
-    return Prepared(ode, solved, zeta, nl0, nl, ref, eta, sel)
+    return Prepared(ode, solved, zeta, nl0, nl, u_T, ref_error, eta, sel)
 
 
 def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
     timings: dict = {}
     prep = prepare(config, base_dir, timings)
-    solved, nl, ref, sel = prep.solved, prep.nl, prep.ref, prep.sel
-    u_exact = ref.final()
+    solved, nl, sel = prep.solved, prep.nl, prep.sel
+    u_exact, ref_error = prep.u_T, prep.ref_error
 
     with _Stage("cascade", timings):
         casc = hpm.solve_cascade(solved, sel.c, config.T, K=nl.K)
@@ -388,11 +388,11 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
 
     with _Stage("checks", timings):
         checks = _bound_checks(nl, sys, params, step_row, cond, report_m, struct,
-                               utilde_T, prep.zeta, u_exact, ref.error, sel.exp_norm_ok,
+                               utilde_T, prep.zeta, u_exact, ref_error, sel.exp_norm_ok,
                                taylor_ok, config)
         checks.append(_check(
             "reference_error", "||u_a(T) - u_b(T)|| / ||u_a(T)|| <= epsilon/100, "
-            "u_a the reference and u_b a looser pass", ref.error, config.epsilon / 100.0, True))
+            "u_a the reference and u_b a looser pass", ref_error, config.epsilon / 100.0, True))
 
     eps_row = _check("target", "final normalized error <= configured epsilon",
                      budget.final_error, config.epsilon, True)
@@ -439,7 +439,7 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
             "hpm_part": budget.hpm_part,
             "solve_part": budget.solve_part,
             "hpm_part_bound": budget.hpm_part_bound,
-            "reference_error": ref.error,
+            "reference_error": ref_error,
             "epsilon": config.epsilon,
             "pass": eps_row["pass"],
         },
@@ -461,9 +461,8 @@ def _decay_ratio(sys: emb.EmbeddedSystem, casc: hpm.HpmCascade) -> float:
     cascade grid has at least 1,000 steps, and it is used in place of the
     marching step grid {0, h, .., mh} at every size.
     """
-    order_norms = vector_norm(casc.nu, axis=2)
     level0 = vector_norm(casc.nu.sum(axis=0), axis=1)
-    profile = emb.embedded_norm_profile(sys.index, order_norms, level0)
+    profile = emb.embedded_norm_profile(sys.index, casc.order_norms, level0)
     if profile[-1] == 0.0:
         raise NumericalError("embedded trajectory vanished at T")
     return float(profile.max() / profile[-1])

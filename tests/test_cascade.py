@@ -1,15 +1,18 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import solve_ivp
 
 import hpmsim.cascade
+import hpmsim.ode
 from hpmsim.cascade import min_order_for_bound, solve_cascade, truncation_bound
 from hpmsim.errors import NumericalError, ValidationError
 from hpmsim.ode import make_ode
 from hpmsim.pipeline import generate_instance
-from hpmsim.sparse import SparseMatrix
+from hpmsim.sparse import SparseMatrix, vector_norm
 from oracles import (
     bernoulli_closed_form,
     catalan,
@@ -239,6 +242,35 @@ def test_divergence_guard_trips_at_tiny_state_size(monkeypatch):
     monkeypatch.setattr(hpmsim.cascade, "integrate", order0_doubled)
     with pytest.raises(NumericalError, match="order 0 overshot its decay bound at t=0 "):
         solve_cascade(ode, 1, 1.0, K=2e-300)
+
+
+@pytest.mark.parametrize("make", [std1, lambda: generate_instance(3, 2, 0.3, 7)],
+                         ids=["std1", "gen3"])
+def test_cascade_integrates_with_no_event(monkeypatch, make):
+    # the decay guard reads the sampled norms after the integration, so an
+    # event could never fire: none is registered, and nu is bit for bit that
+    # of an integration under an event with an infinite bound
+    events = []
+
+    def recording(*args, **kwargs):
+        events.append(kwargs["events"])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", recording)
+    casc = solve_cascade(make(), 3, 1.0)
+    assert events == [None]
+    monkeypatch.setattr(hpmsim.cascade, "integrate",
+                        functools.partial(hpmsim.ode.integrate, diverge=math.inf))
+    inert = solve_cascade(make(), 3, 1.0)
+    assert len(events) == 2 and events[1] is not None
+    assert np.array_equal(casc.nu, inert.nu)
+
+
+def test_order_norms_are_the_norms_of_nu():
+    for ode in (std1(), generate_instance(3, 2, 0.3, 7)):
+        casc = solve_cascade(ode, 4, 1.0, K=0.3 if ode.n == 3 else None)
+        assert casc.order_norms.shape == casc.nu.shape[:2]
+        assert np.array_equal(casc.order_norms, vector_norm(casc.nu, axis=2))
 
 
 def test_catalan_first_values():

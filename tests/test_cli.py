@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -23,6 +24,11 @@ STD1 = {
     "F1_triplets": [[0, 0, -1.0]],
     "F2_triplets": [[0, 0, 0.2]],
 }
+
+
+# sha256 of the hpm.csv that `hpm` writes on std1: 1,001 grid times by
+# orders 0..3 at 12 significant digits
+HPM_STD1_SHA256 = "86c3b711d94132e70e938e6a01f81cb78ff180f3cceaac7fb35c4501f915a427"
 
 
 @pytest.fixture
@@ -295,6 +301,14 @@ def test_hpm_selects_the_order_run_selects(tmp_path, extra):
             c_hpm = max(int(row["i"]) for row in csv.DictReader(fh))
         report = json.loads((tmp_path / "r" / "report.json").read_text())
         assert c_hpm == report["parameters"]["c"]
+
+
+def test_hpm_csv_on_std1_is_unchanged(std1_config, tmp_path):
+    # the output is pinned byte for byte, so any change in how the order
+    # norms are integrated, taken or printed shows here
+    out = tmp_path / "h"
+    assert main(["--config", str(std1_config), "--out", str(out), "hpm"]) == 0
+    assert hashlib.sha256((out / "hpm.csv").read_bytes()).hexdigest() == HPM_STD1_SHA256
 
 
 def test_run_refuses_long_horizon_before_integrating(tmp_path, capsys):

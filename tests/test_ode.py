@@ -5,12 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 import hpmsim
 from hpmsim.errors import NumericalError, ValidationError
 from hpmsim.ode import (
+    RTOL,
+    RTOL_LOOSE,
     compute_K,
     default_dt,
+    grid_steps,
+    integrate,
     make_ode,
     reference_solution,
     rescale,
@@ -153,29 +158,31 @@ def test_rescale_solution_equivalence():
     ode = std1()
     zeta = 0.8
     scaled = rescale(ode, zeta)
-    ref = reference_solution(ode, 1.0, dt=1e-3)
-    ref_s = reference_solution(scaled, 1.0, dt=1e-3)
-    assert np.allclose(zeta * ref.us, ref_s.us, atol=1e-8)
+    ts = np.linspace(0.0, 1.0, grid_steps(ode, 1.0, 1e-3) + 1)
+    us = integrate(ode.rhs, ode.u_in, ts)
+    us_s = integrate(scaled.rhs, scaled.u_in, ts)
+    assert np.allclose(zeta * us, us_s, atol=1e-8)
 
 
 def test_reference_linear_exact():
     F1 = SparseMatrix.from_triplets(1, 1, [(0, 0, -1.0)])
     F2 = SparseMatrix.from_triplets(1, 1, [])
     ode = make_ode(1, F1, F2, [0.5])
-    ref = reference_solution(ode, 1.0)
-    assert ref.final()[0] == pytest.approx(0.5 * math.exp(-1.0), abs=1e-10)
+    u_T, _ = reference_solution(ode, 1.0)
+    assert u_T[0] == pytest.approx(0.5 * math.exp(-1.0), abs=1e-10)
 
 
 def test_reference_vs_bernoulli_oracle():
-    ref = reference_solution(std1(), 1.0)
+    u_T, _ = reference_solution(std1(), 1.0)
     exact = bernoulli_closed_form(0.2, 0.5, 1.0)
     assert exact == pytest.approx(0.19635150275025284, abs=1e-15)
-    assert ref.final()[0] == pytest.approx(exact, abs=1e-10)
+    assert u_T[0] == pytest.approx(exact, abs=1e-10)
 
 
 def test_reference_T_zero():
-    ref = reference_solution(std1(), 0.0)
-    assert np.array_equal(ref.final(), np.array([0.5]))
+    u_T, error = reference_solution(std1(), 0.0)
+    assert np.array_equal(u_T, np.array([0.5]))
+    assert error == 0.0
 
 
 def test_reference_divergence_detected():
@@ -184,7 +191,7 @@ def test_reference_divergence_detected():
     F2 = SparseMatrix.from_triplets(1, 1, [(0, 0, 50.0)])
     ode = make_ode(1, F1, F2, [1.0])
     with pytest.raises(NumericalError, match="diverged"):
-        reference_solution(ode, 5.0, dt=1e-3)
+        reference_solution(ode, 5.0)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -202,22 +209,39 @@ def test_rhs_bit_equal_to_kron_form(n):
 
 @pytest.mark.parametrize("T", [0.5, 1.0, 2.0, 5.0])
 def test_reference_matches_bernoulli_closed_form(T):
-    # u(T) is a step end of the integrator; the other grid points come from
-    # its 7th-order dense output, which is less accurate
-    ref = reference_solution(std1(), T)
-    assert abs(ref.final()[0] - bernoulli_closed_form(0.2, 0.5, T)) <= 1e-13
-    exact = [bernoulli_closed_form(0.2, 0.5, t) for t in ref.ts]
-    assert np.abs(ref.us[:, 0] - exact).max() <= 1e-12
+    # u(T) is a step end of the integrator; the other points of the default
+    # grid come from its 7th-order dense output, which is less accurate
+    ode = std1()
+    u_T, _ = reference_solution(ode, T)
+    assert abs(u_T[0] - bernoulli_closed_form(0.2, 0.5, T)) <= 1e-13
+    ts = np.linspace(0.0, T, grid_steps(ode, T) + 1)
+    exact = [bernoulli_closed_form(0.2, 0.5, t) for t in ts]
+    assert np.abs(integrate(ode.rhs, ode.u_in, ts)[:, 0] - exact).max() <= 1e-12
+
+
+def test_reference_passes_sample_T_alone(monkeypatch):
+    # the run reads u(T) and its error alone: the tight and the loose pass
+    # each ask DOP853 for t = T and nothing else
+    requested = []
+    solve_ivp = scipy.integrate.solve_ivp
+
+    def recording(*args, **kwargs):
+        requested.append((kwargs["t_eval"].tolist(), kwargs["rtol"]))
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", recording)
+    reference_solution(std1(), 2.0)
+    assert requested == [([2.0], RTOL), ([2.0], RTOL_LOOSE)]
 
 
 def test_reference_error_bounds_true_error():
     # the reported estimate (distance from the rtol 1e-11 pass) is at least
     # the tight pass's true error against the closed form
-    ref = reference_solution(std1(), 1.0)
+    u_T, error = reference_solution(std1(), 1.0)
     exact = bernoulli_closed_form(0.2, 0.5, 1.0)
-    true_error = abs(ref.final()[0] - exact) / abs(exact)
-    assert 0.0 < ref.error < 1e-10
-    assert true_error <= ref.error
+    true_error = abs(u_T[0] - exact) / abs(exact)
+    assert 0.0 < error < 1e-10
+    assert true_error <= error
 
 
 def test_dissipative_norm_decay():
@@ -231,8 +255,8 @@ def test_dissipative_norm_decay():
         u_in = rng.normal(size=2) * 0.2
         ode = make_ode(2, F1, F2, u_in)
         assert compute_K(ode).K < 1.0
-        ref = reference_solution(ode, 2.0, dt=1e-3)
-        norms = np.linalg.norm(ref.us, axis=1)
+        ts = np.linspace(0.0, 2.0, grid_steps(ode, 2.0, 1e-3) + 1)
+        norms = np.linalg.norm(integrate(ode.rhs, u_in, ts), axis=1)
         assert norms.max() <= np.linalg.norm(u_in) * (1 + 1e-8), trial
 
 
@@ -265,8 +289,8 @@ def test_subnormal_initial_state_does_not_stall():
     # 1e-16 max|y0| underflows to a zero atol here; in a subprocess, so a
     # stalled step control fails the test instead of hanging the suite
     src = str(Path(hpmsim.__file__).resolve().parents[1])
-    code = ("from hpmsim.ode import integrate; "
-            "print(integrate(lambda y: -y, [5e-324], 1.0, 10).shape)")
+    code = ("import numpy as np; from hpmsim.ode import integrate; "
+            "print(integrate(lambda y: -y, [5e-324], np.linspace(0.0, 1.0, 11)).shape)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={"PYTHONPATH": src}, check=True, timeout=60).stdout
     assert out.strip() == "(11, 1)"
