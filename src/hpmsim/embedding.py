@@ -24,10 +24,14 @@ the march stays in Sym (Harrow, "The church of the symmetric subspace",
 arXiv:1308.6595).  `orbit_basis` numbers the orbits and labels each with
 its level group, and `assemble_A_sym` gives A_sym, A in Sym's
 orthonormal orbit basis, R-square for R orbits (946 for N = 6,536 at
-n = 8, c = 3), from A's row builder run on one row per orbit.  A run reads
-x in that basis; only `--emit-blocks` expands it.  A^T does not keep Sym,
-so the checks on A itself, its norm, spectrum and exponential, run on the
-full A.
+n = 8, c = 3), from A's rows at one representative per orbit.  A run reads
+x in that basis; only `--emit-blocks` expands it.  The structural checks
+read those rows too, and the counts of F1 and F2: a row's nonzero count
+is constant on its orbit.  The full A is built on first read, and only
+the oracles that need A itself read it: the dense exp-norm fallback and
+the kappa(C) oracle, both under the dense cap, and the Lanczos ||A||
+fallback.  A product in A's tensor form, written apart from the row
+builder, checks A_sym and, wherever it is built, the full A.
 """
 
 from __future__ import annotations
@@ -35,13 +39,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import BoundViolation, NumericalError, ValidationError
 from .ode import QuadraticODE
-from .sparse import max_line_nnz, spectral_norm, vector_norm
+from .sparse import spectral_norm, vector_norm
 
 # default limit on the embedded dimension N (keeps direct solves desk-scale)
 N_CAP = 200_000
@@ -144,12 +149,30 @@ def build_index_map(c: int, n: int, cap: int = N_CAP) -> EmbeddingIndexMap:
 
 @dataclass
 class EmbeddedSystem:
+    """The embedding of ode at order index.c: A's rows at the orbit
+    representatives, basis.reps, as an R x N `rows`, y_in, and the closed-form
+    ends of ||A|| and mu(A).  The full A is built on first read and checked
+    against A's tensor form before it is returned."""
+    ode: QuadraticODE
     index: EmbeddingIndexMap
-    A: sp.csr_array
+    basis: OrbitBasis
+    rows: sp.csr_array
     y_in: np.ndarray
     norm_A: float               # closed-form upper end of ||A||
     norm_A_lower: float         # closed-form lower end: lower <= ||A|| <= norm_A
     log_norm_A_upper: float     # closed-form upper end of mu(A)
+
+    @cached_property
+    def A(self) -> sp.csr_array:
+        """A on all N coordinates, refused at the first level whose rows
+        differ from the tensor form on one seeded probe (see `_tensor_gate`)."""
+        N = self.index.N
+        A = sp.csr_array(_rows_of_A(self.ode, self.index, np.arange(N)), shape=(N, N))
+        x = np.random.default_rng(0).standard_normal(N)
+        want, mag = _tensor_apply(self.ode, self.index, x)
+        _tensor_gate(self.ode, self.index, A @ x - want, mag, BoundViolation,
+                     "A's rows are not its tensor form")
+        return A
 
 
 def step_counts(T: float, norm_A: float) -> tuple[int, float]:
@@ -224,7 +247,8 @@ def _rows_of_A(ode: QuadraticODE, index: EmbeddingIndexMap, pos: np.ndarray):
 
 
 def assemble_A(ode: QuadraticODE, c: int, cap: int = N_CAP) -> EmbeddedSystem:
-    """Assemble the block upper bidiagonal embedding matrix, y(0) and the ||A|| bracket.
+    """The embedded system: the block upper bidiagonal embedding matrix A's
+    rows at the orbit representatives, y(0) and the ||A|| bracket.
 
     Row (j, t) of level i >= 1, t = (t_0..t_i) the tensor index of
     component a = (a_0..a_i), is what F1 and F2 do to its slots.  F1 acts
@@ -234,8 +258,10 @@ def assemble_A(ode: QuadraticODE, c: int, cap: int = N_CAP) -> EmbeddedSystem:
     (t', t''), in the level-(i+1) component that splitting a_s into
     (l, a_s - 1 - l) names.  Level 0 is F1 as stored, plus F2 as stored into
     every level-1 component; everywhere else an entry that comes to 0 is not
-    stored.  `_rows_of_A` writes the rows by index arithmetic, and A is
-    converted to CSR once, int32-indexed wherever F1 and F2 are and N fits.
+    stored.  `_rows_of_A` writes the rows by index arithmetic, here at
+    `orbit_basis`'s representatives and, when the full A is first read, at
+    all N coordinates, converted to CSR once, int32-indexed wherever F1 and
+    F2 are and N fits.
 
     ||A|| is bracketed in closed form.  A = D + U with D block diagonal and
     U block superdiagonal: the spectral radius (c+1) rho(F1) of D's last
@@ -269,7 +295,8 @@ def assemble_A(ode: QuadraticODE, c: int, cap: int = N_CAP) -> EmbeddedSystem:
     <= 1 for every t >= 0.
     """
     index = build_index_map(c, ode.n, cap)
-    A = sp.csr_array(_rows_of_A(ode, index, np.arange(index.N)), shape=(index.N, index.N))
+    basis = orbit_basis(index)
+    rows = sp.csr_array(_rows_of_A(ode, index, basis.reps), shape=(basis.reps.size, index.N))
     # max_i sqrt(||U_i||_1 ||U_i||_inf) is U_0's, from F2 alone, as derived above
     mag = abs(ode.F2)
     coupling = (math.sqrt(mag.sum(axis=0).max()) * math.sqrt(index.beta[1] * mag.sum(axis=1).max())
@@ -280,7 +307,8 @@ def assemble_A(ode: QuadraticODE, c: int, cap: int = N_CAP) -> EmbeddedSystem:
     log_norm_upper = max(mu, (c + 1) * mu) + coupling + BRACKET_SLACK * upper
     upper *= 1 + BRACKET_SLACK
 
-    return EmbeddedSystem(index=index, A=A, y_in=assemble_y_in(ode, index), norm_A=upper,
+    return EmbeddedSystem(ode=ode, index=index, basis=basis, rows=rows,
+                          y_in=assemble_y_in(ode, index), norm_A=upper,
                           norm_A_lower=lower, log_norm_A_upper=log_norm_upper)
 
 
@@ -344,56 +372,51 @@ def orbit_basis(index: EmbeddingIndexMap) -> OrbitBasis:
                       root_w=np.sqrt(np.concatenate(sizes)), group=np.concatenate(groups))
 
 
-def assemble_A_sym(ode: QuadraticODE, sys: EmbeddedSystem, basis: OrbitBasis) -> sp.csr_array:
-    """A_sym = V^T A V, with A V = V A_sym checked by one seeded probe.
+def assemble_A_sym(sys: EmbeddedSystem) -> sp.csr_array:
+    """A_sym = V^T A V from sys.rows, with A V = V A_sym checked by one
+    seeded probe of A's tensor form.
 
     A keeps Sym, so A Q = Q A_red for Q the 0/1 orbit indicators, and
-    A_red[r, s] sums row reps[r] of A over the columns of orbit s: the row
-    builder writes A's rows at reps, their columns are mapped through orbit,
-    and COO->CSR sums the duplicates, so the probe below holds the builder's
-    two outputs, sys.A and A_sym, against each other.  Each entry is scaled
-    on the way to A_sym = diag(sqrt w) A_red diag(1/sqrt w), which acts on
-    the orthonormal coordinates, where ||x||^2 is a plain sum.
+    A_red[r, s] sums row reps[r] of A over the columns of orbit s: the
+    rows at reps have their columns mapped through orbit, and COO->CSR sums
+    the duplicates.  Each entry is scaled on the way to A_sym =
+    diag(sqrt w) A_red diag(1/sqrt w), which acts on the orthonormal
+    coordinates, where ||x||^2 is a plain sum.
 
-    The probe draws v from `default_rng(0)`, takes u = V v and a = |A| |u|,
-    and refuses ||A u - V A_sym v|| above gamma_n (||a|| + ||a[reps][orbit]||),
-    n = 2 rho + 30, rho the most nonzeros in a row of A, and gamma_n =
-    n 2^-53 / (1 - n 2^-53) the bound on the relative rounding error of n
-    operations (Higham, Accuracy and Stability of Numerical Algorithms,
-    2002, ch. 3).  In exact arithmetic both sides are sum_col A[i, col]
-    v_s / sqrt(w_s) at coordinate i, s = orbit[col].  Coordinate i of A u
-    meets u's square root and quotient, one product and at most rho - 1
-    additions: within gamma_{rho+2} a_i.  Coordinate i of V A_sym v, in
-    orbit r, meets in each term the two square roots, the quotient and the
-    product that scale an entry of A, at most rho - 1 additions of
-    duplicates, the product with v_s, at most rho - 1 additions over s,
-    and the expansion's square root and quotient: within gamma_{2 rho + 5}
-    a_{reps[r]}, as (|A_sym| |v|)_r <= sqrt(w_r) a_{reps[r]}.  +25
-    leaves room for the subtraction and the three norms.  A map whose
-    classes are not orbits of a subspace that A keeps makes row i and row
-    reps[r] differ in exact arithmetic, and the probe misses that only
-    where the difference is orthogonal to u.  Its cost is one product with
-    A and one with |A|.
+    The probe draws v from `default_rng(0)` and takes u = V v.  Against
+    V A_sym v it holds A u in the tensor form (`_tensor_apply`), whose
+    products with F1 and F2 share no code with the row builder, so it checks
+    A_sym's diagonal and coupling blocks alike.  In exact arithmetic both
+    sides are sum_col A[i, col] v_s / sqrt(w_s) at coordinate i, s =
+    orbit[col].  With a the tensor form's magnitudes on |u| and rho' the
+    operation count of `_tensor_gate`, coordinate i of the tensor form
+    meets u's square root and quotient besides: within gamma_{rho'+2} a_i.
+    Coordinate i of V A_sym v, in orbit r, meets in each term the rounding
+    of A's entry (at most c additions on the diagonal), the two square
+    roots, the quotient and the product that scale it, at most rho - 1
+    additions of duplicates, the product with v_s, at most rho - 1
+    additions over s, and the expansion's square root and quotient: within
+    gamma_{2 rho'+2} a_{reps[r]}, as (|A_sym| |v|)_r <= sqrt(w_r) a_{reps[r]}.
+    So each level's gap is refused above gamma_n ||a + a[reps][orbit]|| on
+    that level, n = 2 rho' + 30, the +28 leaving room for the subtraction,
+    the norms and the rounding of a itself.  A map whose classes are not
+    orbits of a subspace that A keeps makes row i and row reps[r] differ in
+    exact arithmetic, and the probe misses that only where the difference
+    is orthogonal to u.
     """
-    A, reps, orbit, root_w = sys.A, basis.reps, basis.orbit, basis.root_w
-    R = reps.size
-    data, indices, indptr = _rows_of_A(ode, sys.index, reps)
-    # rows and cols in A's index dtype keep A_sym int32 wherever A is
-    rows = np.repeat(np.arange(R, dtype=A.indices.dtype), np.diff(indptr))
-    cols = orbit[indices].astype(A.indices.dtype)
-    A_sym = sp.csr_array((data * (root_w[rows] / root_w[cols]), (rows, cols)), shape=(R, R))
+    basis, rows = sys.basis, sys.rows
+    orbit, root_w, R = basis.orbit, basis.root_w, basis.reps.size
+    # rows and cols in the rows' index dtype keep A_sym int32 wherever A is
+    r = np.repeat(np.arange(R, dtype=rows.indices.dtype), np.diff(rows.indptr))
+    cols = orbit[rows.indices].astype(rows.indices.dtype)
+    A_sym = sp.csr_array((rows.data * (root_w[r] / root_w[cols]), (r, cols)), shape=(R, R))
 
     v = np.random.default_rng(0).standard_normal(R)
     u = basis.expand(v)
-    leak = vector_norm(A @ u - basis.expand(A_sym @ v))
-    # |A| shares A's index arrays: one temporary of nnz(A) floats
-    a = sp.csr_array((np.abs(A.data), A.indices, A.indptr), shape=A.shape) @ np.abs(u)
-    n = 2 * int(np.diff(A.indptr).max(initial=0)) + 30
-    gamma = n * math.ldexp(1.0, -53) / (1 - n * math.ldexp(1.0, -53))
-    tol = gamma * (vector_norm(a) + vector_norm(a[reps][orbit]))
-    if not leak <= tol:
-        raise NumericalError(f"A does not keep the orbit basis: A V v - V A_sym v "
-                             f"has norm {leak:.3e}, over its rounding bound {tol:.3e}")
+    want, mag = _tensor_apply(sys.ode, sys.index, u)
+    _tensor_gate(sys.ode, sys.index, want - basis.expand(A_sym @ v),
+                 mag + mag[basis.reps][orbit], NumericalError,
+                 "A does not keep the orbit basis: A V v - V A_sym v")
     return A_sym
 
 
@@ -423,25 +446,148 @@ def embedded_norm_profile(index: EmbeddingIndexMap, order_norms: np.ndarray,
     return np.ldexp(np.sqrt(sum(np.ldexp(b, -exp) ** 2 for b in blocks)), exp)
 
 
-def _kron_sum_apply(F1: sp.csr_array, x: np.ndarray, beta: int, n: int, i: int) -> np.ndarray:
-    """(I_beta kron sum_k I^k kron F1 kron I^(i-k)) x, F1 applied along each tensor axis."""
-    X = x.reshape(beta, *(n,) * (i + 1))
-    out = np.zeros_like(X)
-    for axis in range(1, i + 2):
-        Y = np.moveaxis(X, axis, 0)
-        out += np.moveaxis((F1 @ Y.reshape(n, -1)).reshape(Y.shape), 0, axis)
-    return out.ravel()
+def _tensor_apply(ode: QuadraticODE, index: EmbeddingIndexMap,
+                  x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A x in A's tensor form, written apart from `_rows_of_A`, and the same
+    product with |F1| and |F2| on |x|, the magnitudes of its terms.
+
+    Level i, read as beta_i x n x .. x n (level 0 as 1 x n), takes F1 along
+    each of its i+1 tensor axes.  Its coupling is read from the level
+    above: component b of level i+1 is what splitting slot k of
+    a = (b_0..b_k-1, b_k + b_k+1 + 1, b_k+2..) at l = b_k names, so F2 acts
+    along b's axes k and k+1 into a's axis k, one batch per (level, slot k,
+    split l), in which each a appears once.  Level 0 takes F2 on every
+    level-1 component.  The blocks that F1 acts on are laid side by side
+    for one product, and so are F2's.
+    """
+    n, c = index.n, index.c
+    lvl = [index.level_slice(i) for i in range(c + 1)]
+    # F1's blocks: level i's axis s between beta_i n^s rows and n^(i-s) columns
+    axes = [(i, index.beta[i] * n ** s, n ** (i - s)) for i in range(c + 1) for s in range(i + 1)]
+    # F2's batches (i, k, a, b): level-(i+1) components b into level-i ones a
+    batches = []
+    for i in range(1, c):
+        b = np.array(index.levels[i + 1])
+        for k in range(i + 1):
+            merged = np.hstack([b[:, :k], b[:, k:k + 1] + b[:, k + 1:k + 2] + 1, b[:, k + 2:]])
+            a = np.array([index.rank(i, tuple(m)) for m in merged.tolist()])
+            batches += [(i, k, a[b[:, k] == l], np.flatnonzero(b[:, k] == l))
+                        for l in range(c - i)]
+    outs = []
+    for F1, F2, v in ((ode.F1, ode.F2, x), (abs(ode.F1), abs(ode.F2), np.abs(x))):
+        out = np.zeros_like(v)
+        P1 = F1 @ np.hstack([v[lvl[i]].reshape(pre, n, post).transpose(1, 0, 2).reshape(n, -1)
+                             for i, pre, post in axes])
+        col = 0
+        for i, pre, post in axes:
+            out[lvl[i]] += P1[:, col:col + pre * post].reshape(n, pre, post).transpose(1, 0, 2).ravel()
+            col += pre * post
+        if c:
+            X = [v[lvl[i + 1]].reshape(-1, n ** k, n * n, n ** (i - k))[b]
+                 for i, k, _, b in batches]
+            P2 = F2 @ np.hstack([v[lvl[1]].reshape(-1, n * n).T,
+                                 *(Xb.transpose(2, 0, 1, 3).reshape(n * n, -1) for Xb in X)])
+            out[:n] += P2[:, :index.beta[1]].sum(axis=1)
+            col = index.beta[1]
+            for (i, k, a, _), Xb in zip(batches, X):
+                width = Xb.size // (n * n)
+                Y = P2[:, col:col + width].reshape(n, Xb.shape[0], n ** k, n ** (i - k))
+                out[lvl[i]].reshape(-1, n ** k, n, n ** (i - k))[a] += Y.transpose(1, 2, 0, 3)
+                col += width
+        outs.append(out)
+    return outs[0], outs[1]
 
 
-def structural_report(sys: EmbeddedSystem, ode: QuadraticODE, norm_F2: float,
-                      re_lambda1: float) -> dict:
-    """Sparsity, norm, and spectrum diagnostics of the assembled matrix.
+def _tensor_gate(ode: QuadraticODE, index: EmbeddingIndexMap, gap: np.ndarray,
+                 scale: np.ndarray, error: type, what: str) -> None:
+    """Refuse, at the first level where it holds, ||gap|| > gamma_n ||scale||
+    over the level's coordinates, n = 2 rho' + 30.
 
-    A must be block upper bidiagonal over levels, and each level's diagonal
-    block must act as I_beta kron sum_k I^k kron F1 kron I^(i-k), which two
-    seeded probes, one on the even levels and one on the odd, check against
-    F1 applied along each tensor axis.
-    The spectrum of A is then the union of its diagonal blocks' spectra,
+    gamma_n = n 2^-53 / (1 - n 2^-53) bounds the relative rounding error of
+    n operations (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, ch. 3).  A row of A x, as a CSR product or in the tensor form, is
+    a sum of at most rho = (c+1) r1 + beta_1 r2 products, r1 and r2 the most
+    entries F1 and F2 store in a row: i+1 slots of F1 and at most
+    c - i <= beta_1 splits of F2 on level i >= 1, F1 and beta_1 copies of F2
+    on level 0.  A term meets at most rho' = rho + c + 2 operations: at most
+    c additions that form A's diagonal entry, or on level 0 the beta_1 - 1
+    that sum F2's products over level 1's components, one product, and the
+    additions of the row and of the slots.  So each side of A x - (tensor form) is within
+    gamma_rho' of the magnitudes a the tensor form gives, and the gap
+    within gamma_{2 rho'} a: for the probe of the full A, scale is a and
+    the +30 leaves room for the subtraction, the norms and the rounding of
+    a itself.
+    """
+    c = index.c
+    r1, r2 = (int(np.diff(F.indptr).max(initial=0)) for F in (ode.F1, ode.F2))
+    rho = (c + 1) * r1 + (index.beta[1] if c else 0) * r2 + c + 2
+    n = 2 * rho + 30
+    gamma = n * math.ldexp(1.0, -53) / (1 - n * math.ldexp(1.0, -53))
+    for i in range(c + 1):
+        lvl = index.level_slice(i)
+        norm, tol = vector_norm(gap[lvl]), gamma * vector_norm(scale[lvl])
+        if not norm <= tol:
+            raise error(f"{what} at level {i} has norm {norm:.3e}, over its rounding "
+                        f"bound {tol:.3e}")
+
+
+def proved_line_counts(c: int, s: int) -> tuple[int, int]:
+    """The proved most nonzeros of A in a row and in a column, s the most of
+    F1 and F2 in a row or column.  A level-0 row sees F1 plus beta_1 copies
+    of F2, and a row of level i >= 1 at most (i+1)s diagonal plus (c-i)s
+    coupling entries.  A column of level i >= 1 sees at most (i+1)s entries
+    of its diagonal block plus one column of F2 per adjacent pair of slots,
+    i s, and a level-0 column sees F1's alone."""
+    if c == 0:
+        return s, s
+    return max(s * (1 + c * (c + 1) // 2), (c + 1) * s), (2 * c + 1) * s
+
+
+def _max_col_nnz(ode: QuadraticODE, index: EmbeddingIndexMap) -> int:
+    """The most nonzeros in a column of A, level by level from the column
+    counts of F1 and F2, with no A.
+
+    Level 0's columns hold F1 as stored.  Column (b, t) of level i >= 1
+    holds, from its diagonal block, F1's nonzeros off the diagonal in
+    column t_s for each slot s, and the diagonal where its sum over the
+    slots, in slot order, is nonzero; from the coupling, F2's column
+    t_k n + t_k+1 for each adjacent pair k, since merging any adjacent pair
+    of b names an admissible level-(i-1) component (see `assemble_A`).  No
+    count depends on b.  Level 1's coupling rows are level 0's, which store
+    F2 as it is; everywhere else only nonzeros count.  The counts are not
+    constant on an orbit, as the rows' are: a permutation of the slots
+    moves which of them are adjacent, so the representatives' rows give
+    each orbit's mean count, not its largest.
+    """
+    n, c, F1, F2 = index.n, index.c, ode.F1, ode.F2
+    diag = F1.diagonal()
+    row1 = np.repeat(np.arange(n), np.diff(F1.indptr))
+    off1 = np.bincount(F1.indices[(F1.indices != row1) & (F1.data != 0)], minlength=n)
+    pairs = [np.bincount(F2.indices[keep], minlength=n * n).reshape(n, n)
+             for keep in (slice(None), F2.data != 0)]
+    best = int(np.bincount(F1.indices, minlength=n).max(initial=0))
+    for i in range(1, c + 1):
+        total, count = diag, off1
+        for _ in range(i):
+            total, count = np.add.outer(total, diag), np.add.outer(count, off1)
+        for k in range(i):
+            count = count + pairs[i > 1].reshape((1,) * k + (n, n) + (1,) * (i - 1 - k))
+        best = max(best, int((count + (total != 0)).max()))
+    return best
+
+
+def structural_report(sys: EmbeddedSystem, norm_F2: float, re_lambda1: float) -> dict:
+    """Sparsity, norm, and spectrum diagnostics of A, from its rows at the
+    orbit representatives and the counts of F1 and F2.
+
+    A must be block upper bidiagonal over levels: each representative's
+    row of level i may reach only the columns of levels i and i+1.  The
+    most nonzeros in a row is the most in a representative's row, as a
+    row's count is constant on its orbit; the most in a column comes from
+    F1 and F2 level by level (`_max_col_nnz`).  The diagonal blocks and
+    the coupling are checked against A's tensor form by `assemble_A_sym`,
+    and, wherever it is built, by the full A's own probe.
+    The spectrum of A is the union of its diagonal blocks' spectra,
     sums of i+1 eigenvalues of F1, so max Re(eigenvalue of A) is
     re_lambda1 = max Re(eigenvalue of F1), reached at level 0.  It is
     reported, not judged: `compute_K` refuses re_lambda1 >= 0 before any A
@@ -451,28 +597,25 @@ def structural_report(sys: EmbeddedSystem, ode: QuadraticODE, norm_F2: float,
 
     ||A|| <= (c+1)(||F1|| + ||F2||) is shown by the closed-form upper end
     norm_A.  Only where that end lies above the bound is ||A|| estimated, by
-    Lanczos certified from the lower end; `norm_A_estimate` holds it (None
-    when no estimate ran), and only the estimate can raise.
+    Lanczos on the full A certified from the lower end; `norm_A_estimate`
+    holds it (None when no estimate ran), and only the estimate can raise.
     """
-    index, A = sys.index, sys.A
+    index, rows, ode = sys.index, sys.rows, sys.ode
     c, n, s = index.c, index.n, ode.s
     report: dict = {"N": index.N, "c": c, "n": n, "s": s}
 
-    indptr, indices = A.indptr, A.indices
-    for i in range(c + 1):
-        # level-i rows may only reach columns of levels i and i+1
-        lvl, end = index.level_slice(i), index.level_slice(min(i + 1, c)).stop
-        cols = indices[indptr[lvl.start]:indptr[lvl.stop]]
-        if cols.size and (cols.min() < lvl.start or cols.max() >= end):
-            raise BoundViolation("entries outside the block bidiagonal structure")
+    starts = np.append(index.offsets, index.N)
+    level = np.searchsorted(starts, sys.basis.reps, side="right") - 1
+    counts = np.diff(rows.indptr)
+    lo, hi = (np.repeat(starts[e], counts) for e in (level, np.minimum(level + 2, c + 1)))
+    outside = np.flatnonzero((rows.indices < lo) | (rows.indices >= hi))
+    if outside.size:
+        i = level[np.searchsorted(rows.indptr, outside[0], side="right") - 1]
+        raise BoundViolation(f"entries of level {i} outside the block bidiagonal structure")
 
-    max_row, max_col = max_line_nnz(A)
+    max_row, max_col = int(counts.max(initial=0)), _max_col_nnz(ode, index)
     witness = s * c * c + c
-    # proved per-level counts: level-0 rows see F1 plus beta_1 copies of F2;
-    # any other row sees at most (i+1)s diagonal plus (c-i)s coupling entries
-    beta1 = index.beta[1] if c >= 1 else 0
-    tight_row = max(s * (1 + beta1), (c + 1) * s) if c >= 1 else s
-    tight_col = (2 * c + 1) * s if c >= 1 else s
+    tight_row, tight_col = proved_line_counts(c, s)
     report["max_row_nnz"] = max_row
     report["max_col_nnz"] = max_col
     report["sparsity_witness"] = witness
@@ -490,25 +633,12 @@ def structural_report(sys: EmbeddedSystem, ode: QuadraticODE, norm_F2: float,
     report["log_norm_A_upper"] = sys.log_norm_A_upper
     report["norm_A_bound"] = norm_bound
     if sys.norm_A > norm_bound * (1 + 1e-9):
-        est = spectral_norm(A, lower=sys.norm_A_lower)
+        est = spectral_norm(sys.A, lower=sys.norm_A_lower)
         report["norm_A_estimate"] = est
         if est > norm_bound * (1 + 1e-9):
             raise BoundViolation(
                 f"||A|| = {est:.6g} exceeds (c+1)(||F1||+||F2||) = {norm_bound:.6g}"
             )
-
-    # level i's rows read levels i and i+1 alone: one probe per parity of i
-    x = np.random.default_rng(0).standard_normal(index.N)
-    level = np.repeat(np.arange(c + 1), np.diff([*index.offsets, index.N]))
-    for parity in range(min(c + 1, 2)):
-        got = A @ np.where(level % 2 == parity, x, 0.0)
-        for i in range(parity, c + 1, 2):
-            lvl = index.level_slice(i)
-            err = np.abs(got[lvl] - _kron_sum_apply(ode.F1, x[lvl], index.beta[i], n, i))
-            # rounding of the i+1 sums of F1 rows stays far below this
-            if err.max() > 1e-10 * (i + 1) * ode.norm_F1 * np.abs(x[lvl]).max():
-                raise BoundViolation(f"diagonal block of level {i} is not I_beta kron "
-                                     "the Kronecker sum of F1")
 
     report["max_re_eigenvalue"] = re_lambda1
     return report

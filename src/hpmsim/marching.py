@@ -29,12 +29,14 @@ Nothing here depends on which A it is given.  A run gives it A_sym, the
 embedding in its orbit basis (see `embedding`), so N is there the orbit
 count R, and the solution stays in that basis: the step-error oracle sweeps
 e^(A_sym t) from the restricted y_in, which V maps onto e^(A t) y_in.  The
-one operator on the full A in a run is the condition oracle's.
+one operator on the full A in a run is the condition oracle's, built only under
+the dense cap.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -591,23 +593,25 @@ def _factor(Cs: sp.csr_array) -> spla.SuperLU:
     return spla.splu(Cs.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
 
 
-def condition_report(C: MarchingOperator, dense_cap: int = DENSE_ORACLE_CAP) -> dict:
-    """kappa(C) against 2e sqrt(k) (m(k+1)+p)(c+2), at the parameters C.params.
+def condition_report(params: TaylorSystemParams, N: int, A: Callable[[], sp.csr_array],
+                     dense_cap: int = DENSE_ORACLE_CAP) -> dict:
+    """kappa(C) against 2e sqrt(k) (m(k+1)+p)(c+2), for C = `assemble_C` of
+    the N-square A() at params.
 
     kappa = ||C|| ||C^{-1}|| by Lanczos on C assembled by `tocsr()` and on
     the inverse that its SuperLU factor applies, each certified from below:
     ||C|| by its row and column norms, ||C^{-1}|| by ||C^{-1} b|| / ||b|| for
-    the all-ones probe b.  Measured while size^2 stays under the dense cap,
-    which bounds the cost of both; above it C is never assembled and
-    measured is None.  The bound's hypotheses are judged where its row is
-    built, in `pipeline`.
+    the all-ones probe b.  Measured while the size (d+1)N squared stays
+    under the dense cap, which bounds the cost of both; above it A() is
+    never called, C never assembled, and measured is None.  The bound's
+    hypotheses are judged where its row is built, in `pipeline`.
     """
-    params = C.params
     m, k, p, c = params.m, params.k, params.p, params.c
     bound = 2.0 * math.e * math.sqrt(k) * (m * (k + 1) + p) * (c + 2)
-    size = C.shape[0]
+    size = (params.d + 1) * N
     measured = None
     if size * size <= dense_cap:
+        C = assemble_C(A(), params)
         Cs = C.tocsr()
         lu = _factor(Cs)
         inv = spla.LinearOperator(C.shape, matvec=lu.solve, dtype=np.float64,

@@ -97,9 +97,10 @@ def level_group_norms(y: np.ndarray, group: np.ndarray,
     at least two factors; its squared norm stays below (2 K^2)^i.  group[j]
     is coordinate j's group, i + sum(a) in component a of level i >= 1, and
     -1 on level 0, which no group holds (`embedding.OrbitBasis.group`).
+    Each group is summed pairwise, as the other norms here are, so its
+    rounding grows with the log of its size, not with the size.
     """
-    keep = group >= 0
-    groups_sq = np.bincount(group[keep], weights=y[keep] * y[keep])[1:].tolist()
+    groups_sq = [sum_sq(y[group == i]) for i in range(1, int(group.max(initial=0)) + 1)]
     return groups_sq, [(2.0 * K * K) ** i if K > 0 else 0.0
                        for i in range(1, len(groups_sq) + 1)]
 

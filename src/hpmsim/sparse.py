@@ -8,7 +8,8 @@ as plain `csr_array`s, as it does the embedding matrix A and everything
 built from it.  `max_line_nnz` is the one count of the most nonzeros in a
 row and in a column, for F1, F2 and A alike.
 `spectral_norm` is the one 2-norm estimator for sparse, dense and operator
-inputs: Lanczos (ARPACK `svds`) from a seeded random start, certified
+inputs: Lanczos (ARPACK `svds`) from a seeded random start, or the Gram
+matrix's top eigenvalue where a matrix has at most 20 rows or columns, certified
 against a lower bound on the norm (the largest row and column 2-norms of a
 matrix, or a caller-supplied bound, whichever is larger).  A run takes
 ||A|| of the embedding matrix with it only where the closed-form upper end
@@ -24,6 +25,7 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.linalg import eigvalsh
 from scipy.linalg import expm as _scipy_expm
 from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
@@ -31,6 +33,9 @@ from .errors import NumericalError, ValidationError
 
 # rows*cols limit for the dense oracles (~2000x2000)
 DENSE_ORACLE_CAP = 4_000_000
+# largest min(rows, cols) whose norm comes from the Gram matrix: up to it,
+# ARPACK's default Krylov space (20 vectors) is the whole space anyway
+GRAM_MAX = 20
 
 
 class SparseMatrix(sp.csr_array):
@@ -97,12 +102,17 @@ def _check_cap(rows: int, cols: int, cap: int = DENSE_ORACLE_CAP) -> None:
 def spectral_norm(matrix: sp.sparray | np.ndarray | LinearOperator, tol: float = 1e-10,
                   max_iter: int | None = None, cap: int = DENSE_ORACLE_CAP,
                   lower: float | None = None) -> float:
-    """Largest singular value by Lanczos (ARPACK `svds`) from a seeded start.
+    """Largest singular value by Lanczos (ARPACK `svds`) from a seeded start,
+    or, for a matrix with at most GRAM_MAX rows or columns, as the square
+    root of the top eigenvalue of the smaller Gram matrix (`eigvalsh`).
 
     Sparse, dense and operator inputs share this one estimator; a sparse
     array must be canonical (no duplicate entries), a dense array must fit
     under `cap`. The start vector comes from a fixed seed, so results are
-    bit-for-bit reproducible. Every estimate is certified from
+    bit-for-bit reproducible.  On a matrix that small ARPACK was not: where
+    its Krylov space turned invariant, as on a rank-one 8 x 8 matrix, it
+    restarted from its own saved random state, and returned values below
+    and above the norm in repeated calls.  Every estimate is certified from
     below: for a matrix the largest row and column 2-norms are lower bounds
     on ||M||_2, and `lower`, a lower bound the caller knows, replaces them
     when larger; an operator has no entries to read, so its caller must
@@ -138,13 +148,18 @@ def spectral_norm(matrix: sp.sparray | np.ndarray | LinearOperator, tol: float =
         floor = math.sqrt(max(sq.sum(axis=1).max(), sq.sum(axis=0).max()))
         if lower is not None:
             floor = max(floor, math.ldexp(lower, -exp))
-    v0 = np.random.default_rng(0).standard_normal(min(arr.shape))
-    try:
-        est = float(svds(arr, k=1, v0=v0, tol=tol, maxiter=max_iter,
-                         return_singular_vectors=False)[0])
-    except ArpackError as exc:
-        raise NumericalError(f"Lanczos norm failed (tol={tol}, "
-                             f"max_iter={max_iter}): {exc}") from None
+    if not isinstance(arr, LinearOperator) and min(arr.shape) <= GRAM_MAX:
+        # the smaller Gram matrix, whose top eigenvalue is ||M||^2
+        gram = arr @ arr.T if arr.shape[0] <= arr.shape[1] else arr.T @ arr
+        est = math.sqrt(float(eigvalsh(gram.toarray() if sp.issparse(gram) else gram)[-1]))
+    else:
+        v0 = np.random.default_rng(0).standard_normal(min(arr.shape))
+        try:
+            est = float(svds(arr, k=1, v0=v0, tol=tol, maxiter=max_iter,
+                             return_singular_vectors=False)[0])
+        except ArpackError as exc:
+            raise NumericalError(f"Lanczos norm failed (tol={tol}, "
+                                 f"max_iter={max_iter}): {exc}") from None
     if est < floor * (1.0 - 1e-12):
         raise NumericalError(
             f"norm estimate {math.ldexp(est, exp):.17g} is below its certified "

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import eigsh
 
@@ -362,6 +362,56 @@ def test_assemble_A_matches_per_slot_construction(n, c, kind):
     assert A.data.tobytes() == want.data.tobytes()
 
 
+def cancelling_ode(n: int, seed: int):
+    """An upper-triangular F1, under assume_valid, with diagonal 1, -1, 2
+    (its first n) and a stored zero below it, so that A's diagonal, a sum of
+    these over the slots, comes to 0 at t = (0, 1) and (1, 1, 2); F2 holds
+    stored zeros."""
+    rng = np.random.default_rng(seed)
+    F1 = np.triu(rng.normal(size=(n, n)), 1) + np.diag([1.0, -1.0, 2.0][:n])
+    trips = [(i, j, v) for (i, j), v in np.ndenumerate(F1) if v != 0] + [(n - 1, 0, 0.0)]
+    F2 = slot_asymmetric_F2(n, rng, "stored", 0.3)
+    return make_ode(n, SparseMatrix.from_triplets(n, n, trips), F2, rng.normal(size=n) * 0.3,
+                    assume_valid=True)
+
+
+PROBE_KINDS = {**ODE_KINDS, "cancelling": cancelling_ode,
+               "F2 = 0": lambda n, seed: random_ode(n, seed, f2_scale=0.0)}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 10_000),
+       st.sampled_from(list(PROBE_KINDS)))
+def test_the_tensor_form_is_A_within_its_rounding_bound(n, c, seed, kind):
+    # the tensor form's product and magnitudes against A's CSR product and
+    # |A| |x|, with the bound of `_tensor_gate` rebuilt from its docstring
+    ode = PROBE_KINDS[kind](n, seed)
+    sys = assemble_A(ode, c)
+    index, A = sys.index, sys.A
+    x = np.random.default_rng(seed).standard_normal(index.N)
+    got, mag = hpmsim.embedding._tensor_apply(ode, index, x)
+    r1, r2 = (max_line_nnz(F)[0] for F in (ode.F1, ode.F2))
+    ops = 2 * ((c + 1) * r1 + (index.beta[1] if c else 0) * r2 + c + 2) + 30
+    gamma = ops * math.ldexp(1.0, -53) / (1 - ops * math.ldexp(1.0, -53))
+    assert (abs(A) @ np.abs(x) <= mag * (1 + gamma)).all()
+    want = A @ x
+    for i in range(c + 1):
+        lvl = index.level_slice(i)
+        assert np.linalg.norm(got[lvl] - want[lvl]) <= gamma * np.linalg.norm(mag[lvl])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 10_000),
+       st.sampled_from(list(PROBE_KINDS)))
+def test_the_counts_without_A_are_those_of_A(n, c, seed, kind):
+    # the most nonzeros in a representative's row and, level by level from
+    # F1 and F2, in a column: max_line_nnz of the full A
+    ode = PROBE_KINDS[kind](n, seed)
+    sys = assemble_A(ode, c)
+    rep = structural_report(sys, spectral_norm(ode.F2), -1.0)
+    assert (rep["max_row_nnz"], rep["max_col_nnz"]) == max_line_nnz(sys.A)
+
+
 # -- the ||A|| bracket and the step count it certifies ----------------------
 
 @settings(max_examples=60, deadline=None)
@@ -494,7 +544,7 @@ def test_norm_estimate_cost_guard_gen8(monkeypatch, T):
 def test_structural_report_n1_c1():
     ode = std1()
     sys = assemble_A(ode, 1)
-    rep = structural_report(sys, ode, 0.2, -1.0)
+    rep = structural_report(sys, 0.2, -1.0)
     assert rep["norm_A"] <= 2.0 * (1.0 + 0.2)
     assert rep["max_re_eigenvalue"] == -1.0
 
@@ -506,11 +556,12 @@ def test_structural_report_raises_only_on_the_estimate():
     sys = assemble_A(ode, c)
     norm_f2, re1 = spectral_norm(ode.F2), compute_K(ode).re_lambda1
     bound = (c + 1) * (ode.norm_F1 + norm_f2)
-    rep = structural_report(dataclasses.replace(sys, norm_A=2 * bound), ode, norm_f2, re1)
+    rep = structural_report(dataclasses.replace(sys, norm_A=2 * bound), norm_f2, re1)
     assert rep["norm_A_estimate"] == spectral_norm(sys.A, lower=sys.norm_A_lower)
-    doubled = dataclasses.replace(sys, A=2 * sys.A, norm_A=2 * bound)
+    doubled = dataclasses.replace(sys, norm_A=2 * bound)
+    doubled.A = 2 * sys.A
     with pytest.raises(BoundViolation, match="exceeds"):
-        structural_report(doubled, ode, norm_f2, re1)
+        structural_report(doubled, norm_f2, re1)
 
 
 def test_structural_report_linear_eigs():
@@ -518,7 +569,7 @@ def test_structural_report_linear_eigs():
     F2 = SparseMatrix.from_triplets(2, 4, [])
     ode = make_ode(2, F1, F2, [0.1, 0.2])
     sys = assemble_A(ode, 2)
-    rep = structural_report(sys, ode, 0.0, compute_K(ode).re_lambda1)
+    rep = structural_report(sys, 0.0, compute_K(ode).re_lambda1)
     # eigenvalues of the embedding are sums of i+1 eigenvalues of F1
     gamma = np.linalg.eigvals(sys.A.toarray())
     sums = {-1.0, -2.0, -3.0, -4.0, -5.0, -6.0}
@@ -528,34 +579,62 @@ def test_structural_report_linear_eigs():
     assert rep["max_re_eigenvalue"] == pytest.approx(-1.0, abs=1e-9)
 
 
+def with_full_A(monkeypatch, sys, dense):
+    """sys with its full A built afresh, on first read, from the rows of
+    dense: the run's own path to A, through the probe that guards it."""
+    real, bad = hpmsim.embedding._rows_of_A, sp.csr_array(dense)
+
+    def rows_of_A(ode, index, pos):
+        if pos.size < index.N:
+            return real(ode, index, pos)
+        return bad.data, bad.indices, bad.indptr
+
+    monkeypatch.setattr(hpmsim.embedding, "_rows_of_A", rows_of_A)
+    return dataclasses.replace(sys)
+
+
+def with_rows(sys, dense):
+    """sys whose representatives' rows are those of dense."""
+    return dataclasses.replace(sys, rows=sp.csr_array(dense[sys.basis.reps]))
+
+
 @pytest.mark.parametrize("row_level, col_level", [(0, 2), (1, 0), (2, 1)])
-def test_structural_report_rejects_entries_off_the_bidiagonal(row_level, col_level):
+def test_structural_report_rejects_entries_off_the_bidiagonal(monkeypatch, row_level, col_level):
+    # the structural report reads the representatives' rows, and the probe
+    # of the full A its rows, each refusing the entry at its row's level
     ode = std1()
     sys = assemble_A(ode, 2)
-    structural_report(sys, ode, 0.2, -1.0)
+    structural_report(sys, 0.2, -1.0)
     dense = sys.A.toarray()
     dense[sys.index.offsets[row_level], sys.index.offsets[col_level]] = 1e-3
-    bad = dataclasses.replace(sys, A=sp.csr_array(dense))
-    with pytest.raises(BoundViolation, match="block bidiagonal"):
-        structural_report(bad, ode, 0.2, -1.0)
+    with pytest.raises(BoundViolation, match=f"level {row_level} outside the block bidiagonal"):
+        structural_report(with_rows(sys, dense), 0.2, -1.0)
+    with pytest.raises(BoundViolation, match=f"at level {row_level} "):
+        with_full_A(monkeypatch, sys, dense).A
+
+
+def refused_at(monkeypatch, sys, dense, level):
+    """dense, as the full A and as the representatives' rows, is refused at
+    level by the probe of the full A and by the orbit gate."""
+    with pytest.raises(BoundViolation, match=f"not its tensor form at level {level} "):
+        with_full_A(monkeypatch, sys, dense).A
+    with pytest.raises(NumericalError, match=f"orbit basis.* at level {level} "):
+        assemble_A_sym(with_rows(sys, dense))
 
 
 @pytest.mark.parametrize("level", [0, 1, 2])
-def test_structural_report_rejects_perturbed_diagonal_block(level):
+def test_structural_report_rejects_perturbed_diagonal_block(monkeypatch, level):
     ode = random_ode(2, seed=5)
     sys = assemble_A(ode, 2)
-    re1 = compute_K(ode).re_lambda1
-    structural_report(sys, ode, spectral_norm(ode.F2), re1)
+    assemble_A_sym(sys)
     dense = sys.A.toarray()
     start = sys.index.offsets[level]
     assert dense[start, start] != 0.0
     dense[start, start] += 1e-6
-    bad = dataclasses.replace(sys, A=sp.csr_array(dense))
-    with pytest.raises(BoundViolation, match=f"diagonal block of level {level}"):
-        structural_report(bad, ode, spectral_norm(ode.F2), re1)
+    refused_at(monkeypatch, sys, dense, level)
 
 
-def test_structural_report_rejects_swapped_kronecker_order():
+def test_structural_report_rejects_swapped_kronecker_order(monkeypatch):
     # level 1 at n=2, c=2: (F1 kron I + I kron F1) kron I_beta in place of
     # I_beta kron (F1 kron I + I kron F1)
     ode = random_ode(2, seed=6)
@@ -568,33 +647,28 @@ def test_structural_report_rejects_swapped_kronecker_order():
     swapped = np.kron(ksum, np.eye(beta))
     assert not np.allclose(swapped, dense[lvl, lvl])
     dense[lvl, lvl] = swapped
-    bad = dataclasses.replace(sys, A=sp.csr_array(dense))
-    with pytest.raises(BoundViolation, match="diagonal block of level 1"):
-        structural_report(bad, ode, spectral_norm(ode.F2), compute_K(ode).re_lambda1)
+    refused_at(monkeypatch, sys, dense, 1)
 
 
-def test_structural_report_probe_orients_nonnormal_blocks():
+def test_structural_report_probe_orients_nonnormal_blocks(monkeypatch):
     # an upper-triangular F1 tells F1 from F1^T: the assembled A passes, a
     # level-2 block built from F1^T does not
     ode = nonnormal_ode(3, seed=8)
     sys = assemble_A(ode, 2)
-    args = (spectral_norm(ode.F2), compute_K(ode).re_lambda1)
-    structural_report(sys, ode, *args)
+    assemble_A_sym(sys)
     F1t = ode.F1.toarray().T
     ksum = sum(np.kron(np.kron(np.eye(3 ** k), F1t), np.eye(3 ** (2 - k))) for k in range(3))
     lvl = sys.index.level_slice(2)
     dense = sys.A.toarray()
     dense[lvl, lvl] = np.kron(np.eye(sys.index.beta[2]), ksum)
-    bad = dataclasses.replace(sys, A=sp.csr_array(dense))
-    with pytest.raises(BoundViolation, match="diagonal block of level 2"):
-        structural_report(bad, ode, *args)
+    refused_at(monkeypatch, sys, dense, 2)
 
 
 def test_structural_report_random_instance():
     ode = random_ode(2, seed=3)
     norm_f2 = spectral_norm(ode.F2)
     sys = assemble_A(ode, 2)
-    rep = structural_report(sys, ode, norm_f2, compute_K(ode).re_lambda1)
+    rep = structural_report(sys, norm_f2, compute_K(ode).re_lambda1)
     assert rep["max_re_eigenvalue"] < 0
     assert rep["norm_A"] <= rep["norm_A_bound"] * (1 + 1e-9)
     assert rep["max_row_nnz"] <= rep["sparsity_witness"]
@@ -773,7 +847,7 @@ def test_orbit_basis_is_invariant_under_A_and_counts_the_multisets(n, c, seed, k
     assert np.array_equal(basis.root_w, np.sqrt(np.bincount(basis.orbit, minlength=R)))
     V = sp.csr_array((1.0 / basis.root_w[basis.orbit], (np.arange(N), basis.orbit)),
                      shape=(N, R))
-    A_sym = assemble_A_sym(ode, sys, basis)
+    A_sym = assemble_A_sym(sys)
     AV = (sys.A @ V).toarray()
     assert np.linalg.norm(AV - (V @ A_sym).toarray()) <= 1e-14 * np.linalg.norm(AV)
     assert np.allclose((V.T @ V).toarray(), np.eye(R), rtol=0.0, atol=1e-15)
@@ -792,7 +866,7 @@ def test_A_sym_from_the_row_builder_is_the_gather_from_A(n, c, seed, kind):
     ode = ODE_KINDS[kind](n, seed)
     sys = assemble_A(ode, c)
     basis = orbit_basis(sys.index)
-    got, want = assemble_A_sym(ode, sys, basis), reduce_to_orbits(sys.A, basis)
+    got, want = assemble_A_sym(sys), reduce_to_orbits(sys.A, basis)
     assert got.indptr.dtype == want.indptr.dtype and got.indices.dtype == want.indices.dtype
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
@@ -802,6 +876,8 @@ def test_A_sym_from_the_row_builder_is_the_gather_from_A(n, c, seed, kind):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 10_000),
        st.sampled_from(["normal", "nonnormal"]), st.sampled_from(SOLVERS))
+# summed in sequence, its level groups differed by 1.005e-14 relative
+@example(3, 4, 44, "nonnormal", "iterative")
 def test_the_orbit_solution_reads_as_the_full_one(n, c, seed, kind, solver):
     # the orbits' level groups are the coordinates' groups, and post-selection
     # and the step errors read the orbit solution with them as they read the
@@ -813,7 +889,7 @@ def test_the_orbit_solution_reads_as_the_full_one(n, c, seed, kind, solver):
     assert np.array_equal(basis.group[basis.orbit], group)
     assert np.array_equal(basis.group[:n], np.full(n, -1)) and (basis.group[n:] >= 1).all()
 
-    A_sym, y_sym = assemble_A_sym(ode, sys, basis), basis.restrict(sys.y_in)
+    A_sym, y_sym = assemble_A_sym(sys), basis.restrict(sys.y_in)
     m, h = step_counts(0.5, sys.norm_A)
     params = TaylorSystemParams(c=c, h=h, m=m, k=8, p=m, d=m * 9 + m, delta=1e-10,
                                 epsilon1=0.0, Omega=0.0, g_est=1.0, eta_est=1.0,
@@ -839,19 +915,27 @@ def test_the_orbit_solution_reads_as_the_full_one(n, c, seed, kind, solver):
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
-def test_a_diagonal_block_off_the_kronecker_sum_is_refused_at_its_level(level):
-    # the even and the odd levels share a probe each: one diagonal entry of
-    # the level's first row, moved by 1e-3 ||F1||, is caught on either
+def test_a_diagonal_block_off_the_kronecker_sum_is_refused_at_its_level(monkeypatch, level):
+    # one diagonal entry of the level's first row, moved by 1e-3 ||F1||
     ode = random_ode(2, seed=3)
     sys = assemble_A(ode, 3)
     row = sys.index.level_slice(level).start
-    A = sys.A.copy()
-    start, stop = A.indptr[row], A.indptr[row + 1]
-    A.data[start + np.flatnonzero(A.indices[start:stop] == row)[0]] += 1e-3 * ode.norm_F1
-    nl = compute_K(ode)
-    with pytest.raises(BoundViolation, match=f"diagonal block of level {level} "):
-        structural_report(dataclasses.replace(sys, A=A), ode, nl.norm_F2, nl.re_lambda1)
-    structural_report(sys, ode, nl.norm_F2, nl.re_lambda1)
+    dense = sys.A.toarray()
+    dense[row, row] += 1e-3 * ode.norm_F1
+    refused_at(monkeypatch, sys, dense, level)
+
+
+def test_a_coupling_block_off_the_tensor_form_is_refused_at_its_level(monkeypatch):
+    # a coupling entry of level 1 into level 2, which no structural check
+    # reads: the tensor form holds A's coupling blocks as well
+    ode = random_ode(2, seed=3)
+    sys = assemble_A(ode, 3)
+    dense = sys.A.toarray()
+    lvl1, lvl2 = sys.index.level_slice(1), sys.index.level_slice(2)
+    row = next(r for r in sys.basis.reps if lvl1.start <= r < lvl1.stop and dense[r, lvl2].any())
+    col = lvl2.start + np.flatnonzero(dense[row, lvl2])[0]
+    dense[row, col] *= 1 + 1e-6
+    refused_at(monkeypatch, sys, dense, 1)
 
 
 def test_orbit_keys_that_overflow_int64_are_refused():
@@ -873,4 +957,4 @@ def test_a_reduction_that_leaks_out_of_the_orbit_basis_is_refused():
     orbit = basis.orbit.copy()
     orbit[[i, j]] = orbit[[j, i]]
     with pytest.raises(NumericalError, match="does not keep the orbit basis"):
-        assemble_A_sym(ode, sys, dataclasses.replace(basis, orbit=orbit))
+        assemble_A_sym(dataclasses.replace(sys, basis=dataclasses.replace(basis, orbit=orbit)))

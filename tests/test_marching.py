@@ -178,7 +178,7 @@ def test_the_orbit_solve_is_the_full_solve(n, c, seed, solver):
     params = tiny_params(N=sys.index.N, m=m, k=8, p=m, h=h, c=c)
     full = solve_marching(assemble_C(sys.A, params), sys.y_in, solver=solver)
     basis = orbit_basis(sys.index)
-    C = assemble_C(assemble_A_sym(ode, sys, basis), params)
+    C = assemble_C(assemble_A_sym(sys), params)
     assert C.N == basis.reps.size < sys.index.N
     sym = solve_marching(C, basis.restrict(sys.y_in), solver=solver)
     assert sym.exponent == full.exponent and sym.iterations == full.iterations
@@ -619,7 +619,7 @@ def test_gmres_runs_on_the_preconditioned_operator_with_one_product_with_C(monke
 @pytest.mark.parametrize("case", OPERATOR_CASES)
 def test_condition_report_matches_dense_svd(case):
     A, params = operator_case(case)
-    rep = condition_report(assemble_C(A, params))
+    rep = condition_report(params, A.shape[0], lambda: A)
     dense = dense_condition_number(reference_C(A, params).toarray())
     assert rep["measured"] == pytest.approx(dense, rel=1e-10)
 
@@ -628,7 +628,6 @@ def test_condition_report_matches_dense_svd(case):
 def test_condition_report_refuses_estimate_below_certificate(monkeypatch, which):
     A = random_A(3, 1, normal=False)
     params = tiny_params(N=3, m=2, k=5, p=2, h=0.3)
-    C = assemble_C(A, params)
     real_svds = sparse_mod.svds
     calls = []
 
@@ -640,7 +639,7 @@ def test_condition_report_refuses_estimate_below_certificate(monkeypatch, which)
 
     monkeypatch.setattr(sparse_mod, "svds", short_svds)
     with pytest.raises(NumericalError, match="below its certified lower bound"):
-        condition_report(C)
+        condition_report(params, A.shape[0], lambda: A)
 
 
 @pytest.mark.parametrize("case", OPERATOR_CASES)
@@ -648,7 +647,7 @@ def test_norm_floor_is_largest_row_or_column_norm(monkeypatch, case):
     # ||C|| is certified by the sparse branch of spectral_norm on C.tocsr():
     # an estimate a hair below the largest row or column norm is refused
     A, params = operator_case(case)
-    real_svds = sparse_mod.svds
+    real_svds, real_eigvalsh = sparse_mod.svds, sparse_mod.eigvalsh
     # ||A h|| = 2.7 lets a column outweigh the k + 2 of a summation row
     for params in (params, dataclasses.replace(params, h=3.0 * params.h)):
         ref = reference_C(A, params)
@@ -657,33 +656,38 @@ def test_norm_floor_is_largest_row_or_column_norm(monkeypatch, case):
         Cs = assemble_C(A, params).tocsr()
         norm = spectral_norm(Cs)
         for factor in (1.0 - 1e-9, 1.0 + 1e-9):
-            # svds sees C scaled by a power of two; the ratio is scale-free
-            monkeypatch.setattr(sparse_mod, "svds", lambda op, f=factor, **kw:
-                                real_svds(op, **kw) * (exact / norm) * f)
+            # svds or eigvalsh sees C scaled by a power of two; the ratio is
+            # scale-free, and eigvalsh gives squares
+            if min(Cs.shape) > sparse_mod.GRAM_MAX:
+                monkeypatch.setattr(sparse_mod, "svds", lambda op, f=factor, **kw:
+                                    real_svds(op, **kw) * (exact / norm) * f)
+            else:
+                monkeypatch.setattr(sparse_mod, "eigvalsh", lambda gram, f=factor:
+                                    real_eigvalsh(gram) * ((exact / norm) * f) ** 2)
             if factor < 1.0:
                 with pytest.raises(NumericalError, match="below its certified"):
                     spectral_norm(Cs)
             else:
                 assert spectral_norm(Cs) == pytest.approx(exact * factor, rel=1e-14)
         monkeypatch.setattr(sparse_mod, "svds", real_svds)
+        monkeypatch.setattr(sparse_mod, "eigvalsh", real_eigvalsh)
 
 
 def test_condition_report_takes_no_product_through_the_operator(monkeypatch):
     A, params = operator_case(OPERATOR_CASES[3])
-    C = assemble_C(A, params)
-    want = condition_report(C)
+    want = condition_report(params, A.shape[0], lambda: A)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a product through the marching operator")
 
     for name in ("_matvec", "_taylor", "march"):
         monkeypatch.setattr(MarchingOperator, name, refuse)
-    got = condition_report(C)
+    got = condition_report(params, A.shape[0], lambda: A)
     assert got == want and got["measured"] is not None
-    # over the cap C is never assembled, and the row is skipped
+    # over the cap A is never asked for, C never assembled, and the row is skipped
     monkeypatch.setattr(MarchingOperator, "tocsr", refuse)
-    size = C.shape[0]
-    skipped = condition_report(C, dense_cap=size * size - 1)
+    size = (params.d + 1) * A.shape[0]
+    skipped = condition_report(params, A.shape[0], refuse, dense_cap=size * size - 1)
     assert skipped == {"bound": want["bound"], "measured": None}
 
 
@@ -837,8 +841,7 @@ def test_condition_bound_formula_value():
     # m=3, k=5, p=3, c=2: 2 e sqrt(5) (3*6+3) (2+2)
     params = tiny_params(N=1, m=3, k=5, p=3, h=0.1, c=2)
     A = SparseMatrix.from_triplets(1, 1, [])
-    C = assemble_C(A, params)
-    rep = condition_report(C)
+    rep = condition_report(params, A.shape[0], lambda: A)
     assert rep["bound"] == pytest.approx(1021.1481756733905, rel=1e-12)
 
 
@@ -856,8 +859,7 @@ def test_condition_4x4_measured_under_bound():
     a = 0.5
     A = SparseMatrix.from_triplets(1, 1, [(0, 0, a)])
     params = tiny_params(N=1, m=1, k=1, p=1, h=1.0)
-    C = assemble_C(A, params)
-    rep = condition_report(C)
+    rep = condition_report(params, A.shape[0], lambda: A)
     assert rep["measured"] == pytest.approx(6.332670303617229, rel=1e-9)
     assert rep["measured"] <= 2 * math.e * math.sqrt(1) * 3 * 2
     # k = 1 misses both k >= 5 and the margin: 2m(c+1)(c+2) = 4 > (k+1)! = 2;
@@ -876,7 +878,7 @@ def test_condition_precondition_needs_k_ge_5():
         # step_error reads the contract, the margin and the exp-norm verdict
         assert rows["step_error"]["precondition_ok"], k
         assert rows["condition_number"]["precondition_ok"] is ok, k
-        rep = condition_report(assemble_C(A, params))
+        rep = condition_report(params, A.shape[0], lambda: A)
         assert sorted(rep) == ["bound", "measured"]
 
 
@@ -884,6 +886,5 @@ def test_condition_identity_like():
     # A = 0 reduces all couplings to copies; kappa stays small
     A = SparseMatrix.from_triplets(2, 2, [])
     params = tiny_params(N=2, m=1, k=1, p=1, h=1.0)
-    C = assemble_C(A, params)
-    rep = condition_report(C)
+    rep = condition_report(params, A.shape[0], lambda: A)
     assert rep["measured"] <= rep["bound"]

@@ -15,7 +15,7 @@ import hpmsim.marching
 import hpmsim.measurement
 import hpmsim.ode
 import hpmsim.pipeline
-from hpmsim.embedding import assemble_A, step_counts
+from hpmsim.embedding import assemble_A, orbit_basis, step_counts
 from hpmsim.errors import NumericalError, ValidationError
 from hpmsim.marching import choose_order, expm_trajectory
 from hpmsim.ode import RTOL_LOOSE, compute_K, grid_steps, integrate
@@ -32,7 +32,7 @@ from hpmsim.pipeline import (
     sweep,
 )
 from hpmsim.sparse import DENSE_ORACLE_CAP, dense_expm, max_line_nnz, spectral_norm, vector_norm
-from oracles import dense_trajectory, read_vector
+from oracles import dense_trajectory, read_vector, reduce_to_orbits
 
 STD1 = {
     "n": 1, "T": 1.0, "epsilon": 1e-2, "u_in": [0.5],
@@ -836,3 +836,67 @@ def test_iterative_report_moves_only_in_its_last_bits_with_the_blas_thread_count
     assert one["status"] == "pass"
     assert one["parameters"] == two["parameters"]
     assert_close_tree(one, two, rel=1e-12, atol=1e-14)
+
+
+# -- the sparsity row ------------------------------------------------------
+
+def test_the_sparsity_witness_is_not_judged_where_it_is_no_bound():
+    # at c = 1 the witness s c^2 + c = 3 lies below the proved counts
+    # s(1 + beta_1) = 4 per row and (2c + 1)s = 6 per column, which this A
+    # reaches: the row reports 5 against 3, unjudged, and the run passes
+    rep = run(instance_config(generate_instance(2, 2, 0.3, 7), 1.0, 1e-2, c=1))
+    row = next(r for r in rep.bound_checks if r["check"] == "sparsity")
+    assert (row["measured"], row["bound"]) == (5.0, 3.0)
+    assert not row["precondition_ok"] and row["pass"]
+    assert row["note"] == "not judged: the witness is below the proved counts (rows <= 4, cols <= 6)"
+    assert rep.status == "pass" and rep.exit_code == 0
+
+
+def test_a_count_over_the_witness_fails_the_judged_sparsity_row(monkeypatch):
+    # at c = 3 the witness 21 bounds both proved counts; a count one above
+    # it, and below the proved counts, fails the row and the run
+    real = hpmsim.embedding.structural_report
+
+    def over(*args):
+        rep = real(*args)
+        return {**rep, "max_col_nnz": rep["sparsity_witness"] + 1}
+
+    monkeypatch.setattr(hpmsim.embedding, "structural_report", over)
+    rep = run(instance_config(generate_instance(2, 2, 0.3, 7), 1.0, 1e-2, c=3))
+    row = next(r for r in rep.bound_checks if r["check"] == "sparsity")
+    assert row["precondition_ok"] and not row["pass"]
+    assert (row["measured"], row["bound"]) == (22.0, 21.0)
+    assert rep.status == "bound_violation" and rep.exit_code == 1
+
+
+# -- the full A is built only where an oracle reads it -----------------------
+
+def test_a_run_over_the_dense_cap_never_builds_the_full_A(monkeypatch):
+    # n = 3, c = 3 (N = 246) with the dense cap below N^2: no oracle reads A,
+    # and the structure block is the one computed from a built A
+    config = instance_config(generate_instance(3, 2, 0.3, 7), 1.0, 1e-2, c=3,
+                             dense_cap=240 ** 2)
+    real, built = hpmsim.embedding._rows_of_A, []
+
+    def rows_of_A(ode, index, pos):
+        if pos.size == index.N:
+            built.append(index.N)
+        return real(ode, index, pos)
+
+    monkeypatch.setattr(hpmsim.embedding, "_rows_of_A", rows_of_A)
+    rep = run(config)
+    assert built == [] and rep.status == "pass"
+    cond = next(r for r in rep.bound_checks if r["check"] == "condition_number")
+    assert cond["measured"] is None
+
+    solved = rescaled_problem(build_ode(config))[0]
+    nl = compute_K(solved)
+    sys_ = assemble_A(solved, 3)
+    A = sys_.A
+    assert built == [246]
+    want = hpmsim.embedding.structural_report(sys_, nl.norm_F2, nl.re_lambda1)
+    want["max_row_nnz"], want["max_col_nnz"] = max_line_nnz(A)
+    want["sparsity_within_witness"] = max(max_line_nnz(A)) <= want["sparsity_witness"]
+    A_sym = reduce_to_orbits(A, orbit_basis(sys_.index))
+    want.update(R=A_sym.shape[0], nnz_A_sym=A_sym.nnz)
+    assert rep.structure == want

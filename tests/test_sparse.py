@@ -1,7 +1,8 @@
 import warnings
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -9,6 +10,7 @@ import hpmsim.sparse
 from hpmsim.errors import NumericalError, ValidationError
 from hpmsim.sparse import (
     DENSE_ORACLE_CAP,
+    GRAM_MAX,
     SparseMatrix,
     dense_eigs,
     dense_expm,
@@ -263,14 +265,27 @@ def test_spectral_norm_not_fooled_by_orthogonal_start():
 
 
 def test_spectral_norm_certificate_rejects_underestimate(monkeypatch):
-    # an estimator stuck on the smaller singular value returns 1.0, below
-    # the column-norm lower bound sqrt(2.5)
+    # an eigensolver stuck on the Gram matrix's smaller eigenvalue gives 1.0,
+    # below the column-norm lower bound sqrt(2.5)
+    monkeypatch.setattr(hpmsim.sparse, "eigvalsh", lambda gram: np.linalg.eigvalsh(gram)[:1])
+    with pytest.raises(NumericalError, match="lower bound"):
+        spectral_norm(SparseMatrix(F1_ORTHOGONAL_START))
+
+
+def test_lanczos_certificate_rejects_underestimate(monkeypatch):
+    # past GRAM_MAX rows and columns Lanczos runs; stuck on the smallest
+    # singular value of a 2 x 2 block repeated along the diagonal, it is
+    # refused against the column norms as the Gram route is
+    blocks = SparseMatrix(sp.block_diag([F1_ORTHOGONAL_START] * 11, format="csr"))
+    assert min(blocks.shape) > GRAM_MAX
+    assert spectral_norm(blocks) == pytest.approx(2.0, rel=1e-12)
+
     def smallest_singular_value(arr, **kwargs):
         return np.linalg.svd(arr.toarray(), compute_uv=False)[-1:]
 
     monkeypatch.setattr(hpmsim.sparse, "svds", smallest_singular_value)
     with pytest.raises(NumericalError, match="lower bound"):
-        spectral_norm(SparseMatrix(F1_ORTHOGONAL_START))
+        spectral_norm(blocks)
 
 
 def test_spectral_norm_caller_lower_bound_certifies_a_matrix():
@@ -300,9 +315,55 @@ def _small_matrices(draw):
     return arr
 
 
+# a rank-one 8 x 8 matrix with a column of subnormal entries and four zero
+# columns, on which ARPACK returned 338.15, 179.58, 273.15 or 322.66, or
+# stopped unconverged, from one call to the next
+_U = [float.fromhex(x) for x in (
+    "-0x1.bebf2b9bd7491p+5", "0x1.0d46f13bead1cp+5", "0x1.93b4454494694p+4",
+    "-0x1.592e158f25b5ep+5", "-0x1.1795081acf9aap+4", "0x1.9c3a5ff0e46aap+5",
+    "0x1.345884c3ce7bap+5", "-0x0.0p+0")]
+_V = [float.fromhex(x) for x in (
+    "-0x1.b27af6c6e79c6p+0", "0x0.0p+0", "0x0.0p+0", "-0x1.e2d4528fad3cep+0", "0x0.0p+0",
+    "0x0.fd1d7d505cd02p-1022", "0x0.0p+0", "0x1.f170e8d07a3acp+0")]
+RANK_ONE_8x8 = np.outer(_U, _V)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_small_matrices(), st.booleans())
+@example(RANK_ONE_8x8, False)
+@example(RANK_ONE_8x8, True)
 def test_spectral_norm_matches_svd(arr, as_sparse):
+    expected = np.linalg.norm(arr, 2)
+    got = spectral_norm(SparseMatrix(arr) if as_sparse else arr)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("as_sparse", [False, True])
+def test_spectral_norm_is_one_value_on_the_rank_one_matrix(as_sparse):
+    M = SparseMatrix(RANK_ONE_8x8) if as_sparse else RANK_ONE_8x8
+    assert {spectral_norm(M) for _ in range(500)} == {np.linalg.norm(RANK_ONE_8x8, 2)}
+
+
+@st.composite
+def _lanczos_matrices(draw):
+    """Matrices with 21 to 40 rows and columns, of _small_matrices' kinds."""
+    rows, cols = draw(st.integers(GRAM_MAX + 1, 40)), draw(st.integers(GRAM_MAX + 1, 40))
+    kind = draw(st.sampled_from(["general", "symmetric", "masked", "rank_one"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "rank_one":
+        return np.outer(rng.uniform(-10, 10, rows), rng.uniform(-10, 10, cols))
+    arr = rng.uniform(-10, 10, (rows, cols))
+    if kind == "symmetric":
+        sq = arr[:min(rows, cols), :min(rows, cols)]
+        return sq + sq.T
+    if kind == "masked":
+        return arr * (rng.random((rows, cols)) < 0.5)
+    return arr
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_lanczos_matrices(), st.booleans())
+def test_lanczos_spectral_norm_matches_svd(arr, as_sparse):
     expected = np.linalg.norm(arr, 2)
     got = spectral_norm(SparseMatrix(arr) if as_sparse else arr)
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
