@@ -21,17 +21,18 @@ commutes with the permutations, and a coupling splits one slot into two
 adjacent ones, where on a symmetric argument it does not matter which
 slot split; level 0 has no slots, one orbit per entry.  So every step of
 the march stays in Sym (Harrow, "The church of the symmetric subspace",
-arXiv:1308.6595).  `orbit_basis` numbers the orbits and labels each with
-its level group, and `assemble_A_sym` gives A_sym, A in Sym's
-orthonormal orbit basis, R-square for R orbits (946 for N = 6,536 at
-n = 8, c = 3), from A's rows at one representative per orbit.  A run reads
-x in that basis; only `--emit-blocks` expands it.  The structural checks
-read those rows too, and the counts of F1 and F2: a row's nonzero count
-is constant on its orbit.  The full A is built on first read, and only
-the oracles that need A itself read it: the dense exp-norm fallback and
-the kappa(C) oracle, both under the dense cap, and the Lanczos ||A||
-fallback.  A product in A's tensor form, written apart from the row
-builder, checks A_sym and, wherever it is built, the full A.
+arXiv:1308.6595), and in floating point every row is its orbit
+representative's, bit for bit (see `assemble_A`).  `orbit_basis` numbers
+the orbits and labels each with its level group, and `assemble_A_sym`
+gives A_sym, A in Sym's orthonormal orbit basis, R-square for R orbits
+(946 for N = 6,536 at n = 8, c = 3), from A's rows at one representative
+per orbit.  A run reads x in that basis; only `--emit-blocks` expands it.
+The structural checks read those rows too, and the counts of F1 and F2.
+The full A is built on first read, and only the oracles that need A
+itself read it: the dense exp-norm fallback and the kappa(C) oracle, both
+under the dense cap, and the Lanczos ||A|| fallback.  A product in A's
+tensor form, written apart from the row builder, checks A_sym and,
+wherever it is built, the full A.
 """
 
 from __future__ import annotations
@@ -46,22 +47,14 @@ import scipy.sparse as sp
 
 from .errors import BoundViolation, NumericalError, ValidationError
 from .ode import QuadraticODE
-from .sparse import spectral_norm, vector_norm
+from .sparse import max_line_nnz, spectral_norm, vector_norm
 
-# default limit on the embedded dimension N (keeps direct solves desk-scale)
+# default limit on the embedded dimension N (keeps the layout's length-N arrays desk-scale)
 N_CAP = 200_000
 # relative widening of both ends of the ||A|| bracket, and of the upper end
 # of mu(A) by this share of the upper end of ||A||, past the rounding of the
 # dense eigen- and singular-value solves and of the sums behind them
 BRACKET_SLACK = 1e-12
-
-
-def level_sizes(c: int) -> list[int]:
-    """beta_i = 1 for i=0, else sum_{k=i}^{c} C(k, i)."""
-    beta = [1]
-    for i in range(1, c + 1):
-        beta.append(sum(math.comb(k, i) for k in range(i, c + 1)))
-    return beta
 
 
 def total_dimension(n: int, c: int) -> int:
@@ -126,24 +119,17 @@ class EmbeddingIndexMap:
 
 
 def build_index_map(c: int, n: int, cap: int = N_CAP) -> EmbeddingIndexMap:
+    """The layout at order c, beta_i and the offsets read off the levels'
+    enumerations; N, in closed form, is refused past cap before them."""
     if c < 0 or n < 1:
         raise ValidationError("need c >= 0 and n >= 1")
     N = total_dimension(n, c)
     if N > cap:
         raise ValidationError(f"embedded dimension {N} exceeds cap {cap}")
-    beta = level_sizes(c)
     levels = [enumerate_level(c, i) for i in range(c + 1)]
-    for i, level in enumerate(levels):
-        if len(level) != beta[i]:
-            raise ValidationError(
-                f"enumeration bug: level {i} has {len(level)} tuples, beta says {beta[i]}"
-            )
-    offsets, pos = [], 0
-    for i in range(c + 1):
-        offsets.append(pos)
-        pos += beta[i] * n ** (i + 1)
-    if pos != N:
-        raise ValidationError(f"offset bookkeeping bug: {pos} != {N}")
+    beta = [len(level) for level in levels]
+    offsets = list(itertools.accumulate((b * n ** (i + 1) for i, b in enumerate(beta[:-1])),
+                                        initial=0))
     return EmbeddingIndexMap(c=c, n=n, beta=beta, offsets=offsets, N=N, levels=levels)
 
 
@@ -208,7 +194,7 @@ def _rows_of_A(ode: QuadraticODE, index: EmbeddingIndexMap, pos: np.ndarray):
         j, T = np.divmod(at - index.offsets[i], n ** (i + 1))
         place = n ** np.arange(i, -1, -1)
         t = T[:, None] // place % n
-        diag = sum((d1[t[:, s]] for s in range(1, i + 1)), start=d1[t[:, 0]])
+        diag = sum(d1[np.sort(t, axis=1)].T)      # one sum on the whole orbit
         pieces = [(f1, F1.indptr[t[:, s]], left[t[:, s]], at - t[:, s] * place[s], place[s])
                   for s in range(i + 1)]
         pieces.append(((np.zeros_like(at), diag), np.arange(at.size), np.ones_like(at), at, 0))
@@ -253,15 +239,20 @@ def assemble_A(ode: QuadraticODE, c: int, cap: int = N_CAP) -> EmbeddedSystem:
     Row (j, t) of level i >= 1, t = (t_0..t_i) the tensor index of
     component a = (a_0..a_i), is what F1 and F2 do to its slots.  F1 acts
     along each slot s, sending t_s to t', and the diagonal sums F1[t_s, t_s]
-    over the slots in slot order: the diagonal block is I_beta kron the
-    Kronecker sum of F1.  F2 splits slot s into two adjacent slots
-    (t', t''), in the level-(i+1) component that splitting a_s into
+    over the slots in the order of t's sorted entries: the diagonal block is
+    I_beta kron the Kronecker sum of F1.  F2 splits slot s into two adjacent
+    slots (t', t''), in the level-(i+1) component that splitting a_s into
     (l, a_s - 1 - l) names.  Level 0 is F1 as stored, plus F2 as stored into
     every level-1 component; everywhere else an entry that comes to 0 is not
-    stored.  `_rows_of_A` writes the rows by index arithmetic, here at
-    `orbit_basis`'s representatives and, when the full A is first read, at
-    all N coordinates, converted to CSR once, int32-indexed wherever F1 and
-    F2 are and N fits.
+    stored.  So every row is its orbit representative's, bit for bit, as a
+    multiset of (column orbit, value): a joint permutation pi of the slots
+    takes row (a, t)'s entries off the diagonal, copies of F1's and F2's, to
+    equal ones of row (pi a, pi t) in columns of the same orbits, and t and
+    pi t sort to one tuple, so the diagonal is one sum, kept or dropped on
+    the whole orbit.  `_rows_of_A` writes the rows by index arithmetic,
+    here at `orbit_basis`'s representatives and, when the full A is first
+    read, at all N coordinates, converted to CSR once, int32-indexed
+    wherever F1 and F2 are and N fits.
 
     ||A|| is bracketed in closed form.  A = D + U with D block diagonal and
     U block superdiagonal: the spectral radius (c+1) rho(F1) of D's last
@@ -519,7 +510,7 @@ def _tensor_gate(ode: QuadraticODE, index: EmbeddingIndexMap, gap: np.ndarray,
     a itself.
     """
     c = index.c
-    r1, r2 = (int(np.diff(F.indptr).max(initial=0)) for F in (ode.F1, ode.F2))
+    r1, r2 = (max_line_nnz(F)[0] for F in (ode.F1, ode.F2))
     rho = (c + 1) * r1 + (index.beta[1] if c else 0) * r2 + c + 2
     n = 2 * rho + 30
     gamma = n * math.ldexp(1.0, -53) / (1 - n * math.ldexp(1.0, -53))
@@ -543,36 +534,38 @@ def proved_line_counts(c: int, s: int) -> tuple[int, int]:
     return max(s * (1 + c * (c + 1) // 2), (c + 1) * s), (2 * c + 1) * s
 
 
-def _max_col_nnz(ode: QuadraticODE, index: EmbeddingIndexMap) -> int:
+def _max_col_nnz(sys: EmbeddedSystem) -> int:
     """The most nonzeros in a column of A, level by level from the column
-    counts of F1 and F2, with no A.
+    counts of F1 and F2 and the representatives' rows, with no A.
 
     Level 0's columns hold F1 as stored.  Column (b, t) of level i >= 1
     holds, from its diagonal block, F1's nonzeros off the diagonal in
-    column t_s for each slot s, and the diagonal where its sum over the
-    slots, in slot order, is nonzero; from the coupling, F2's column
-    t_k n + t_k+1 for each adjacent pair k, since merging any adjacent pair
-    of b names an admissible level-(i-1) component (see `assemble_A`).  No
-    count depends on b.  Level 1's coupling rows are level 0's, which store
-    F2 as it is; everywhere else only nonzeros count.  The counts are not
-    constant on an orbit, as the rows' are: a permutation of the slots
-    moves which of them are adjacent, so the representatives' rows give
-    each orbit's mean count, not its largest.
+    column t_s for each slot s, and the diagonal where row (b, t) stores
+    it, which depends on t alone: it is read at b = 0, from the
+    representative's row of the orbit of (0, t).  From the coupling it
+    holds F2's column t_k n + t_k+1 for each adjacent pair k, since merging
+    any adjacent pair of b names an admissible level-(i-1) component (see
+    `assemble_A`).  No count depends on b.  Level 1's coupling rows are
+    level 0's, which store F2 as it is; everywhere else only nonzeros
+    count.  A column's count, unlike a row's, is not constant on an orbit:
+    a permutation of the slots moves which of them are adjacent.
     """
-    n, c, F1, F2 = index.n, index.c, ode.F1, ode.F2
-    diag = F1.diagonal()
+    index, rows, basis, F1, F2 = sys.index, sys.rows, sys.basis, sys.ode.F1, sys.ode.F2
+    n, c = index.n, index.c
+    # each representative's row at its own column: its diagonal, 0 where not stored
+    diag = rows[np.arange(basis.reps.size), basis.reps]
     row1 = np.repeat(np.arange(n), np.diff(F1.indptr))
     off1 = np.bincount(F1.indices[(F1.indices != row1) & (F1.data != 0)], minlength=n)
     pairs = [np.bincount(F2.indices[keep], minlength=n * n).reshape(n, n)
              for keep in (slice(None), F2.data != 0)]
-    best = int(np.bincount(F1.indices, minlength=n).max(initial=0))
+    best = max_line_nnz(F1)[1]
     for i in range(1, c + 1):
-        total, count = diag, off1
-        for _ in range(i):
-            total, count = np.add.outer(total, diag), np.add.outer(count, off1)
+        count = (diag[basis.orbit[index.block_slice(i, 0)]] != 0).reshape((n,) * (i + 1))
+        for s in range(i + 1):
+            count = count + off1.reshape((1,) * s + (n,) + (1,) * (i - s))
         for k in range(i):
             count = count + pairs[i > 1].reshape((1,) * k + (n, n) + (1,) * (i - 1 - k))
-        best = max(best, int((count + (total != 0)).max()))
+        best = max(best, int(count.max()))
     return best
 
 
@@ -583,8 +576,10 @@ def structural_report(sys: EmbeddedSystem, norm_F2: float, re_lambda1: float) ->
     A must be block upper bidiagonal over levels: each representative's
     row of level i may reach only the columns of levels i and i+1.  The
     most nonzeros in a row is the most in a representative's row, as a
-    row's count is constant on its orbit; the most in a column comes from
-    F1 and F2 level by level (`_max_col_nnz`).  The diagonal blocks and
+    row's count is exactly constant on its orbit (see `assemble_A`); the
+    most in a column comes from F1, F2 and the diagonal the
+    representatives' rows store, level by level (`_max_col_nnz`).  The
+    diagonal blocks and
     the coupling are checked against A's tensor form by `assemble_A_sym`,
     and, wherever it is built, by the full A's own probe.
     The spectrum of A is the union of its diagonal blocks' spectra,
@@ -613,7 +608,7 @@ def structural_report(sys: EmbeddedSystem, norm_F2: float, re_lambda1: float) ->
         i = level[np.searchsorted(rows.indptr, outside[0], side="right") - 1]
         raise BoundViolation(f"entries of level {i} outside the block bidiagonal structure")
 
-    max_row, max_col = int(counts.max(initial=0)), _max_col_nnz(ode, index)
+    max_row, max_col = int(counts.max(initial=0)), _max_col_nnz(sys)
     witness = s * c * c + c
     tight_row, tight_col = proved_line_counts(c, s)
     report["max_row_nnz"] = max_row

@@ -100,6 +100,12 @@ def _cubic_interp(ts: np.ndarray, ys: np.ndarray, t: float) -> np.ndarray:
 
 # -- the embedding ------------------------------------------------------------
 
+def level_sizes(c: int) -> list[int]:
+    """beta_i in closed form: 1 for i = 0, else sum_{k=i}^{c} C(k, i), the
+    multi-indices of length i+1 summing to at most c - i."""
+    return [1] + [sum(math.comb(k, i) for k in range(i, c + 1)) for i in range(1, c + 1)]
+
+
 def unrank(index: EmbeddingIndexMap, i: int, j: int) -> tuple[int, ...]:
     """The multi-index of rank j on level i; inverse of `index.rank`."""
     if i < 0 or i > index.c:

@@ -16,7 +16,6 @@ from hpmsim.embedding import (
     assemble_A,
     build_index_map,
     enumerate_level,
-    level_sizes,
     structural_report,
     total_dimension,
 )
@@ -52,6 +51,7 @@ from oracles import (
     component_difference_bound,
     dense_condition_number,
     dense_trajectory,
+    level_sizes,
     read_vector,
     reference_C,
     taylor_polynomial_apply,

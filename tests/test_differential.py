@@ -4,8 +4,9 @@ The relabelling test runs an instance and the same instance with its state
 coordinates permuted, and asks for the same verdicts, counts and values.
 The differential test recomputes a run's values from a dense A written
 index by index here, y_in from repeated Kronecker products and x from a
-triangular solve on the marching matrix `oracles.reference_C`: none of it
-runs the orbit basis, the march or a probe of the package.
+triangular solve on the marching matrix `oracles.reference_C`, and u(T)
+from scipy's implicit Radau: none of it runs the orbit basis, the march,
+the package's integrator or a probe of the package.
 """
 
 import itertools
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import spsolve_triangular
@@ -239,9 +241,28 @@ def test_a_run_reads_as_its_dense_oracle(n, c, T_end, K, seed, solver, nonnormal
     # a thousand times the integrator's relative tolerance of 1e-13
     solved = make_ode(n, ode.F1, SparseMatrix(F2), u, assume_valid=True)
     utilde = solve_cascade(solved, c, T_end).nu[:, -1, :].sum(axis=0)
-    assert np.linalg.norm(utilde - (expm(A * T_end) @ y_in)[:n]) <= 1e-10 * np.linalg.norm(u)
+    utilde_expm = (expm(A * T_end) @ y_in)[:n]
+    assert np.linalg.norm(utilde - utilde_expm) <= 1e-10 * np.linalg.norm(u)
 
     rows = {row["check"]: row for row in rep.bound_checks}
+    # the truncation row, ||zeta u(T) - u~(T)||, from u~(T) of e^(A T) y_in and
+    # u(T) of an implicit Radau integration at rtol 1e-12: the run's u(T) is
+    # within its reference_error, Radau's within a thousand times its rtol,
+    # and the run's u~(T) within 1e-10 ||u|| of e^(A T) y_in, as above
+    F1_in, F2_in = ode.F1.toarray(), ode.F2.toarray()
+    u_T = solve_ivp(lambda t, v: F1_in @ v + F2_in @ np.kron(v, v), (0.0, T_end), ode.u_in,
+                    method="Radau", rtol=1e-12, atol=1e-14 * np.linalg.norm(ode.u_in)).y[:, -1]
+    noise = zeta * np.linalg.norm(u_T) * (rep.errors["reference_error"] + 1e-9)
+    assert abs(rows["truncation"]["measured"] - np.linalg.norm(zeta * u_T - utilde_expm)) \
+        <= noise + 1e-10 * np.linalg.norm(u)
+    # the level_decay row, max_g ||y'_g||^2 / (2 K^2)^g over the groups of x's
+    # final block, absent at c = 0, where no group exists
+    K = rep.nonlinearity["K"]
+    if c == 0:
+        assert "level_decay" not in rows
+    else:
+        worst = max(w / (2 * K * K) ** g for g, w in enumerate(want, start=1))
+        assert rows["level_decay"]["measured"] == pytest.approx(worst, rel=tol, abs=0.0)
     E = expm(A * par["h"])
     max_power = max(np.linalg.norm(np.linalg.matrix_power(E, j), 2)
                     for j in range(par["m"] + 1))

@@ -19,7 +19,6 @@ from hpmsim.embedding import (
     build_index_map,
     embedded_norm_profile,
     enumerate_level,
-    level_sizes,
     orbit_basis,
     step_counts,
     structural_report,
@@ -40,6 +39,7 @@ from hpmsim.sparse import SparseMatrix, dense_expm, max_line_nnz, spectral_norm
 from oracles import (
     build_embedded_vector,
     level_groups,
+    level_sizes,
     reduce_to_orbits,
     row_pattern_Bm,
     schur_bound,
@@ -219,16 +219,42 @@ def _kron_factor_coo(mat, n: int, slots_left: int, slots_right: int,
     return rows, cols, vals
 
 
+def sorted_diagonal(F1, i: int) -> np.ndarray:
+    """The diagonal of level i's Kronecker sum of F1 at every tensor index t,
+    F1[t_s, t_s] summed one slot at a time over t's entries sorted."""
+    d1 = F1.diagonal()
+    t = np.sort(np.indices((F1.shape[0],) * (i + 1)).reshape(i + 1, -1), axis=0)
+    diag = d1[t[0]]
+    for s in range(1, i + 1):
+        diag = diag + d1[t[s]]
+    return diag
+
+
+def off_diagonal(F1) -> sp.coo_array:
+    """F1's stored entries off its diagonal."""
+    coo = F1.tocoo()
+    keep = coo.row != coo.col
+    return sp.coo_array((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=F1.shape)
+
+
 def reference_A(ode, c: int):
     """(indptr, indices, data) of A from per-block triplets; colliding
-    entries sum in the order they were added."""
+    entries sum in the order they were added.  Off level 0 the diagonal is
+    one triplet per coordinate, summed over the sorted tensor index."""
     index = build_index_map(c, ode.n)
     n, parts = ode.n, []
+    F1_off = off_diagonal(ode.F1)
     for i in range(c + 1):
+        diag = sorted_diagonal(ode.F1, i)
         for j in range(index.beta[i]):
             off = index.block_slice(i, j).start
+            if i == 0:
+                parts.append(_kron_factor_coo(ode.F1, n, 0, 0, 1, off, off))
+                continue
             for k in range(i + 1):
-                parts.append(_kron_factor_coo(ode.F1, n, k, i - k, 1, off, off))
+                parts.append(_kron_factor_coo(F1_off, n, k, i - k, 1, off, off))
+            at = off + np.arange(diag.size)
+            parts.append((at, at, diag))
     if ode.F2.nnz:
         if c >= 1:
             for jp in range(index.beta[1]):
@@ -310,14 +336,18 @@ def _in_slot(mat, n: int, k: int, i: int):
 def per_slot_A(ode, c: int) -> sp.csr_array:
     """A from one Kronecker product per slot and level, summed over the
     slots: the block definition that assemble_A's row builder writes by
-    index arithmetic, one row at a time."""
+    index arithmetic, one row at a time.  Off level 0 the products take F1
+    off its diagonal, and the diagonal, summed over the sorted tensor
+    index, is added apart."""
     index = build_index_map(c, ode.n)
     n, F1, F2 = ode.n, ode.F1, ode.F2
     sizes = [index.beta[i] * n ** (i + 1) for i in range(c + 1)]
     blocks = [[sp.csr_array((rows, cols)) for cols in sizes] for rows in sizes]
-    for i in range(c + 1):
+    blocks[0][0] = F1
+    for i in range(1, c + 1):
+        ksum = sum(_in_slot(off_diagonal(F1), n, k, i) for k in range(i + 1))
         blocks[i][i] = sp.kron(sp.eye_array(index.beta[i]),
-                               sum(_in_slot(F1, n, k, i) for k in range(i + 1)), format="csr")
+                               ksum + sp.diags_array(sorted_diagonal(F1, i)), format="csr")
     if F2.nnz and c >= 1:
         blocks[0][1] = sp.kron(np.ones((1, index.beta[1])), F2, format="csr")
         for i in range(1, c):
@@ -375,8 +405,42 @@ def cancelling_ode(n: int, seed: int):
                     assume_valid=True)
 
 
-PROBE_KINDS = {**ODE_KINDS, "cancelling": cancelling_ode,
+def rounding_ode(n: int, seed: int):
+    """An upper-triangular F1, under assume_valid, with diagonal 1e16, 1,
+    -1e16 (its first n), whose sum over three slots rounds by its order:
+    (1e16 + 1) - 1e16 is 0, (1e16 - 1e16) + 1 is 1."""
+    rng = np.random.default_rng(seed)
+    F1 = np.triu(rng.normal(size=(n, n)), 1) + np.diag([1e16, 1.0, -1e16][:n])
+    F2 = rng.normal(size=(n, n * n)) * 0.1
+    return make_ode(n, SparseMatrix(F1), SparseMatrix(F2), rng.normal(size=n) * 0.3,
+                    assume_valid=True)
+
+
+PROBE_KINDS = {**ODE_KINDS, "cancelling": cancelling_ode, "rounding": rounding_ode,
                "F2 = 0": lambda n, seed: random_ode(n, seed, f2_scale=0.0)}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 10_000),
+       st.sampled_from(list(PROBE_KINDS)))
+# level 2 stored 0 at t = (0, 1, 2) and 1.0 at t = (0, 2, 1), summed in slot order
+@example(3, 2, 0, "rounding")
+def test_every_row_of_A_is_its_representatives_row(n, c, seed, kind):
+    # exactly, with no rounding bound: a row's (orbit of the column, value)
+    # pairs, sorted, are those of its orbit's representative, bit for bit
+    ode = PROBE_KINDS[kind](n, seed)
+    sys = assemble_A(ode, c)
+    A, orbit, reps = sys.A, sys.basis.orbit, sys.basis.reps
+
+    def pairs(row):
+        span = slice(A.indptr[row], A.indptr[row + 1])
+        cols, bits = orbit[A.indices[span]], A.data[span].view(np.int64)
+        order = np.lexsort((bits, cols))
+        return cols[order], bits[order]
+
+    for row in range(sys.index.N):
+        got, want = pairs(row), pairs(reps[orbit[row]])
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), row
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
