@@ -97,6 +97,13 @@ def _load_config(args, **overrides) -> RunConfig:
                                              if value is not None})
 
 
+def _print_rows(rows: list[dict], width: int) -> None:
+    """One line per bound row: its name right-aligned in width, its verdict."""
+    for row in rows:
+        gate = "" if row["precondition_ok"] else " (precondition not met)"
+        print(f"{row['check']:>{width}}: {'pass' if row['pass'] else 'FAIL'}{gate}")
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args, solver=args.solver, tol=args.tol,
                        emit_blocks=args.emit_blocks)
@@ -109,10 +116,7 @@ def _cmd_run(args) -> int:
         for row in report.bound_checks:
             writer.writerow([row["check"], row["precondition_ok"],
                              row["measured"], row["bound"], row["pass"]])
-    for row in report.bound_checks:
-        state = "pass" if row["pass"] else "FAIL"
-        gate = "" if row["precondition_ok"] else " (precondition not met)"
-        print(f"{row['check']:>18}: {state}{gate}")
+    _print_rows(report.bound_checks, 18)
     err = report.errors
     print(f"final_error = {err['final_error']:.3e} vs epsilon = {err['epsilon']:.3e}")
     for w in report.warnings:
@@ -199,19 +203,14 @@ def _cmd_hpm(args) -> int:
 
 def _cmd_bounds(args) -> int:
     cfg = _load_config(args)
-    report = run(cfg, base_dir=args.config.parent)
-    rows = list(report.bound_checks)
-    rows.extend(_appendix_rows(cfg.seed))
+    rows = run(cfg, base_dir=args.config.parent).bound_checks + _appendix_rows(cfg.seed)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "bounds.json"
     path.write_text(json.dumps(rows, indent=2, sort_keys=True,
                                default=json_default) + "\n")
-    for row in rows:
-        state = "pass" if row["pass"] else "FAIL"
-        gate = "" if row["precondition_ok"] else " (precondition not met)"
-        print(f"{row['check']:>22}: {state}{gate}")
+    _print_rows(rows, 22)
     bad = [r for r in rows if r["precondition_ok"] and not r["pass"]]
-    return EXIT_BOUND if bad else report.exit_code
+    return EXIT_BOUND if bad else EXIT_PASS
 
 
 def _appendix_rows(seed: int) -> list[dict]:

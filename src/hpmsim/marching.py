@@ -165,8 +165,8 @@ class TaylorSystemParams:
     delta: float
     epsilon1: float
     Omega: float
-    g_est: float
-    eta_est: float
+    g: float
+    eta: float
     eta_prime: float
     norm_A: float
     N: int
@@ -187,7 +187,7 @@ class TaylorSystemParams:
     def acceptance_ok(self) -> bool:
         """50 m(c+1)(c+2) g <= (k+1)!, the margin of the step-acceptance bound."""
         return math.factorial(self.k + 1) >= 50.0 * self.m * (self.c + 1) * (
-            self.c + 2) * self.g_est
+            self.c + 2) * self.g
 
 
 def taylor_order_for(Omega: float) -> int:
@@ -246,7 +246,7 @@ def select_parameters(nl: NonlinearityParams, sel: OrderSelection, sys: Embedded
     k = taylor_order_for(Omega) if k is None else k
     params = TaylorSystemParams(
         c=c, h=h, m=m, k=k, p=p, d=m * (k + 1) + p, delta=delta, epsilon1=sel.epsilon1,
-        Omega=Omega, g_est=g, eta_est=eta, eta_prime=sel.eta_prime,
+        Omega=Omega, g=g, eta=eta, eta_prime=sel.eta_prime,
         norm_A=sys.norm_A, N=sys.index.N, hpm_budget_certified=sel.certified,
     )
     if not params.contract_ok:

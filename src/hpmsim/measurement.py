@@ -53,7 +53,7 @@ def postselect(sol: MarchingSolution, group: np.ndarray,
     if x_norm_sq == 0.0:
         raise ValidationError("marching solution is identically zero")
     p1_block = block_sq / x_norm_sq
-    g = params.g_est
+    g = params.g
     p1_bound = 1.0 / (params.p + 77.0 * params.m * g * g)
 
     y_norm_sq = sum_sq(sol.final)

@@ -16,7 +16,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -334,7 +334,6 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
     timings: dict = {}
     prep = prepare(config, base_dir, timings)
     solved, nl, sel = prep.solved, prep.nl, prep.sel
-    u_exact, ref_error = prep.u_T, prep.ref_error
 
     with _Stage("cascade", timings):
         casc = hpm.solve_cascade(solved, sel.c, config.T, K=nl.K)
@@ -376,35 +375,23 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
         report_m = meas.postselect(sol, basis.group, nl, utilde_norm)
 
     with _Stage("errors", timings):
-        budget = meas.final_error(report_m, u_exact, utilde_T,
-                                  params.epsilon1, nl.K)
+        budget = meas.final_error(report_m, prep.u_T, utilde_T, params.epsilon1, nl.K)
 
-    # the step-error bound's hypotheses: ||A h|| <= 1, 2m(c+1)(c+2) <= (k+1)!
-    # and ||e^(At)|| <= c+1; the condition_number row reads them too
-    taylor_ok = params.contract_ok and params.factorial_ok and sel.exp_norm_ok
+    # the oracles behind the exp_norm and step_error rows, timed apart from the checks
+    with _Stage("exp_norm", timings):
+        exp_row = _exp_norm_row(sys, params, sel.exp_norm_ok, config.dense_cap)
 
-    # the expm sweep behind the step_error row, an oracle timed apart from the checks
     with _Stage("step_error", timings):
-        step_row = _step_error_row(C, y_sym, sol, taylor_ok, config.dense_cap)
+        step_row = _step_error_row(C, y_sym, sol, _taylor_ok(params, sel), config.dense_cap)
 
     with _Stage("checks", timings):
-        checks = _bound_checks(nl, sys, params, step_row, cond, report_m, struct,
-                               utilde_T, prep.zeta, u_exact, ref_error, sel.exp_norm_ok,
-                               taylor_ok, config)
-        checks.append(_check(
-            "reference_error", "||u_a(T) - u_b(T)|| / ||u_a(T)|| <= epsilon/100, "
-            "u_a the reference and u_b a looser pass", ref_error, config.epsilon / 100.0, True))
+        checks = _bound_checks(prep, config, utilde_T, struct, params, cond, report_m,
+                               budget, exp_row, step_row)
+        failed = [row for row in checks if row["precondition_ok"] and not row["pass"]]
+        status = "pass" if not failed else "bound_violation"
 
-    eps_row = _check("target", "final normalized error <= configured epsilon",
-                     budget.final_error, config.epsilon, True)
-    checks.append(eps_row)
-
-    failed = [row for row in checks
-              if row["precondition_ok"] and not row["pass"]]
-    status = "pass" if not failed else "bound_violation"
-
-    report = RunReport(
-        config={**asdict(config)},
+    return RunReport(
+        config=asdict(config),
         nonlinearity={
             "K": nl.K, "re_lambda1": nl.re_lambda1, "norm_F2": nl.norm_F2,
             "norm_u_in_original": prep.nl0.norm_u_in, "norm_u_in_solved": nl.norm_u_in,
@@ -412,38 +399,14 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
             "flag_K_below_u_original": prep.nl0.flag_K_below_u,
             "linear_fast_path": nl.K == 0.0,
         },
-        parameters={
-            "c": params.c, "h": params.h, "m": params.m, "k": params.k,
-            "p": params.p, "d": params.d, "delta": params.delta,
-            "epsilon1": params.epsilon1, "Omega": params.Omega,
-            "g": params.g_est, "eta": params.eta_est,
-            "eta_prime": params.eta_prime, "norm_A": params.norm_A,
-            "N": params.N,
-            "hpm_budget_certified": params.hpm_budget_certified,
-            "c_formula": sel.c_formula, "c_scan": sel.c_scan,
-            "c_required": sel.c_required, "c_cap": sel.c_cap,
-        },
+        parameters={**_fields(params, "warnings"),
+                    **{key: getattr(sel, key)
+                       for key in ("c_formula", "c_scan", "c_required", "c_cap")}},
         structure=struct,
         bound_checks=checks,
-        measurement={
-            "p1_block_ratio": report_m.p1_block_ratio,
-            "p1_measured": report_m.p1_measured,
-            "p1_bound": report_m.p1_bound,
-            "chi0_sq": report_m.chi0_sq,
-            "chi0_bound": report_m.chi0_bound,
-            "u_out": report_m.u_out.tolist(),
-            "level_group_norms_sq": report_m.level_group_norms_sq,
-            "level_group_bounds": report_m.level_group_bounds,
-        },
-        errors={
-            "final_error": budget.final_error,
-            "hpm_part": budget.hpm_part,
-            "solve_part": budget.solve_part,
-            "hpm_part_bound": budget.hpm_part_bound,
-            "reference_error": ref_error,
-            "epsilon": config.epsilon,
-            "pass": eps_row["pass"],
-        },
+        measurement=_fields(report_m, "eta_prime"),
+        errors={**_fields(budget), "reference_error": prep.ref_error,
+                "epsilon": config.epsilon, "pass": checks[-1]["pass"]},  # the target row
         solver={"name": config.solver, "residual": sol.residual,
                 "iterations": sol.iterations},
         warnings=sel.warnings + params.warnings,
@@ -451,7 +414,19 @@ def run(config: RunConfig, base_dir: Path | None = None) -> RunReport:
         status=status,
         exit_code=0 if status == "pass" else 1,
     )
-    return report
+
+
+def _fields(obj, *drop: str) -> dict:
+    """A dataclass's fields as a report block, less drop, arrays as lists."""
+    pairs = ((f.name, getattr(obj, f.name)) for f in fields(obj) if f.name not in drop)
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in pairs}
+
+
+def _taylor_ok(params: mar.TaylorSystemParams, sel: mar.OrderSelection) -> bool:
+    """The step-error bound's hypotheses, ||A h|| <= 1, 2m(c+1)(c+2) <= (k+1)!
+    and ||e^(At)|| <= c+1; the condition_number row reads them too."""
+    return params.contract_ok and params.factorial_ok and sel.exp_norm_ok
 
 
 def _decay_ratio(sys: emb.EmbeddedSystem, casc: hpm.HpmCascade) -> float:
@@ -539,20 +514,20 @@ def _step_error_row(C: mar.MarchingOperator, y: np.ndarray, sol: mar.MarchingSol
     return row
 
 
-def _bound_checks(nl, sys: emb.EmbeddedSystem, params: mar.TaylorSystemParams,
-                  step_row: dict, cond: dict,
-                  report_m: meas.MeasurementReport, struct: dict, utilde_T: np.ndarray,
-                  zeta: float, u_exact: np.ndarray, ref_error: float, exp_norm_ok: bool,
-                  taylor_ok: bool, config: RunConfig) -> list[dict]:
-    """The bound rows, each precondition built beside its row from verdicts:
-    params', the selection's exp_norm_ok, taylor_ok and nl's rescaled regime."""
+def _bound_checks(prep: Prepared, config: RunConfig, utilde_T: np.ndarray, struct: dict,
+                  params: mar.TaylorSystemParams, cond: dict,
+                  report_m: meas.MeasurementReport, budget: meas.ErrorBudget,
+                  exp_row: dict, step_row: dict) -> list[dict]:
+    """Every bound row, in report order, from the stages' results and the
+    oracle rows; each precondition is built beside its row from verdicts:
+    params', the selection's, and prep.nl's rescaled regime."""
     checks = []
     c = params.c
-    K = nl.K
+    K = prep.nl.K
     # the rescaled regime ||u_in|| <= K (1 + 1e-9), which the default
     # rescaling guarantees and a zeta override may leave: the geometric bounds
     # of the truncation, level_acceptance and level_decay rows assume it
-    rescaled = not nl.flag_K_below_u
+    rescaled = not prep.nl.flag_K_below_u
 
     # the witness is a bound only where it is at least the proved counts,
     # which every A meets: for every s from c = 3, for s <= 2 at c = 2
@@ -576,19 +551,19 @@ def _bound_checks(nl, sys: emb.EmbeddedSystem, params: mar.TaylorSystemParams,
         struct["max_re_eigenvalue"], 0.0, True,
         note="strict inequality; bound column is 0"))
 
-    checks.append(_exp_norm_row(sys, params, exp_norm_ok, config.dense_cap))
+    checks.append(exp_row)
 
     checks.append(_check(
         "condition_number", "kappa(C) <= 2 e sqrt(k) (m(k+1)+p)(c+2)",
-        cond["measured"], cond["bound"], taylor_ok and params.k >= 5,
+        cond["measured"], cond["bound"], _taylor_ok(params, prep.sel) and params.k >= 5,
         note="" if cond["measured"] is not None else "skipped: size over dense cap"))
 
-    trunc_measured = float(vector_norm(zeta * u_exact - utilde_T))
+    trunc_measured = float(vector_norm(prep.zeta * prep.u_T - utilde_T))
     trunc_bound = hpm.truncation_bound(K, c) if K > 0 else 0.0
     trunc_pre = K > 0 and rescaled
     # the reference's own error on zeta u(T): a bound at or below it would
     # judge the row on the oracle's noise, not on the cascade
-    ref_noise = zeta * ref_error * float(vector_norm(u_exact))
+    ref_noise = prep.zeta * prep.ref_error * float(vector_norm(prep.u_T))
     noisy = trunc_pre and trunc_bound <= ref_noise
     checks.append(_check(
         "truncation", "||u(T) - u~(T)|| <= K^(c+2)/(1-K)",
@@ -617,6 +592,12 @@ def _bound_checks(nl, sys: emb.EmbeddedSystem, params: mar.TaylorSystemParams,
             "level_decay", "grouped ||y'_i||^2 < (2 K^2)^i",
             worst_ratio, 1.0, K > 0 and rescaled,
             note="ratio of measured to bound, maximized over groups"))
+
+    checks.append(_check(
+        "reference_error", "||u_a(T) - u_b(T)|| / ||u_a(T)|| <= epsilon/100, "
+        "u_a the reference and u_b a looser pass", prep.ref_error, config.epsilon / 100.0, True))
+    checks.append(_check("target", "final normalized error <= configured epsilon",
+                         budget.final_error, config.epsilon, True))
     return checks
 
 

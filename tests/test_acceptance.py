@@ -178,7 +178,7 @@ def test_criterion3_step_error_decay():
         assert 2 * m * 2 * 3 <= math.factorial(k + 1)
         params = TaylorSystemParams(
             c=1, h=h, m=m, k=k, p=m, d=m * (k + 1) + m, delta=1e-10,
-            epsilon1=0.0, Omega=0.0, g_est=1.0, eta_est=1.0, eta_prime=0.0,
+            epsilon1=0.0, Omega=0.0, g=1.0, eta=1.0, eta_prime=0.0,
             norm_A=sys.norm_A, N=sys.index.N)
         C = assemble_C(sys.A, params)
         sol = solve_marching(C, sys.y_in)
@@ -240,7 +240,7 @@ def _kappa_case(n, c, seed, m_target, k, u_norm=1.0):
     assert m == m_target
     params = TaylorSystemParams(
         c=c, h=h, m=m, k=k, p=m, d=m * (k + 1) + m, delta=1e-10,
-        epsilon1=0.0, Omega=0.0, g_est=1.0, eta_est=1.0, eta_prime=0.0,
+        epsilon1=0.0, Omega=0.0, g=1.0, eta=1.0, eta_prime=0.0,
         norm_A=sys.norm_A, N=sys.index.N)
     size = (params.d + 1) * sys.index.N
     return sys.A, params, size
@@ -251,8 +251,8 @@ def test_criterion5_condition_number_bound():
     # hand-checkable 4x4 system
     A = SparseMatrix.from_triplets(1, 1, [(0, 0, 0.5)])
     params = TaylorSystemParams(c=0, h=1.0, m=1, k=1, p=1, d=3, delta=1e-10,
-                                epsilon1=0.0, Omega=0.0, g_est=1.0,
-                                eta_est=1.0, eta_prime=0.0, norm_A=0.5, N=1)
+                                epsilon1=0.0, Omega=0.0, g=1.0,
+                                eta=1.0, eta_prime=0.0, norm_A=0.5, N=1)
     kappa = dense_condition_number(reference_C(A, params).toarray())
     measured = condition_report(params, A.shape[0], lambda: A)["measured"]
     bound = 2 * math.e * math.sqrt(params.k) * (params.m * (params.k + 1) + params.p) * (params.c + 2)
@@ -292,7 +292,7 @@ def test_criterion5_std1_pipeline_kappa(std1_run):
     sys = assemble_A(solved, par["c"])
     params = TaylorSystemParams(
         c=par["c"], h=par["h"], m=par["m"], k=par["k"], p=par["p"], d=par["d"],
-        delta=par["delta"], epsilon1=0.0, Omega=0.0, g_est=1.0, eta_est=1.0,
+        delta=par["delta"], epsilon1=0.0, Omega=0.0, g=1.0, eta=1.0,
         eta_prime=0.0, norm_A=par["norm_A"], N=par["N"])
     kappa = dense_condition_number(reference_C(sys.A, params).toarray())
     assert row["measured"] == pytest.approx(kappa, rel=1e-10)
@@ -400,7 +400,7 @@ def test_criterion9_solver_equivalence():
         m, h = step_counts(1.0, sys.norm_A)
         params = TaylorSystemParams(
             c=c, h=h, m=m, k=k, p=m, d=m * (k + 1) + m, delta=1e-10,
-            epsilon1=0.0, Omega=0.0, g_est=1.0, eta_est=1.0, eta_prime=0.0,
+            epsilon1=0.0, Omega=0.0, g=1.0, eta=1.0, eta_prime=0.0,
             norm_A=sys.norm_A, N=sys.index.N)
         C = assemble_C(sys.A, params)
         sol = solve_marching(C, sys.y_in)

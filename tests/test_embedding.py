@@ -956,7 +956,7 @@ def test_the_orbit_solution_reads_as_the_full_one(n, c, seed, kind, solver):
     A_sym, y_sym = assemble_A_sym(sys), basis.restrict(sys.y_in)
     m, h = step_counts(0.5, sys.norm_A)
     params = TaylorSystemParams(c=c, h=h, m=m, k=8, p=m, d=m * 9 + m, delta=1e-10,
-                                epsilon1=0.0, Omega=0.0, g_est=1.0, eta_est=1.0,
+                                epsilon1=0.0, Omega=0.0, g=1.0, eta=1.0,
                                 eta_prime=0.0, norm_A=sys.norm_A, N=sys.index.N)
     C = assemble_C(A_sym, params)
     sym = solve_marching(C, y_sym, solver=solver)

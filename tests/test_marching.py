@@ -42,7 +42,7 @@ def tiny_params(N: int, m: int, k: int, p: int, h: float, c: int = 0,
                 g: float = 1.0) -> TaylorSystemParams:
     return TaylorSystemParams(
         c=c, h=h, m=m, k=k, p=p, d=m * (k + 1) + p, delta=1e-10,
-        epsilon1=0.0, Omega=0.0, g_est=g, eta_est=1.0, eta_prime=0.0,
+        epsilon1=0.0, Omega=0.0, g=g, eta=1.0, eta_prime=0.0,
         norm_A=0.0, N=N)
 
 

@@ -31,7 +31,7 @@ from oracles import (
 def tiny_params(N, m, k, p, h, c=0, g=1.0):
     return TaylorSystemParams(
         c=c, h=h, m=m, k=k, p=p, d=m * (k + 1) + p, delta=1e-10,
-        epsilon1=0.0, Omega=0.0, g_est=g, eta_est=1.0, eta_prime=0.0,
+        epsilon1=0.0, Omega=0.0, g=g, eta=1.0, eta_prime=0.0,
         norm_A=0.0, N=N)
 
 

@@ -443,6 +443,32 @@ def test_report_deterministic_modulo_timings(std1_report):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_report_keys_and_row_order(std1_report):
+    # the report's blocks are the fields of the stages' dataclasses, less
+    # TaylorSystemParams.warnings and MeasurementReport.eta_prime
+    rep = json.loads(std1_report.to_json())
+    assert set(rep) == {"bound_checks", "config", "errors", "exit_code", "measurement",
+                        "nonlinearity", "parameters", "solver", "status", "structure",
+                        "timings", "warnings"}
+    assert set(rep["nonlinearity"]) == {
+        "K", "flag_K_below_u_original", "flag_K_large", "linear_fast_path", "norm_F2",
+        "norm_u_in_original", "norm_u_in_solved", "re_lambda1", "zeta"}
+    assert set(rep["parameters"]) == {
+        "N", "Omega", "c", "c_cap", "c_formula", "c_required", "c_scan", "d", "delta",
+        "epsilon1", "eta", "eta_prime", "g", "h", "hpm_budget_certified", "k", "m",
+        "norm_A", "p"}
+    assert set(rep["measurement"]) == {
+        "chi0_bound", "chi0_sq", "level_group_bounds", "level_group_norms_sq",
+        "p1_block_ratio", "p1_bound", "p1_measured", "u_out"}
+    assert set(rep["errors"]) == {"epsilon", "final_error", "hpm_part", "hpm_part_bound",
+                                  "pass", "reference_error", "solve_part"}
+    assert set(rep["solver"]) == {"iterations", "name", "residual"}
+    assert [row["check"] for row in rep["bound_checks"]] == [
+        "sparsity", "embedding_norm", "embedding_spectrum", "exp_norm", "condition_number",
+        "truncation", "step_error", "step_acceptance", "level_acceptance", "level_decay",
+        "reference_error", "target"]
+
+
 def test_solver_override_iterative():
     rep = run(std1_config(solver="iterative"))
     assert rep.status == "pass"
